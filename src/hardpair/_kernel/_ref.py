@@ -67,52 +67,64 @@ def _residual(a, b, ct, st, cpsi, spsi, s1, s2, d):
     return f1, f2, f3
 
 
+def _jacobian(a, b, ct, st, cpsi, spsi, s1, s2):
+    """Rows d(F1, F2, F3)/d(s1, s2, d) of the tangency system at (s1, s2)."""
+    c1, s1s = math.cos(s1), math.sin(s1)
+    c2, s2s = math.cos(s2), math.sin(s2)
+    t1x, t1y = -a * s1s, b * c1
+    t2x = ct * (-a * s2s) - st * (b * c2)
+    t2y = st * (-a * s2s) + ct * (b * c2)
+    n1x, n1y = b * c1, a * s1s
+    n2x = ct * (b * c2) - st * (a * s2s)
+    n2y = st * (b * c2) + ct * (a * s2s)
+    n1px, n1py = -b * s1s, a * c1
+    n2px = ct * (-b * s2s) - st * (a * c2)
+    n2py = st * (-b * s2s) + ct * (a * c2)
+    return (
+        (t1x, -t2x, -cpsi),
+        (t1y, -t2y, -spsi),
+        (n1px * n2y - n1py * n2x, n1x * n2py - n1y * n2px, 0.0),
+    )
+
+
+def _solve3(jac, b1, b2, b3):
+    """Cramer's rule for jac x = (b1, b2, b3); None when jac is singular."""
+    (j11, j12, j13), (j21, j22, j23), (j31, j32, j33) = jac
+    det = (
+        j11 * (j22 * j33 - j23 * j32)
+        - j12 * (j21 * j33 - j23 * j31)
+        + j13 * (j21 * j32 - j22 * j31)
+    )
+    if det == 0.0:
+        return None
+    x1 = (
+        b1 * (j22 * j33 - j23 * j32)
+        - j12 * (b2 * j33 - j23 * b3)
+        + j13 * (b2 * j32 - j22 * b3)
+    ) / det
+    x2 = (
+        j11 * (b2 * j33 - j23 * b3)
+        - b1 * (j21 * j33 - j23 * j31)
+        + j13 * (j21 * b3 - b2 * j31)
+    ) / det
+    x3 = (
+        j11 * (j22 * b3 - b2 * j32)
+        - j12 * (j21 * b3 - b2 * j31)
+        + b1 * (j21 * j32 - j22 * j31)
+    ) / det
+    return x1, x2, x3
+
+
 def _newton(a, b, ct, st, cpsi, spsi, s1, s2, d, tol_len, tol_cross):
     """Damped Newton polish of the 3-unknown tangency system."""
     f1, f2, f3 = _residual(a, b, ct, st, cpsi, spsi, s1, s2, d)
     for _ in range(_NEWTON_MAX):
         if abs(f1) < tol_len and abs(f2) < tol_len and abs(f3) < tol_cross:
             return s1, s2, d, max(abs(f1), abs(f2), abs(f3) / max(1.0, a * a)), True
-        c1, s1s = math.cos(s1), math.sin(s1)
-        c2, s2s = math.cos(s2), math.sin(s2)
-        t1x, t1y = -a * s1s, b * c1
-        t2x = ct * (-a * s2s) - st * (b * c2)
-        t2y = st * (-a * s2s) + ct * (b * c2)
-        n1x, n1y = b * c1, a * s1s
-        n2x = ct * (b * c2) - st * (a * s2s)
-        n2y = st * (b * c2) + ct * (a * s2s)
-        n1px, n1py = -b * s1s, a * c1
-        n2px = ct * (-b * s2s) - st * (a * c2)
-        n2py = st * (-b * s2s) + ct * (a * c2)
-        # rows: d(F1,F2,F3)/d(s1, s2, d)
-        j11, j12, j13 = t1x, -t2x, -cpsi
-        j21, j22, j23 = t1y, -t2y, -spsi
-        j31 = n1px * n2y - n1py * n2x
-        j32 = n1x * n2py - n1y * n2px
-        j33 = 0.0
-        det = (
-            j11 * (j22 * j33 - j23 * j32)
-            - j12 * (j21 * j33 - j23 * j31)
-            + j13 * (j21 * j32 - j22 * j31)
-        )
-        if det == 0.0:
+        step = _solve3(_jacobian(a, b, ct, st, cpsi, spsi, s1, s2), -f1, -f2, -f3)
+        if step is None:
             return s1, s2, d, max(abs(f1), abs(f2), abs(f3) / max(1.0, a * a)), False
-        b1, b2, b3 = -f1, -f2, -f3
-        ds1 = (
-            b1 * (j22 * j33 - j23 * j32)
-            - j12 * (b2 * j33 - j23 * b3)
-            + j13 * (b2 * j32 - j22 * b3)
-        ) / det
-        ds2 = (
-            j11 * (b2 * j33 - j23 * b3)
-            - b1 * (j21 * j33 - j23 * j31)
-            + j13 * (j21 * b3 - b2 * j31)
-        ) / det
-        dd = (
-            j11 * (j22 * b3 - b2 * j32)
-            - j12 * (j21 * b3 - b2 * j31)
-            + b1 * (j21 * j32 - j22 * j31)
-        ) / det
+        ds1, ds2, dd = step
         base = max(abs(f1), abs(f2), abs(f3))
         lam = 1.0
         for _ in range(_BACKTRACK_MAX):
@@ -127,6 +139,31 @@ def _newton(a, b, ct, st, cpsi, spsi, s1, s2, d, tol_len, tol_cross):
         f1, f2, f3 = g1, g2, g3
     ok = abs(f1) < tol_len and abs(f2) < tol_len and abs(f3) < tol_cross
     return s1, s2, d, max(abs(f1), abs(f2), abs(f3) / max(1.0, a * a)), ok
+
+
+def ellipse_contact_derivatives(a, b, theta, psi, s1, s2, d):
+    """Partial derivatives (dD/dtheta, dD/dpsi) at a solved tangency (s1, s2, d).
+
+    Implicit-function theorem on the tangency system F(s1, s2, d; theta, psi)
+    = 0 that ellipse_contact solves: (s1, s2, d)_x = -J^-1 dF/dx at the
+    converged point, with J the Jacobian Newton steps with.  No further
+    tangency solve is made.  Returns None when J is singular.
+    """
+    ct, st = math.cos(theta), math.sin(theta)
+    cpsi, spsi = math.cos(psi), math.sin(psi)
+    jac = _jacobian(a, b, ct, st, cpsi, spsi, s1, s2)
+    c1, s1s = math.cos(s1), math.sin(s1)
+    c2, s2s = math.cos(s2), math.sin(s2)
+    # body 2's contact point and normal turn with theta: d(R u)/dtheta = perp(R u)
+    p2x = ct * (a * c2) - st * (b * s2s)
+    p2y = st * (a * c2) + ct * (b * s2s)
+    n2x = ct * (b * c2) - st * (a * s2s)
+    n2y = st * (b * c2) + ct * (a * s2s)
+    x_theta = _solve3(jac, -p2y, p2x, -(b * c1 * n2x + a * s1s * n2y))
+    if x_theta is None:
+        return None
+    x_psi = _solve3(jac, -d * spsi, d * cpsi, 0.0)
+    return x_theta[2], x_psi[2]
 
 
 def ellipse_contact(a, b, theta, psi, s1_seed=0.0, s2_seed=0.0, d_seed=0.0, use_seed=False):

@@ -225,7 +225,7 @@ def _cmd_geometry(args) -> int:
         "s2": c.s2,
         "dD_dtheta": c.dD_dtheta,
         "dD_dpsi": c.dD_dpsi,
-        "identity_residuals": identity_residuals(body, beta),
+        "identity_residuals": identity_residuals(body, beta, contact=c),
     })
     return EXIT_OK
 

@@ -25,7 +25,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from hardpair.bodies import Body
-from hardpair.geometry import Beta, closest_approach, d_beta, wrap_angle
+# d_beta is not called here; it stays bound because hpbench's tracer wraps
+# the layer bindings of this module by name
+from hardpair.geometry import (  # noqa: F401
+    Beta,
+    ContactData,
+    closest_approach,
+    d_beta,
+    to_lab,
+    wrap_angle,
+)
 from hardpair.frames import build_frame
 from hardpair.scattering import (
     GRAZING_RTOL,
@@ -86,11 +95,18 @@ class State:
         return max(v, vb) + body.radius * spin
 
 
+def _require_finite(X: np.ndarray, V: np.ndarray) -> None:
+    for name, arr in (("X", X), ("V", V)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"state {name} holds a non-finite value: {arr.tolist()}")
+
+
 def make_state(X, V, t: float = 0.0) -> State:
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     if X.shape != (6,) or V.shape != (6,):
         raise ValueError("State requires six configuration and six velocity numbers")
+    _require_finite(X, V)
     return State(X=X, V=V, t=float(t))
 
 
@@ -169,18 +185,30 @@ def free_flight(Z: State, dt: float) -> State:
     return State(X=Z.X + dt * Z.V, V=Z.V, t=Z.t + dt)
 
 
-def _gap_at(body: Body, X: np.ndarray, seed=None):
-    """Gap plus the canonical contact solve behind it (for warm starting)."""
+def _gap_at(
+    body: Body,
+    X: np.ndarray,
+    seed: ContactData | None = None,
+    solved: ContactData | None = None,
+):
+    """Gap plus the canonical contact solve behind it.
+
+    seed, a solve at a nearby pose, warm-starts the solve.  solved is the
+    canonical solve at X itself, when the caller already holds it; then no
+    solve is made.
+    """
     rel = X[2:4] - X[0:2]
     dist = float(np.linalg.norm(rel))
     if dist == 0.0:
         raise ValueError("coincident centers: gap undefined")
+    if solved is not None:
+        return dist - solved.d, solved
     psi = math.atan2(rel[1], rel[0])
     contact = closest_approach(
         body,
         wrap_angle(X[5] - X[4]),
         wrap_angle(psi - X[4]),
-        _seed=seed,
+        _seed=None if seed is None else (seed.s1, seed.s2, seed.d),
     )
     return dist - contact.d, contact
 
@@ -206,73 +234,89 @@ def _resolve_defaults(body: Body, Z: State, t_max: float, opts: SimOptions):
     return dt_scan, t_tol
 
 
-def _scan_for_root(body: Body, Z: State, t_max: float, dt_scan: float):
+def _scan_for_root(body: Body, Z: State, t_max: float, dt_scan: float, g0: float,
+                   c0: ContactData):
     """First bracket [lo, hi] with gap(lo) > 0 >= gap(hi), or None.
 
-    Also reports the smallest gap over the separated samples, i.e. over
-    free-flight states the trajectory actually passes through; probe samples
-    past the root (where the hypothetical continued flight interpenetrates)
-    are not trajectory states and are excluded.  A sampled gap below the
-    tunneling threshold restarts with a halved step from the last separated
-    sample.
+    g0 and c0 are the gap and the contact solve at the start pose; every
+    sample is warm-started from the previous one.  Also reports the smallest
+    gap over the separated samples, i.e. over free-flight states the
+    trajectory actually passes through; probe samples past the root (where
+    the hypothetical continued flight interpenetrates) are not trajectory
+    states and are excluded.  A sampled gap below the tunneling threshold
+    restarts with a halved step from the last separated sample.  The third
+    result is the contact solve at lo.
     """
-    g0, c0 = _gap_at(body, Z.X, seed=None)
-    seed = (c0.s1, c0.s2, c0.d)
     min_seen = g0
     halvings = 0
-    t_lo = 0.0
-    t = 0.0
+    t_lo, c_lo = 0.0, c0
+    t, c = 0.0, c0
     while t < t_max:
         t = min(t + dt_scan, t_max)
-        g, c = _gap_at(body, Z.X + t * Z.V, seed=seed)
-        seed = (c.s1, c.s2, c.d)
+        g, c = _gap_at(body, Z.X + t * Z.V, seed=c)
         if g <= 0.0:
             if g < _TUNNEL_GAP and halvings < _TUNNEL_HALVINGS:
                 halvings += 1
                 dt_scan *= 0.5
                 t = t_lo
                 continue
-            return (t_lo, t), min_seen
+            return (t_lo, t), min_seen, c_lo
         min_seen = min(min_seen, g)
-        t_lo = t
-    return None, min_seen
+        t_lo, c_lo = t, c
+    return None, min_seen, c_lo
 
 
-def _next_collision(body: Body, Z: State, t_max: float, opts: SimOptions):
-    """Root time of the gap along free flight, plus the minimum sampled gap."""
-    g0 = gap(body, Z.X)
+def _next_collision(body: Body, Z: State, t_max: float, opts: SimOptions,
+                    contact: ContactData | None = None):
+    """Root time of the gap along free flight, the minimum sampled gap, and
+    the contact solve at the root (None without a root).
+
+    contact is the canonical contact solve at Z.X, when the caller holds it.
+    """
+    g0, contact = _gap_at(body, Z.X, solved=contact)
     if g0 < -_ADMISSIBLE_RTOL * body.diameter:
         raise SimulationError(f"starting gap {g0:.3g} is negative beyond tolerance")
     dt_scan, t_tol = _resolve_defaults(body, Z, t_max, opts)
     if t_max <= 0.0:
-        return None, g0
-    bracket, min_seen = _scan_for_root(body, Z, t_max, dt_scan)
+        return None, g0, None
+    bracket, min_seen, c_lo = _scan_for_root(body, Z, t_max, dt_scan, g0, contact)
     if bracket is None:
-        return None, min_seen
+        return None, min_seen, None
     lo, hi = bracket
-    seed = None
+    c = c_lo
     while hi - lo > t_tol:
         mid = 0.5 * (lo + hi)
-        g, c = _gap_at(body, Z.X + mid * Z.V, seed=seed)
-        seed = (c.s1, c.s2, c.d)
+        g, c = _gap_at(body, Z.X + mid * Z.V, seed=c)
         if g > 0.0:
-            lo = mid
+            lo, c_lo = mid, c
         else:
             hi = mid
     # return the separated side of the bracket so the state never starts
-    # inside the other body
-    return lo, min_seen
+    # inside the other body; free_flight(Z, lo) reproduces the pose c_lo was
+    # solved at exactly
+    return lo, min_seen, c_lo
 
 
 def next_collision_time(body: Body, Z: State, t_max: float, opts: SimOptions | None = None):
     """Time of the first contact within [0, t_max] along free flight, or None."""
-    t, _ = _next_collision(body, Z, t_max, opts or SimOptions())
+    t, _, _ = _next_collision(body, Z, t_max, opts or SimOptions())
     return t
 
 
-def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: SimOptions):
-    """Scatter the velocity at a contact state; returns (new state, event)."""
-    g, _ = _gap_at(body, Z.X)
+def _frame_at(body: Body, beta: Beta, contact: ContactData):
+    """Frame at beta from the canonical contact solve at the same pose."""
+    return build_frame(body, beta, to_lab(contact, beta.theta))
+
+
+def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: SimOptions,
+                        contact: ContactData | None = None):
+    """Scatter the velocity at a contact state; returns (new state, event).
+
+    contact is the canonical contact solve at Z.X, when the caller holds it.
+    Anchoring moves the second center along the center line, which leaves
+    the relative angles and so the contact solve unchanged.
+    """
+    g, contact = _gap_at(body, Z.X, solved=contact)
     if abs(g) > 1e-8 * body.diameter:
         raise SimulationError(f"resolve called away from contact: gap {g:.3g}")
     X = Z.X
@@ -286,9 +330,7 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: Si
         anchor_shift = abs(g)
         Z = State(X=X, V=Z.V, t=Z.t)
     beta = Z.beta()
-    contact = d_beta(body, beta)
-    frame = build_frame(body, beta)
-    sm = scattering_matrix(family, frame)
+    sm = scattering_matrix(family, _frame_at(body, beta, contact))
     proj_pre = sm.normal_projection(Z.V)
     grazing = abs(proj_pre) <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
     with warnings.catch_warnings():
@@ -331,9 +373,10 @@ def simulate(
     merged rather than re-resolved.
     """
     opts = opts or SimOptions()
-    if T < 0.0:
-        raise ValueError("horizon must be nonnegative")
-    g0 = gap(body, Z0.X)
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"horizon T must be finite and nonnegative, got {T}")
+    _require_finite(Z0.X, Z0.V)
+    g0, contact = _gap_at(body, Z0.X)
     if g0 < -_ADMISSIBLE_RTOL * body.diameter:
         raise SimulationError(f"initial gap {g0:.3g} is negative beyond tolerance")
 
@@ -351,7 +394,7 @@ def simulate(
         if remaining <= 0.0:
             break
         _, t_tol = _resolve_defaults(body, Z, remaining, opts)
-        dt, seen = _next_collision(body, Z, remaining, opts)
+        dt, seen, contact = _next_collision(body, Z, remaining, opts, contact)
         min_gap = min(min_gap, seen)
         if dt is None:
             Z = free_flight(Z, remaining)
@@ -360,15 +403,19 @@ def simulate(
         if (
             last_event_t is not None
             and Z.t - last_event_t < t_tol
-            and abs(scattering_matrix(family, build_frame(body, Z.beta())).normal_projection(Z.V))
+            and abs(scattering_matrix(family, _frame_at(body, Z.beta(), contact))
+                    .normal_projection(Z.V))
             <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
         ):
             # same grazing root re-found within the time tolerance: count it
             # into the previous event and step past it
             merged += 1
             Z = free_flight(Z, min(t_tol, t_end - Z.t))
+            contact = None
             continue
-        Z, event = _resolve_at_contact(body, Z, family, opts)
+        # the post-event state keeps the pose, so contact stays valid for the
+        # next flight
+        Z, event = _resolve_at_contact(body, Z, family, opts, contact)
         events.append(event)
         samples.append(Z)
         last_event_t = Z.t

@@ -264,13 +264,16 @@ def line_field_vector(
     return math.cos(phi) * frame.F1 + math.sin(phi) * frame.F2
 
 
-def build_frame(body: Body, beta: Beta) -> Frame:
+def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frame:
     """Assemble the full six-vector frame at one contact configuration.
 
     Solves the tangency problem for the contact data at beta, then builds
     nu, Ebeta and the complement pair.  Mass data comes from the body.
+    A caller that already holds the lab-frame contact data at beta (as
+    d_beta returns it) passes it as contact, and no solve is made.
     """
-    contact = d_beta(body, beta)
+    if contact is None:
+        contact = d_beta(body, beta)
     m, J = body.m, body.J
     nu = nu_hat(contact, m, J)
     eb = e_beta(beta, contact.d, m, J)

@@ -17,8 +17,15 @@ scalars to the gap-function gradient:
     q-perp . n = -(dD/dtheta) cos(phi)
 
 with cos(phi) = e(psi) . n = (1 + ((dD/dpsi)/d)^2)^(-1/2) and u-perp the
-counterclockwise rotation (-u2, u1). These identities are verified in the
-test suite by comparing the tangency solve against finite differences of D.
+counterclockwise rotation (-u2, u1).
+
+For ellipses the derivatives come from the same tangency solve that gives D:
+the implicit-function theorem on the 3x3 tangency system, evaluated at the
+converged contact, so one kernel solve yields D and both partials. They do
+not use the identities above, which therefore remain a real check: the test
+suite and `verify` evaluate the identities with these derivatives and compare
+the derivatives against Richardson finite differences of D (d_derivatives).
+Disks have constant D; implicit bodies take the finite-difference route.
 """
 
 from __future__ import annotations
@@ -239,7 +246,6 @@ def closest_approach(
     psi_rel: float,
     *,
     derivatives: bool = False,
-    h: float = 1e-5,
     _seed: Optional[tuple[float, float, float]] = None,
 ) -> ContactData:
     """Distance of closest approach and contact data in the canonical pose.
@@ -248,9 +254,10 @@ def closest_approach(
         body: reference particle (shared by both congruent bodies).
         theta_rel: orientation of the second body relative to the first.
         psi_rel: center-line direction relative to the first body's frame.
-        derivatives: also compute dD/dtheta and dD/dpsi by Richardson-
-            extrapolated central differences with step h.
-        h: finite-difference step, in [1e-7, 1e-3].
+        derivatives: also compute dD/dtheta and dD/dpsi. Ellipses take them
+            from the Jacobian of the converged tangency system, with no
+            further solve; disks get exact zeros; implicit bodies use
+            Richardson-extrapolated finite differences (d_derivatives).
 
     Raises:
         ConvergenceError: the tangency solve did not converge; the message
@@ -263,7 +270,7 @@ def closest_approach(
         n = e_of(psi_rel)
         p = r * n
         q = p - d * n
-        dd = (0.0, 0.0) if derivatives else (None, None)
+        zero = 0.0 if derivatives else None
         return ContactData(
             d=d,
             p=p,
@@ -271,10 +278,11 @@ def closest_approach(
             n=n,
             s1=wrap_angle(psi_rel),
             s2=wrap_angle(psi_rel - theta_rel + math.pi),
-            dD_dtheta=dd[0],
-            dD_dpsi=dd[1],
+            dD_dtheta=zero,
+            dD_dpsi=zero,
         )
 
+    dd: Optional[tuple[float, float]] = None
     if body.kind == "ellipse":
         seed = _seed if _seed is not None else (0.0, 0.0, 0.0)
         d, s1, s2, resid, ok = _kernel.ellipse_contact(
@@ -282,16 +290,23 @@ def closest_approach(
         )
         if not ok:
             d, s1, s2 = _ellipse_oracle_fallback(body, theta_rel, psi_rel, d, resid)
+        if derivatives:
+            dd = _kernel.ellipse_contact_derivatives(
+                body.a, body.b, theta_rel, psi_rel, s1, s2, d
+            )
+            if dd is None:
+                raise ConvergenceError(
+                    f"singular tangency Jacobian at theta={theta_rel}, psi={psi_rel}"
+                )
     else:
         d, s1, s2 = _generic_contact(body, theta_rel, psi_rel)
+        if derivatives:
+            dd = d_derivatives(body, theta_rel, psi_rel, _seed=(s1, s2, d))
 
     p = boundary_point(body, s1)
     n = outward_normal(body, s1)
     q = p - d * e_of(psi_rel)
-    dd1: Optional[float] = None
-    dd2: Optional[float] = None
-    if derivatives:
-        dd1, dd2 = d_derivatives(body, theta_rel, psi_rel, h, _seed=(s1, s2, d))
+    dd1, dd2 = dd if dd is not None else (None, None)
     return ContactData(d=d, p=p, q=q, n=n, s1=s1, s2=s2, dD_dtheta=dd1, dD_dpsi=dd2)
 
 
@@ -372,16 +387,12 @@ def closest_approach_oracle(
     return 0.5 * (lo + hi)
 
 
-def d_beta(body: Body, beta: Beta, *, derivatives: bool = False, h: float = 1e-5) -> ContactData:
-    """Contact data for the full configuration, rotated into the lab frame.
+def to_lab(c: ContactData, theta: float) -> ContactData:
+    """Canonical contact data rotated by the first body's orientation theta.
 
-    Computes the canonical solve at the reduced angles (thetabar - theta,
-    psi - theta) and rotates p, q, n by the first body's orientation. The
-    returned d and D-derivatives are rotation invariants.
+    d, s1, s2 and the D-derivatives are rotation invariants; p, q, n turn.
     """
-    th_rel, ps_rel = beta.reduced()
-    c = closest_approach(body, th_rel, ps_rel, derivatives=derivatives, h=h)
-    Rm = rotation(beta.theta)
+    Rm = rotation(theta)
     return ContactData(
         d=c.d,
         p=Rm @ c.p,
@@ -394,6 +405,17 @@ def d_beta(body: Body, beta: Beta, *, derivatives: bool = False, h: float = 1e-5
     )
 
 
+def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
+    """Contact data for the full configuration, rotated into the lab frame.
+
+    Computes the canonical solve at the reduced angles (thetabar - theta,
+    psi - theta) and rotates p, q, n by the first body's orientation. The
+    returned d and D-derivatives are rotation invariants.
+    """
+    th_rel, ps_rel = beta.reduced()
+    return to_lab(closest_approach(body, th_rel, ps_rel, derivatives=derivatives), beta.theta)
+
+
 def d_derivatives(
     body: Body,
     theta_rel: float,
@@ -402,11 +424,13 @@ def d_derivatives(
     *,
     _seed: Optional[tuple[float, float, float]] = None,
 ) -> tuple[float, float]:
-    """Partial derivatives of D at (theta_rel, psi_rel).
+    """Partial derivatives of D at (theta_rel, psi_rel) by finite differences.
 
     Richardson-extrapolated central differences with steps h and h/2; solves
     at the stencil points are warm-started from the center solution. Disks
-    have constant D, so both derivatives vanish identically.
+    have constant D, so both derivatives vanish identically. This is the
+    route for implicit bodies and the reference the Jacobian derivatives of
+    closest_approach are checked against.
 
     Args:
         h: finite-difference step, required to lie in [1e-7, 1e-3].
@@ -434,7 +458,7 @@ def d_derivatives(
     return dd_theta, dd_psi
 
 
-def gamma_hat(body: Body, beta: Beta, h: float = 1e-5) -> np.ndarray:
+def gamma_hat(body: Body, beta: Beta) -> np.ndarray:
     """Unit outward normal to the admissible set in configuration space.
 
     Assembled from the contact geometry as the 6-vector
@@ -443,7 +467,7 @@ def gamma_hat(body: Body, beta: Beta, h: float = 1e-5) -> np.ndarray:
     to unit length. Collinear with M nu by the contact identities, which is
     what the identity tests assert.
     """
-    c = d_beta(body, beta, derivatives=True, h=h)
+    c = d_beta(body, beta, derivatives=True)
     ev = e_of(beta.psi)
     ntil = ev - (c.dD_dpsi / c.d) * perp(ev)
     g = np.concatenate([-ntil, ntil, [c.dD_dtheta + c.dD_dpsi, -c.dD_dtheta]])
@@ -457,17 +481,32 @@ def _direction_residual(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(1.0 - abs(uu @ vv)))
 
 
-def identity_residuals(body: Body, beta: Beta, h: float = 1e-5) -> dict:
-    """Cross-check of the contact identities against finite differences of D.
+def identity_residuals(
+    body: Body, beta: Beta, h: float = 1e-5, *, contact: Optional[ContactData] = None
+) -> dict:
+    """Cross-check of the contact identities and of the derivatives of D.
 
-    Returns a report with the asserted residuals (direction collinearity of n
-    with its derivative form, relative error of the contact scalars, direction
-    collinearity of M nu with gamma-hat) plus an `as_printed` block with the
-    residuals of the historically circulated variants of the same identities
-    (theta/psi swapped in the normal direction, flipped signs in the scalar
-    blocks), which are reported for reference and are expected to be large.
+    The identities are evaluated with the derivatives closest_approach
+    returns. Returns a report with the asserted residuals (direction
+    collinearity of n with its derivative form, relative error of the contact
+    scalars, direction collinearity of M nu with gamma-hat), the
+    fd_derivative_gap between those derivatives and finite differences of D
+    with step h (the largest difference, relative to the larger of d and the
+    partials, so a partial that vanishes by symmetry does not inflate it),
+    plus an `as_printed` block with the residuals of the historically
+    circulated variants of the same identities (theta/psi swapped in the
+    normal direction, flipped signs in the scalar blocks), which are reported
+    for reference and are expected to be large.
+
+    contact, the lab-frame result of d_beta(body, beta, derivatives=True),
+    saves the solve when the caller already holds it; the finite differences
+    are seeded from it.
     """
-    c = d_beta(body, beta, derivatives=True, h=h)
+    c = contact if contact is not None else d_beta(body, beta, derivatives=True)
+    fd_theta, fd_psi = d_derivatives(body, *beta.reduced(), h, _seed=(c.s1, c.s2, c.d))
+    fd_gap = max(abs(c.dD_dtheta - fd_theta), abs(c.dD_dpsi - fd_psi)) / max(
+        c.d, abs(fd_theta), abs(fd_psi)
+    )
     ev = e_of(beta.psi)
     evp = perp(ev)
     ntil = ev - (c.dD_dpsi / c.d) * evp
@@ -487,6 +526,7 @@ def identity_residuals(body: Body, beta: Beta, h: float = 1e-5) -> dict:
         "q_perp_n": qn,
         "dD_dtheta": c.dD_dtheta,
         "dD_dpsi": c.dD_dpsi,
+        "fd_derivative_gap": fd_gap,
         "n_direction": _direction_residual(c.n, ntil),
         "p_scalar": abs(pn - (-dsum * cosphi)) / (1.0 + abs(pn)),
         "q_scalar": abs(qn - (-c.dD_dtheta * cosphi)) / (1.0 + abs(qn)),

@@ -44,6 +44,28 @@ def test_geometry_record(tmp_path, capsys):
     assert rec["identity_residuals"]["n_direction"] < 1e-8
 
 
+def test_geometry_makes_one_contact_solve(tmp_path, capsys, monkeypatch):
+    # the record and its identity residuals share one solve; the other eight
+    # are the finite-difference stencil the derivatives are checked against
+    from hardpair import _kernel
+
+    calls = []
+    solve = _kernel.ellipse_contact
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_kernel, "ellipse_contact", counted)
+    body = _write(tmp_path, "body.json", _body_cfg())
+    rc = cli.run(["geometry", "--body", body,
+                  "--theta", "0.5", "--thetabar", "1.2", "--psi", "0.8"])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert len(calls) == 9
+    assert rec["identity_residuals"]["fd_derivative_gap"] < 1e-6
+
+
 def test_scatter_record_and_verify_block(tmp_path, capsys):
     cfg = _write(tmp_path, "scatter.json", {
         "body": _body_cfg(),
@@ -243,6 +265,21 @@ def test_post_collisional_velocity_exits_two(tmp_path, capsys):
         pytest.skip("chosen velocity happened to be incoming")
     assert rc == 2
     assert "separating" in captured.err
+
+
+@pytest.mark.parametrize("over,field", [
+    ({"Z0": {"X": [0.0, 0.0, float("nan"), 0.3, 0.4, 1.9],
+             "V": [0.5, 0.0, -0.45, 0.05, 0.3, -0.2]}}, "X"),
+    ({"Z0": {"X": [0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+             "V": [0.5, float("nan"), -0.45, 0.05, 0.3, -0.2]}}, "V"),
+    ({"T": float("inf")}, "T"),
+])
+def test_nonfinite_input_exits_two(tmp_path, capsys, over, field):
+    cfg = _write(tmp_path, "sim.json", _sim_cfg(**over))
+    assert cli.run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"{field} " in err
 
 
 def test_overlapping_start_exits_three(tmp_path, capsys):

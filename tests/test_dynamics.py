@@ -156,6 +156,10 @@ def test_state_validation():
         make_state([0, 0, 4, 0, 0, 0], [1, 0, 0])
     with pytest.raises(ValueError):
         simulate(DISK, _head_on(), REFL, -1.0)
+    with pytest.raises(ValueError, match="X"):
+        make_state([0, 0, 4, math.nan, 0, 0], [1, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="T"):
+        simulate(DISK, _head_on(), REFL, math.inf)
 
 
 def test_event_records_carry_contact_geometry():

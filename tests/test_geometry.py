@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardpair.bodies import make_disk, make_ellipse
+from hardpair.bodies import make_disk, make_ellipse, make_implicit
 from hardpair.geometry import (
     Beta,
     closest_approach,
@@ -108,7 +108,8 @@ def test_tangency_no_overlap_at_contact():
 
 def test_identity_residuals_small_in_corrected_form():
     rng = np.random.default_rng(8)
-    worst = {"n_direction": 0.0, "m_nu_gamma": 0.0, "p_scalar": 0.0, "q_scalar": 0.0}
+    worst = {"n_direction": 0.0, "m_nu_gamma": 0.0, "p_scalar": 0.0, "q_scalar": 0.0,
+             "fd_derivative_gap": 0.0}
     for _ in range(20):
         beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
         res = identity_residuals(ELL, beta)
@@ -118,6 +119,7 @@ def test_identity_residuals_small_in_corrected_form():
     assert worst["m_nu_gamma"] < 1e-5
     assert worst["p_scalar"] < 1e-5
     assert worst["q_scalar"] < 1e-5
+    assert worst["fd_derivative_gap"] < 1e-6
 
 
 def test_printed_variants_fail_generically():
@@ -140,6 +142,39 @@ def test_d_derivatives_match_distance_slope():
     num_ps = (closest_approach(ELL, th, ps + h).d - closest_approach(ELL, th, ps - h).d) / (2 * h)
     assert dth == pytest.approx(num_th, abs=1e-6)
     assert dps == pytest.approx(num_ps, abs=1e-6)
+
+
+@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0])
+def test_jacobian_derivatives_match_finite_differences(ratio):
+    ell = make_ellipse(ratio, 1.0)
+    rng = np.random.default_rng(12)
+    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (30, 2)):
+        c = closest_approach(ell, theta, psi, derivatives=True)
+        fd_theta, fd_psi = d_derivatives(ell, theta, psi)
+        scale = max(c.d, abs(fd_theta), abs(fd_psi))
+        assert abs(c.dD_dtheta - fd_theta) <= 1e-7 * scale
+        assert abs(c.dD_dpsi - fd_psi) <= 1e-7 * scale
+
+
+def test_disk_derivatives_are_exact_zeros():
+    disk = make_disk(0.8)
+    rng = np.random.default_rng(13)
+    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (10, 2)):
+        c = closest_approach(disk, theta, psi, derivatives=True)
+        assert c.dD_dtheta == 0.0 and c.dD_dpsi == 0.0
+
+
+def test_implicit_ellipse_matches_ellipse_kernel():
+    # the implicit-body solver takes about 0.1 s per pose, so only a few
+    a, b = 2.0, 1.0
+    implicit = make_implicit(
+        level=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
+        boundary=lambda s: np.array([a * math.cos(s), b * math.sin(s)]),
+    )
+    rng = np.random.default_rng(14)
+    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (3, 2)):
+        d_implicit = closest_approach(implicit, theta, psi).d
+        assert abs(d_implicit - closest_approach(ELL, theta, psi).d) < 1e-9
 
 
 def test_gamma_hat_unit_and_orthogonal_to_translations():
