@@ -20,7 +20,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import warnings
 
@@ -185,8 +184,8 @@ def candidates_from_config(cfg: dict, body: Body):
             if form not in ("sin", "cos"):
                 raise ConfigError("theta_function form must be 'sin' or 'cos'")
             k = int(c.get("k", 1))
-            fn = (lambda t, k=k: math.sin(k * t)) if form == "sin" \
-                else (lambda t, k=k: math.cos(k * t))
+            fn = (lambda t, k=k: np.sin(k * t)) if form == "sin" \
+                else (lambda t, k=k: np.cos(k * t))
             out.append(theta_function_candidate(fn, f"{form}({k}theta)"))
         else:
             raise ConfigError(f"unknown candidate variant {v!r}")

@@ -35,13 +35,14 @@ from hardpair.geometry import (  # noqa: F401
     to_lab,
     wrap_angle,
 )
-from hardpair.frames import build_frame
+from hardpair.frames import build_frame, nu_hat
 from hardpair.scattering import (
     GRAZING_RTOL,
     GrazingCollisionWarning,
     NotPreCollisionalError,
     ScatteringFamily,
     apply_scattering,
+    normal_projection,
     scattering_matrix,
 )
 
@@ -308,6 +309,11 @@ def _frame_at(body: Body, beta: Beta, contact: ContactData):
     return build_frame(body, beta, to_lab(contact, beta.theta))
 
 
+def _normal_at(body: Body, beta: Beta, contact: ContactData) -> np.ndarray:
+    """The frame's collision normal nu at beta, without the rest of the frame."""
+    return nu_hat(to_lab(contact, beta.theta), body.m, body.J)
+
+
 def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: SimOptions,
                         contact: ContactData | None = None):
     """Scatter the velocity at a contact state; returns (new state, event).
@@ -379,6 +385,7 @@ def simulate(
     g0, contact = _gap_at(body, Z0.X)
     if g0 < -_ADMISSIBLE_RTOL * body.diameter:
         raise SimulationError(f"initial gap {g0:.3g} is negative beyond tolerance")
+    start = contact
 
     Z = Z0
     t_end = Z0.t + T
@@ -403,8 +410,8 @@ def simulate(
         if (
             last_event_t is not None
             and Z.t - last_event_t < t_tol
-            and abs(scattering_matrix(family, _frame_at(body, Z.beta(), contact))
-                    .normal_projection(Z.V))
+            and abs(normal_projection(Z.V, _normal_at(body, Z.beta(), contact),
+                                      body.m, body.J))
             <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
         ):
             # same grazing root re-found within the time tolerance: count it
@@ -430,8 +437,11 @@ def simulate(
     if opts.sample_dt is not None and opts.sample_dt > 0.0:
         dense = _resample(body, Z0, events, t_end, opts.sample_dt)
         samples = sorted(dense + samples[1:], key=lambda s: s.t)
+        # each solve warm-starts the next; the first from the start pose
+        c = start
         for s in samples:
-            min_gap = min(min_gap, gap(body, s.X))
+            g, c = _gap_at(body, s.X, seed=c)
+            min_gap = min(min_gap, g)
 
     samples.append(Z)
     return Trajectory(

@@ -16,16 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from hardpair.bodies import Body, MassInertiaMatrix
-from hardpair.geometry import Beta, ContactData, d_beta, e_of, perp
+from hardpair.geometry import TWO_PI, Beta, ContactData, d_beta, e_of, perp
 
 E1_HAT = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
 E2_HAT = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
 E1_HAT.setflags(write=False)
 E2_HAT.setflags(write=False)
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
 
 # Complement seeds, tried in order; a projected seed survives if its norm
 # stays above this floor.  The first three are the canonical choices; the
@@ -33,15 +36,10 @@ E2_HAT.setflags(write=False)
 # configurations where canonical seeds fall inside the spanned subspace
 # (head-on disk contact kills both translational seeds at once).  Because
 # the complement plane has trace-2 projector, at least two of the six
-# coordinate seeds always survive the floor.
-_COMPLEMENT_SEEDS = (
-    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0, 1.0, 0.0),
-    (0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
-    (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-)
+# coordinate seeds always survive the floor.  Rows, in order: e_x, e_xbar_x,
+# e_omega, then e_y, e_xbar_y, e_omegabar.
+_COMPLEMENT_SEEDS = np.eye(6)[[0, 2, 4, 1, 3, 5]]
+_COMPLEMENT_SEEDS.setflags(write=False)
 _SEED_NORM_FLOOR = 1e-6
 
 
@@ -71,13 +69,53 @@ class Frame:
     beta: Beta
     d: float
 
-    def basis(self) -> np.ndarray:
-        """The six frame vectors stacked as rows (E1, E2, Ebeta, nu, F1, F2)."""
-        return np.stack([self.E1, self.E2, self.Ebeta, self.nu, self.F1, self.F2])
+    def stack(self) -> "Frames":
+        """This frame as the one-row Frames."""
+        b = self.beta
+        return Frames(
+            E1=self.E1, E2=self.E2, Ebeta=self.Ebeta[None], nu=self.nu[None],
+            F1=self.F1[None], F2=self.F2[None], theta=np.array([b.theta]),
+            thetabar=np.array([b.thetabar]), psi=np.array([b.psi]),
+            d=np.array([self.d]),
+        )
 
     def orthonormality_residual(self) -> float:
+        return float(self.stack().orthonormality_residual()[0])
+
+
+class Frames(NamedTuple):
+    """N frames as arrays; row i of each array belongs to pose i.
+
+    Ebeta, nu, F1 and F2 have shape (N, 6); theta, thetabar, psi and d have
+    shape (N,).  E1 and E2 (shape (6,)) are shared by every pose.  A single
+    Frame is the N = 1 case (Frame.stack).  A named tuple rather than a
+    dataclass: it is built once per scattering_matrix call and is cheaper to
+    build and to define.
+    """
+
+    E1: np.ndarray
+    E2: np.ndarray
+    Ebeta: np.ndarray
+    nu: np.ndarray
+    F1: np.ndarray
+    F2: np.ndarray
+    theta: np.ndarray
+    thetabar: np.ndarray
+    psi: np.ndarray
+    d: np.ndarray
+
+    def basis(self) -> np.ndarray:
+        """Shape (N, 6, 6): per pose the rows E1, E2, Ebeta, nu, F1, F2."""
+        return _rows(self.E1, self.E2, self.Ebeta, self.nu, self.F1, self.F2)
+
+    def orthonormality_residual(self) -> np.ndarray:
+        """Per pose, max |B B^T - I| over the basis rows B; shape (N,)."""
         b = self.basis()
-        return float(np.max(np.abs(b @ b.T - np.eye(6))))
+        return np.abs(b @ b.transpose(0, 2, 1) - _EYE6).max(axis=(1, 2))
+
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """Relative angles (thetabar - theta, psi - theta) mod 2pi, as Beta.reduced."""
+        return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
 
 
 def block_rotation(phi: float) -> np.ndarray:
@@ -86,12 +124,19 @@ def block_rotation(phi: float) -> np.ndarray:
     This is how a rotation of the plane acts on 6-vectors (v, vbar, w, wbar).
     It commutes with the mass-inertia matrix.
     """
-    c, s = math.cos(phi), math.sin(phi)
-    R6 = np.eye(6)
-    R6[0, 0] = R6[1, 1] = R6[2, 2] = R6[3, 3] = c
-    R6[0, 1] = R6[2, 3] = -s
-    R6[1, 0] = R6[3, 2] = s
-    return R6
+    # rotate_blocks turns the rows of I into the columns of the rotation
+    return rotate_blocks(np.eye(6), np.full(6, phi)).T
+
+
+def rotate_blocks(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Row i of X (shape (N, 6)) turned by block_rotation(phi[i]).
+
+    The two translational pairs are turned as complex numbers x + iy.
+    """
+    out = X.copy()
+    z = out[:, 0:4].view(np.complex128)
+    z *= np.exp(1j * phi)[:, None]
+    return out
 
 
 def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
@@ -131,12 +176,16 @@ def e_beta(beta: Beta, d: float, m: float, J: float) -> np.ndarray:
     closed form.  At d = 0 it degenerates gracefully to the pure spin
     direction (0,0,0,0,1,1)/sqrt(2).
     """
-    sm = math.sqrt(m)
-    sj = math.sqrt(J)
-    sp = math.sin(beta.psi)
-    cp = math.cos(beta.psi)
-    vec = np.array([sm * d * sp, -sm * d * cp, -sm * d * sp, sm * d * cp, 2.0 * sj, 2.0 * sj])
-    return vec / math.sqrt(2.0 * m * d * d + 8.0 * J)
+    return _e_beta(beta.psi, d, m, J)
+
+
+def _e_beta(psi, d, m: float, J: float) -> np.ndarray:
+    """e_beta at one pose (psi, d floats; shape (6,)) or N (arrays; shape (N, 6))."""
+    sp = math.sqrt(m) * d * np.sin(psi)
+    cp = math.sqrt(m) * d * np.cos(psi)
+    spin = 2.0 * math.sqrt(J) + 0.0 * sp
+    vec = np.array([sp, -cp, -sp, cp, spin, spin]).T
+    return vec / np.sqrt(2.0 * m * d * d + 8.0 * J)[..., None]
 
 
 def e_beta_gram_schmidt(beta: Beta, d: float, m: float, J: float) -> np.ndarray:
@@ -162,38 +211,56 @@ def complement_basis(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal basis (F1, F2) of span{E1,E2,Ebeta,nu}^perp.
 
-    Projects the seeds e_x, e_xbar_x, e_omega (then the remaining coordinate
-    directions as reserves) in order onto the complement; the first two whose
+    Takes one frame's vectors (shape (6,)) or N frames' (shape (N, 6); a
+    shared vector may stay (6,)); F1 and F2 have the broadcast shape.  The
+    seeds e_x, e_xbar_x, e_omega (then the remaining coordinate directions
+    as reserves) are projected in order onto the complement by
+    P = I - B^T B, B the four given rows; per frame, the first two whose
     projections survive with norm > 1e-6 are kept and orthonormalized.  A
     fixed seed order makes the output a pure function of the inputs.  The
     spanned two-plane (the projector F1 F1^T + F2 F2^T) does not depend on
     the seed order.
     """
-    base = (E1, E2, Ebeta, nu)
-    found: list[np.ndarray] = []
-    for seed in _COMPLEMENT_SEEDS:
-        u = np.array(seed)
-        for b in base:
-            u = u - (u @ b) * b
-        for f in found:
-            u = u - (u @ f) * f
-        nrm = np.linalg.norm(u)
-        if nrm <= _SEED_NORM_FLOOR:
-            continue
-        u = u / nrm
-        # Second projection pass: one round of Gram-Schmidt loses up to
-        # eps/norm of orthogonality to cancellation; a repeat restores it
-        # to machine precision.
-        for b in base:
-            u = u - (u @ b) * b
-        for f in found:
-            u = u - (u @ f) * f
-        found.append(u / np.linalg.norm(u))
-        if len(found) == 2:
-            return found[0], found[1]
-    raise DegenerateFrameError(
-        "complement seeds collapsed; frame vectors are not orthonormal"
-    )
+    base = _rows(E1, E2, Ebeta, nu)
+    P = _EYE6 - base.transpose(0, 2, 1) @ base
+    # row k of U[i] is P[i] applied to seed k (P is symmetric)
+    U = np.asarray(_COMPLEMENT_SEEDS, dtype=float) @ P
+    rows = np.arange(len(P))
+    F1, k1 = _surviving_seed(U, P, rows, -1)
+    U -= (U @ F1[:, :, None]) * F1[:, None, :]
+    F2, _ = _surviving_seed(U, P, rows, k1[:, None], F1)
+    shape = np.broadcast(E1, E2, Ebeta, nu).shape
+    return F1.reshape(shape), F2.reshape(shape)
+
+
+def _rows(*vecs: np.ndarray) -> np.ndarray:
+    """Vectors of shape (6,) or (N, 6) as the rows of an (N, k, 6) stack."""
+    shape = np.broadcast(*vecs).shape
+    out = np.empty((shape[0] if len(shape) == 2 else 1, len(vecs), 6))
+    for i, v in enumerate(vecs):
+        out[:, i] = v
+    return out
+
+
+def _surviving_seed(U, P, rows, after, found=None):
+    """Per frame, the first projected seed past index after that clears the floor.
+
+    Returns it projected a second time and normalized, with its index.
+    """
+    nrm = np.sqrt((U * U).sum(-1))
+    ok = (nrm > _SEED_NORM_FLOOR) & (np.arange(U.shape[1]) > after)
+    k = ok.argmax(1)
+    if not ok[rows, k].all():
+        raise DegenerateFrameError(
+            "complement seeds collapsed; frame vectors are not orthonormal"
+        )
+    # Second projection pass: one round of Gram-Schmidt loses up to
+    # eps/norm of orthogonality to cancellation; a repeat restores it to
+    # machine precision.
+    u = (P @ U[rows, k][:, :, None])[:, :, 0]
+    if found is not None:
+        u -= (u * found).sum(-1)[:, None] * found
+    return u / np.sqrt((u * u).sum(-1))[:, None], k
 
 
 @dataclass(frozen=True)
@@ -225,14 +292,16 @@ class LineField:
             raise ValueError("fourier coeffs must be rows (k1, k2, cos_coeff, sin_coeff)")
         return LineField("fourier", coeffs=rows)
 
-    def angle(self, theta_rel: float, psi_rel: float) -> float:
+    def angle(self, theta_rel, psi_rel):
+        """The angle at one relative configuration, or at arrays of them."""
+        theta_rel, psi_rel = np.asarray(theta_rel), np.asarray(psi_rel)
         if self.kind == "constant":
-            a = self.phi
+            a = np.full(theta_rel.shape, self.phi)
         else:
-            a = 0.0
+            a = np.zeros(theta_rel.shape)
             for k1, k2, c, s in self.coeffs:
                 arg = k1 * theta_rel + k2 * psi_rel
-                a += c * math.cos(arg) + s * math.sin(arg)
+                a = a + (c * np.cos(arg) + s * np.sin(arg))
         return a % math.pi
 
 
@@ -264,18 +333,51 @@ def line_field_vector(
     return math.cos(phi) * frame.F1 + math.sin(phi) * frame.F2
 
 
-def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frame:
-    """Assemble the full six-vector frame at one contact configuration.
+def contact_normal(
+    body: Body, beta: Beta, contact: ContactData | None = None
+) -> tuple[ContactData, np.ndarray]:
+    """Lab-frame contact data at beta and the collision normal nu there.
 
-    Solves the tangency problem for the contact data at beta, then builds
-    nu, Ebeta and the complement pair.  Mass data comes from the body.
-    A caller that already holds the lab-frame contact data at beta (as
-    d_beta returns it) passes it as contact, and no solve is made.
+    The tangency problem is solved unless the caller already holds the
+    lab-frame contact data at beta (as d_beta returns it).
     """
     if contact is None:
         contact = d_beta(body, beta)
+    return contact, nu_hat(contact, body.m, body.J)
+
+
+def build_frames(
+    theta: np.ndarray,
+    thetabar: np.ndarray,
+    psi: np.ndarray,
+    d: np.ndarray,
+    nu: np.ndarray,
+    m: float,
+    J: float,
+) -> Frames:
+    """Frames at N poses from their angles, separations d and normals nu.
+
+    Ebeta comes in closed form and the complement pair from one stacked
+    complement_basis call.
+    """
+    eb = _e_beta(psi, d, m, J)
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu)
+    return Frames(
+        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=F1, F2=F2,
+        theta=theta, thetabar=thetabar, psi=psi, d=d,
+    )
+
+
+def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frame:
+    """Assemble the full six-vector frame at one contact configuration.
+
+    Solves the tangency problem for the contact data at beta (unless
+    contact, the lab-frame contact data at beta, is given), then builds nu,
+    Ebeta and the complement pair with the code build_frames runs on N
+    poses.  Mass data comes from the body.
+    """
+    contact, nu = contact_normal(body, beta, contact)
     m, J = body.m, body.J
-    nu = nu_hat(contact, m, J)
     eb = e_beta(beta, contact.d, m, J)
     F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu)
     return Frame(

@@ -23,7 +23,6 @@ velocity expressions reproduce the epsi family.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,12 +33,12 @@ from hardpair.frames import (
     E1_HAT,
     E2_HAT,
     Frame,
+    Frames,
     LineField,
     angular_momentum_vector,
-    block_rotation,
     complement_basis,
     line_field_from_config,
-    line_field_vector,
+    rotate_blocks,
 )
 from hardpair.geometry import Beta, ContactData, e_of, perp
 
@@ -123,48 +122,82 @@ class ScatterMatrix:
 
     def normal_projection(self, V: np.ndarray) -> float:
         """V.(M nu); negative for approaching states, positive for separating."""
-        mim = MassInertiaMatrix.from_mass(self.frame.m, self.frame.J)
-        return float(mim.apply(np.asarray(V, dtype=float)) @ self.frame.nu)
+        return normal_projection(V, self.frame.nu, self.frame.m, self.frame.J)
 
 
-def scattering_matrix(family: ScatteringFamily, frame: Frame) -> ScatterMatrix:
-    """Assemble the family's matrix at the given frame.
+def normal_projection(V: np.ndarray, nu: np.ndarray, m: float, J: float) -> float:
+    """V.(M nu) for the collision normal nu of a frame with mass data (m, J)."""
+    mim = MassInertiaMatrix.from_mass(m, J)
+    return float(mim.apply(np.asarray(V, dtype=float)) @ nu)
+
+
+def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
+    """Each family's orthogonal core A at every frame, as (sign, U).
+
+    A = sign (I - 2 U^T U), where U (shape (N, k, 6)) holds orthonormal
+    rows: nu for reflection (sign +1), nu and the line-field direction for
+    op (sign +1), and E1, E2, Ebeta for epsi (sign -1, i.e.
+    A = 2 (E1 E1^T + E2 E2^T + Ebeta Ebeta^T) - I).
 
     The 'op' line field is a function of the reduced relative configuration
     (thetabar - theta, psi - theta) alone, and its angle is interpreted in
     the canonical gauge: the complement pair is constructed in the
     rotated-back configuration (theta = 0) and the selected direction is
     transported to the lab by the block rotation.  That transport is what
-    makes the assembled matrix rotation covariant, i.e. a genuine function
-    of the relative configuration; the per-frame seed basis (F1, F2) alone
-    would not be, since coordinate seeds break the rotation symmetry.
+    makes the assembled map rotation covariant, i.e. a genuine function of
+    the relative configuration; the per-frame seed basis (F1, F2) alone
+    would not be, since coordinate seeds break the rotation symmetry.  The
+    rotated-back pair is built once and shared by every op family.
     """
-    if frame.orthonormality_residual() > 1e-8:
+    if frames.orthonormality_residual().max() > 1e-8:
         raise ValueError("frame is not orthonormal; refusing to build a scattering matrix")
-    eye = np.eye(6)
-    if family.variant == "reflection":
-        A = eye - 2.0 * np.outer(frame.nu, frame.nu)
-    elif family.variant == "epsi":
-        A = (
-            2.0 * np.outer(frame.E1, frame.E1)
-            + 2.0 * np.outer(frame.E2, frame.E2)
-            + 2.0 * np.outer(frame.Ebeta, frame.Ebeta)
-            - eye
-        )
-    else:
-        theta_rel, psi_rel = frame.beta.reduced()
-        back = block_rotation(-frame.beta.theta)
-        nu_red = back @ frame.nu
-        eb_red = back @ frame.Ebeta
-        F1r, F2r = complement_basis(E1_HAT, E2_HAT, eb_red, nu_red)
-        phi = family.line_field.angle(theta_rel, psi_rel)
-        fhat_red = math.cos(phi) * F1r + math.sin(phi) * F2r
-        fhat = block_rotation(frame.beta.theta) @ fhat_red
-        A = eye - 2.0 * np.outer(frame.nu, frame.nu) - 2.0 * np.outer(fhat, fhat)
+    reduced = None
+    cores = []
+    for fam in families:
+        if fam.variant == "reflection":
+            cores.append((1.0, frames.nu[:, None, :]))
+        elif fam.variant == "epsi":
+            cores.append((-1.0, frames.basis()[:, 0:3]))
+        else:
+            if reduced is None:
+                back = -frames.theta
+                reduced = complement_basis(
+                    E1_HAT, E2_HAT, rotate_blocks(frames.Ebeta, back),
+                    rotate_blocks(frames.nu, back))
+            phi = fam.line_field.angle(*frames.reduced())[:, None]
+            fhat = rotate_blocks(np.cos(phi) * reduced[0] + np.sin(phi) * reduced[1],
+                                 frames.theta)
+            cores.append((1.0, np.stack([frames.nu, fhat], axis=1)))
+    return cores
+
+
+def scattering_matrix(family: ScatteringFamily, frame: Frame) -> ScatterMatrix:
+    """Assemble the family's matrix s = M^-1 A M at the given frame.
+
+    The N = 1 case of the maps scatter_stack applies; see _cores for A and
+    the gauge of the 'op' line field.
+    """
+    ((sign, U),) = _cores([family], frame.stack())
+    U = U[0]
+    A = sign * (np.eye(6) - 2.0 * (U.T @ U))
     mim = MassInertiaMatrix.from_mass(frame.m, frame.J)
     diag = mim.diag
     s = A * (diag[np.newaxis, :] / diag[:, np.newaxis])
     return ScatterMatrix(s=s, A=A, frame=frame, family=family)
+
+
+def scatter_stack(families: list[ScatteringFamily], frames: Frames, W: np.ndarray) -> np.ndarray:
+    """Mass-weighted velocities W = M V (shape (N, 6)) mapped by every family.
+
+    Returns shape (len(families), N, 6): block f, row i is A W[i] for family
+    f at frame i.  Each map is applied as its low-rank update of W, so no
+    matrix is formed; the frames are checked for orthonormality once.
+    """
+    out = np.empty((len(families),) + W.shape)
+    for f, (sign, U) in enumerate(_cores(families, frames)):
+        c = U @ W[:, :, None]
+        out[f] = sign * (W - 2.0 * np.sum(c * U, axis=1))
+    return out
 
 
 def apply_scattering(sm: ScatterMatrix, V: np.ndarray) -> np.ndarray:

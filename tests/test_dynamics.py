@@ -171,3 +171,48 @@ def test_event_records_carry_contact_geometry():
     assert ev.proj_pre < 0.0 < ev.proj_post
     assert not ev.grazing
     assert max(abs(v) for v in ev.jumps.values()) < 1e-12
+
+
+def test_dense_resampling_warm_starts(monkeypatch):
+    # the resampled gaps warm-start each solve from the previous one; the
+    # minimum gap equals the one from cold solves at the same states
+    from hardpair import _kernel
+
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    cold = []
+    solve = _kernel.ellipse_contact
+
+    def counted(*args):
+        if not args[7]:
+            cold.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_kernel, "ellipse_contact", counted)
+    tr = simulate(ELL, Z0, REFL, 6.0, SimOptions(sample_dt=0.05))
+    assert tr.n_events() == 2
+    assert len(cold) <= 2
+    monkeypatch.setattr(_kernel, "ellipse_contact", solve)
+    plain = simulate(ELL, Z0, REFL, 6.0)
+    want = min([plain.min_gap] + [gap(ELL, s.X) for s in tr.samples[:-1]])
+    assert abs(tr.min_gap - want) <= 1e-12
+
+
+def test_grazing_merge_projection_is_the_frame_normal():
+    # the merge test reads V.(M nu) from the frame's normal alone; it must
+    # equal the projection of the assembled family matrix
+    from hardpair.dynamics import _frame_at, _normal_at
+    from hardpair.geometry import closest_approach
+    from hardpair.scattering import normal_projection, scattering_matrix
+
+    rng = np.random.default_rng(61)
+    fam = ScatteringFamily.orientation_preserving(LineField.constant(0.5))
+    for _ in range(20):
+        th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
+        c = closest_approach(ELL, (thb - th) % (2 * math.pi), (psi - th) % (2 * math.pi))
+        Z = make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb],
+                       rng.standard_normal(6))
+        beta = Z.beta()
+        want = scattering_matrix(fam, _frame_at(ELL, beta, c)).normal_projection(Z.V)
+        got = normal_projection(Z.V, _normal_at(ELL, beta, c), ELL.m, ELL.J)
+        assert got == want

@@ -15,12 +15,14 @@ from hardpair.frames import (
     angular_momentum_vector,
     block_rotation,
     build_frame,
+    build_frames,
     complement_basis,
     e_beta,
     e_beta_gram_schmidt,
     line_field_from_config,
     line_field_vector,
     nu_hat,
+    rotate_blocks,
 )
 
 ELL = make_ellipse(2.0, 1.0)
@@ -176,3 +178,102 @@ def test_module_basis_vectors_are_frozen():
     assert not E2_HAT.flags.writeable
     assert np.allclose(E1_HAT * math.sqrt(2.0), [1, 0, 1, 0, 0, 0])
     assert np.allclose(E2_HAT * math.sqrt(2.0), [0, 1, 0, 1, 0, 0])
+
+
+def _reference_complement(E1, E2, Ebeta, nu):
+    # the per-vector construction: sequential Gram-Schmidt of each seed in
+    # order, kept when it survives the 1e-6 floor, then a second pass
+    base = (E1, E2, Ebeta, nu)
+    found = []
+    for seed in np.eye(6)[[0, 2, 4, 1, 3, 5]]:
+        u = seed
+        for b in list(base) + found:
+            u = u - (u @ b) * b
+        nrm = np.linalg.norm(u)
+        if nrm <= 1e-6:
+            continue
+        u = u / nrm
+        for b in list(base) + found:
+            u = u - (u @ b) * b
+        found.append(u / np.linalg.norm(u))
+        if len(found) == 2:
+            return found
+    raise AssertionError("reference seeds collapsed")
+
+
+def test_stacked_complement_matches_per_pose():
+    # 300 random ellipse poses plus the head-on disk pose, where both
+    # translational seeds die and the reserves are used
+    rng = np.random.default_rng(26)
+    frames = [build_frame(ELL, Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)))
+              for _ in range(300)]
+    frames.append(build_frame(DISK, Beta(0.0, 0.0, 0.0)))
+    Eb = np.array([fr.Ebeta for fr in frames])
+    nu = np.array([fr.nu for fr in frames])
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, Eb, nu)
+    assert F1.shape == F2.shape == (301, 6)
+    for i, fr in enumerate(frames):
+        g1, g2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu)
+        r1, r2 = _reference_complement(fr.E1, fr.E2, fr.Ebeta, fr.nu)
+        for got, want in ((F1[i], g1), (F2[i], g2), (F1[i], r1), (F2[i], r2)):
+            assert np.max(np.abs(got - want)) <= 1e-14, i
+    # the disk pose took a reserve seed: F1 starts from e_omega
+    assert abs(F1[-1][4]) > 0.5
+
+
+def test_stacked_complement_exhausted_seeds_raise(monkeypatch):
+    # e_x and e_omega cover the random poses but not the head-on disk
+    # pose; one degenerate row fails the whole stack
+    import hardpair.frames as frames_mod
+
+    rng = np.random.default_rng(27)
+    frames = [build_frame(ELL, Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)))
+              for _ in range(3)]
+    frames.append(build_frame(DISK, Beta(0.0, 0.0, 0.0)))
+    eye = np.eye(6)
+    monkeypatch.setattr(frames_mod, "_COMPLEMENT_SEEDS", (tuple(eye[0]), tuple(eye[4])))
+    Eb = np.array([fr.Ebeta for fr in frames])
+    nu = np.array([fr.nu for fr in frames])
+    complement_basis(E1_HAT, E2_HAT, Eb[:3], nu[:3])
+    with pytest.raises(DegenerateFrameError):
+        complement_basis(E1_HAT, E2_HAT, Eb, nu)
+
+
+def test_build_frames_matches_build_frame():
+    rng = np.random.default_rng(28)
+    betas = [Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(40)]
+    contacts = [d_beta(ELL, b) for b in betas]
+    nu = np.array([nu_hat(c, ELL.m, ELL.J) for c in contacts])
+    stack = build_frames(
+        np.array([b.theta for b in betas]), np.array([b.thetabar for b in betas]),
+        np.array([b.psi for b in betas]), np.array([c.d for c in contacts]),
+        nu, ELL.m, ELL.J)
+    assert np.max(stack.orthonormality_residual()) < 1e-12
+    for i, (b, c) in enumerate(zip(betas, contacts)):
+        fr = build_frame(ELL, b, c)
+        for name in ("Ebeta", "nu", "F1", "F2"):
+            assert np.max(np.abs(getattr(stack, name)[i] - getattr(fr, name))) <= 1e-14
+        assert stack.reduced()[0][i] == b.reduced()[0]
+        assert stack.reduced()[1][i] == b.reduced()[1]
+
+
+def test_rotate_blocks_matches_block_rotation():
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((5, 6))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 5)
+    out = rotate_blocks(X, phi)
+    for i in range(5):
+        assert np.max(np.abs(out[i] - block_rotation(phi[i]) @ X[i])) < 1e-15
+
+
+def test_line_field_angle_on_arrays():
+    lf = LineField.fourier([[1, 0, 0.3, 0.0], [0, 2, 0.0, 0.5], [1, -1, 0.2, 0.1]])
+    rng = np.random.default_rng(30)
+    th, ps = rng.uniform(0.0, 2.0 * math.pi, (2, 7))
+    got = lf.angle(th, ps)
+    assert got.shape == (7,)
+    for i in range(7):
+        assert got[i] == pytest.approx(lf.angle(th[i], ps[i]), abs=1e-15)
+    const = LineField.constant(0.6 + math.pi).angle(th, ps)
+    assert const.shape == (7,)
+    assert np.max(np.abs(const - 0.6)) < 1e-12

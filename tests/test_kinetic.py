@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hardpair.bodies import make_disk, make_ellipse
-from hardpair.frames import LineField
-from hardpair.scattering import ScatteringFamily
+from hardpair.bodies import MassInertiaMatrix, make_disk, make_ellipse
+from hardpair.frames import LineField, build_frame
+from hardpair.geometry import Beta
+from hardpair.scattering import ScatteringFamily, scattering_matrix
 from hardpair.kinetic import (
     angular_speed_candidate,
     constant_candidate,
@@ -59,7 +60,7 @@ def test_angular_speed_not_invariant_on_disk_epsi():
 
 
 def test_custom_candidate_detects_noninvariant():
-    bad = custom_candidate("vx_cubed", lambda v, w, th: v[0] ** 3)
+    bad = custom_candidate("vx_cubed", lambda v, w, th: v[..., 0] ** 3)
     res = invariant_residual(ELL, ScatteringFamily.reflection(), bad, 300, seed=5)
     assert res > 1e-3
 
@@ -72,7 +73,7 @@ def test_momentum_candidates_named_by_axis():
 
 
 def test_theta_function_candidate_invariant():
-    cand = theta_function_candidate(lambda t: math.cos(3 * t), "cos(3theta)")
+    cand = theta_function_candidate(lambda t: np.cos(3 * t), "cos(3theta)")
     res = invariant_residual(ELL, ScatteringFamily.epsi(), cand, 300, seed=6)
     assert res < 1e-12
 
@@ -119,3 +120,47 @@ def test_table_shares_samples_across_families():
     table = invariant_residual_table(ELL, [fam], [cand], 200, seed=9)
     direct = invariant_residual(ELL, fam, cand, 200, seed=9)
     assert table[cand.name][fam.label()] == pytest.approx(direct, rel=1e-12)
+
+
+def _reference_table(body, families, cands, n_samples, seed):
+    # the per-sample route: same draw order, one assembled matrix per family
+    rng = np.random.default_rng(seed)
+    mim = MassInertiaMatrix.from_mass(body.m, body.J)
+    table = {c.name: {fam.label(): 0.0 for fam in families} for c in cands}
+    for _ in range(n_samples):
+        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
+        frame = build_frame(body, beta)
+        while True:
+            W = rng.standard_normal(6)
+            if float(W @ frame.nu) < 0.0:
+                break
+        V = mim.apply_inverse(W)
+        for fam in families:
+            Vp = scattering_matrix(fam, frame).s @ V
+            for c in cands:
+                defect = abs(c.pair_sum(Vp, beta.theta, beta.thetabar)
+                             - c.pair_sum(V, beta.theta, beta.thetabar))
+                row = table[c.name]
+                row[fam.label()] = max(row[fam.label()], defect)
+    return table
+
+
+@pytest.mark.parametrize("body", [ELL, DISK], ids=["ellipse", "disk"])
+def test_table_matches_reference_loop(body):
+    # 300 samples span two blocks of the array sampler
+    fams = FAMILIES + [ScatteringFamily.orientation_preserving(
+        LineField.fourier([[1, 0, 0.4, 0.1], [0, 1, -0.2, 0.3]]))]
+    cands = standard_candidates(body) + [
+        custom_candidate("vx_cubed", lambda v, w, th: v[..., 0] ** 3)]
+    table = invariant_residual_table(body, fams, cands, 300, seed=10)
+    ref = _reference_table(body, fams, cands, 300, seed=10)
+    for c in cands:
+        for fam in fams:
+            got, want = table[c.name][fam.label()], ref[c.name][fam.label()]
+            assert abs(got - want) <= 1e-13, (c.name, fam.label(), got, want)
+
+
+def test_candidate_of_wrong_shape_is_named():
+    bad = custom_candidate("scalar_one", lambda v, w, th: 1.0)
+    with pytest.raises(ValueError, match="scalar_one"):
+        invariant_residual(ELL, ScatteringFamily.reflection(), bad, 10, seed=0)

@@ -8,7 +8,7 @@ import pytest
 
 from hardpair.bodies import MassInertiaMatrix, make_disk, make_ellipse
 from hardpair.geometry import Beta, d_beta, e_of
-from hardpair.frames import LineField, block_rotation, build_frame
+from hardpair.frames import LineField, block_rotation, build_frame, build_frames
 from hardpair.scattering import (
     GrazingCollisionWarning,
     NotPreCollisionalError,
@@ -17,6 +17,7 @@ from hardpair.scattering import (
     explicit_epsi_velocities,
     family_from_config,
     impulse_scatter,
+    scatter_stack,
     scattering_matrix,
     verify_scattering,
 )
@@ -255,3 +256,38 @@ def test_verify_scattering_catches_identity_injection():
     fake = dataclasses.replace(sm, s=np.eye(6), A=np.eye(6))
     rep = verify_scattering(fake, ELL.m, ELL.J, fr.d, fr.beta.psi, n_samples=200)
     assert not rep["half_space_flip_ok"]
+
+
+def _stack_of(frames):
+    return build_frames(
+        np.array([fr.beta.theta for fr in frames]),
+        np.array([fr.beta.thetabar for fr in frames]),
+        np.array([fr.beta.psi for fr in frames]),
+        np.array([fr.d for fr in frames]),
+        np.array([fr.nu for fr in frames]), ELL.m, ELL.J)
+
+
+def test_scatter_stack_matches_matrices():
+    # every family, the Fourier op family included, applied as its low-rank
+    # update agrees with the assembled matrix at each frame
+    rng = np.random.default_rng(48)
+    frames = [_random_frame(rng) for _ in range(30)]
+    fams = FAMILIES + [ScatteringFamily.orientation_preserving(
+        LineField.fourier([[1, 0, 0.4, 0.1], [0, 1, -0.2, 0.3]]))]
+    W = rng.standard_normal((30, 6))
+    out = scatter_stack(fams, _stack_of(frames), W)
+    assert out.shape == (len(fams), 30, 6)
+    for f, fam in enumerate(fams):
+        for i, fr in enumerate(frames):
+            want = scattering_matrix(fam, fr).A @ W[i]
+            assert np.max(np.abs(out[f, i] - want)) < 1e-14
+
+
+def test_scatter_stack_rejects_bad_frame():
+    rng = np.random.default_rng(49)
+    stack = _stack_of([_random_frame(rng) for _ in range(5)])
+    nu = stack.nu.copy()
+    nu[3] *= 1.5
+    broken = stack._replace(nu=nu)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        scatter_stack(FAMILIES, broken, rng.standard_normal((5, 6)))
