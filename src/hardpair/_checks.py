@@ -202,7 +202,7 @@ def check_scattering(n: int = 10000, seed: int = 104) -> CheckResult:
         for _ in range(n):
             beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
             contact = d_beta(ell, beta)
-            fr = build_frame(ell, beta)
+            fr = build_frame(ell, beta, contact)
             gam_dir = np.concatenate([
                 [0.0, 0.0], m * fr.d * perp(e_of(beta.psi)), [J, J]])
             gam_dir /= np.linalg.norm(gam_dir)

@@ -157,6 +157,18 @@ cdef int _newton(double a, double b, double ct, double st,
     return ok
 
 
+cdef inline bint _external(double a, double b, double ct, double st,
+                           double cpsi, double spsi, double s1, double s2) nogil:
+    # see _ref._external
+    cdef double n1x = b * cos(s1)
+    cdef double n1y = a * sin(s1)
+    cdef double c2 = cos(s2)
+    cdef double s2s = sin(s2)
+    cdef double n2x = ct * (b * c2) - st * (a * s2s)
+    cdef double n2y = st * (b * c2) + ct * (a * s2s)
+    return n1x * cpsi + n1y * spsi > 0.0 and n1x * n2x + n1y * n2y < 0.0
+
+
 cdef inline double max3(double x, double y, double z) nogil:
     cdef double m = x
     if y > m:
@@ -180,7 +192,7 @@ def ellipse_contact(double a, double b, double theta, double psi,
     cdef double spsi = sin(psi)
     cdef double tol_len = 1e-13 * (a if a > 1.0 else 1.0)
     cdef double tol_cross = 1e-13 * (a * a if a * a > 1.0 else 1.0)
-    cdef double s1, s2, d, resid, cn
+    cdef double s1, s2, d, resid
     cdef double lo, hi, step, al, alo, x0, x1, g0
     cdef double ga_v[4]
     cdef double gb_v[4]
@@ -192,10 +204,8 @@ def ellipse_contact(double a, double b, double theta, double psi,
         s2 = s2_seed
         d = d_seed
         ok = _newton(a, b, ct, st, cpsi, spsi, &s1, &s2, &d, tol_len, tol_cross, &resid)
-        if ok and d > 0.0:
-            cn = cos(s1) * b * cpsi + sin(s1) * a * spsi
-            if cn > 0.0:
-                return d, s1, s2, resid, True
+        if ok and d > 0.0 and _external(a, b, ct, st, cpsi, spsi, s1, s2):
+            return d, s1, s2, resid, True
 
     lo = psi - M_PI / 2 + _SCAN_MARGIN
     hi = psi + M_PI / 2 - _SCAN_MARGIN
@@ -243,9 +253,6 @@ def ellipse_contact(double a, double b, double theta, double psi,
         return 0.0, 0.0, 0.0, float("inf"), False
 
     ok = _newton(a, b, ct, st, cpsi, spsi, &s1, &s2, &d, tol_len, tol_cross, &resid)
-    if not ok or d <= 0.0:
-        return d, s1, s2, resid, False
-    cn = cos(s1) * b * cpsi + sin(s1) * a * spsi
-    if cn <= 0.0:
+    if not ok or d <= 0.0 or not _external(a, b, ct, st, cpsi, spsi, s1, s2):
         return d, s1, s2, resid, False
     return d, s1, s2, resid, True

@@ -141,6 +141,21 @@ def _newton(a, b, ct, st, cpsi, spsi, s1, s2, d, tol_len, tol_cross):
     return s1, s2, d, max(abs(f1), abs(f2), abs(f3) / max(1.0, a * a)), ok
 
 
+def _external(a, b, ct, st, cpsi, spsi, s1, s2):
+    """Whether a root of the tangency system is the external tangency.
+
+    F3 = n1 x n2 = 0 also holds for parallel normals, so a Newton root may
+    sit on another branch.  The external tangency has antiparallel normals
+    and body 1's normal facing body 2.
+    """
+    c1, s1s = math.cos(s1), math.sin(s1)
+    c2, s2s = math.cos(s2), math.sin(s2)
+    n1x, n1y = b * c1, a * s1s
+    n2x = ct * (b * c2) - st * (a * s2s)
+    n2y = st * (b * c2) + ct * (a * s2s)
+    return n1x * cpsi + n1y * spsi > 0.0 and n1x * n2x + n1y * n2y < 0.0
+
+
 def ellipse_contact_derivatives(a, b, theta, psi, s1, s2, d):
     """Partial derivatives (dD/dtheta, dD/dpsi) at a solved tangency (s1, s2, d).
 
@@ -184,10 +199,8 @@ def ellipse_contact(a, b, theta, psi, s1_seed=0.0, s2_seed=0.0, d_seed=0.0, use_
         s1, s2, d, resid, ok = _newton(
             a, b, ct, st, cpsi, spsi, s1_seed, s2_seed, d_seed, tol_len, tol_cross
         )
-        if ok and d > 0.0:
-            cn = math.cos(s1) * b * cpsi + math.sin(s1) * a * spsi
-            if cn > 0.0:
-                return d, s1, s2, resid, True
+        if ok and d > 0.0 and _external(a, b, ct, st, cpsi, spsi, s1, s2):
+            return d, s1, s2, resid, True
 
     # coarse scan of the normal angle over the half-circle facing body 2
     lo = psi - math.pi / 2 + _SCAN_MARGIN
@@ -225,10 +238,6 @@ def ellipse_contact(a, b, theta, psi, s1_seed=0.0, s2_seed=0.0, d_seed=0.0, use_
     s1, s2, d, resid, ok = _newton(
         a, b, ct, st, cpsi, spsi, s1, s2, d, tol_len, tol_cross
     )
-    if not ok or d <= 0.0:
-        return d, s1, s2, resid, False
-    # contact normal must face from body 1 toward body 2
-    cn = math.cos(s1) * b * cpsi + math.sin(s1) * a * spsi
-    if cn <= 0.0:
+    if not ok or d <= 0.0 or not _external(a, b, ct, st, cpsi, spsi, s1, s2):
         return d, s1, s2, resid, False
     return d, s1, s2, resid, True

@@ -35,6 +35,10 @@ class Body:
         a, b: semi-axes for disk/ellipse kinds (a >= b; a = b = r for disks).
             For implicit bodies these hold the sampled circumradius and
             inradius estimates and are used only for scaling heuristics.
+        K: bound on |h''| = |rho - h| for the support function h (rho the
+            radius of curvature at the support point), over all directions;
+            the event search bounds how fast a separating slab can close
+            under rotation with it.
         boundary: s -> boundary point, shape (2,), counterclockwise.
         level: (x, y) -> scalar b*; must broadcast over numpy arrays.
     """
@@ -44,6 +48,7 @@ class Body:
     J: float
     a: float
     b: float
+    K: float
     boundary: Callable[[float], np.ndarray]
     level: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -113,6 +118,7 @@ def make_disk(r: float) -> Body:
         J=math.pi * r**4 / 2.0,
         a=r,
         b=r,
+        K=0.0,
         boundary=boundary,
         level=level,
     )
@@ -121,7 +127,9 @@ def make_disk(r: float) -> Body:
 def make_ellipse(a: float, b: float) -> Body:
     """Ellipse with semi-axes a >= b > 0: m = pi a b, J = pi a b (a^2+b^2)/4.
 
-    The boundary is parameterized s -> (a cos s, b sin s).
+    The boundary is parameterized s -> (a cos s, b sin s).  rho - h is
+    monotone in the support direction, from b^2/a - a on the major axis to
+    a^2/b - b on the minor axis, so K = a^2/b - b exactly.
     """
     if not (b > 0) or not math.isfinite(a) or not math.isfinite(b):
         raise BodyValidationError(f"ellipse axes must be positive, got a={a}, b={b}")
@@ -141,6 +149,7 @@ def make_ellipse(a: float, b: float) -> Body:
         J=math.pi * a * b * (a * a + b * b) / 4.0,
         a=a,
         b=b,
+        K=a * a / b - b,
         boundary=boundary,
         level=level,
     )
@@ -155,7 +164,8 @@ def make_implicit(
 
     Mass properties are computed from the boundary by Green's theorem with a
     trapezoidal rule on a uniform parameter grid (spectrally accurate for
-    smooth periodic boundaries). The body is then validated by sampling; the
+    smooth periodic boundaries). The support-curvature bound K is the largest
+    |rho - h| over the same grid. The body is then validated by sampling; the
     centroid must sit at the origin to 1e-8 because the collision bookkeeping
     assumes center-of-mass body frames.
 
@@ -174,8 +184,9 @@ def make_implicit(
     k = np.fft.rfftfreq(n_quad, d=1.0 / n_quad)
     if n_quad % 2 == 0:
         k[-1] = 0.0  # drop the Nyquist mode from the derivative
-    dx = np.fft.irfft(1j * k * np.fft.rfft(x), n_quad) * (TWO_PI / n_quad)
-    dy = np.fft.irfft(1j * k * np.fft.rfft(y), n_quad) * (TWO_PI / n_quad)
+    fx, fy = np.fft.rfft(x), np.fft.rfft(y)
+    dx = np.fft.irfft(1j * k * fx, n_quad) * (TWO_PI / n_quad)
+    dy = np.fft.irfft(1j * k * fy, n_quad) * (TWO_PI / n_quad)
 
     area = float(np.sum(x * dy - y * dx) / 2.0)
     if area <= 0:
@@ -190,6 +201,14 @@ def make_implicit(
         )
     J = float(np.sum(x**3 * dy - y**3 * dx) / 3.0)
 
+    # at each sample: radius of curvature rho = |c'|^3 / (c' x c'') and
+    # support value h = c . n, n = (y', -x') / |c'| the outward normal
+    ddx = np.fft.irfft(-k * k * fx, n_quad) * (TWO_PI / n_quad) ** 2
+    ddy = np.fft.irfft(-k * k * fy, n_quad) * (TWO_PI / n_quad) ** 2
+    speed = np.hypot(dx, dy)
+    rho = speed**3 / (dx * ddy - dy * ddx)
+    h = (x * dy - y * dx) / speed
+
     radii = np.hypot(x, y)
     body = Body(
         kind="implicit",
@@ -197,6 +216,7 @@ def make_implicit(
         J=J,
         a=float(np.max(radii)),
         b=float(np.min(radii)),
+        K=float(np.max(np.abs(rho - h))),
         boundary=boundary,
         level=level,
     )

@@ -144,7 +144,7 @@ def options_from_config(cfg: dict) -> SimOptions:
     opts = cfg.get("options", {})
     if not isinstance(opts, dict):
         raise ConfigError("options must be an object")
-    allowed = {"dt_scan", "t_tol", "grazing_rtol", "max_events", "sample_dt"}
+    allowed = {"t_tol", "grazing_rtol", "max_events", "sample_dt"}
     unknown = set(opts) - allowed
     if unknown:
         raise ConfigError(f"unknown options fields: {sorted(unknown)}")

@@ -4,10 +4,14 @@ Between contacts both bodies translate and rotate uniformly.  The gap
 function (center distance minus distance of closest approach at the current
 relative angles) is positive on separated states and zero exactly at
 contact; collision times are its roots along the free flight.  Detection
-samples the gap on a speed-scaled grid, brackets the first sign change and
-bisects; resolution replaces the velocity with its image under a chosen
-scattering family.  Because several families share the same conservation
-laws, one initial condition continues into many distinct trajectories, and
+advances by certified steps (conservative advancement): each contact solve
+at a separated pose yields a slab between the bodies and a lower bound on
+its width along the flight, and the flight steps to where that bound could
+first reach zero, so every pose visited is separated and no contact can be
+stepped over.  Near a transversal contact the steps converge quadratically.
+Resolution replaces the velocity with its image under a chosen scattering
+family.  Because several families share the same conservation laws, one
+initial condition continues into many distinct trajectories, and
 divergence_report measures exactly that.
 
 A conservation ledger (linear momentum, angular momentum about the origin,
@@ -35,7 +39,7 @@ from hardpair.geometry import (  # noqa: F401
     to_lab,
     wrap_angle,
 )
-from hardpair.frames import build_frame, nu_hat
+from hardpair.frames import build_frame, nu_hat, separation_rate_vector
 from hardpair.scattering import (
     GRAZING_RTOL,
     GrazingCollisionWarning,
@@ -46,12 +50,9 @@ from hardpair.scattering import (
     scattering_matrix,
 )
 
-# Fraction of the diameter traveled per scan step at the dominant speed.
-_SCAN_FRACTION = 0.05
-# Gap this negative at a scan sample means the step tunneled through a
-# near-tangency; the step is halved and the search repeated.
-_TUNNEL_GAP = -1e-6
-_TUNNEL_HALVINGS = 10
+# A flight reaches contact once the separating slab is this thin, relative
+# to the diameter, and closing.
+_CONTACT_WIDTH = 1e-13
 # Admissibility slack, relative to the diameter.
 _ADMISSIBLE_RTOL = 1e-9
 # Gap magnitudes below this are projected to exact contact before resolving.
@@ -89,12 +90,6 @@ class State:
     def beta(self) -> Beta:
         return Beta(self.theta(), self.thetabar(), self.psi())
 
-    def speed_scale(self, body: Body) -> float:
-        v = float(np.linalg.norm(self.V[0:2]))
-        vb = float(np.linalg.norm(self.V[2:4]))
-        spin = max(abs(float(self.V[4])), abs(float(self.V[5])))
-        return max(v, vb) + body.radius * spin
-
 
 def _require_finite(X: np.ndarray, V: np.ndarray) -> None:
     for name, arr in (("X", X), ("V", V)):
@@ -113,9 +108,12 @@ def make_state(X, V, t: float = 0.0) -> State:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Tunable tolerances; None fields fall back to speed/horizon-scaled defaults."""
+    """Tunable tolerances; t_tol None falls back to 1e-12 of the remaining horizon.
 
-    dt_scan: float | None = None
+    t_tol is the window within which a grazing root re-found after an event
+    is merged into it.
+    """
+
     t_tol: float | None = None
     grazing_rtol: float = GRAZING_RTOL
     max_events: int = 10**6
@@ -223,84 +221,73 @@ def gap(body: Body, X) -> float:
     return g
 
 
-def _resolve_defaults(body: Body, Z: State, t_max: float, opts: SimOptions):
-    scale = Z.speed_scale(body)
-    if opts.dt_scan is not None:
-        dt_scan = opts.dt_scan
-    elif scale > 0.0:
-        dt_scan = _SCAN_FRACTION * body.diameter / scale
-    else:
-        dt_scan = t_max
-    t_tol = opts.t_tol if opts.t_tol is not None else 1e-12 * t_max
-    return dt_scan, t_tol
+def _slab(theta: float, V: np.ndarray, g: float, contact: ContactData):
+    """Width of a slab separating the bodies, and its rate under V.
 
-
-def _scan_for_root(body: Body, Z: State, t_max: float, dt_scan: float, g0: float,
-                   c0: ContactData):
-    """First bracket [lo, hi] with gap(lo) > 0 >= gap(hi), or None.
-
-    g0 and c0 are the gap and the contact solve at the start pose; every
-    sample is warm-started from the previous one.  Also reports the smallest
-    gap over the separated samples, i.e. over free-flight states the
-    trajectory actually passes through; probe samples past the root (where
-    the hypothetical continued flight interpenetrates) are not trajectory
-    states and are excluded.  A sampled gap below the tunneling threshold
-    restarts with a halved step from the last separated sample.  The third
-    result is the contact solve at lo.
+    g and contact are the gap and the canonical solve at a pose X whose
+    first body has orientation theta.  The solve puts body 2 tangent to
+    body 1 at separation d; at X it sits g further out along e, so the line
+    through the contact point with normal n separates the bodies by
+    w = g (e . n).  Holding n fixed, w changes at
+    V . (-n, n, -p_perp.n, q_perp.n) in the lab frame.
     """
-    min_seen = g0
-    halvings = 0
-    t_lo, c_lo = 0.0, c0
-    t, c = 0.0, c0
-    while t < t_max:
-        t = min(t + dt_scan, t_max)
-        g, c = _gap_at(body, Z.X + t * Z.V, seed=c)
-        if g <= 0.0:
-            if g < _TUNNEL_GAP and halvings < _TUNNEL_HALVINGS:
-                halvings += 1
-                dt_scan *= 0.5
-                t = t_lo
-                continue
-            return (t_lo, t), min_seen, c_lo
-        min_seen = min(min_seen, g)
-        t_lo, c_lo = t, c
-    return None, min_seen, c_lo
+    e_n = float((contact.p - contact.q) @ contact.n) / contact.d
+    rate = float(V @ separation_rate_vector(to_lab(contact, theta)))
+    return g * e_n, rate
 
 
-def _next_collision(body: Body, Z: State, t_max: float, opts: SimOptions,
+def _certified_step(w: float, rate: float, M: float) -> float:
+    """First tau > 0 where w + rate tau - M tau^2 / 2 can reach zero (w >= 0).
+
+    inf when it never does.  Each branch avoids cancellation.
+    """
+    if rate < 0.0:
+        return 2.0 * w / (math.sqrt(rate * rate + 2.0 * M * w) - rate)
+    if M == 0.0:
+        return math.inf
+    return (rate + math.sqrt(rate * rate + 2.0 * M * w)) / M
+
+
+def _next_collision(body: Body, Z: State, t_max: float,
                     contact: ContactData | None = None):
-    """Root time of the gap along free flight, the minimum sampled gap, and
-    the contact solve at the root (None without a root).
+    """Root time of the gap along free flight, the minimum gap over the
+    poses visited, and the contact solve at the root (None without a root).
 
     contact is the canonical contact solve at Z.X, when the caller holds it.
+    With n held fixed, the slab width along the flight is
+    w(t) = (xbar - x) . n - h(n; theta) - h(-n; thetabar), h the support
+    function of the turned body, so |w''| <= K (omega^2 + omegabar^2) = M
+    and w(tau) >= w + rate tau - M tau^2 / 2.  Each step goes to the first
+    zero of that bound and solves there, warm from the previous solve; the
+    flight ends at a pose whose slab is thinner than _CONTACT_WIDTH and
+    closing, or without a root once the bound stays positive up to t_max.
     """
-    g0, contact = _gap_at(body, Z.X, solved=contact)
-    if g0 < -_ADMISSIBLE_RTOL * body.diameter:
-        raise SimulationError(f"starting gap {g0:.3g} is negative beyond tolerance")
-    dt_scan, t_tol = _resolve_defaults(body, Z, t_max, opts)
+    g, contact = _gap_at(body, Z.X, solved=contact)
+    if g < -_ADMISSIBLE_RTOL * body.diameter:
+        raise SimulationError(f"starting gap {g:.3g} is negative beyond tolerance")
     if t_max <= 0.0:
-        return None, g0, None
-    bracket, min_seen, c_lo = _scan_for_root(body, Z, t_max, dt_scan, g0, contact)
-    if bracket is None:
-        return None, min_seen, None
-    lo, hi = bracket
-    c = c_lo
-    while hi - lo > t_tol:
-        mid = 0.5 * (lo + hi)
-        g, c = _gap_at(body, Z.X + mid * Z.V, seed=c)
-        if g > 0.0:
-            lo, c_lo = mid, c
-        else:
-            hi = mid
-    # return the separated side of the bracket so the state never starts
-    # inside the other body; free_flight(Z, lo) reproduces the pose c_lo was
-    # solved at exactly
-    return lo, min_seen, c_lo
+        return None, g, None
+    V = Z.V
+    M = body.K * float(V[4] * V[4] + V[5] * V[5])
+    thin = _CONTACT_WIDTH * body.diameter
+    t, min_seen = 0.0, g
+    while True:
+        w, rate = _slab(Z.X[4] + t * V[4], V, g, contact)
+        tau = _certified_step(max(w, 0.0), rate, M)
+        # a step too short to move t means t is the root to time resolution
+        if (w <= thin and rate < 0.0) or t + tau == t:
+            # free_flight(Z, t) reproduces the pose contact was solved at
+            return t, min_seen, contact
+        t += tau
+        if t >= t_max:
+            return None, min_seen, None
+        g, contact = _gap_at(body, Z.X + t * V, seed=contact)
+        min_seen = min(min_seen, g)
 
 
-def next_collision_time(body: Body, Z: State, t_max: float, opts: SimOptions | None = None):
+def next_collision_time(body: Body, Z: State, t_max: float):
     """Time of the first contact within [0, t_max] along free flight, or None."""
-    t, _, _ = _next_collision(body, Z, t_max, opts or SimOptions())
+    t, _, _ = _next_collision(body, Z, t_max)
     return t
 
 
@@ -400,8 +387,8 @@ def simulate(
         remaining = t_end - Z.t
         if remaining <= 0.0:
             break
-        _, t_tol = _resolve_defaults(body, Z, remaining, opts)
-        dt, seen, contact = _next_collision(body, Z, remaining, opts, contact)
+        t_tol = opts.t_tol if opts.t_tol is not None else 1e-12 * remaining
+        dt, seen, contact = _next_collision(body, Z, remaining, contact)
         min_gap = min(min_gap, seen)
         if dt is None:
             Z = free_flight(Z, remaining)

@@ -31,14 +31,16 @@ _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 
 # Complement seeds, tried in order; a projected seed survives if its norm
-# stays above this floor.  The first three are the canonical choices; the
-# remaining coordinate directions are deterministic reserves for symmetric
-# configurations where canonical seeds fall inside the spanned subspace
-# (head-on disk contact kills both translational seeds at once).  Because
-# the complement plane has trace-2 projector, at least two of the six
-# coordinate seeds always survive the floor.  Rows, in order: e_x, e_xbar_x,
-# e_omega, then e_y, e_xbar_y, e_omegabar.
-_COMPLEMENT_SEEDS = np.eye(6)[[0, 2, 4, 1, 3, 5]]
+# stays above this floor.  The first two are the canonical choices; the
+# others are deterministic reserves for symmetric configurations where
+# canonical seeds fall inside the spanned subspace (head-on disk contact
+# kills both translational seeds at once).  Rows, in order: e_x, e_omega,
+# e_y, e_omegabar.  e_xbar_x and e_xbar_y are left out: E1 and E2 lie in
+# the base, so P e_xbar_x = -P e_x and P e_xbar_y = -P e_y; each clears the
+# floor only where its partner does, and once the partner is taken its
+# remainder is zero.  With E1 and E2 the four seeds span R^6, so their
+# projections span the complement plane.
+_COMPLEMENT_SEEDS = np.eye(6)[[0, 4, 1, 5]]
 _COMPLEMENT_SEEDS.setflags(write=False)
 _SEED_NORM_FLOOR = 1e-6
 
@@ -139,19 +141,30 @@ def rotate_blocks(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
+def separation_rate_vector(contact: ContactData) -> np.ndarray:
+    """The 6-vector (-n, n, -p_perp.n, q_perp.n) of lab-frame contact data.
+
+    V . this vector is the rate at which the gap's separating line opens:
+    with n held fixed, the width of the slab between the two bodies changes
+    at this rate under velocity V (translations move the supports along n,
+    spins move them by -p_perp.n and q_perp.n).
+    """
+    pn = contact.p_perp_n()
+    qn = contact.q_perp_n()
+    n = contact.n
+    return np.array([-n[0], -n[1], n[0], n[1], -pn, qn])
+
+
 def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
     """Unit collision-normal direction in mass-weighted velocity space.
 
-    Built as M^-1 (-n, n, -p_perp.n, q_perp.n) normalized by
+    Built as M^-1 separation_rate_vector(contact) normalized by
     sqrt(2/m + (p_perp.n)^2/J + (q_perp.n)^2/J).  The rate of change of the
     gap under velocity V is proportional to V.(M nu), so V.(M nu) < 0
     characterizes approaching (pre-collisional) states.
     """
-    pn = contact.p_perp_n()
-    qn = contact.q_perp_n()
-    lam = 2.0 / m + (pn * pn + qn * qn) / J
-    n = contact.n
-    w = np.array([-n[0], -n[1], n[0], n[1], -pn, qn])
+    w = separation_rate_vector(contact)
+    lam = 2.0 / m + (w[4] * w[4] + w[5] * w[5]) / J
     mim = MassInertiaMatrix.from_mass(m, J)
     return mim.apply_inverse(w) / math.sqrt(lam)
 
@@ -213,8 +226,8 @@ def complement_basis(
 
     Takes one frame's vectors (shape (6,)) or N frames' (shape (N, 6); a
     shared vector may stay (6,)); F1 and F2 have the broadcast shape.  The
-    seeds e_x, e_xbar_x, e_omega (then the remaining coordinate directions
-    as reserves) are projected in order onto the complement by
+    seeds e_x, e_omega (then e_y, e_omegabar as reserves) are projected in
+    order onto the complement by
     P = I - B^T B, B the four given rows; per frame, the first two whose
     projections survive with norm > 1e-6 are kept and orthonormalized.  A
     fixed seed order makes the output a pure function of the inputs.  The

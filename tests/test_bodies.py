@@ -45,6 +45,21 @@ def test_implicit_reproduces_ellipse_mass_data():
     # spectral quadrature on an analytic boundary: machine-precision moments
     assert body.m == pytest.approx(math.pi * a * b, rel=1e-12)
     assert body.J == pytest.approx(math.pi * a * b * (a**2 + b**2) / 4.0, rel=1e-12)
+    # the support-curvature bound from the boundary samples
+    assert body.K == pytest.approx(make_ellipse(a, b).K, rel=1e-8)
+
+
+def test_support_curvature_bound():
+    # max |rho - h| over support directions: a^2/b - b on the minor axis
+    # of an ellipse, 0 for a disk, whose rho equals h everywhere
+    assert make_ellipse(2.0, 1.0).K == 3.0
+    assert make_ellipse(1.0, 0.05).K == pytest.approx(19.95, rel=1e-14)
+    assert make_disk(1.3).K == 0.0
+    a, b = 5.0, 1.0
+    alpha = np.linspace(0.0, 2.0 * math.pi, 10001)
+    h = np.sqrt((a * np.cos(alpha)) ** 2 + (b * np.sin(alpha)) ** 2)
+    rho = (a * b) ** 2 / h**3
+    assert np.max(np.abs(rho - h)) == pytest.approx(make_ellipse(a, b).K, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])

@@ -251,6 +251,15 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert "validation error" in err
 
 
+def test_unknown_option_exits_two(tmp_path, capsys):
+    # dt_scan, the stride of the old event scan, is no longer an option
+    cfg = _write(tmp_path, "sim.json", _sim_cfg(options={"dt_scan": 0.01}))
+    assert cli.run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "dt_scan" in err
+
+
 def test_post_collisional_velocity_exits_two(tmp_path, capsys):
     cfg = _write(tmp_path, "scatter.json", {
         "body": _body_cfg(),

@@ -7,6 +7,7 @@ import pytest
 
 from hardpair.bodies import make_disk, make_ellipse
 from hardpair.frames import LineField
+from hardpair.geometry import closest_approach, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
     SimOptions,
@@ -25,6 +26,10 @@ from hardpair.dynamics import (
 DISK = make_disk(1.0)
 ELL = make_ellipse(2.0, 1.0)
 REFL = ScatteringFamily.reflection()
+SIX_FAMILIES = [ScatteringFamily.reflection(), ScatteringFamily.epsi()] + [
+    ScatteringFamily.orientation_preserving(LineField.constant(phi))
+    for phi in (0.0, math.pi / 6, math.pi / 4, math.pi / 3)
+]
 
 
 def _head_on():
@@ -216,3 +221,112 @@ def test_grazing_merge_projection_is_the_frame_normal():
         want = scattering_matrix(fam, _frame_at(ELL, beta, c)).normal_projection(Z.V)
         got = normal_projection(Z.V, _normal_at(ELL, beta, c), ELL.m, ELL.J)
         assert got == want
+
+
+@pytest.mark.parametrize("spin", [2.0, 2.5, 3.0, 3.7])
+def test_brief_tip_overlap_is_a_collision(spin):
+    # the thin ellipse's tip sweeps through the other body for about 0.03 rad
+    thin = make_ellipse(1.0, 0.05)
+    Z0 = make_state([0, 0, 0, 1.0499, 0, 0], [0, 0, 0, 0, spin, 0])
+    tr = simulate(thin, Z0, REFL, 1.0)
+    assert tr.n_events() == 1
+    assert tr.min_gap >= -1e-9 * thin.diameter
+
+
+def test_late_graze_is_a_collision():
+    # a re-contact that overlaps for about 0.016 in time after the first event
+    Z0 = make_state(
+        [0, 0, 3.9249001933222014, -3.0588080019098625, 5.37203234937409, 1.29129088131563],
+        [0.04156706359133046, -0.15095692273606434, -0.9422753565275535,
+         1.2571261540372383, -0.3934606903240496, -0.459068014675579],
+    )
+    tr = simulate(ELL, Z0, SIX_FAMILIES[3], 4.0)
+    assert tr.n_events() == 2
+    assert tr.events[1].t == pytest.approx(3.105, abs=2e-3)
+
+
+def _high_spin_data(n, seed):
+    """Colliding data with spins up to 3 on the (2,1) and (5,1) ellipses."""
+    bodies = (ELL, make_ellipse(5.0, 1.0))
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        body = bodies[i % 2]
+        th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
+        c = closest_approach(body, wrap_angle(thb - th), wrap_angle(psi - th))
+        x2 = (c.d + rng.uniform(0.1, 1.0)) * e_of(psi)
+        v = rng.normal(0.0, 0.15, 2)
+        vb = v - rng.uniform(0.3, 1.1) * e_of(psi) + rng.normal(0.0, 0.2, 2)
+        X0 = [0.0, 0.0, x2[0], x2[1], th, thb]
+        V0 = [*v, *vb, *rng.uniform(-3.0, 3.0, 2)]
+        out.append((body, make_state(X0, V0), SIX_FAMILIES[i % 6]))
+    return out
+
+
+def test_dense_replay_finds_no_overlap():
+    # replay each trajectory from its events and solve the gap cold on a
+    # dense grid; a missed contact shows as a negative gap
+    T = 4.0
+    times = np.linspace(0.0, T, 2000)
+    for body, Z0, fam in _high_spin_data(40, 85):
+        tr = simulate(body, Z0, fam, T)
+        starts = [0.0] + [ev.t for ev in tr.events]
+        Xs = [Z0.X] + [ev.X for ev in tr.events]
+        Vs = [Z0.V] + [ev.V_post for ev in tr.events]
+        piece = np.searchsorted(starts, times, side="right") - 1
+        worst = min(gap(body, Xs[k] + (t - starts[k]) * Vs[k]) for t, k in zip(times, piece))
+        assert worst >= -1e-9 * body.diameter
+
+
+def test_event_search_solve_budget(monkeypatch):
+    # certified steps: at most 10 contact solves per event on this datum
+    from hardpair import _kernel
+
+    calls = []
+    solve = _kernel.ellipse_contact
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_kernel, "ellipse_contact", counted)
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    tr = simulate(ELL, Z0, REFL, 8.0)
+    assert tr.n_events() == 2
+    assert len(calls) <= 10 * tr.n_events()
+
+
+def test_slab_bound_holds_along_free_flight():
+    # the width of the slab between the bodies, normal n held fixed, in
+    # closed form from the ellipse support function; the event search's
+    # quadratic must stay below it
+    from hardpair.dynamics import _gap_at, _slab
+    from hardpair.geometry import to_lab
+
+    a, b = 5.0, 1.0
+    body = make_ellipse(a, b)
+
+    def support(alpha):
+        return math.hypot(a * math.cos(alpha), b * math.sin(alpha))
+
+    def width(X, n):
+        alpha = math.atan2(n[1], n[0])
+        return float((X[2:4] - X[0:2]) @ n) - support(alpha - X[4]) - support(alpha + math.pi - X[5])
+
+    rng = np.random.default_rng(62)
+    for _ in range(50):
+        th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
+        c = closest_approach(body, wrap_angle(thb - th), wrap_angle(psi - th))
+        x2 = (c.d + rng.uniform(0.0, 1.0)) * e_of(psi)
+        X = np.array([0.0, 0.0, x2[0], x2[1], th, thb])
+        V = np.concatenate([rng.normal(0.0, 1.0, 4), rng.uniform(-3.0, 3.0, 2)])
+        g, contact = _gap_at(body, X)
+        w0, rate = _slab(X[4], V, g, contact)
+        n = to_lab(contact, X[4]).n
+        assert w0 == pytest.approx(width(X, n), abs=1e-12)
+        h = 1e-6
+        assert rate == pytest.approx((width(X + h * V, n) - width(X - h * V, n)) / (2 * h), abs=1e-6)
+        M = body.K * float(V[4] ** 2 + V[5] ** 2)
+        for tau in np.linspace(0.0, 2.0, 41):
+            assert width(X + tau * V, n) >= w0 + rate * tau - 0.5 * M * tau**2 - 1e-12

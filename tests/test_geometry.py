@@ -156,6 +156,24 @@ def test_jacobian_derivatives_match_finite_differences(ratio):
         assert abs(c.dD_dpsi - fd_psi) <= 1e-7 * scale
 
 
+@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0])
+def test_warm_start_lands_on_the_external_tangency(ratio):
+    # Newton from a solve at a nearby pose can converge to a root with
+    # parallel normals; such a root is rejected and the cold scan runs
+    from hardpair import _kernel
+
+    a, b = ratio, 1.0
+    rng = np.random.default_rng(15)
+    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (300, 2)):
+        d, s1, s2, _, ok = _kernel.ellipse_contact(a, b, theta, psi)
+        assert ok
+        for spread in (0.3, 0.05):
+            th2, ps2 = (theta, psi) + rng.uniform(-spread, spread, 2)
+            warm = _kernel.ellipse_contact(a, b, th2, ps2, s1, s2, d, True)
+            cold = _kernel.ellipse_contact(a, b, th2, ps2)
+            assert warm[4] and abs(warm[0] - cold[0]) <= 1e-9
+
+
 def test_disk_derivatives_are_exact_zeros():
     disk = make_disk(0.8)
     rng = np.random.default_rng(13)
