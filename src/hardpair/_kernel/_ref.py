@@ -1,8 +1,4 @@
-"""Pure-Python tangency solver for two congruent ellipses.
-
-Behavior-identical reference for the compiled extension in _fast.pyx; the two
-are selected at import time by the package __init__. Scalar math only, so the
-module stays dependency-free and easy to mirror in C.
+"""Tangency solver for two congruent ellipses, in scalar Python math.
 
 Canonical configuration: body 1 is the ellipse (a, b) at the origin with
 orientation 0; body 2 is the same ellipse rotated by theta and translated by
@@ -12,11 +8,8 @@ the single contact point and the center separation d.
 
 import math
 
-BACKEND_NAME = "fallback"
-
-_SCAN_N = 64
-_SCAN_MARGIN = 0.02
-_SCAN_BISECT = 10
+_ALPHA_MAX = 100
+_ALPHA_TOL = 1e-8
 _NEWTON_MAX = 50
 _BACKTRACK_MAX = 12
 
@@ -50,6 +43,44 @@ def _g_of_alpha(a, b, ct, st, cpsi, spsi, alpha):
     ry = dy - d * spsi
     g = -rx * uy + ry * ux
     return g, d, s1, s2
+
+
+def _support_angle(a, b, ct, st, cpsi, spsi, psi):
+    """Normal angle of the external tangency of the pair along e(psi).
+
+    The Minkowski sum K + R_theta K has support function H(alpha) = h(alpha)
+    + h(alpha - theta), with h = sqrt(a^2 cos^2 + b^2 sin^2) the ellipse's,
+    and D is the least support-line distance H / cos(alpha - psi) over
+    |alpha - psi| < pi/2.  Its derivative is G / cos^2(alpha - psi) with
+    G = H' cos(alpha - psi) + H sin(alpha - psi), and G' = a^2 b^2 (h1^-3 +
+    h2^-3) cos(alpha - psi) > 0 there, so G has one root in that interval,
+    which brackets it.  Newton from alpha = psi; a step that leaves the
+    bracket is replaced by a bisection.
+    """
+    a2, b2 = a * a, b * b
+    lo, hi = psi - 0.5 * math.pi, psi + 0.5 * math.pi
+    al = psi
+    for _ in range(_ALPHA_MAX):
+        ca, sa = math.cos(al), math.sin(al)
+        c2, s2 = ca * ct + sa * st, sa * ct - ca * st
+        h1 = math.sqrt(a2 * ca * ca + b2 * sa * sa)
+        h2 = math.sqrt(a2 * c2 * c2 + b2 * s2 * s2)
+        cd, sd = ca * cpsi + sa * spsi, sa * cpsi - ca * spsi
+        g = (b2 - a2) * (sa * ca / h1 + s2 * c2 / h2) * cd + (h1 + h2) * sd
+        step = g / (a2 * b2 * (1.0 / (h1 * h1 * h1) + 1.0 / (h2 * h2 * h2)) * cd)
+        # Test convergence before the bracket: the iterate has just become a
+        # bracket end, and a step below its spacing would land on that end,
+        # fail the test below and bisect far from the root.
+        if abs(step) < _ALPHA_TOL:
+            return al - step
+        if g < 0.0:
+            lo = al
+        else:
+            hi = al
+        al -= step
+        if not lo < al < hi:
+            al = 0.5 * (lo + hi)
+    return al
 
 
 def _residual(a, b, ct, st, cpsi, spsi, s1, s2, d):
@@ -187,8 +218,9 @@ def ellipse_contact(a, b, theta, psi, s1_seed=0.0, s2_seed=0.0, d_seed=0.0, use_
     Returns (d, s1, s2, resid, ok): center separation at tangency, boundary
     parameters of the contact point on each body, the scaled final residual,
     and a convergence flag. With use_seed, Newton starts from the supplied
-    (s1_seed, s2_seed, d_seed); the coarse scan runs as fallback whenever the
-    warm start fails or is absent.
+    (s1_seed, s2_seed, d_seed). Otherwise, or when that root is not the
+    external tangency, the cold solve finds the contact normal angle
+    (_support_angle) and Newton starts from the contact it implies.
     """
     ct, st = math.cos(theta), math.sin(theta)
     cpsi, spsi = math.cos(psi), math.sin(psi)
@@ -202,42 +234,10 @@ def ellipse_contact(a, b, theta, psi, s1_seed=0.0, s2_seed=0.0, d_seed=0.0, use_
         if ok and d > 0.0 and _external(a, b, ct, st, cpsi, spsi, s1, s2):
             return d, s1, s2, resid, True
 
-    # coarse scan of the normal angle over the half-circle facing body 2
-    lo = psi - math.pi / 2 + _SCAN_MARGIN
-    hi = psi + math.pi / 2 - _SCAN_MARGIN
-    step = (hi - lo) / (_SCAN_N - 1)
-    ga, da, s1a, s2a = _g_of_alpha(a, b, ct, st, cpsi, spsi, lo)
-    found = False
-    alo = lo
-    for k in range(1, _SCAN_N):
-        al = lo + k * step
-        gb, db, s1b, s2b = _g_of_alpha(a, b, ct, st, cpsi, spsi, al)
-        if ga == 0.0:
-            s1, s2, d = s1a, s2a, da
-            found = True
-            break
-        if ga * gb < 0.0:
-            x0, x1, g0 = alo, al, ga
-            for _ in range(_SCAN_BISECT):
-                xm = 0.5 * (x0 + x1)
-                gm, dm, s1m, s2m = _g_of_alpha(a, b, ct, st, cpsi, spsi, xm)
-                if gm == 0.0:
-                    break
-                if g0 * gm < 0.0:
-                    x1 = xm
-                else:
-                    x0, g0 = xm, gm
-            gm, dm, s1m, s2m = _g_of_alpha(a, b, ct, st, cpsi, spsi, 0.5 * (x0 + x1))
-            s1, s2, d = s1m, s2m, dm
-            found = True
-            break
-        ga, da, s1a, s2a, alo = gb, db, s1b, s2b, al
-    if not found:
-        return 0.0, 0.0, 0.0, float("inf"), False
-
+    alpha = _support_angle(a, b, ct, st, cpsi, spsi, psi)
+    _, d, s1, s2 = _g_of_alpha(a, b, ct, st, cpsi, spsi, alpha)
     s1, s2, d, resid, ok = _newton(
         a, b, ct, st, cpsi, spsi, s1, s2, d, tol_len, tol_cross
     )
-    if not ok or d <= 0.0 or not _external(a, b, ct, st, cpsi, spsi, s1, s2):
-        return d, s1, s2, resid, False
-    return d, s1, s2, resid, True
+    ok = ok and d > 0.0 and _external(a, b, ct, st, cpsi, spsi, s1, s2)
+    return d, s1, s2, resid, ok

@@ -23,6 +23,7 @@ plus conservation of linear momentum extends it to every reference point.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -111,13 +112,34 @@ class SimOptions:
     """Tunable tolerances; t_tol None falls back to 1e-12 of the remaining horizon.
 
     t_tol is the window within which a grazing root re-found after an event
-    is merged into it.
+    is merged into it. Each field is checked on construction; a value out of
+    its domain raises ValueError naming the field.
     """
 
     t_tol: float | None = None
     grazing_rtol: float = GRAZING_RTOL
     max_events: int = 10**6
     sample_dt: float | None = None
+
+    def __post_init__(self):
+        # (field, may be None, may be zero)
+        for name, optional, zero_ok in (
+            ("t_tol", True, False), ("grazing_rtol", False, True), ("sample_dt", True, False)
+        ):
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if not (
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (value >= 0.0 if zero_ok else value > 0.0)
+            ):
+                rule = ("None or " if optional else "") + "a finite number " + (">= 0" if zero_ok else "> 0")
+                raise ValueError(f"option {name} must be {rule}, got {value!r}")
+        n = self.max_events
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"option max_events must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -421,7 +443,7 @@ def simulate(
             )
             break
 
-    if opts.sample_dt is not None and opts.sample_dt > 0.0:
+    if opts.sample_dt is not None:
         dense = _resample(body, Z0, events, t_end, opts.sample_dt)
         samples = sorted(dense + samples[1:], key=lambda s: s.t)
         # each solve warm-starts the next; the first from the start pose

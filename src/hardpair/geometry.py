@@ -215,7 +215,7 @@ def _ellipse_oracle_fallback(
 ) -> tuple[float, float, float]:
     """Re-seed the ellipse Newton solve from a tight bisection bracket.
 
-    Runs when the scan-seeded Newton solve fails: the overlap-bisection oracle
+    Runs when the cold kernel solve fails: the overlap-bisection oracle
     pins d to 1e-10, the near-touching boundary points seed (s1, s2), and
     Newton is retried from there. Raises ConvergenceError with the best
     estimate if even the re-seeded solve fails.
@@ -235,7 +235,7 @@ def _ellipse_oracle_fallback(
         raise ConvergenceError(
             f"ellipse tangency solve failed at theta={theta_rel}, psi={psi_rel}; "
             f"best bracket d={d_oracle} (bisection, tol 1e-10), "
-            f"scan-seeded residual={best_resid}"
+            f"cold-solve residual={best_resid}"
         )
     return d, s1, s2
 

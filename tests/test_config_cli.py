@@ -291,6 +291,20 @@ def test_nonfinite_input_exits_two(tmp_path, capsys, over, field):
     assert f"{field} " in err
 
 
+@pytest.mark.parametrize("options,field", [
+    ({"t_tol": float("nan")}, "t_tol"),
+    ({"grazing_rtol": float("inf")}, "grazing_rtol"),
+    ({"sample_dt": 0}, "sample_dt"),
+    ({"max_events": -1}, "max_events"),
+])
+def test_out_of_domain_option_exits_two(tmp_path, capsys, options, field):
+    cfg = _write(tmp_path, "sim.json", _sim_cfg(options=options))
+    assert cli.run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"option {field} " in err
+
+
 def test_overlapping_start_exits_three(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", _sim_cfg(
         Z0=[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0, 0]))

@@ -159,7 +159,7 @@ def test_jacobian_derivatives_match_finite_differences(ratio):
 @pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0])
 def test_warm_start_lands_on_the_external_tangency(ratio):
     # Newton from a solve at a nearby pose can converge to a root with
-    # parallel normals; such a root is rejected and the cold scan runs
+    # parallel normals; such a root is rejected and the cold solve runs
     from hardpair import _kernel
 
     a, b = ratio, 1.0
@@ -172,6 +172,73 @@ def test_warm_start_lands_on_the_external_tangency(ratio):
             warm = _kernel.ellipse_contact(a, b, th2, ps2, s1, s2, d, True)
             cold = _kernel.ellipse_contact(a, b, th2, ps2)
             assert warm[4] and abs(warm[0] - cold[0]) <= 1e-9
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0001, 2.0, 20.0, 300.0])
+def test_aligned_pair_matches_closed_form(ratio):
+    # at theta = 0 or pi the Minkowski sum is the ellipse scaled by 2, so D
+    # is twice its radial function along e(psi)
+    from hardpair import _kernel
+
+    a, b = ratio, 1.0
+    for theta in (0.0, math.pi):
+        for psi in np.linspace(0.0, 2.0 * math.pi, 73):
+            d, _, _, _, ok = _kernel.ellipse_contact(a, b, theta, psi)
+            exact = 2.0 * a * b / math.hypot(b * math.cos(psi), a * math.sin(psi))
+            assert ok and abs(d - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("theta,psi,d_expected", [
+    (5.663858509048599, 1.3643827404917468, 3.6050018549019613),
+    (5.576365317527889, 4.40058648375183, 3.9382835241640866),
+])
+def test_cold_solve_converges_where_a_bracket_end_is_hit(theta, psi, d_expected):
+    # the normal-angle Newton iterate ends on a bracket end as it converges;
+    # a bracket test made before the convergence test bisects away from it,
+    # and solvers ordered that way failed at these (5,1) poses
+    from hardpair import _kernel
+
+    d, _, _, _, ok = _kernel.ellipse_contact(5.0, 1.0, theta, psi)
+    assert ok and abs(d - d_expected) <= 1e-14 * d
+
+
+def _dense_support_distance(a, b, theta, psi, n=257, zooms=4):
+    """min over alpha of H(alpha) / cos(alpha - psi), H(alpha) = h(alpha) + h(alpha - theta).
+
+    A grid over the open half-circle facing e(psi), zoomed in around its
+    minimum; the function has one minimum there.
+    """
+    def f(al):
+        h1 = np.hypot(a * np.cos(al), b * np.sin(al))
+        h2 = np.hypot(a * np.cos(al - theta[:, None]), b * np.sin(al - theta[:, None]))
+        return (h1 + h2) / np.cos(al - psi[:, None])
+
+    rows = np.arange(len(psi))
+    lo, hi = psi - 0.5 * math.pi, psi + 0.5 * math.pi
+    u = (np.arange(n) + 0.5) / n
+    for _ in range(zooms + 1):
+        step = (hi - lo) / n
+        al = lo[:, None] + (hi - lo)[:, None] * u
+        values = f(al)
+        k = np.argmin(values, axis=1)
+        lo, hi = al[rows, k] - step, al[rows, k] + step
+    return values[rows, k]
+
+
+@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0, 50.0])
+def test_cold_solve_matches_dense_support_minimum(ratio, monkeypatch):
+    from hardpair import geometry
+
+    def no_fallback(*args):
+        raise AssertionError("the oracle fallback ran")
+
+    monkeypatch.setattr(geometry, "_ellipse_oracle_fallback", no_fallback)
+    body = make_ellipse(ratio, 1.0)
+    rng = np.random.default_rng(16)
+    theta, psi = rng.uniform(0.0, 2.0 * math.pi, (2, 2000))
+    dense = _dense_support_distance(ratio, 1.0, theta, psi)
+    d = np.array([closest_approach(body, t, p).d for t, p in zip(theta, psi)])
+    assert np.max(np.abs(d - dense)) <= 1e-9
 
 
 def test_disk_derivatives_are_exact_zeros():
