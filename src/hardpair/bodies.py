@@ -165,9 +165,11 @@ def make_implicit(
     Mass properties are computed from the boundary by Green's theorem with a
     trapezoidal rule on a uniform parameter grid (spectrally accurate for
     smooth periodic boundaries). The support-curvature bound K is the largest
-    |rho - h| over the same grid. The body is then validated by sampling; the
-    centroid must sit at the origin to 1e-8 because the collision bookkeeping
-    assumes center-of-mass body frames.
+    |rho - h| over the same grid plus the most a maximum between grid points
+    can exceed it, bounded through the second derivative of the samples'
+    Fourier series, so K is an upper bound. The body is then validated by
+    sampling; the centroid must sit at the origin to 1e-8 because the
+    collision bookkeeping assumes center-of-mass body frames.
 
     Args:
         level: b*(x, y), negative inside, zero on the boundary, positive
@@ -209,6 +211,12 @@ def make_implicit(
     rho = speed**3 / (dx * ddy - dy * ddx)
     h = (x * dy - y * dx) / speed
 
+    # the largest sample of |rho - h| falls short of the maximum by at most
+    # (1/2) (ds/2)^2 max |(rho - h)''|, and sum k^2 |f_k| over the DFT
+    # coefficients f_k of the samples bounds that second derivative
+    f = rho - h
+    freq = np.fft.fftfreq(n_quad, d=1.0 / n_quad)
+    f2_bound = float(np.sum(freq * freq * np.abs(np.fft.fft(f)))) / n_quad
     radii = np.hypot(x, y)
     body = Body(
         kind="implicit",
@@ -216,7 +224,7 @@ def make_implicit(
         J=J,
         a=float(np.max(radii)),
         b=float(np.min(radii)),
-        K=float(np.max(np.abs(rho - h))),
+        K=float(np.max(np.abs(f))) + 0.5 * (0.5 * TWO_PI / n_quad) ** 2 * f2_bound,
         boundary=boundary,
         level=level,
     )

@@ -37,10 +37,9 @@ from hardpair.geometry import (  # noqa: F401
     ContactData,
     closest_approach,
     d_beta,
-    to_lab,
     wrap_angle,
 )
-from hardpair.frames import build_frame, nu_hat, separation_rate_vector
+from hardpair.frames import build_frame, nu_hat
 from hardpair.scattering import (
     GRAZING_RTOL,
     GrazingCollisionWarning,
@@ -212,23 +211,23 @@ def _gap_at(
     seed: ContactData | None = None,
     solved: ContactData | None = None,
 ):
-    """Gap plus the canonical contact solve behind it.
+    """Gap plus the lab-frame contact solve behind it.
 
     seed, a solve at a nearby pose, warm-starts the solve.  solved is the
-    canonical solve at X itself, when the caller already holds it; then no
-    solve is made.
+    solve at X itself, when the caller already holds it; then no solve is
+    made.
     """
-    rel = X[2:4] - X[0:2]
-    dist = float(np.linalg.norm(rel))
+    x, y, xb, yb, theta, thetabar = X.tolist()
+    dist = math.hypot(xb - x, yb - y)
     if dist == 0.0:
         raise ValueError("coincident centers: gap undefined")
     if solved is not None:
         return dist - solved.d, solved
-    psi = math.atan2(rel[1], rel[0])
     contact = closest_approach(
         body,
-        wrap_angle(X[5] - X[4]),
-        wrap_angle(psi - X[4]),
+        wrap_angle(thetabar - theta),
+        wrap_angle(math.atan2(yb - y, xb - x) - theta),
+        theta=theta,
         _seed=None if seed is None else (seed.s1, seed.s2, seed.d),
     )
     return dist - contact.d, contact
@@ -243,18 +242,20 @@ def gap(body: Body, X) -> float:
     return g
 
 
-def _slab(theta: float, V: np.ndarray, g: float, contact: ContactData):
+def _slab(V: np.ndarray, g: float, contact: ContactData):
     """Width of a slab separating the bodies, and its rate under V.
 
-    g and contact are the gap and the canonical solve at a pose X whose
-    first body has orientation theta.  The solve puts body 2 tangent to
-    body 1 at separation d; at X it sits g further out along e, so the line
-    through the contact point with normal n separates the bodies by
-    w = g (e . n).  Holding n fixed, w changes at
-    V . (-n, n, -p_perp.n, q_perp.n) in the lab frame.
+    g and contact are the gap and the lab-frame solve at a pose X.  The
+    solve puts body 2 tangent to body 1 at separation d; at X it sits g
+    further out along e, so the line through the contact point with normal
+    n separates the bodies by w = g (e . n), e = (p - q) / d.  Holding n
+    fixed, w changes at V . (-n, n, -p_perp.n, q_perp.n).
     """
-    e_n = float((contact.p - contact.q) @ contact.n) / contact.d
-    rate = float(V @ separation_rate_vector(to_lab(contact, theta)))
+    (px, py), (qx, qy), (nx, ny) = contact.p.tolist(), contact.q.tolist(), contact.n.tolist()
+    vx, vy, vbx, vby, om, omb = V.tolist()
+    e_n = ((px - qx) * nx + (py - qy) * ny) / contact.d
+    rate = ((vbx - vx) * nx + (vby - vy) * ny
+            - om * (px * ny - py * nx) + omb * (qx * ny - qy * nx))
     return g * e_n, rate
 
 
@@ -275,7 +276,7 @@ def _next_collision(body: Body, Z: State, t_max: float,
     """Root time of the gap along free flight, the minimum gap over the
     poses visited, and the contact solve at the root (None without a root).
 
-    contact is the canonical contact solve at Z.X, when the caller holds it.
+    contact is the contact solve at Z.X, when the caller holds it.
     With n held fixed, the slab width along the flight is
     w(t) = (xbar - x) . n - h(n; theta) - h(-n; thetabar), h the support
     function of the turned body, so |w''| <= K (omega^2 + omegabar^2) = M
@@ -294,7 +295,7 @@ def _next_collision(body: Body, Z: State, t_max: float,
     thin = _CONTACT_WIDTH * body.diameter
     t, min_seen = 0.0, g
     while True:
-        w, rate = _slab(Z.X[4] + t * V[4], V, g, contact)
+        w, rate = _slab(V, g, contact)
         tau = _certified_step(max(w, 0.0), rate, M)
         # a step too short to move t means t is the root to time resolution
         if (w <= thin and rate < 0.0) or t + tau == t:
@@ -313,21 +314,11 @@ def next_collision_time(body: Body, Z: State, t_max: float):
     return t
 
 
-def _frame_at(body: Body, beta: Beta, contact: ContactData):
-    """Frame at beta from the canonical contact solve at the same pose."""
-    return build_frame(body, beta, to_lab(contact, beta.theta))
-
-
-def _normal_at(body: Body, beta: Beta, contact: ContactData) -> np.ndarray:
-    """The frame's collision normal nu at beta, without the rest of the frame."""
-    return nu_hat(to_lab(contact, beta.theta), body.m, body.J)
-
-
 def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: SimOptions,
                         contact: ContactData | None = None):
     """Scatter the velocity at a contact state; returns (new state, event).
 
-    contact is the canonical contact solve at Z.X, when the caller holds it.
+    contact is the contact solve at Z.X, when the caller holds it.
     Anchoring moves the second center along the center line, which leaves
     the relative angles and so the contact solve unchanged.
     """
@@ -345,7 +336,7 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: Si
         anchor_shift = abs(g)
         Z = State(X=X, V=Z.V, t=Z.t)
     beta = Z.beta()
-    sm = scattering_matrix(family, _frame_at(body, beta, contact))
+    sm = scattering_matrix(family, build_frame(body, beta, contact))
     proj_pre = sm.normal_projection(Z.V)
     grazing = abs(proj_pre) <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
     with warnings.catch_warnings():
@@ -419,7 +410,7 @@ def simulate(
         if (
             last_event_t is not None
             and Z.t - last_event_t < t_tol
-            and abs(normal_projection(Z.V, _normal_at(body, Z.beta(), contact),
+            and abs(normal_projection(Z.V, nu_hat(contact, body.m, body.J),
                                       body.m, body.J))
             <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
         ):

@@ -141,32 +141,22 @@ def rotate_blocks(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def separation_rate_vector(contact: ContactData) -> np.ndarray:
-    """The 6-vector (-n, n, -p_perp.n, q_perp.n) of lab-frame contact data.
-
-    V . this vector is the rate at which the gap's separating line opens:
-    with n held fixed, the width of the slab between the two bodies changes
-    at this rate under velocity V (translations move the supports along n,
-    spins move them by -p_perp.n and q_perp.n).
-    """
-    pn = contact.p_perp_n()
-    qn = contact.q_perp_n()
-    n = contact.n
-    return np.array([-n[0], -n[1], n[0], n[1], -pn, qn])
-
-
 def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
     """Unit collision-normal direction in mass-weighted velocity space.
 
-    Built as M^-1 separation_rate_vector(contact) normalized by
-    sqrt(2/m + (p_perp.n)^2/J + (q_perp.n)^2/J).  The rate of change of the
-    gap under velocity V is proportional to V.(M nu), so V.(M nu) < 0
-    characterizes approaching (pre-collisional) states.
+    Built from lab-frame contact data as M^-1 (-n, n, -p_perp.n, q_perp.n)
+    normalized by sqrt(2/m + (p_perp.n)^2/J + (q_perp.n)^2/J).  With n held
+    fixed, V . (-n, n, -p_perp.n, q_perp.n) is the rate at which the slab
+    between the bodies opens, so the rate of change of the gap under
+    velocity V is proportional to V.(M nu) and V.(M nu) < 0 characterizes
+    approaching (pre-collisional) states.
     """
-    w = separation_rate_vector(contact)
-    lam = 2.0 / m + (w[4] * w[4] + w[5] * w[5]) / J
-    mim = MassInertiaMatrix.from_mass(m, J)
-    return mim.apply_inverse(w) / math.sqrt(lam)
+    nx, ny = contact.n.tolist()
+    pn, qn = contact.p_perp_n(), contact.q_perp_n()
+    lam = 2.0 / m + (pn * pn + qn * qn) / J
+    tm = 1.0 / math.sqrt(m * lam)
+    tj = 1.0 / math.sqrt(J * lam)
+    return np.array((-nx * tm, -ny * tm, nx * tm, ny * tm, -pn * tj, qn * tj))
 
 
 def angular_momentum_vector(psi: float, d: float, m: float, J: float) -> np.ndarray:

@@ -10,7 +10,10 @@ Contact payload at tangency: the collision vector p (contact point from the
 first body's center), the conjugate collision vector q = p - d e(psi) (same
 point from the second body's center), the unit contact normal n (outward from
 the first body), and the partial derivatives of D, which tie the contact
-scalars to the gap-function gradient:
+scalars to the gap-function gradient. The record is built once per solve,
+already in the lab frame: closest_approach solves in the canonical pose and
+writes p, q and n turned by the first body's orientation, in scalar
+arithmetic. With lab-frame vectors and angles the identities read
 
     n  is parallel to  e(psi) - ((dD/dpsi)/d) e(psi)-perp
     p-perp . n = -(dD/dtheta + dD/dpsi) cos(phi)
@@ -71,7 +74,8 @@ class Beta:
     """Collision configuration angles (theta, thetabar, psi), each in [0, 2pi).
 
     theta and thetabar are the body orientations; psi is the direction angle
-    of the center line from body 1 to body 2.
+    of the center line from body 1 to body 2.  A non-finite angle raises
+    ValueError naming it.
     """
 
     theta: float
@@ -79,9 +83,11 @@ class Beta:
     psi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-        object.__setattr__(self, "thetabar", wrap_angle(self.thetabar))
-        object.__setattr__(self, "psi", wrap_angle(self.psi))
+        angles = (("theta", self.theta), ("thetabar", self.thetabar), ("psi", self.psi))
+        for name, value in angles:
+            if not math.isfinite(value):
+                raise ValueError(f"angle {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, wrap_angle(value))
 
     def reduced(self) -> tuple[float, float]:
         """Relative angles (thetabar - theta, psi - theta) mod 2pi."""
@@ -97,10 +103,11 @@ class ContactData:
     """Geometric payload of a tangent configuration.
 
     d is the center separation, p/q the contact point from each body's
-    center, n the unit contact normal outward from body 1, s1/s2 the boundary
-    parameters of the contact point on each body. dD_dtheta and dD_dpsi are
-    the partial derivatives of D at the reduced angles; they are None unless
-    the contact was requested with derivatives.
+    center, n the unit contact normal outward from body 1 (p, q and n in the
+    frame closest_approach was asked for), s1/s2 the boundary parameters of
+    the contact point on each body. dD_dtheta and dD_dpsi are the partial
+    derivatives of D at the reduced angles; they are None unless the contact
+    was requested with derivatives.
     """
 
     d: float
@@ -113,10 +120,12 @@ class ContactData:
     dD_dpsi: Optional[float] = None
 
     def p_perp_n(self) -> float:
-        return float(perp(self.p) @ self.n)
+        (px, py), (nx, ny) = self.p.tolist(), self.n.tolist()
+        return px * ny - py * nx
 
     def q_perp_n(self) -> float:
-        return float(perp(self.q) @ self.n)
+        (qx, qy), (nx, ny) = self.q.tolist(), self.n.tolist()
+        return qx * ny - qy * nx
 
 
 def _support_param(body: Body, u: np.ndarray, grid: np.ndarray, pts: np.ndarray) -> float:
@@ -245,15 +254,21 @@ def closest_approach(
     theta_rel: float,
     psi_rel: float,
     *,
+    theta: float = 0.0,
     derivatives: bool = False,
     _seed: Optional[tuple[float, float, float]] = None,
 ) -> ContactData:
-    """Distance of closest approach and contact data in the canonical pose.
+    """Distance of closest approach and contact data, turned into the lab frame.
+
+    The tangency problem is solved in the canonical pose; p, q and n are
+    then written turned by theta, the first body's orientation.  theta = 0
+    gives the canonical record.
 
     Args:
         body: reference particle (shared by both congruent bodies).
         theta_rel: orientation of the second body relative to the first.
         psi_rel: center-line direction relative to the first body's frame.
+        theta: orientation of the first body; turns p, q and n.
         derivatives: also compute dD/dtheta and dD/dpsi. Ellipses take them
             from the Jacobian of the converged tangency system, with no
             further solve; disks get exact zeros; implicit bodies use
@@ -263,51 +278,52 @@ def closest_approach(
         ConvergenceError: the tangency solve did not converge; the message
             reports the best estimate found.
     """
+    dd = (0.0, 0.0) if derivatives else (None, None)
     if body.kind == "disk":
         # disks touch at the center-line midpoint for every pose
-        r = body.a
-        d = 2.0 * r
-        n = e_of(psi_rel)
-        p = r * n
-        q = p - d * n
-        zero = 0.0 if derivatives else None
-        return ContactData(
-            d=d,
-            p=p,
-            q=q,
-            n=n,
-            s1=wrap_angle(psi_rel),
-            s2=wrap_angle(psi_rel - theta_rel + math.pi),
-            dD_dtheta=zero,
-            dD_dpsi=zero,
-        )
-
-    dd: Optional[tuple[float, float]] = None
-    if body.kind == "ellipse":
+        d = 2.0 * body.a
+        s1 = wrap_angle(psi_rel)
+        s2 = wrap_angle(psi_rel - theta_rel + math.pi)
+        nx, ny = math.cos(psi_rel), math.sin(psi_rel)
+        px, py = body.a * nx, body.a * ny
+    elif body.kind == "ellipse":
+        a, b = body.a, body.b
         seed = _seed if _seed is not None else (0.0, 0.0, 0.0)
         d, s1, s2, resid, ok = _kernel.ellipse_contact(
-            body.a, body.b, theta_rel, psi_rel, seed[0], seed[1], seed[2], _seed is not None
+            a, b, theta_rel, psi_rel, seed[0], seed[1], seed[2], _seed is not None
         )
         if not ok:
             d, s1, s2 = _ellipse_oracle_fallback(body, theta_rel, psi_rel, d, resid)
         if derivatives:
-            dd = _kernel.ellipse_contact_derivatives(
-                body.a, body.b, theta_rel, psi_rel, s1, s2, d
-            )
+            dd = _kernel.ellipse_contact_derivatives(a, b, theta_rel, psi_rel, s1, s2, d)
             if dd is None:
                 raise ConvergenceError(
                     f"singular tangency Jacobian at theta={theta_rel}, psi={psi_rel}"
                 )
+        c1, sn1 = math.cos(s1), math.sin(s1)
+        px, py = a * c1, b * sn1
+        nx, ny = b * c1, a * sn1
+        k = math.hypot(nx, ny)
+        nx, ny = nx / k, ny / k
     else:
         d, s1, s2 = _generic_contact(body, theta_rel, psi_rel)
         if derivatives:
             dd = d_derivatives(body, theta_rel, psi_rel, _seed=(s1, s2, d))
+        px, py = boundary_point(body, s1).tolist()
+        nx, ny = outward_normal(body, s1).tolist()
 
-    p = boundary_point(body, s1)
-    n = outward_normal(body, s1)
-    q = p - d * e_of(psi_rel)
-    dd1, dd2 = dd if dd is not None else (None, None)
-    return ContactData(d=d, p=p, q=q, n=n, s1=s1, s2=s2, dD_dtheta=dd1, dD_dpsi=dd2)
+    qx, qy = px - d * math.cos(psi_rel), py - d * math.sin(psi_rel)
+    c, s = math.cos(theta), math.sin(theta)
+    return ContactData(
+        d=d,
+        p=np.array((c * px - s * py, s * px + c * py)),
+        q=np.array((c * qx - s * qy, s * qx + c * qy)),
+        n=np.array((c * nx - s * ny, s * nx + c * ny)),
+        s1=s1,
+        s2=s2,
+        dD_dtheta=dd[0],
+        dD_dpsi=dd[1],
+    )
 
 
 def _boundary_samples(body: Body, t: np.ndarray) -> np.ndarray:
@@ -387,33 +403,15 @@ def closest_approach_oracle(
     return 0.5 * (lo + hi)
 
 
-def to_lab(c: ContactData, theta: float) -> ContactData:
-    """Canonical contact data rotated by the first body's orientation theta.
-
-    d, s1, s2 and the D-derivatives are rotation invariants; p, q, n turn.
-    """
-    Rm = rotation(theta)
-    return ContactData(
-        d=c.d,
-        p=Rm @ c.p,
-        q=Rm @ c.q,
-        n=Rm @ c.n,
-        s1=c.s1,
-        s2=c.s2,
-        dD_dtheta=c.dD_dtheta,
-        dD_dpsi=c.dD_dpsi,
-    )
-
-
 def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
-    """Contact data for the full configuration, rotated into the lab frame.
+    """Contact data for the full configuration, in the lab frame.
 
-    Computes the canonical solve at the reduced angles (thetabar - theta,
-    psi - theta) and rotates p, q, n by the first body's orientation. The
-    returned d and D-derivatives are rotation invariants.
+    The solve runs at the reduced angles (thetabar - theta, psi - theta);
+    p, q and n come back turned by the first body's orientation. d and the
+    D-derivatives are rotation invariants.
     """
     th_rel, ps_rel = beta.reduced()
-    return to_lab(closest_approach(body, th_rel, ps_rel, derivatives=derivatives), beta.theta)
+    return closest_approach(body, th_rel, ps_rel, theta=beta.theta, derivatives=derivatives)
 
 
 def d_derivatives(

@@ -206,9 +206,12 @@ def apply_scattering(sm: ScatterMatrix, V: np.ndarray) -> np.ndarray:
     Rejects separating inputs: V.(M nu) must be negative, up to the grazing
     tolerance GRAZING_RTOL * |V|.  Grazing inputs (|V.(M nu)| within
     tolerance) are mapped anyway, with a GrazingCollisionWarning; the map
-    fixes the grazing hyperplane so this is harmless.
+    fixes the grazing hyperplane so this is harmless.  A non-finite V raises
+    ValueError.
     """
     V = np.asarray(V, dtype=float)
+    if not np.isfinite(V).all():
+        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
     proj = sm.normal_projection(V)
     tol = GRAZING_RTOL * float(np.linalg.norm(V))
     if proj > tol:

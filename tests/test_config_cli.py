@@ -291,6 +291,35 @@ def test_nonfinite_input_exits_two(tmp_path, capsys, over, field):
     assert f"{field} " in err
 
 
+def test_nonfinite_geometry_angle_exits_two(tmp_path, capsys):
+    body = _write(tmp_path, "body.json", _body_cfg())
+    rc = cli.run(["geometry", "--body", body,
+                  "--theta", "nan", "--thetabar", "1.2", "--psi", "0.8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "theta " in err
+
+
+@pytest.mark.parametrize("over,field", [
+    ({"beta": [0.3, 1.7, float("nan")]}, "psi"),
+    ({"V": [0.2, -0.1, float("nan"), 0.4, 0.5, -0.3]}, "V"),
+])
+def test_nonfinite_scatter_input_exits_two(tmp_path, capsys, over, field):
+    cfg = {
+        "body": _body_cfg(),
+        "family": {"family": "reflection"},
+        "beta": [0.3, 1.7, 0.9],
+        "V": [0.2, -0.1, -0.6, 0.4, 0.5, -0.3],
+        "n_samples": 50,
+    }
+    cfg.update(over)
+    assert cli.run(["scatter", "--config", _write(tmp_path, "scatter.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"{field} " in err
+
+
 @pytest.mark.parametrize("options,field", [
     ({"t_tol": float("nan")}, "t_tol"),
     ({"grazing_rtol": float("inf")}, "grazing_rtol"),

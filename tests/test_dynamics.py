@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardpair.bodies import make_disk, make_ellipse
+from hardpair.bodies import make_disk, make_ellipse, make_implicit
 from hardpair.frames import LineField
 from hardpair.geometry import closest_approach, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
@@ -206,7 +206,7 @@ def test_dense_resampling_warm_starts(monkeypatch):
 def test_grazing_merge_projection_is_the_frame_normal():
     # the merge test reads V.(M nu) from the frame's normal alone; it must
     # equal the projection of the assembled family matrix
-    from hardpair.dynamics import _frame_at, _normal_at
+    from hardpair.frames import build_frame, nu_hat
     from hardpair.geometry import closest_approach
     from hardpair.scattering import normal_projection, scattering_matrix
 
@@ -214,12 +214,12 @@ def test_grazing_merge_projection_is_the_frame_normal():
     fam = ScatteringFamily.orientation_preserving(LineField.constant(0.5))
     for _ in range(20):
         th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
-        c = closest_approach(ELL, (thb - th) % (2 * math.pi), (psi - th) % (2 * math.pi))
+        c = closest_approach(ELL, (thb - th) % (2 * math.pi), (psi - th) % (2 * math.pi),
+                             theta=th)
         Z = make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb],
                        rng.standard_normal(6))
-        beta = Z.beta()
-        want = scattering_matrix(fam, _frame_at(ELL, beta, c)).normal_projection(Z.V)
-        got = normal_projection(Z.V, _normal_at(ELL, beta, c), ELL.m, ELL.J)
+        want = scattering_matrix(fam, build_frame(ELL, Z.beta(), c)).normal_projection(Z.V)
+        got = normal_projection(Z.V, nu_hat(c, ELL.m, ELL.J), ELL.m, ELL.J)
         assert got == want
 
 
@@ -297,12 +297,30 @@ def test_event_search_solve_budget(monkeypatch):
     assert len(calls) <= 10 * tr.n_events()
 
 
+def test_simulate_on_implicit_body_matches_ellipse():
+    # the shipped simulate datum, on an implicit (2,1) ellipse: the event
+    # loop's implicit-body route must reproduce the closed-form ellipse
+    a, b = 2.0, 1.0
+    implicit = make_implicit(
+        level=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
+        boundary=lambda s: np.array([a * math.cos(s), b * math.sin(s)]),
+    )
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    got = simulate(implicit, Z0, REFL, 3.0)
+    want = simulate(ELL, Z0, REFL, 3.0)
+    assert got.n_events() == want.n_events() >= 1
+    for e, f in zip(got.events, want.events):
+        assert abs(e.t - f.t) <= 1e-8
+        assert np.max(np.abs(e.V_post - f.V_post)) <= 1e-8
+    assert np.max(np.abs(got.final.X - want.final.X)) <= 1e-8
+
+
 def test_slab_bound_holds_along_free_flight():
     # the width of the slab between the bodies, normal n held fixed, in
     # closed form from the ellipse support function; the event search's
     # quadratic must stay below it
     from hardpair.dynamics import _gap_at, _slab
-    from hardpair.geometry import to_lab
 
     a, b = 5.0, 1.0
     body = make_ellipse(a, b)
@@ -322,8 +340,8 @@ def test_slab_bound_holds_along_free_flight():
         X = np.array([0.0, 0.0, x2[0], x2[1], th, thb])
         V = np.concatenate([rng.normal(0.0, 1.0, 4), rng.uniform(-3.0, 3.0, 2)])
         g, contact = _gap_at(body, X)
-        w0, rate = _slab(X[4], V, g, contact)
-        n = to_lab(contact, X[4]).n
+        w0, rate = _slab(V, g, contact)
+        n = contact.n
         assert w0 == pytest.approx(width(X, n), abs=1e-12)
         h = 1e-6
         assert rate == pytest.approx((width(X + h * V, n) - width(X - h * V, n)) / (2 * h), abs=1e-6)

@@ -249,17 +249,42 @@ def test_disk_derivatives_are_exact_zeros():
         assert c.dD_dtheta == 0.0 and c.dD_dpsi == 0.0
 
 
-def test_implicit_ellipse_matches_ellipse_kernel():
-    # the implicit-body solver takes about 0.1 s per pose, so only a few
-    a, b = 2.0, 1.0
-    implicit = make_implicit(
+def _implicit_ellipse(a=2.0, b=1.0):
+    return make_implicit(
         level=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
         boundary=lambda s: np.array([a * math.cos(s), b * math.sin(s)]),
     )
+
+
+def test_implicit_ellipse_matches_ellipse_kernel():
+    # the implicit-body solver takes about 0.1 s per pose, so only a few
+    implicit = _implicit_ellipse()
     rng = np.random.default_rng(14)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (3, 2)):
         d_implicit = closest_approach(implicit, theta, psi).d
         assert abs(d_implicit - closest_approach(ELL, theta, psi).d) < 1e-9
+
+
+@pytest.mark.parametrize("body,n_poses,derivatives", [
+    *((make_ellipse(ratio, 1.0), 300, True) for ratio in (1.25, 2.0, 5.0, 20.0)),
+    (make_disk(0.8), 300, True),
+    # implicit solves are slow, and their finite-difference derivatives more so
+    (_implicit_ellipse(), 3, False),
+], ids=["ratio1.25", "ratio2", "ratio5", "ratio20", "disk", "implicit"])
+def test_lab_record_is_the_canonical_record_turned(body, n_poses, derivatives):
+    # closest_approach writes p, q, n turned by theta in scalar arithmetic;
+    # it must agree with the canonical record turned by a rotation matrix,
+    # and leave the rotation invariants untouched
+    rng = np.random.default_rng(17)
+    for theta_rel, psi_rel, theta in rng.uniform(0.0, 2.0 * math.pi, (n_poses, 3)):
+        canon = closest_approach(body, theta_rel, psi_rel, derivatives=derivatives)
+        lab = closest_approach(body, theta_rel, psi_rel, theta=theta, derivatives=derivatives)
+        c, s = math.cos(theta), math.sin(theta)
+        R = np.array([[c, -s], [s, c]])
+        for got, want in ((lab.p, canon.p), (lab.q, canon.q), (lab.n, canon.n)):
+            assert np.max(np.abs(got - R @ want)) <= 1e-14
+        assert (lab.d, lab.s1, lab.s2, lab.dD_dtheta, lab.dD_dpsi) == (
+            canon.d, canon.s1, canon.s2, canon.dD_dtheta, canon.dD_dpsi)
 
 
 def test_gamma_hat_unit_and_orthogonal_to_translations():
