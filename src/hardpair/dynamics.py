@@ -40,13 +40,12 @@ from hardpair.geometry import (  # noqa: F401
     wrap_angle,
 )
 from hardpair.frames import build_frame, nu_hat
-from hardpair.scattering import (
+# scattering_matrix is not called here; it stays bound for the same reason
+from hardpair.scattering import (  # noqa: F401
     GRAZING_RTOL,
-    GrazingCollisionWarning,
-    NotPreCollisionalError,
     ScatteringFamily,
-    apply_scattering,
     normal_projection,
+    scatter_velocity,
     scattering_matrix,
 )
 
@@ -336,13 +335,8 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: Si
         anchor_shift = abs(g)
         Z = State(X=X, V=Z.V, t=Z.t)
     beta = Z.beta()
-    sm = scattering_matrix(family, build_frame(body, beta, contact))
-    proj_pre = sm.normal_projection(Z.V)
+    V_post, proj_pre, proj_post = scatter_velocity(family, build_frame(body, beta, contact), Z.V)
     grazing = abs(proj_pre) <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GrazingCollisionWarning)
-        V_post = apply_scattering(sm, Z.V)
-    proj_post = sm.normal_projection(V_post)
     before = conserved_quantities(body, Z)
     Z_post = State(X=Z.X, V=V_post, t=Z.t)
     after = conserved_quantities(body, Z_post)

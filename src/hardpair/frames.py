@@ -10,6 +10,15 @@ separating velocities at the contact; it is automatically orthogonal to the
 conservation triple.  The leftover two-plane carries an orthonormal pair
 (F1, F2), and a line field picks one undirected direction from that plane
 per relative configuration.
+
+The pair (F1, F2) is built in the canonical gauge: Ebeta and nu are turned
+back by -theta to the pose with theta = 0, the complement is taken there,
+and the pair is turned to the lab by the block rotation.  Coordinate seeds
+break the rotation symmetry, so a pair seeded in the lab would not be a
+function of the relative configuration; the transported pair is, and a line
+field's angle picks the same physical direction at every global rotation.
+One frame (build_frame) runs on Python floats; a stack of frames
+(build_frames) runs the same construction as array code.
 """
 
 from __future__ import annotations
@@ -91,8 +100,7 @@ class Frames(NamedTuple):
     Ebeta, nu, F1 and F2 have shape (N, 6); theta, thetabar, psi and d have
     shape (N,).  E1 and E2 (shape (6,)) are shared by every pose.  A single
     Frame is the N = 1 case (Frame.stack).  A named tuple rather than a
-    dataclass: it is built once per scattering_matrix call and is cheaper to
-    build and to define.
+    dataclass: it is cheaper to build and to define.
     """
 
     E1: np.ndarray
@@ -222,8 +230,11 @@ def complement_basis(
     projections survive with norm > 1e-6 are kept and orthonormalized.  A
     fixed seed order makes the output a pure function of the inputs.  The
     spanned two-plane (the projector F1 F1^T + F2 F2^T) does not depend on
-    the seed order.
+    the seed order.  One frame runs on Python floats, a stack as array code;
+    the two agree to rounding.
     """
+    if np.ndim(E1) == np.ndim(E2) == np.ndim(Ebeta) == np.ndim(nu) == 1:
+        return _complement_one(E1, E2, Ebeta, nu)
     base = _rows(E1, E2, Ebeta, nu)
     P = _EYE6 - base.transpose(0, 2, 1) @ base
     # row k of U[i] is P[i] applied to seed k (P is symmetric)
@@ -266,6 +277,38 @@ def _surviving_seed(U, P, rows, after, found=None):
     return u / np.sqrt((u * u).sum(-1))[:, None], k
 
 
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
+
+
+def _complement_one(*vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """complement_basis at one frame, on floats: the same seeds, floor and passes."""
+    b0, b1, b2, b3 = (np.asarray(v, dtype=float).tolist() for v in vecs)
+    found = []
+
+    def project(u):
+        # P u with P = I - B^T B, then the directions already found taken out
+        c0, c1, c2, c3 = _dot(b0, u), _dot(b1, u), _dot(b2, u), _dot(b3, u)
+        u = [x - c0 * y0 - c1 * y1 - c2 * y2 - c3 * y3
+             for x, y0, y1, y2, y3 in zip(u, b0, b1, b2, b3)]
+        for f in found:
+            c = _dot(u, f)
+            u = [x - c * y for x, y in zip(u, f)]
+        return u
+
+    for seed in np.asarray(_COMPLEMENT_SEEDS, dtype=float).tolist():
+        u = project(seed)
+        if not math.sqrt(_dot(u, u)) > _SEED_NORM_FLOOR:
+            continue
+        # second projection pass, as in _surviving_seed
+        u = project(u)
+        nrm = math.sqrt(_dot(u, u))
+        found.append([x / nrm for x in u])
+        if len(found) == 2:
+            return np.array(found[0]), np.array(found[1])
+    raise DegenerateFrameError("complement seeds collapsed; frame vectors are not orthonormal")
+
+
 @dataclass(frozen=True)
 class LineField:
     """Undirected direction angle phi(theta_rel, psi_rel) valued in [0, pi).
@@ -296,15 +339,17 @@ class LineField:
         return LineField("fourier", coeffs=rows)
 
     def angle(self, theta_rel, psi_rel):
-        """The angle at one relative configuration, or at arrays of them."""
-        theta_rel, psi_rel = np.asarray(theta_rel), np.asarray(psi_rel)
-        if self.kind == "constant":
-            a = np.full(theta_rel.shape, self.phi)
+        """The angle at one relative configuration (floats), or at arrays of them."""
+        if isinstance(theta_rel, float) and isinstance(psi_rel, float):
+            cos, sin, a = math.cos, math.sin, 0.0
         else:
-            a = np.zeros(theta_rel.shape)
-            for k1, k2, c, s in self.coeffs:
-                arg = k1 * theta_rel + k2 * psi_rel
-                a = a + (c * np.cos(arg) + s * np.sin(arg))
+            theta_rel, psi_rel = np.asarray(theta_rel), np.asarray(psi_rel)
+            cos, sin, a = np.cos, np.sin, np.zeros(theta_rel.shape)
+        if self.kind == "constant":
+            return (a + self.phi) % math.pi
+        for k1, k2, c, s in self.coeffs:
+            arg = k1 * theta_rel + k2 * psi_rel
+            a = a + (c * cos(arg) + s * sin(arg))
         return a % math.pi
 
 
@@ -360,15 +405,22 @@ def build_frames(
 ) -> Frames:
     """Frames at N poses from their angles, separations d and normals nu.
 
-    Ebeta comes in closed form and the complement pair from one stacked
-    complement_basis call.
+    Ebeta comes in closed form and the complement pair, in the canonical
+    gauge, from one stacked complement_basis call.
     """
     eb = _e_beta(psi, d, m, J)
-    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu)
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, rotate_blocks(eb, -theta), rotate_blocks(nu, -theta))
     return Frames(
-        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=F1, F2=F2,
+        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu,
+        F1=rotate_blocks(F1, theta), F2=rotate_blocks(F2, theta),
         theta=theta, thetabar=thetabar, psi=psi, d=d,
     )
+
+
+def _turn(v: np.ndarray, c: float, s: float) -> np.ndarray:
+    """One 6-vector turned by the block rotation of the angle with cosine c, sine s."""
+    x, y, xb, yb, w, wb = v.tolist()
+    return np.array((c * x - s * y, s * x + c * y, c * xb - s * yb, s * xb + c * yb, w, wb))
 
 
 def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frame:
@@ -376,14 +428,15 @@ def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> F
 
     Solves the tangency problem for the contact data at beta (unless
     contact, the lab-frame contact data at beta, is given), then builds nu,
-    Ebeta and the complement pair with the code build_frames runs on N
-    poses.  Mass data comes from the body.
+    Ebeta and the complement pair in the canonical gauge, as build_frames
+    does on N poses, on floats.  Mass data comes from the body.
     """
     contact, nu = contact_normal(body, beta, contact)
     m, J = body.m, body.J
     eb = e_beta(beta, contact.d, m, J)
-    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu)
+    c, s = math.cos(beta.theta), math.sin(beta.theta)
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, _turn(eb, c, -s), _turn(nu, c, -s))
     return Frame(
-        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=F1, F2=F2,
+        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=_turn(F1, c, s), F2=_turn(F2, c, s),
         m=m, J=J, beta=beta, d=contact.d,
     )

@@ -19,26 +19,32 @@ state admits many distinct physical continuations.
 Two independent routes cross-check the matrices: an impulse computation
 along the contact normal reproduces the reflection family, and closed-form
 velocity expressions reproduce the epsi family.
+
+Each map is A = sign (I - 2 U^T U) for a few orthonormal rows U.  At one
+frame the rows are built on Python floats, and scatter_velocity applies the
+map as that low-rank update without forming a matrix; scatter_stack does
+the same over a stack of frames as array code.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from hardpair.bodies import MassInertiaMatrix
-from hardpair.frames import (
-    E1_HAT,
-    E2_HAT,
+# complement_basis is not called here; it stays bound because hpbench's
+# tracer wraps the layer bindings of this module by name
+from hardpair.frames import (  # noqa: F401
     Frame,
     Frames,
     LineField,
+    _dot,
     angular_momentum_vector,
     complement_basis,
     line_field_from_config,
-    rotate_blocks,
 )
 from hardpair.geometry import Beta, ContactData, e_of, perp
 
@@ -46,6 +52,7 @@ from hardpair.geometry import Beta, ContactData, e_of, perp
 GRAZING_RTOL = 1e-9
 
 _VARIANTS = ("reflection", "epsi", "op")
+_NOT_ORTHONORMAL = "frame is not orthonormal; refusing to build a scattering matrix"
 
 
 class NotPreCollisionalError(ValueError):
@@ -140,18 +147,16 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     A = 2 (E1 E1^T + E2 E2^T + Ebeta Ebeta^T) - I).
 
     The 'op' line field is a function of the reduced relative configuration
-    (thetabar - theta, psi - theta) alone, and its angle is interpreted in
-    the canonical gauge: the complement pair is constructed in the
-    rotated-back configuration (theta = 0) and the selected direction is
+    (thetabar - theta, psi - theta) alone, and its angle phi picks
+    cos(phi) F1 + sin(phi) F2.  The frames carry (F1, F2) in the canonical
+    gauge: built in the rotated-back configuration (theta = 0) and
     transported to the lab by the block rotation.  That transport is what
     makes the assembled map rotation covariant, i.e. a genuine function of
-    the relative configuration; the per-frame seed basis (F1, F2) alone
-    would not be, since coordinate seeds break the rotation symmetry.  The
-    rotated-back pair is built once and shared by every op family.
+    the relative configuration; a pair seeded in the lab would not be, since
+    coordinate seeds break the rotation symmetry.
     """
     if frames.orthonormality_residual().max() > 1e-8:
-        raise ValueError("frame is not orthonormal; refusing to build a scattering matrix")
-    reduced = None
+        raise ValueError(_NOT_ORTHONORMAL)
     cores = []
     for fam in families:
         if fam.variant == "reflection":
@@ -159,26 +164,39 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
         elif fam.variant == "epsi":
             cores.append((-1.0, frames.basis()[:, 0:3]))
         else:
-            if reduced is None:
-                back = -frames.theta
-                reduced = complement_basis(
-                    E1_HAT, E2_HAT, rotate_blocks(frames.Ebeta, back),
-                    rotate_blocks(frames.nu, back))
             phi = fam.line_field.angle(*frames.reduced())[:, None]
-            fhat = rotate_blocks(np.cos(phi) * reduced[0] + np.sin(phi) * reduced[1],
-                                 frames.theta)
+            fhat = np.cos(phi) * frames.F1 + np.sin(phi) * frames.F2
             cores.append((1.0, np.stack([frames.nu, fhat], axis=1)))
     return cores
+
+
+def _core(family: ScatteringFamily, frame: Frame) -> tuple[float, list]:
+    """The family's core at one frame, on floats: (sign, rows) as in _cores.
+
+    The frame's six rows are checked for orthonormality first.
+    """
+    B = [v.tolist() for v in (frame.E1, frame.E2, frame.Ebeta, frame.nu, frame.F1, frame.F2)]
+    for i, u in enumerate(B):
+        for j in range(i, 6):
+            if abs(_dot(u, B[j]) - (i == j)) > 1e-8:
+                raise ValueError(_NOT_ORTHONORMAL)
+    if family.variant == "reflection":
+        return 1.0, [B[3]]
+    if family.variant == "epsi":
+        return -1.0, B[0:3]
+    phi = family.line_field.angle(*frame.beta.reduced())
+    c, s = math.cos(phi), math.sin(phi)
+    return 1.0, [B[3], [c * x + s * y for x, y in zip(B[4], B[5])]]
 
 
 def scattering_matrix(family: ScatteringFamily, frame: Frame) -> ScatterMatrix:
     """Assemble the family's matrix s = M^-1 A M at the given frame.
 
-    The N = 1 case of the maps scatter_stack applies; see _cores for A and
-    the gauge of the 'op' line field.
+    A = sign (I - 2 U^T U) from the rows _core builds; see _cores for the
+    gauge of the 'op' line field.
     """
-    ((sign, U),) = _cores([family], frame.stack())
-    U = U[0]
+    sign, rows = _core(family, frame)
+    U = np.array(rows)
     A = sign * (np.eye(6) - 2.0 * (U.T @ U))
     mim = MassInertiaMatrix.from_mass(frame.m, frame.J)
     diag = mim.diag
@@ -200,6 +218,45 @@ def scatter_stack(families: list[ScatteringFamily], frames: Frames, W: np.ndarra
     return out
 
 
+def _grazing_band(V: np.ndarray, proj: float) -> float:
+    """GRAZING_RTOL * |V|, once V is known finite and proj = V.(M nu) not above it."""
+    if not np.isfinite(V).all():
+        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
+    tol = GRAZING_RTOL * float(np.linalg.norm(V))
+    if proj > tol:
+        raise NotPreCollisionalError(
+            f"velocity is separating at the contact: V.(M nu) = {proj:.6g} > {tol:.6g}"
+        )
+    return tol
+
+
+def scatter_velocity(family: ScatteringFamily, frame: Frame, V: np.ndarray):
+    """Map a pre-collisional velocity through the family at one frame.
+
+    Applies the low-rank update W' = sign (W - 2 sum_u (u.W) u) to W = M V,
+    on floats, without forming a matrix.  Returns (V', V.(M nu), V'.(M nu)).
+    Rejects inputs as apply_scattering does: a non-finite V raises
+    ValueError, and a separating V (V.(M nu) above GRAZING_RTOL * |V|)
+    raises NotPreCollisionalError.  A grazing V is mapped without a warning;
+    the caller flags it.
+    """
+    V = np.asarray(V, dtype=float)
+    sign, rows = _core(family, frame)
+    rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
+    v = V.tolist()
+    W = [rm * v[0], rm * v[1], rm * v[2], rm * v[3], rj * v[4], rj * v[5]]
+    nu = frame.nu.tolist()
+    proj = _dot(W, nu)
+    _grazing_band(V, proj)
+    Wp = W
+    for u in rows:
+        c = 2.0 * _dot(u, W)
+        Wp = [x - c * y for x, y in zip(Wp, u)]
+    Wp = [sign * x for x in Wp]
+    Vp = np.array([Wp[0] / rm, Wp[1] / rm, Wp[2] / rm, Wp[3] / rm, Wp[4] / rj, Wp[5] / rj])
+    return Vp, proj, _dot(Wp, nu)
+
+
 def apply_scattering(sm: ScatterMatrix, V: np.ndarray) -> np.ndarray:
     """Map a pre-collisional velocity through the family.
 
@@ -210,14 +267,8 @@ def apply_scattering(sm: ScatterMatrix, V: np.ndarray) -> np.ndarray:
     ValueError.
     """
     V = np.asarray(V, dtype=float)
-    if not np.isfinite(V).all():
-        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
     proj = sm.normal_projection(V)
-    tol = GRAZING_RTOL * float(np.linalg.norm(V))
-    if proj > tol:
-        raise NotPreCollisionalError(
-            f"velocity is separating at the contact: V.(M nu) = {proj:.6g} > {tol:.6g}"
-        )
+    tol = _grazing_band(V, proj)
     if abs(proj) <= tol:
         warnings.warn(
             f"grazing collision: |V.(M nu)| = {abs(proj):.3g} within tolerance",

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from hardpair import cli
+# geometry as bound here at import, the module cli calls into; the
+# kernel-counting test patches its _kernel, which a later fresh import of
+# hardpair (the benchmark's tests make one) leaves alone
+from hardpair import cli, geometry
 
 
 def _write(tmp_path, name, obj):
@@ -47,16 +50,14 @@ def test_geometry_record(tmp_path, capsys):
 def test_geometry_makes_one_contact_solve(tmp_path, capsys, monkeypatch):
     # the record and its identity residuals share one solve; the other eight
     # are the finite-difference stencil the derivatives are checked against
-    from hardpair import _kernel
-
     calls = []
-    solve = _kernel.ellipse_contact
+    solve = geometry._kernel.ellipse_contact
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(_kernel, "ellipse_contact", counted)
+    monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
     body = _write(tmp_path, "body.json", _body_cfg())
     rc = cli.run(["geometry", "--body", body,
                   "--theta", "0.5", "--thetabar", "1.2", "--psi", "0.8"])

@@ -5,6 +5,10 @@ import math
 import numpy as np
 import pytest
 
+# frames as bound here at import, the module complement_basis reads its
+# seeds from; a later fresh import of hardpair (the benchmark's tests make
+# one) leaves it alone
+import hardpair.frames as frames_mod
 from hardpair.bodies import MassInertiaMatrix, make_disk, make_ellipse
 from hardpair.geometry import Beta, d_beta, e_of, perp
 from hardpair.frames import (
@@ -26,6 +30,7 @@ from hardpair.frames import (
 )
 
 ELL = make_ellipse(2.0, 1.0)
+ELL20 = make_ellipse(20.0, 1.0)
 DISK = make_disk(1.0)
 
 
@@ -123,13 +128,14 @@ def test_complement_basis_spans_fixed_plane():
 def test_complement_basis_exhausts_seeds(monkeypatch):
     # the reserve seeds make this unreachable from orthonormal input; force
     # the guard by shrinking the seed list to vectors inside the base span
-    import hardpair.frames as frames_mod
-
     eye = np.eye(6)
     monkeypatch.setattr(frames_mod, "_COMPLEMENT_SEEDS",
                         (tuple(eye[0]), tuple(eye[1])))
     with pytest.raises(DegenerateFrameError):
         complement_basis(eye[0], eye[1], eye[2], eye[3])
+    # the same guard on the stacked path
+    with pytest.raises(DegenerateFrameError):
+        complement_basis(eye[0], eye[1], eye[2][None], eye[3][None])
 
 
 def test_block_rotation_orthogonal_and_angle_additive():
@@ -202,18 +208,20 @@ def _reference_complement(E1, E2, Ebeta, nu):
 
 
 def test_stacked_complement_matches_per_pose():
-    # 300 random ellipse poses plus the head-on disk pose, where both
-    # translational seeds die and the reserves are used
+    # 300 random poses on the (2,1) and 100 on the (20,1) ellipse, plus the
+    # head-on disk pose, where both translational seeds die and the reserves
+    # are used; one frame at a time takes the float path
     rng = np.random.default_rng(26)
-    frames = [build_frame(ELL, Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)))
-              for _ in range(300)]
+    frames = [build_frame(body, Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)))
+              for body in [ELL] * 300 + [ELL20] * 100]
     frames.append(build_frame(DISK, Beta(0.0, 0.0, 0.0)))
     Eb = np.array([fr.Ebeta for fr in frames])
     nu = np.array([fr.nu for fr in frames])
     F1, F2 = complement_basis(E1_HAT, E2_HAT, Eb, nu)
-    assert F1.shape == F2.shape == (301, 6)
+    assert F1.shape == F2.shape == (401, 6)
     for i, fr in enumerate(frames):
         g1, g2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu)
+        assert g1.shape == g2.shape == (6,)
         r1, r2 = _reference_complement(fr.E1, fr.E2, fr.Ebeta, fr.nu)
         for got, want in ((F1[i], g1), (F2[i], g2), (F1[i], r1), (F2[i], r2)):
             assert np.max(np.abs(got - want)) <= 1e-14, i
@@ -224,8 +232,6 @@ def test_stacked_complement_matches_per_pose():
 def test_stacked_complement_exhausted_seeds_raise(monkeypatch):
     # e_x and e_omega cover the random poses but not the head-on disk
     # pose; one degenerate row fails the whole stack
-    import hardpair.frames as frames_mod
-
     rng = np.random.default_rng(27)
     frames = [build_frame(ELL, Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)))
               for _ in range(3)]
@@ -237,6 +243,10 @@ def test_stacked_complement_exhausted_seeds_raise(monkeypatch):
     complement_basis(E1_HAT, E2_HAT, Eb[:3], nu[:3])
     with pytest.raises(DegenerateFrameError):
         complement_basis(E1_HAT, E2_HAT, Eb, nu)
+    # the same seeds one frame at a time, on the float path
+    complement_basis(E1_HAT, E2_HAT, Eb[0], nu[0])
+    with pytest.raises(DegenerateFrameError):
+        complement_basis(E1_HAT, E2_HAT, Eb[3], nu[3])
 
 
 def test_build_frames_matches_build_frame():
@@ -255,6 +265,19 @@ def test_build_frames_matches_build_frame():
             assert np.max(np.abs(getattr(stack, name)[i] - getattr(fr, name))) <= 1e-14
         assert stack.reduced()[0][i] == b.reduced()[0]
         assert stack.reduced()[1][i] == b.reduced()[1]
+
+
+def test_build_frame_pair_turns_with_the_pose():
+    # the complement pair is built in the canonical gauge, so turning the
+    # whole configuration turns the pair by the block rotation
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
+        shift = rng.uniform(0.0, 2.0 * math.pi)
+        fr0, fr1 = build_frame(ELL, beta), build_frame(ELL, beta.shifted(shift))
+        R = block_rotation(shift)
+        for name in ("F1", "F2"):
+            assert np.max(np.abs(getattr(fr1, name) - R @ getattr(fr0, name))) < 1e-12
 
 
 def test_rotate_blocks_matches_block_rotation():

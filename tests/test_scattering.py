@@ -8,7 +8,13 @@ import pytest
 
 from hardpair.bodies import MassInertiaMatrix, make_disk, make_ellipse
 from hardpair.geometry import Beta, d_beta, e_of
-from hardpair.frames import LineField, block_rotation, build_frame, build_frames
+from hardpair.frames import (
+    LineField,
+    block_rotation,
+    build_frame,
+    build_frames,
+    line_field_vector,
+)
 from hardpair.scattering import (
     GrazingCollisionWarning,
     NotPreCollisionalError,
@@ -18,6 +24,7 @@ from hardpair.scattering import (
     family_from_config,
     impulse_scatter,
     scatter_stack,
+    scatter_velocity,
     scattering_matrix,
     verify_scattering,
 )
@@ -291,3 +298,60 @@ def test_scatter_stack_rejects_bad_frame():
     broken = stack._replace(nu=nu)
     with pytest.raises(ValueError, match="not orthonormal"):
         scatter_stack(FAMILIES, broken, rng.standard_normal((5, 6)))
+
+
+FOURIER_OP = ScatteringFamily.orientation_preserving(
+    LineField.fourier([[1, 0, 0.4, 0.1], [0, 1, -0.2, 0.3]]))
+
+
+def test_op_map_flips_the_line_field_vector():
+    # line_field_vector reads the frame's pair, the pair the op map picks
+    # its direction from, so the map negates it at every pose
+    rng = np.random.default_rng(50)
+    fams = [FAMILIES[2], FOURIER_OP]
+    for k in range(300):
+        fr = _random_frame(rng)
+        assert fr.beta.theta != 0.0
+        fam = fams[k % 2]
+        u = line_field_vector(fr, fam.line_field, *fr.beta.reduced())
+        A = scattering_matrix(fam, fr).A
+        assert np.max(np.abs(A @ u + u)) < 1e-12
+
+
+def test_scatter_velocity_matches_matrix():
+    rng = np.random.default_rng(51)
+    for fam in FAMILIES + [FOURIER_OP]:
+        for _ in range(20):
+            fr = _random_frame(rng)
+            V = _incoming(rng, fr)
+            sm = scattering_matrix(fam, fr)
+            Vp, pre, post = scatter_velocity(fam, fr, V)
+            assert Vp.shape == (6,)
+            assert np.max(np.abs(Vp - sm.s @ V)) < 1e-13
+            assert pre == pytest.approx(sm.normal_projection(V), abs=1e-14)
+            assert post == pytest.approx(sm.normal_projection(Vp), abs=1e-14)
+            assert pre < 0.0 < post
+
+
+def test_scatter_velocity_rejects_bad_input():
+    import dataclasses
+
+    rng = np.random.default_rng(52)
+    fr = _random_frame(rng)
+    fam = ScatteringFamily.reflection()
+    V = _incoming(rng, fr)
+    with pytest.raises(NotPreCollisionalError):
+        scatter_velocity(fam, fr, -V)
+    for bad in (np.nan, np.inf):
+        W = V.copy()
+        W[4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            scatter_velocity(fam, fr, W)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        scatter_velocity(fam, dataclasses.replace(fr, F1=fr.F1 * 1.5), V)
+    # a grazing velocity is mapped, and flagged by the caller, not warned
+    w = MIM.apply(V)
+    tangent = MIM.apply_inverse(w - (w @ fr.nu) * fr.nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scatter_velocity(fam, fr, tangent)
