@@ -19,18 +19,22 @@ from hardpair.geometry import (
     Beta,
     closest_approach,
     closest_approach_oracle,
-    d_beta,
     e_of,
     identity_residuals,
-    perp,
 )
-from hardpair.frames import LineField, build_frame, e_beta_gram_schmidt
+from hardpair.frames import (
+    LineField,
+    build_frame,
+    build_frames,
+    contact_normal,
+    e_beta_gram_schmidt,
+)
 from hardpair.scattering import (
     ScatteringFamily,
-    apply_scattering,
+    audit_scattering,
     explicit_epsi_velocities,
     impulse_scatter,
-    scattering_matrix,
+    scatter_stack,
 )
 from hardpair.dynamics import (
     SimOptions,
@@ -73,6 +77,8 @@ NONUNIQ_CONFIG = {
 
 @dataclass
 class CheckResult:
+    """One check's verdict; runtime (wall seconds) stays out of detail."""
+
     name: str
     passed: bool
     detail: str
@@ -115,7 +121,7 @@ def check_frames(n: int = 1000, seed: int = 101) -> CheckResult:
     return CheckResult(
         "frames",
         passed,
-        f"orthonormality {worst_orth:.2e} (<1e-10), dual-route {worst_dual:.2e} (<1e-10), {dt:.1f}s",
+        f"orthonormality {worst_orth:.2e} (<1e-10), dual-route {worst_dual:.2e} (<1e-10)",
         dt,
     )
 
@@ -143,7 +149,7 @@ def check_geometry_oracle(n: int = 200, seed: int = 102) -> CheckResult:
     return CheckResult(
         "geometry-oracle",
         passed,
-        f"ellipse |solver-oracle| {worst:.2e} (<1e-6), disk |d-2r| {worst_disk:.2e} (<1e-10), {dt:.1f}s",
+        f"ellipse |solver-oracle| {worst:.2e} (<1e-6), disk |d-2r| {worst_disk:.2e} (<1e-10)",
         dt,
     )
 
@@ -181,66 +187,61 @@ def check_identities(n: int = 100, seed: int = 103, h: float = 1e-5) -> CheckRes
     )
 
 
+def _pose_draws(body, n: int, seed: int):
+    """n contact poses and one standard-normal velocity at each.
+
+    Per pose the draws are the angles beta, then V, and the contact is
+    solved once.  Returns the frames at the poses, V (shape (n, 6)), and per
+    pose the contact normal n (shape (n, 2)), p_perp.n and q_perp.n.
+    """
+    rng = np.random.default_rng(seed)
+    angles = np.empty((n, 3))
+    d = np.empty(n)
+    normal = np.empty((n, 2))
+    pn = np.empty(n)
+    qn = np.empty(n)
+    nu = np.empty((n, 6))
+    V = np.empty((n, 6))
+    for i in range(n):
+        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
+        contact, nu[i] = contact_normal(body, beta)
+        V[i] = rng.standard_normal(6)
+        angles[i] = beta.theta, beta.thetabar, beta.psi
+        d[i] = contact.d
+        normal[i] = contact.n
+        pn[i], qn[i] = contact.p_perp_n(), contact.q_perp_n()
+    theta, thetabar, psi = angles.T
+    frames = build_frames(theta, thetabar, psi, d, nu, body.m, body.J)
+    return frames, V, normal, pn, qn
+
+
 def check_scattering(n: int = 10000, seed: int = 104) -> CheckResult:
     """Involution, determinant, conservation, half-space flip, dual routes."""
     def body():
-        rng = np.random.default_rng(seed)
         ell = make_ellipse(2.0, 1.0)
         m, J = ell.m, ell.J
-        mim = MassInertiaMatrix.from_mass(m, J)
         fams = [
             ScatteringFamily.reflection(),
             ScatteringFamily.epsi(),
             ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
         ]
-        want_sign = {"reflection": -1.0, "epsi": -1.0, "op": 1.0}
+        want_sign = (-1, -1, 1)
+        frames, V, normal, pn, qn = _pose_draws(ell, n, seed)
+        Vp, reports = audit_scattering(fams, frames, V, m, J)
         worst = {
-            "involution": 0.0, "det": 0.0, "lm": 0.0, "am": 0.0, "ke": 0.0,
-            "impulse": 0.0, "epsi_explicit": 0.0,
+            "involution": max(r["involution"] for r in reports),
+            "det": max(
+                r["abs_det_residual"] if r["det_sign"] == want else math.inf
+                for r, want in zip(reports, want_sign)),
+            "lm": max(max(r["linear_momentum_x"], r["linear_momentum_y"]) for r in reports),
+            "am": max(r["angular_momentum"] for r in reports),
+            "ke": max(r["kinetic_energy"] for r in reports),
+            # the dual routes take the contact data, not the frame
+            "impulse": float(np.max(np.abs(Vp[0] - impulse_scatter(normal, pn, qn, m, J, V)))),
+            "epsi_explicit": float(np.max(np.abs(
+                Vp[1] - explicit_epsi_velocities(frames.psi, frames.d, m, J, V)))),
         }
-        flip_ok = True
-        for _ in range(n):
-            beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-            contact = d_beta(ell, beta)
-            fr = build_frame(ell, beta, contact)
-            gam_dir = np.concatenate([
-                [0.0, 0.0], m * fr.d * perp(e_of(beta.psi)), [J, J]])
-            gam_dir /= np.linalg.norm(gam_dir)
-            V = rng.standard_normal(6)
-            proj = float(mim.apply(V) @ fr.nu)
-            if abs(proj) <= 1e-9 * float(np.linalg.norm(V)):
-                continue
-            if proj > 0.0:
-                V, proj = -V, -proj
-            scale = 1.0 + float(V @ V)
-            for fam in fams:
-                sm = scattering_matrix(fam, fr)
-                Vp = sm.s @ V
-                worst["involution"] = max(
-                    worst["involution"], float(np.max(np.abs(sm.s @ Vp - V))))
-                det = float(np.linalg.det(sm.A))
-                if det * want_sign[fam.variant] < 0.0:
-                    worst["det"] = math.inf
-                worst["det"] = max(worst["det"], abs(abs(det) - 1.0))
-                dV = Vp - V
-                worst["lm"] = max(
-                    worst["lm"],
-                    abs(m * float(dV[0] + dV[2])) / scale,
-                    abs(m * float(dV[1] + dV[3])) / scale,
-                )
-                worst["am"] = max(worst["am"], abs(float(gam_dir @ dV)) / scale)
-                w, wp = mim.apply(V), mim.apply(Vp)
-                worst["ke"] = max(
-                    worst["ke"], abs(float(wp @ wp) - float(w @ w)) / scale)
-                if not float(mim.apply(Vp) @ fr.nu) > 0.0:
-                    flip_ok = False
-                if fam.variant == "reflection":
-                    worst["impulse"] = max(worst["impulse"], float(np.max(np.abs(
-                        Vp - impulse_scatter(contact, m, J, V)))))
-                elif fam.variant == "epsi":
-                    worst["epsi_explicit"] = max(worst["epsi_explicit"], float(np.max(np.abs(
-                        Vp - explicit_epsi_velocities(beta, fr.d, m, J, V)))))
-        return worst, flip_ok
+        return worst, all(r["half_space_flip_ok"] for r in reports)
 
     (worst, flip_ok), dt = _timed(body)
     passed = (
@@ -264,24 +265,15 @@ def check_scattering(n: int = 10000, seed: int = 104) -> CheckResult:
 def check_disk_reduction(n: int = 1000, seed: int = 105) -> CheckResult:
     """Reflection on disks is the specular exchange; spins never change."""
     def body():
-        rng = np.random.default_rng(seed)
         disk = make_disk(1.0)
-        mim = MassInertiaMatrix.from_mass(disk.m, disk.J)
-        fam = ScatteringFamily.reflection()
-        worst = worst_spin = 0.0
-        for _ in range(n):
-            beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-            fr = build_frame(disk, beta)
-            sm = scattering_matrix(fam, fr)
-            V = rng.standard_normal(6)
-            if float(mim.apply(V) @ fr.nu) > 0.0:
-                V = -V
-            Vp = sm.s @ V
-            nvec = e_of(beta.psi)
-            k = float((V[0:2] - V[2:4]) @ nvec)
-            expect = np.concatenate([V[0:2] - k * nvec, V[2:4] + k * nvec, V[4:6]])
-            worst = max(worst, float(np.max(np.abs(Vp - expect))))
-            worst_spin = max(worst_spin, float(np.max(np.abs(Vp[4:6] - V[4:6]))))
+        diag = MassInertiaMatrix.from_mass(disk.m, disk.J).diag
+        frames, V, _, _, _ = _pose_draws(disk, n, seed)
+        Vp = scatter_stack([ScatteringFamily.reflection()], frames, V * diag)[0] / diag
+        nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
+        k = np.sum((V[:, 0:2] - V[:, 2:4]) * nvec, axis=1)[:, None]
+        expect = np.concatenate([V[:, 0:2] - k * nvec, V[:, 2:4] + k * nvec, V[:, 4:6]], axis=1)
+        worst = float(np.max(np.abs(Vp - expect)))
+        worst_spin = float(np.max(np.abs(Vp[:, 4:6] - V[:, 4:6])))
         return worst, worst_spin
 
     (worst, worst_spin), dt = _timed(body)
@@ -398,7 +390,7 @@ def check_nonuniqueness() -> CheckResult:
         else (
             f"min pairwise velocity divergence {rep['min_pairwise_velocity_divergence']:.3e} "
             f"(>1e-6*|V|={1e-6 * rep['velocity_scale']:.1e}), "
-            f"all conserve: {rep['all_conserve']}, {dt:.1f}s"
+            f"all conserve: {rep['all_conserve']}"
         )
     )
     return CheckResult("non-uniqueness", passed, detail, dt)

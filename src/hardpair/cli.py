@@ -21,7 +21,6 @@ import csv
 import hashlib
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -30,11 +29,10 @@ from hardpair.bodies import Body, BodyValidationError, make_disk, make_ellipse
 from hardpair.geometry import Beta, ConvergenceError, d_beta, identity_residuals
 from hardpair.frames import DegenerateFrameError, build_frame
 from hardpair.scattering import (
-    GrazingCollisionWarning,
+    GRAZING_RTOL,
+    audit_scattering,
     family_from_config,
-    apply_scattering,
-    scattering_matrix,
-    verify_scattering,
+    scatter_velocity,
 )
 from hardpair.dynamics import (
     SimOptions,
@@ -192,6 +190,13 @@ def candidates_from_config(cfg: dict, body: Body):
     return out
 
 
+def _n_samples(cfg: dict, default: int) -> int:
+    n = cfg.get("n_samples", default)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"n_samples must be an integer >= 1, got {n!r}")
+    return n
+
+
 def _resolve_seed(cfg: dict, args) -> int:
     seed = cfg.get("seed", 0)
     if getattr(args, "seed", None) is not None:
@@ -259,16 +264,13 @@ def _cmd_scatter(args) -> int:
     else:
         raise ConfigError("missing field: V (six velocity components)")
 
+    n = _n_samples(cfg, 1000)
+
     frame = build_frame(body, beta)
-    sm = scattering_matrix(family, frame)
-    grazing = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", GrazingCollisionWarning)
-        V_prime = apply_scattering(sm, V)
-        grazing = any(issubclass(w.category, GrazingCollisionWarning) for w in caught)
-    report = verify_scattering(
-        sm, body.m, body.J, frame.d, beta.psi,
-        n_samples=int(cfg.get("n_samples", 1000)), seed=seed)
+    V_prime, proj_pre, proj_post = scatter_velocity(family, frame, V)
+    grazing = abs(proj_pre) <= GRAZING_RTOL * float(np.linalg.norm(V))
+    samples = np.random.default_rng(seed).standard_normal((n, 6))
+    _, (report,) = audit_scattering([family], frame.stack(), samples, body.m, body.J)
     if args.quiet:
         return EXIT_OK
     _emit({
@@ -279,8 +281,8 @@ def _cmd_scatter(args) -> int:
         "d": frame.d,
         "V": V,
         "V_prime": V_prime,
-        "proj_pre": sm.normal_projection(V),
-        "proj_post": sm.normal_projection(V_prime),
+        "proj_pre": proj_pre,
+        "proj_post": proj_post,
         "grazing": grazing,
         "verify": report,
     })
@@ -389,7 +391,7 @@ def _cmd_invariants(args) -> int:
     body = body_from_config(cfg.get("body", {}))
     families = families_from_config(cfg, default="six")
     cands = candidates_from_config(cfg, body)
-    n = int(cfg.get("n_samples", 10000))
+    n = _n_samples(cfg, 10000)
     h = config_hash(cfg)
     table = invariant_residual_table(body, families, cands, n, seed)
     labels = [f.label() for f in families]
@@ -417,6 +419,8 @@ def _cmd_verify(args) -> int:
     n_pass = sum(r.passed for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+        # wall time goes to stderr, so stdout is the same on every rerun
+        print(f"{r.name}: {r.runtime:.1f}s", file=sys.stderr)
     print(f"verification: {n_pass}/{len(results)} checks passed")
     return EXIT_OK if n_pass == len(results) else EXIT_VALIDATION
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -422,10 +421,6 @@ def simulate(
         last_event_t = Z.t
         if len(events) > opts.max_events:
             accumulation = True
-            warnings.warn(
-                f"stopping after {len(events)} events: accumulation suspected",
-                stacklevel=2,
-            )
             break
 
     if opts.sample_dt is not None:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hardpair.bodies import Body, MassInertiaMatrix
-from hardpair.geometry import TWO_PI, Beta, ContactData, d_beta, e_of, perp
+from hardpair.geometry import TWO_PI, Beta, ContactData, d_beta
 
 E1_HAT = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
 E2_HAT = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
@@ -167,16 +167,19 @@ def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
     return np.array((-nx * tm, -ny * tm, nx * tm, ny * tm, -pn * tj, qn * tj))
 
 
-def angular_momentum_vector(psi: float, d: float, m: float, J: float) -> np.ndarray:
+def angular_momentum_vector(psi, d, m: float, J: float) -> np.ndarray:
     """Unit gradient of angular momentum about the first body's center.
 
     With the first center at the origin and the second at d*e(psi), the
     angular momentum is m*d*e(psi)_perp . vbar + J*(omega + omegabar); its
     velocity-space gradient is (0, 0, m d e_perp, J, J), returned normalized.
+    psi and d are floats (shape (6,)) or arrays of shape (N,) (shape (N, 6)).
     """
-    ep = d * perp(e_of(psi))
-    g = np.array([0.0, 0.0, m * ep[0], m * ep[1], J, J])
-    return g / math.sqrt(m * m * d * d + 2.0 * J * J)
+    gx = m * (d * -np.sin(psi))
+    gy = m * (d * np.cos(psi))
+    zero = 0.0 * gx
+    g = np.array([zero, zero, gx, gy, J + zero, J + zero]).T
+    return g / np.sqrt(m * m * d * d + 2.0 * J * J)[..., None]
 
 
 def e_beta(beta: Beta, d: float, m: float, J: float) -> np.ndarray:

@@ -23,13 +23,13 @@ velocity expressions reproduce the epsi family.
 Each map is A = sign (I - 2 U^T U) for a few orthonormal rows U.  At one
 frame the rows are built on Python floats, and scatter_velocity applies the
 map as that low-rank update without forming a matrix; scatter_stack does
-the same over a stack of frames as array code.
+the same over a stack of frames as array code, and audit_scattering checks
+every family's map over such a stack.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +38,7 @@ from hardpair.bodies import MassInertiaMatrix
 # complement_basis is not called here; it stays bound because hpbench's
 # tracer wraps the layer bindings of this module by name
 from hardpair.frames import (  # noqa: F401
+    _EYE6,
     Frame,
     Frames,
     LineField,
@@ -46,7 +47,6 @@ from hardpair.frames import (  # noqa: F401
     complement_basis,
     line_field_from_config,
 )
-from hardpair.geometry import Beta, ContactData, e_of, perp
 
 # Relative tolerance on V.(M nu) below which a collision counts as grazing.
 GRAZING_RTOL = 1e-9
@@ -57,10 +57,6 @@ _NOT_ORTHONORMAL = "frame is not orthonormal; refusing to build a scattering mat
 
 class NotPreCollisionalError(ValueError):
     """The velocity is separating at the contact; no collision to resolve."""
-
-
-class GrazingCollisionWarning(UserWarning):
-    """The velocity is tangent to the contact within tolerance; map applied anyway."""
 
 
 @dataclass(frozen=True)
@@ -127,13 +123,12 @@ class ScatterMatrix:
     frame: Frame
     family: ScatteringFamily
 
-    def normal_projection(self, V: np.ndarray) -> float:
-        """V.(M nu); negative for approaching states, positive for separating."""
-        return normal_projection(V, self.frame.nu, self.frame.m, self.frame.J)
-
 
 def normal_projection(V: np.ndarray, nu: np.ndarray, m: float, J: float) -> float:
-    """V.(M nu) for the collision normal nu of a frame with mass data (m, J)."""
+    """V.(M nu) for the collision normal nu of a frame with mass data (m, J).
+
+    Negative for approaching states, positive for separating ones.
+    """
     mim = MassInertiaMatrix.from_mass(m, J)
     return float(mim.apply(np.asarray(V, dtype=float)) @ nu)
 
@@ -192,6 +187,9 @@ def _core(family: ScatteringFamily, frame: Frame) -> tuple[float, list]:
 def scattering_matrix(family: ScatteringFamily, frame: Frame) -> ScatterMatrix:
     """Assemble the family's matrix s = M^-1 A M at the given frame.
 
+    No path of the program forms the matrix; it is the reference the
+    low-rank updates are tested against.
+
     A = sign (I - 2 U^T U) from the rows _core builds; see _cores for the
     gauge of the 'op' line field.
     """
@@ -213,9 +211,18 @@ def scatter_stack(families: list[ScatteringFamily], frames: Frames, W: np.ndarra
     """
     out = np.empty((len(families),) + W.shape)
     for f, (sign, U) in enumerate(_cores(families, frames)):
-        c = U @ W[:, :, None]
-        out[f] = sign * (W - 2.0 * np.sum(c * U, axis=1))
+        out[f] = _reflect(sign, U, W)
     return out
+
+
+def _reflect(sign: float, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Row i of W mapped by A = sign (I - 2 U[i]^T U[i]), as the low-rank update.
+
+    U has shape (N, k, 6) and W shape (N, 6); U may also hold one frame
+    (N = 1) for any number of rows of W.
+    """
+    c = U @ W[:, :, None]
+    return sign * (W - 2.0 * np.sum(c * U, axis=1))
 
 
 def _grazing_band(V: np.ndarray, proj: float) -> float:
@@ -235,10 +242,9 @@ def scatter_velocity(family: ScatteringFamily, frame: Frame, V: np.ndarray):
 
     Applies the low-rank update W' = sign (W - 2 sum_u (u.W) u) to W = M V,
     on floats, without forming a matrix.  Returns (V', V.(M nu), V'.(M nu)).
-    Rejects inputs as apply_scattering does: a non-finite V raises
-    ValueError, and a separating V (V.(M nu) above GRAZING_RTOL * |V|)
-    raises NotPreCollisionalError.  A grazing V is mapped without a warning;
-    the caller flags it.
+    A non-finite V raises ValueError, and a separating V (V.(M nu) above
+    GRAZING_RTOL * |V|) raises NotPreCollisionalError.  A grazing V is
+    mapped without a warning; the caller flags it.
     """
     V = np.asarray(V, dtype=float)
     sign, rows = _core(family, frame)
@@ -257,29 +263,12 @@ def scatter_velocity(family: ScatteringFamily, frame: Frame, V: np.ndarray):
     return Vp, proj, _dot(Wp, nu)
 
 
-def apply_scattering(sm: ScatterMatrix, V: np.ndarray) -> np.ndarray:
-    """Map a pre-collisional velocity through the family.
-
-    Rejects separating inputs: V.(M nu) must be negative, up to the grazing
-    tolerance GRAZING_RTOL * |V|.  Grazing inputs (|V.(M nu)| within
-    tolerance) are mapped anyway, with a GrazingCollisionWarning; the map
-    fixes the grazing hyperplane so this is harmless.  A non-finite V raises
-    ValueError.
-    """
-    V = np.asarray(V, dtype=float)
-    proj = sm.normal_projection(V)
-    tol = _grazing_band(V, proj)
-    if abs(proj) <= tol:
-        warnings.warn(
-            f"grazing collision: |V.(M nu)| = {abs(proj):.3g} within tolerance",
-            GrazingCollisionWarning,
-            stacklevel=2,
-        )
-    return sm.s @ V
-
-
-def impulse_scatter(contact: ContactData, m: float, J: float, V: np.ndarray) -> np.ndarray:
+def impulse_scatter(n, pn, qn, m: float, J: float, V: np.ndarray) -> np.ndarray:
     """Resolve the collision by a normal impulse at the contact point.
+
+    n is the lab-frame contact normal, pn = p_perp.n and qn = q_perp.n.  One
+    pose takes n of shape (2,), floats pn, qn and V of shape (6,); N poses
+    take shapes (N, 2), (N,), (N,) and (N, 6).
 
     The impulse magnitude alpha = 2 (v + w p_perp - vbar - wbar q_perp).n / Lambda,
     Lambda = 2/m + (p_perp.n)^2/J + (q_perp.n)^2/J, is the nonzero root of the
@@ -288,26 +277,25 @@ def impulse_scatter(contact: ContactData, m: float, J: float, V: np.ndarray) -> 
     matrix route to rounding error.
     """
     V = np.asarray(V, dtype=float)
-    v, vbar = V[0:2], V[2:4]
-    om, omb = V[4], V[5]
-    n = contact.n
-    pn = contact.p_perp_n()
-    qn = contact.q_perp_n()
-    rel_n = float((v - vbar) @ n) + om * pn - omb * qn
+    v, vbar = V[..., 0:2], V[..., 2:4]
+    om, omb = V[..., 4], V[..., 5]
+    rel_n = np.sum((v - vbar) * n, axis=-1) + om * pn - omb * qn
     lam = 2.0 / m + (pn * pn + qn * qn) / J
     alpha = 2.0 * rel_n / lam
+    kick = (alpha / m)[..., None] * n
     return np.concatenate([
-        v - (alpha / m) * n,
-        vbar + (alpha / m) * n,
-        [om - (alpha / J) * pn, omb + (alpha / J) * qn],
-    ])
+        v - kick,
+        vbar + kick,
+        (om - (alpha / J) * pn)[..., None],
+        (omb + (alpha / J) * qn)[..., None],
+    ], axis=-1)
 
 
-def explicit_epsi_velocities(
-    beta: Beta, d: float, m: float, J: float, V: np.ndarray
-) -> np.ndarray:
+def explicit_epsi_velocities(psi, d, m: float, J: float, V: np.ndarray) -> np.ndarray:
     """Closed-form post-collision velocities of the epsi family.
 
+    psi is the center-line angle and d the center separation: floats with V
+    of shape (6,) at one pose, or arrays of shape (N,) with V of shape (N, 6).
     With g = m d e(psi)_perp.(vbar - v) + 2J(omega + omegabar) and
     N = 2 m d^2 + 8 J:
 
@@ -317,93 +305,83 @@ def explicit_epsi_velocities(
     Agrees with the epsi matrix route to rounding error.
     """
     V = np.asarray(V, dtype=float)
-    v, vbar = V[0:2], V[2:4]
-    om, omb = V[4], V[5]
-    ep = perp(e_of(beta.psi))
-    g = m * d * float(ep @ (vbar - v)) + 2.0 * J * (om + omb)
+    v, vbar = V[..., 0:2], V[..., 2:4]
+    om, omb = V[..., 4], V[..., 5]
+    ep = np.stack([-np.sin(psi), np.cos(psi)], axis=-1)
+    g = m * d * np.sum(ep * (vbar - v), axis=-1) + 2.0 * J * (om + omb)
     n_den = 2.0 * m * d * d + 8.0 * J
-    kick = (2.0 * g * d / n_den) * ep
-    spin = 4.0 * g / n_den
-    return np.concatenate([vbar - kick, v + kick, [spin - om, spin - omb]])
+    kick = (2.0 * g * d / n_den)[..., None] * ep
+    spin = (4.0 * g / n_den)[..., None]
+    return np.concatenate([vbar - kick, v + kick, spin - V[..., 4:6]], axis=-1)
 
 
-def verify_scattering(
-    sm: ScatterMatrix,
+def audit_scattering(
+    families: list[ScatteringFamily],
+    frames: Frames,
+    V: np.ndarray,
     m: float,
     J: float,
-    d: float,
-    psi: float,
-    n_samples: int,
-    seed: int = 0,
-) -> dict:
-    """Monte-Carlo audit of one scattering matrix.
+) -> tuple[np.ndarray, list[dict]]:
+    """Monte-Carlo audit of every family's map over a stack of frames.
 
-    Samples standard-normal velocities and reports worst-case residuals:
+    V (shape (N, 6)) holds one velocity at each of N frames, or N
+    velocities at a single frame.  Returns the post-collision velocities
+    (shape (len(families), N, 6)) and, per family, the worst case over the
+    samples of:
 
       matrix_involution     max |A A - I|
-      involution            max |s(sV) - V| over samples
+      involution            max |s(sV) - V|, the map applied a second time
       linear_momentum_x/_y  conservation defect, scaled by 1/(1 + |V|^2)
-      angular_momentum      defect of the moment functional about the first
-                            center (built from psi and d), same scaling
+      angular_momentum      defect along the angular-momentum gradient
+                            about the first center, same scaling
       kinetic_energy        | |M sV|^2 - |MV|^2 |, same scaling
-      det, det_sign, abs_det_residual
+      det, abs_det_residual the determinant of A farthest from |det| = 1,
+                            and that distance
+      det_sign              the sign of every det A; 0 if the signs differ
       half_space_flip_ok    every strictly approaching sample maps to a
-                            strictly separating one
+                            strictly separating one (and, by linearity,
+                            every strictly separating one to an approaching one)
       half_space_flip_worst max |proj(sV) + proj(V)| over those samples
-      grazing_count         samples inside the grazing band (excluded from
-                            the flip check)
+      grazing_count         samples with |proj(V)| <= GRAZING_RTOL |V|,
+                            left out of the flip check
+
+    proj(V) = V.(M nu).  The maps are the low-rank updates of scatter_stack;
+    A = sign (I - 2 U^T U) is formed only for the determinant and A A - I.
     """
-    rng = np.random.default_rng(seed)
-    A, s = sm.A, sm.s
-    mim = MassInertiaMatrix.from_mass(m, J)
-    nu = sm.frame.nu
-    gam = angular_momentum_vector(psi, d, m, J)
-    lm_x = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    lm_y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
-
-    det = float(np.linalg.det(A))
-    report = {
-        "matrix_involution": float(np.max(np.abs(A @ A - np.eye(6)))),
-        "det": det,
-        "det_sign": 1 if det > 0 else -1,
-        "abs_det_residual": abs(abs(det) - 1.0),
-        "n_samples": int(n_samples),
-    }
-
-    inv_worst = 0.0
-    lmx_worst = lmy_worst = am_worst = ke_worst = 0.0
-    flip_ok = True
-    flip_worst = 0.0
-    grazing = 0
-    for _ in range(n_samples):
-        V = rng.standard_normal(6)
-        scale = 1.0 + float(V @ V)
-        Vp = s @ V
-        inv_worst = max(inv_worst, float(np.max(np.abs(s @ Vp - V))))
-        lmx_worst = max(lmx_worst, abs(m * float(lm_x @ (Vp - V))) / scale)
-        lmy_worst = max(lmy_worst, abs(m * float(lm_y @ (Vp - V))) / scale)
-        am_worst = max(am_worst, abs(float(gam @ (Vp - V))) / scale)
-        w, wp = mim.apply(V), mim.apply(Vp)
-        ke_worst = max(ke_worst, abs(float(wp @ wp) - float(w @ w)) / scale)
-        proj = float(mim.apply(V) @ nu)
-        band = GRAZING_RTOL * float(np.linalg.norm(V))
-        if abs(proj) <= band:
-            grazing += 1
-            continue
-        # orient so the sample is approaching, then demand strict separation
-        if proj > 0.0:
-            V, Vp, proj = -V, -Vp, -proj
-        proj_post = float(mim.apply(Vp) @ nu)
-        if not proj_post > 0.0:
-            flip_ok = False
-        flip_worst = max(flip_worst, abs(proj_post + proj))
-
-    report["involution"] = inv_worst
-    report["linear_momentum_x"] = lmx_worst
-    report["linear_momentum_y"] = lmy_worst
-    report["angular_momentum"] = am_worst
-    report["kinetic_energy"] = ke_worst
-    report["half_space_flip_ok"] = bool(flip_ok)
-    report["half_space_flip_worst"] = flip_worst
-    report["grazing_count"] = grazing
-    return report
+    V = np.asarray(V, dtype=float)
+    diag = MassInertiaMatrix.from_mass(m, J).diag
+    W = V * diag
+    norm2 = np.sum(V * V, axis=-1)
+    scale = 1.0 + norm2
+    gam = angular_momentum_vector(frames.psi, frames.d, m, J)
+    pre = np.sum(W * frames.nu, axis=-1)
+    grazing = np.abs(pre) <= GRAZING_RTOL * np.sqrt(norm2)
+    flip = ~grazing
+    Vp = np.empty((len(families),) + V.shape)
+    reports = []
+    for f, (sign, U) in enumerate(_cores(families, frames)):
+        Wp = _reflect(sign, U, W)
+        Vp[f] = Wp / diag
+        dV = Vp[f] - V
+        A = sign * (_EYE6 - 2.0 * (U.transpose(0, 2, 1) @ U))
+        det = np.linalg.det(A)
+        worst = int(np.argmax(np.abs(np.abs(det) - 1.0)))
+        signs = np.where(det > 0.0, 1, -1)
+        post = np.sum(Wp * frames.nu, axis=-1)
+        reports.append({
+            "matrix_involution": float(np.max(np.abs(A @ A - _EYE6))),
+            "involution": float(np.max(np.abs(_reflect(sign, U, Wp) / diag - V))),
+            "linear_momentum_x": float(np.max(np.abs(m * (dV[:, 0] + dV[:, 2])) / scale)),
+            "linear_momentum_y": float(np.max(np.abs(m * (dV[:, 1] + dV[:, 3])) / scale)),
+            "angular_momentum": float(np.max(np.abs(np.sum(gam * dV, axis=-1)) / scale)),
+            "kinetic_energy": float(np.max(
+                np.abs(np.sum(Wp * Wp, axis=-1) - np.sum(W * W, axis=-1)) / scale)),
+            "det": float(det[worst]),
+            "det_sign": int(signs[0]) if np.all(signs == signs[0]) else 0,
+            "abs_det_residual": abs(abs(float(det[worst])) - 1.0),
+            "half_space_flip_ok": bool(np.all(np.sign(post[flip]) == -np.sign(pre[flip]))),
+            "half_space_flip_worst": float(np.max(np.abs(post + pre)[flip], initial=0.0)),
+            "grazing_count": int(np.count_nonzero(grazing)),
+            "n_samples": len(V),
+        })
+    return Vp, reports

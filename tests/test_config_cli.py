@@ -1,6 +1,7 @@
 """Command-line surface: configs, records, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,79 @@ def test_scatter_velocity_override(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["V"] == [0.1, 0.0, -0.4, 0.2, 0.0, 0.0]
+
+
+def test_scatter_flags_a_grazing_velocity(tmp_path, capsys):
+    # an exactly tangential V is mapped (exit 0) and flagged in the record
+    from hardpair.bodies import MassInertiaMatrix, make_ellipse
+    from hardpair.frames import build_frame
+    from hardpair.geometry import Beta
+
+    ell = make_ellipse(2.0, 1.0)
+    nu = build_frame(ell, Beta(0.3, 1.7, 0.9)).nu
+    mim = MassInertiaMatrix.from_mass(ell.m, ell.J)
+    w = mim.apply(np.array([0.2, -0.1, -0.6, 0.4, 0.5, -0.3]))
+    V = mim.apply_inverse(w - (w @ nu) * nu)
+    cfg = _write(tmp_path, "scatter.json", {
+        "body": _body_cfg(),
+        "family": {"family": "reflection"},
+        "beta": [0.3, 1.7, 0.9],
+        "n_samples": 20,
+    })
+    rc = cli.run(["scatter", "--config", cfg, "--V", ",".join(repr(x) for x in V.tolist())])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["grazing"] is True
+    assert abs(rec["proj_pre"]) <= 1e-9 * np.linalg.norm(V)
+
+
+@pytest.mark.parametrize("command,n", [
+    ("scatter", 0),
+    ("scatter", -3),
+    ("scatter", 2.5),
+    ("invariants", 0),
+    ("invariants", 2.5),
+])
+def test_bad_n_samples_exits_two(tmp_path, capsys, command, n):
+    cfg = {
+        "body": _body_cfg(),
+        "family": {"family": "reflection"},
+        "families": [{"family": "reflection"}],
+        "beta": [0.3, 1.7, 0.9],
+        "V": [0.2, -0.1, -0.6, 0.4, 0.5, -0.3],
+        "n_samples": n,
+    }
+    argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
+    if command == "invariants":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error" in captured.err and "n_samples" in captured.err
+
+
+def test_simulate_reports_accumulation_without_warning(tmp_path, capsys):
+    # the datum has 2 events before T; max_events 1 stops at the second
+    cfg = _write(tmp_path, "sim.json", _sim_cfg(options={"max_events": 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.jsonl")])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["accumulation_suspected"] is True
+    assert rec["n_events"] == 2 and rec["t_final"] < 6.0
+
+
+def test_verify_stdout_is_the_same_on_rerun(capsys):
+    # wall times go to stderr; stdout holds only seeded results
+    outs = []
+    for _ in range(2):
+        assert cli.run(["verify", "--quick"]) == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        assert "scattering: " in captured.err
+    assert outs[0] == outs[1]
+    assert "verification: 8/8 checks passed" in outs[0]
 
 
 def test_simulate_jsonl_stream(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Event loop: detection, resolution, conservation, reversibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,21 +237,20 @@ def test_resolve_collision_matches_scatter_stack():
 
 
 def test_grazing_merge_projection_is_the_frame_normal():
-    # the merge test reads V.(M nu) from the frame's normal alone; it must
-    # equal the projection of the assembled family matrix
+    # the merge test reads V.(M nu) from the contact's normal alone; it must
+    # equal the projection on the normal of the frame the map is built from
     from hardpair.frames import build_frame, nu_hat
     from hardpair.geometry import closest_approach
-    from hardpair.scattering import normal_projection, scattering_matrix
+    from hardpair.scattering import normal_projection
 
     rng = np.random.default_rng(61)
-    fam = ScatteringFamily.orientation_preserving(LineField.constant(0.5))
     for _ in range(20):
         th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
         c = closest_approach(ELL, (thb - th) % (2 * math.pi), (psi - th) % (2 * math.pi),
                              theta=th)
         Z = make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb],
                        rng.standard_normal(6))
-        want = scattering_matrix(fam, build_frame(ELL, Z.beta(), c)).normal_projection(Z.V)
+        want = normal_projection(Z.V, build_frame(ELL, Z.beta(), c).nu, ELL.m, ELL.J)
         got = normal_projection(Z.V, nu_hat(c, ELL.m, ELL.J), ELL.m, ELL.J)
         assert got == want
 
@@ -263,6 +263,19 @@ def test_brief_tip_overlap_is_a_collision(spin):
     tr = simulate(thin, Z0, REFL, 1.0)
     assert tr.n_events() == 1
     assert tr.min_gap >= -1e-9 * thin.diameter
+
+
+def test_accumulation_is_flagged_not_warned():
+    # more than max_events contacts stop the run early; the flag on the
+    # trajectory is the report, and no warning is raised
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    assert simulate(ELL, Z0, REFL, 6.0).n_events() == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = simulate(ELL, Z0, REFL, 6.0, SimOptions(max_events=1))
+    assert tr.accumulation_suspected
+    assert tr.n_events() == 2 and tr.final.t < 6.0
 
 
 def test_late_graze_is_a_collision():

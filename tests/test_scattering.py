@@ -15,18 +15,18 @@ from hardpair.frames import (
     build_frames,
     line_field_vector,
 )
+from hardpair import scattering
 from hardpair.scattering import (
-    GrazingCollisionWarning,
     NotPreCollisionalError,
     ScatteringFamily,
-    apply_scattering,
+    audit_scattering,
     explicit_epsi_velocities,
     family_from_config,
     impulse_scatter,
+    normal_projection,
     scatter_stack,
     scatter_velocity,
     scattering_matrix,
-    verify_scattering,
 )
 
 ELL = make_ellipse(2.0, 1.0)
@@ -137,7 +137,9 @@ def test_impulse_route_equals_reflection_matrix():
         fr = build_frame(ELL, beta)
         sm = scattering_matrix(ScatteringFamily.reflection(), fr)
         V = _incoming(rng, fr)
-        assert np.max(np.abs(sm.s @ V - impulse_scatter(contact, ELL.m, ELL.J, V))) < 1e-12
+        got = impulse_scatter(
+            contact.n, contact.p_perp_n(), contact.q_perp_n(), ELL.m, ELL.J, V)
+        assert np.max(np.abs(sm.s @ V - got)) < 1e-12
 
 
 def test_explicit_epsi_equals_matrix():
@@ -148,7 +150,7 @@ def test_explicit_epsi_equals_matrix():
         sm = scattering_matrix(ScatteringFamily.epsi(), fr)
         V = _incoming(rng, fr)
         assert np.max(np.abs(
-            sm.s @ V - explicit_epsi_velocities(beta, fr.d, ELL.m, ELL.J, V))) < 1e-12
+            sm.s @ V - explicit_epsi_velocities(beta.psi, fr.d, ELL.m, ELL.J, V))) < 1e-12
 
 
 def test_disk_reflection_is_specular_exchange():
@@ -167,37 +169,6 @@ def test_disk_reflection_is_specular_exchange():
         assert np.allclose(Vp[0:2], V[0:2] - k * n, atol=1e-12)
         assert np.allclose(Vp[2:4], V[2:4] + k * n, atol=1e-12)
         assert np.allclose(Vp[4:6], V[4:6], atol=1e-13)
-
-
-def test_apply_scattering_flips_normal_projection():
-    rng = np.random.default_rng(40)
-    fr = _random_frame(rng)
-    sm = scattering_matrix(ScatteringFamily.epsi(), fr)
-    V = _incoming(rng, fr)
-    Vp = apply_scattering(sm, V)
-    assert sm.normal_projection(Vp) == pytest.approx(-sm.normal_projection(V), abs=1e-10)
-
-
-def test_apply_scattering_rejects_separating_velocity():
-    rng = np.random.default_rng(41)
-    fr = _random_frame(rng)
-    sm = scattering_matrix(ScatteringFamily.reflection(), fr)
-    V = -_incoming(rng, fr)
-    with pytest.raises(NotPreCollisionalError):
-        apply_scattering(sm, V)
-
-
-def test_apply_scattering_warns_on_grazing():
-    rng = np.random.default_rng(42)
-    fr = _random_frame(rng)
-    sm = scattering_matrix(ScatteringFamily.reflection(), fr)
-    V = rng.standard_normal(6)
-    # remove the normal component entirely: exactly tangential motion
-    w = MIM.apply(V)
-    w = w - (w @ fr.nu) * fr.nu
-    V = MIM.apply_inverse(w)
-    with pytest.warns(GrazingCollisionWarning):
-        apply_scattering(sm, V)
 
 
 def test_scattering_matrix_rejects_bad_frame():
@@ -241,28 +212,114 @@ def test_family_from_config():
         family_from_config({"family": "op"})
 
 
-def test_verify_scattering_report():
-    rng = np.random.default_rng(46)
+def _one_frame_samples(rng, n=200):
     fr = _random_frame(rng)
-    sm = scattering_matrix(ScatteringFamily.epsi(), fr)
-    rep = verify_scattering(sm, ELL.m, ELL.J, fr.d, fr.beta.psi, n_samples=200)
-    assert rep["half_space_flip_ok"]
-    assert rep["det_sign"] == -1
-    for key in ("involution", "linear_momentum_x", "linear_momentum_y",
-                "angular_momentum", "kinetic_energy", "abs_det_residual"):
-        assert rep[key] < 1e-10
+    return fr, rng.standard_normal((n, 6))
 
 
-def test_verify_scattering_catches_identity_injection():
+def test_verify_scattering_report():
+    # the audit of every family at one frame, as `hardpair scatter` runs it
+    rng = np.random.default_rng(46)
+    fr, V = _one_frame_samples(rng)
+    Vp, reports = audit_scattering(FAMILIES, fr.stack(), V, ELL.m, ELL.J)
+    assert Vp.shape == (len(FAMILIES), 200, 6)
+    for fam, rep in zip(FAMILIES, reports):
+        assert rep["half_space_flip_ok"]
+        assert rep["det_sign"] == (1 if fam.variant == "op" else -1)
+        assert rep["n_samples"] == 200 and rep["grazing_count"] == 0
+        for key in ("matrix_involution", "involution", "linear_momentum_x",
+                    "linear_momentum_y", "angular_momentum", "kinetic_energy",
+                    "abs_det_residual", "half_space_flip_worst"):
+            assert rep[key] < 1e-10
+
+
+def test_audit_over_a_frame_stack():
+    # one velocity per frame: the same residuals over 300 frames, and the
+    # post-collision velocities of the matrix route
+    rng = np.random.default_rng(53)
+    frames = [_random_frame(rng) for _ in range(300)]
+    V = rng.standard_normal((300, 6))
+    fams = FAMILIES + [FOURIER_OP]
+    Vp, reports = audit_scattering(fams, _stack_of(frames), V, ELL.m, ELL.J)
+    for f, (fam, rep) in enumerate(zip(fams, reports)):
+        assert rep["half_space_flip_ok"] and rep["n_samples"] == 300
+        assert rep["det_sign"] == (1 if fam.variant == "op" else -1)
+        for key in ("matrix_involution", "involution", "angular_momentum",
+                    "kinetic_energy", "abs_det_residual"):
+            assert rep[key] < 1e-10
+        for i, fr in enumerate(frames[:20]):
+            assert np.max(np.abs(Vp[f, i] - scattering_matrix(fam, fr).s @ V[i])) < 1e-13
+
+
+def test_audit_matches_scatter_velocity():
+    rng = np.random.default_rng(54)
+    fr = _random_frame(rng)
+    V = np.array([_incoming(rng, fr) for _ in range(100)])
+    for fam in FAMILIES + [FOURIER_OP]:
+        (Vp,), _ = audit_scattering([fam], fr.stack(), V, ELL.m, ELL.J)
+        for i in range(len(V)):
+            assert np.max(np.abs(Vp[i] - scatter_velocity(fam, fr, V[i])[0])) <= 1e-14
+
+
+def test_audit_counts_grazing_samples():
+    # tangential samples are counted and left out of the flip check
+    rng = np.random.default_rng(55)
+    fr, V = _one_frame_samples(rng, 50)
+    w = MIM.apply(V[:5])
+    V[:5] = MIM.apply_inverse(w - np.outer(w @ fr.nu, fr.nu))
+    _, (rep,) = audit_scattering(FAMILIES[:1], fr.stack(), V, ELL.m, ELL.J)
+    assert rep["grazing_count"] == 5 and rep["half_space_flip_ok"]
+
+
+def _injected(monkeypatch, sign):
+    # every family's core replaced by sign * I (no rows to reflect)
+    def cores(families, frames):
+        return [(sign, np.zeros((len(frames.nu), 0, 6))) for _ in families]
+
+    monkeypatch.setattr(scattering, "_cores", cores)
+
+
+def test_verify_scattering_catches_identity_injection(monkeypatch):
     # negative control: the identity map conserves everything but cannot
     # flip the normal projection, and the audit must say so
     rng = np.random.default_rng(47)
-    fr = _random_frame(rng)
-    sm = scattering_matrix(ScatteringFamily.reflection(), fr)
-    import dataclasses
-    fake = dataclasses.replace(sm, s=np.eye(6), A=np.eye(6))
-    rep = verify_scattering(fake, ELL.m, ELL.J, fr.d, fr.beta.psi, n_samples=200)
+    fr, V = _one_frame_samples(rng)
+    _injected(monkeypatch, 1.0)
+    _, (rep,) = audit_scattering(FAMILIES[:1], fr.stack(), V, ELL.m, ELL.J)
     assert not rep["half_space_flip_ok"]
+    assert rep["kinetic_energy"] == 0.0 and rep["det_sign"] == 1
+
+
+def test_audit_catches_energy_injection(monkeypatch):
+    # negative control: a map that doubles V breaks energy conservation
+    rng = np.random.default_rng(56)
+    fr, V = _one_frame_samples(rng)
+    _injected(monkeypatch, 2.0)
+    _, (rep,) = audit_scattering(FAMILIES[:1], fr.stack(), V, ELL.m, ELL.J)
+    assert rep["kinetic_energy"] > 1e-10
+    assert rep["abs_det_residual"] > 1e-10
+
+
+def test_dual_routes_on_arrays():
+    # the impulse and closed-form epsi routes take N poses at once, and
+    # one pose is the N = 1 case
+    rng = np.random.default_rng(57)
+    betas = [Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(40)]
+    contacts = [d_beta(ELL, b) for b in betas]
+    V = rng.standard_normal((40, 6))
+    n = np.array([c.n for c in contacts])
+    pn = np.array([c.p_perp_n() for c in contacts])
+    qn = np.array([c.q_perp_n() for c in contacts])
+    psi = np.array([b.psi for b in betas])
+    d = np.array([c.d for c in contacts])
+    imp = impulse_scatter(n, pn, qn, ELL.m, ELL.J, V)
+    eps = explicit_epsi_velocities(psi, d, ELL.m, ELL.J, V)
+    assert imp.shape == eps.shape == (40, 6)
+    for i, c in enumerate(contacts):
+        one = impulse_scatter(c.n, c.p_perp_n(), c.q_perp_n(), ELL.m, ELL.J, V[i])
+        assert one.shape == (6,) and np.max(np.abs(one - imp[i])) < 1e-15
+        one = explicit_epsi_velocities(betas[i].psi, c.d, ELL.m, ELL.J, V[i])
+        assert one.shape == (6,) and np.max(np.abs(one - eps[i])) < 1e-15
 
 
 def _stack_of(frames):
@@ -328,8 +385,8 @@ def test_scatter_velocity_matches_matrix():
             Vp, pre, post = scatter_velocity(fam, fr, V)
             assert Vp.shape == (6,)
             assert np.max(np.abs(Vp - sm.s @ V)) < 1e-13
-            assert pre == pytest.approx(sm.normal_projection(V), abs=1e-14)
-            assert post == pytest.approx(sm.normal_projection(Vp), abs=1e-14)
+            assert pre == pytest.approx(normal_projection(V, fr.nu, ELL.m, ELL.J), abs=1e-14)
+            assert post == pytest.approx(normal_projection(Vp, fr.nu, ELL.m, ELL.J), abs=1e-14)
             assert pre < 0.0 < post
 
 
