@@ -3,10 +3,11 @@
 A body is described in its own frame with the centroid at the origin. It
 carries unit-density mass properties (mass m = area, polar second moment
 J = integral of |y|^2 over the region), a boundary parameterization
-s -> c(s) for s in [0, 2pi), and a level function b*(x, y) that is negative
-inside, zero on the boundary, and positive outside. Disks and ellipses get
-closed forms; arbitrary analytic convex bodies can be supplied as callables
-and are validated by sampling.
+s -> c(s) for s in [0, 2pi), a level function b*(x, y) that is negative
+inside, zero on the boundary, and positive outside, and its support function,
+which is all the contact solve uses. Disks and ellipses get closed forms;
+arbitrary analytic convex bodies can be supplied as callables, are validated
+by sampling, and get their support function as a Fourier series.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from hardpair._kernel import ellipse_support
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,11 +39,15 @@ class Body:
             For implicit bodies these hold the sampled circumradius and
             inradius estimates and are used only for scaling heuristics.
         K: bound on |h''| = |rho - h| for the support function h (rho the
-            radius of curvature at the support point), over all directions;
-            the event search bounds how fast a separating slab can close
-            under rotation with it.
+            radius of curvature at the support point), over all directions:
+            exact for disks and ellipses, sum k^2 (|h_k| + rounding) over
+            the Fourier coefficients h_k of h for implicit bodies. The
+            event search bounds how fast a separating slab can close under
+            rotation with it.
         boundary: s -> boundary point, shape (2,), counterclockwise.
         level: (x, y) -> scalar b*; must broadcast over numpy arrays.
+        support: alpha -> (h, h', rho) at the body-frame direction e(alpha),
+            the input of the contact solve.
     """
 
     kind: str
@@ -51,6 +58,7 @@ class Body:
     K: float
     boundary: Callable[[float], np.ndarray]
     level: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    support: Callable[[float], tuple[float, float, float]]
 
     @property
     def radius(self) -> float:
@@ -121,6 +129,7 @@ def make_disk(r: float) -> Body:
         K=0.0,
         boundary=boundary,
         level=level,
+        support=lambda alpha: (r, 0.0, r),
     )
 
 
@@ -129,13 +138,21 @@ def make_ellipse(a: float, b: float) -> Body:
 
     The boundary is parameterized s -> (a cos s, b sin s).  rho - h is
     monotone in the support direction, from b^2/a - a on the major axis to
-    a^2/b - b on the minor axis, so K = a^2/b - b exactly.
+    a^2/b - b on the minor axis, so K = a^2/b - b exactly.  Axes whose J or
+    K overflow, or whose a^2 b^2 (the support function's rho = a^2 b^2 /
+    h^3) underflows to 0, raise BodyValidationError naming the axis.
     """
     if not (b > 0) or not math.isfinite(a) or not math.isfinite(b):
         raise BodyValidationError(f"ellipse axes must be positive, got a={a}, b={b}")
     if a < b:
         raise BodyValidationError(f"ellipse axes must satisfy a >= b, got a={a}, b={b}")
     a, b = float(a), float(b)
+    J = math.pi * a * b * (a * a + b * b) / 4.0
+    K = a * a / b - b
+    if not (math.isfinite(J) and math.isfinite(K)):
+        raise BodyValidationError(f"ellipse axis a={a} is too large: J or K overflows")
+    if a * a * b * b == 0.0:
+        raise BodyValidationError(f"ellipse axis b={b} is too small: a*a*b*b underflows to 0")
 
     def boundary(s: float) -> np.ndarray:
         return np.array([a * math.cos(s), b * math.sin(s)])
@@ -146,13 +163,49 @@ def make_ellipse(a: float, b: float) -> Body:
     return Body(
         kind="ellipse",
         m=math.pi * a * b,
-        J=math.pi * a * b * (a * a + b * b) / 4.0,
+        J=J,
         a=a,
         b=b,
-        K=a * a / b - b,
+        K=K,
         boundary=boundary,
         level=level,
+        support=ellipse_support(a, b),
     )
+
+
+def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
+    """Support function of a body from its boundary samples, as a Fourier series.
+
+    Sample j has outward-normal angle alpha_j, support value h_j and
+    dalpha_j = alpha'(s_j) ds, so h_k = (1/2pi) int h e^{-ik alpha} dalpha
+    is the trapezoid sum (1/2pi) sum_j h_j e^{-ik alpha_j} dalpha_j. The
+    series stops once four modes in a row fall below tol = 1e-15 h_0, where
+    the sums reach rounding. Returns the callable alpha -> (h, h', rho = h +
+    h'') and K = sum over k of k^2 (|h_k| + tol), which bounds |h''|
+    everywhere: each kept coefficient is taken at the top of its rounding
+    error, which also covers the modes past the cut.
+    """
+    w = h * dalpha / TWO_PI
+    z = np.exp(-1j * alpha)
+    zk = np.ones_like(z)
+    coef = [complex(np.sum(w))]
+    tol = 1e-15 * coef[0].real
+    quiet = 0
+    while quiet < 4 and len(coef) < len(h) // 4:
+        zk *= z
+        coef.append(complex(w @ zk))
+        quiet = quiet + 1 if abs(coef[-1]) < tol else 0
+    # h = Re sum_{k >= 0} c_k e^{ik alpha}, with c_0 = h_0 and c_k = 2 h_k
+    c = np.array(coef[: len(coef) - quiet])
+    c[1:] *= 2.0
+    k = np.arange(len(c))
+    rows = np.stack([c, 1j * k * c, (1 - k * k) * c])
+
+    def support(alpha: float) -> tuple[float, float, float]:
+        h, dh, rho = (rows @ np.exp(1j * alpha * k)).real.tolist()
+        return h, dh, rho
+
+    return support, float(np.sum(k * k * (np.abs(c) + 2.0 * tol)))
 
 
 def make_implicit(
@@ -164,12 +217,10 @@ def make_implicit(
 
     Mass properties are computed from the boundary by Green's theorem with a
     trapezoidal rule on a uniform parameter grid (spectrally accurate for
-    smooth periodic boundaries). The support-curvature bound K is the largest
-    |rho - h| over the same grid plus the most a maximum between grid points
-    can exceed it, bounded through the second derivative of the samples'
-    Fourier series, so K is an upper bound. The body is then validated by
-    sampling; the centroid must sit at the origin to 1e-8 because the
-    collision bookkeeping assumes center-of-mass body frames.
+    smooth periodic boundaries). The same sums give the Fourier series of the
+    support function (_fourier_support), and with it K. The body is then
+    validated by sampling; the centroid must sit at the origin to 1e-8
+    because the collision bookkeeping assumes center-of-mass body frames.
 
     Args:
         level: b*(x, y), negative inside, zero on the boundary, positive
@@ -203,20 +254,14 @@ def make_implicit(
         )
     J = float(np.sum(x**3 * dy - y**3 * dx) / 3.0)
 
-    # at each sample: radius of curvature rho = |c'|^3 / (c' x c'') and
-    # support value h = c . n, n = (y', -x') / |c'| the outward normal
+    # at each sample: the outward normal's angle alpha, its rate dalpha =
+    # alpha'(s) ds = (c' x c'') / |c'|^2 ds and the support value h = c . n
     ddx = np.fft.irfft(-k * k * fx, n_quad) * (TWO_PI / n_quad) ** 2
     ddy = np.fft.irfft(-k * k * fy, n_quad) * (TWO_PI / n_quad) ** 2
     speed = np.hypot(dx, dy)
-    rho = speed**3 / (dx * ddy - dy * ddx)
-    h = (x * dy - y * dx) / speed
-
-    # the largest sample of |rho - h| falls short of the maximum by at most
-    # (1/2) (ds/2)^2 max |(rho - h)''|, and sum k^2 |f_k| over the DFT
-    # coefficients f_k of the samples bounds that second derivative
-    f = rho - h
-    freq = np.fft.fftfreq(n_quad, d=1.0 / n_quad)
-    f2_bound = float(np.sum(freq * freq * np.abs(np.fft.fft(f)))) / n_quad
+    support, K = _fourier_support(
+        (x * dy - y * dx) / speed, np.arctan2(-dx, dy), (dx * ddy - dy * ddx) / speed**2
+    )
     radii = np.hypot(x, y)
     body = Body(
         kind="implicit",
@@ -224,9 +269,10 @@ def make_implicit(
         J=J,
         a=float(np.max(radii)),
         b=float(np.min(radii)),
-        K=float(np.max(np.abs(f))) + 0.5 * (0.5 * TWO_PI / n_quad) ** 2 * f2_bound,
+        K=K,
         boundary=boundary,
         level=level,
+        support=support,
     )
     validate_body(body)
     return body

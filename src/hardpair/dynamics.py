@@ -226,7 +226,7 @@ def _gap_at(
         wrap_angle(thetabar - theta),
         wrap_angle(math.atan2(yb - y, xb - x) - theta),
         theta=theta,
-        _seed=None if seed is None else (seed.s1, seed.s2, seed.d),
+        _seed=seed,
     )
     return dist - contact.d, contact
 

@@ -22,13 +22,15 @@ arithmetic. With lab-frame vectors and angles the identities read
 with cos(phi) = e(psi) . n = (1 + ((dD/dpsi)/d)^2)^(-1/2) and u-perp the
 counterclockwise rotation (-u2, u1).
 
-For ellipses the derivatives come from the same tangency solve that gives D:
-the implicit-function theorem on the 3x3 tangency system, evaluated at the
-converged contact, so one kernel solve yields D and both partials. They do
-not use the identities above, which therefore remain a real check: the test
-suite and `verify` evaluate the identities with these derivatives and compare
-the derivatives against Richardson finite differences of D (d_derivatives).
-Disks have constant D; implicit bodies take the finite-difference route.
+Ellipses and implicit bodies are solved the same way, on their support
+functions: D is the least support-line distance of the pair, one root-find
+in the contact-normal angle alpha (_kernel), and the contact point, the
+normal and both partials follow from alpha in closed form, the partials by
+the envelope theorem.  Those partials satisfy the identities above by
+construction, so the identities are checked on an independent route:
+identity_residuals evaluates them with Richardson finite differences of D
+(d_derivatives), and its fd_derivative_gap compares the shipped partials
+against the same differences.  Disks have constant D and closed forms.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from typing import Optional
 import numpy as np
 
 from hardpair import _kernel
-from hardpair.bodies import Body, boundary_point, outward_normal
+from hardpair.bodies import Body
 
 TWO_PI = 2.0 * math.pi
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical solve failed to converge; carries the best estimate found."""
+    """A numerical solve failed to converge."""
 
 
 def wrap_angle(x: float) -> float:
@@ -104,10 +106,12 @@ class ContactData:
 
     d is the center separation, p/q the contact point from each body's
     center, n the unit contact normal outward from body 1 (p, q and n in the
-    frame closest_approach was asked for), s1/s2 the boundary parameters of
-    the contact point on each body. dD_dtheta and dD_dpsi are the partial
-    derivatives of D at the reduced angles; they are None unless the contact
-    was requested with derivatives.
+    frame closest_approach was asked for). s1/s2 place the contact point on
+    each body in that body's frame: the boundary parameter s of (a cos s,
+    b sin s) for an ellipse, the angle of the outward normal for disks and
+    implicit bodies. dD_dtheta and dD_dpsi are the partial derivatives of D
+    at the reduced angles, from the envelope theorem on the normal-angle
+    solve; they are None unless the contact was requested with derivatives.
     """
 
     d: float
@@ -128,125 +132,31 @@ class ContactData:
         return qx * ny - qy * nx
 
 
-def _support_param(body: Body, u: np.ndarray, grid: np.ndarray, pts: np.ndarray) -> float:
-    """Boundary parameter of the support point of an implicit body along u."""
-    vals = pts @ u
-    j = int(np.argmax(vals))
-    n = len(grid)
-    dt = TWO_PI / n
-    # parabolic refinement through the three neighboring samples
-    f0, f1, f2 = vals[(j - 1) % n], vals[j], vals[(j + 1) % n]
-    denom = f0 - 2.0 * f1 + f2
-    s = grid[j]
-    if denom != 0.0:
-        s = grid[j] + 0.5 * dt * (f0 - f2) / denom
-    # Newton steps on f'(s) = c'(s) . u with finite differences
-    h = 1e-6
-    for _ in range(30):
-        cp = (boundary_point(body, s + h) - boundary_point(body, s - h)) / (2 * h)
-        cpp = (
-            boundary_point(body, s + h)
-            - 2.0 * boundary_point(body, s)
-            + boundary_point(body, s - h)
-        ) / (h * h)
-        f1d = float(cp @ u)
-        f2d = float(cpp @ u)
-        if f2d == 0.0:
-            break
-        step = f1d / f2d
-        s -= step
-        if abs(step) < 1e-12:
-            break
-    return s
+def _ellipse_oracle_fallback(body: Body, theta_rel: float, psi_rel: float) -> None:
+    """The failure path of the contact solve: raises ConvergenceError.
 
-
-def _generic_contact(body: Body, theta: float, psi: float) -> tuple[float, float, float]:
-    """Callable-based tangency solve for implicit bodies.
-
-    Scalar root-find in the contact-normal angle alpha: for each candidate
-    normal the two support points are located on the boundaries, the implied
-    separation follows from matching support lines, and the transverse
-    mismatch g(alpha) of the support points is driven to zero by bisection.
+    The normal-angle solve brackets its one root, so it fails only on
+    non-finite arithmetic, which no re-seeding would mend.
     """
-    Rm = rotation(theta)
-    ev = e_of(psi)
-    n_grid = 256
-    grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    pts = np.array([boundary_point(body, s) for s in grid])
-
-    def eval_alpha(alpha: float):
-        u = np.array([math.cos(alpha), math.sin(alpha)])
-        s1 = _support_param(body, u, grid, pts)
-        w = -(Rm.T @ u)
-        s2 = _support_param(body, w, grid, pts)
-        p1 = boundary_point(body, s1)
-        p2 = Rm @ boundary_point(body, s2)
-        diff = p1 - p2
-        d = float(diff @ u) / float(ev @ u)
-        g = float((diff - d * ev) @ perp(u))
-        return g, d, s1, s2
-
-    lo = psi - math.pi / 2 + 0.02
-    hi = psi + math.pi / 2 - 0.02
-    alphas = np.linspace(lo, hi, 64)
-    g_prev, d_prev, *_ = eval_alpha(float(alphas[0]))
-    bracket = None
-    for al in alphas[1:]:
-        g_cur, d_cur, *_ = eval_alpha(float(al))
-        if g_prev == 0.0 or g_prev * g_cur < 0.0:
-            bracket = (float(al) - (alphas[1] - alphas[0]), float(al), g_prev)
-            break
-        g_prev, d_prev = g_cur, d_cur
-    if bracket is None:
-        raise ConvergenceError(
-            f"no tangency bracket for implicit body at theta={theta}, psi={psi}"
-        )
-    x0, x1, g0 = bracket
-    for _ in range(60):
-        xm = 0.5 * (x0 + x1)
-        gm, dm, s1m, s2m = eval_alpha(xm)
-        if gm == 0.0:
-            break
-        if g0 * gm < 0.0:
-            x1 = xm
-        else:
-            x0, g0 = xm, gm
-    gm, dm, s1m, s2m = eval_alpha(0.5 * (x0 + x1))
-    if not (dm > 0.0):
-        raise ConvergenceError(
-            f"implicit tangency solve returned non-positive separation {dm}"
-        )
-    return dm, s1m, s2m
-
-
-def _ellipse_oracle_fallback(
-    body: Body, theta_rel: float, psi_rel: float, best_d: float, best_resid: float
-) -> tuple[float, float, float]:
-    """Re-seed the ellipse Newton solve from a tight bisection bracket.
-
-    Runs when the cold kernel solve fails: the overlap-bisection oracle
-    pins d to 1e-10, the near-touching boundary points seed (s1, s2), and
-    Newton is retried from there. Raises ConvergenceError with the best
-    estimate if even the re-seeded solve fails.
-    """
-    d_oracle = closest_approach_oracle(body, theta_rel, psi_rel, 1e-10)
-    Rm = rotation(theta_rel)
-    off = d_oracle * e_of(psi_rel)
-    t = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    pts2 = _boundary_samples(body, t) @ Rm.T + off
-    j = int(np.argmin(np.asarray(body.level(pts2[:, 0], pts2[:, 1]))))
-    contact = pts2[j]
-    s1_seed = math.atan2(contact[1] / body.b, contact[0] / body.a)
-    d, s1, s2, resid, ok = _kernel.ellipse_contact(
-        body.a, body.b, theta_rel, psi_rel, s1_seed, float(t[j]), d_oracle, True
+    raise ConvergenceError(
+        f"contact solve failed at theta={theta_rel}, psi={psi_rel} "
+        f"for the {body.kind} body (a={body.a}, b={body.b})"
     )
-    if not ok:
-        raise ConvergenceError(
-            f"ellipse tangency solve failed at theta={theta_rel}, psi={psi_rel}; "
-            f"best bracket d={d_oracle} (bisection, tol 1e-10), "
-            f"cold-solve residual={best_resid}"
-        )
-    return d, s1, s2
+
+
+def _param_of_normal(body: Body, alpha: float) -> float:
+    """s of the support point of body-frame direction e(alpha): the ellipse's
+    boundary parameter, the normal angle itself for other bodies."""
+    if body.kind == "ellipse":
+        return math.atan2(body.b * math.sin(alpha), body.a * math.cos(alpha))
+    return wrap_angle(alpha)
+
+
+def _normal_of_param(body: Body, s: float) -> float:
+    """Body-frame normal angle at s; inverts _param_of_normal."""
+    if body.kind == "ellipse":
+        return math.atan2(body.a * math.sin(s), body.b * math.cos(s))
+    return s
 
 
 def closest_approach(
@@ -256,27 +166,25 @@ def closest_approach(
     *,
     theta: float = 0.0,
     derivatives: bool = False,
-    _seed: Optional[tuple[float, float, float]] = None,
+    _seed: Optional[ContactData] = None,
 ) -> ContactData:
     """Distance of closest approach and contact data, turned into the lab frame.
 
     The tangency problem is solved in the canonical pose; p, q and n are
     then written turned by theta, the first body's orientation.  theta = 0
-    gives the canonical record.
+    gives the canonical record.  _seed, a solve at a nearby pose, starts
+    the normal-angle search from its normal.
 
     Args:
         body: reference particle (shared by both congruent bodies).
         theta_rel: orientation of the second body relative to the first.
         psi_rel: center-line direction relative to the first body's frame.
         theta: orientation of the first body; turns p, q and n.
-        derivatives: also compute dD/dtheta and dD/dpsi. Ellipses take them
-            from the Jacobian of the converged tangency system, with no
-            further solve; disks get exact zeros; implicit bodies use
-            Richardson-extrapolated finite differences (d_derivatives).
+        derivatives: also report dD/dtheta and dD/dpsi, which the solve
+            gives by the envelope theorem; disks get exact zeros.
 
     Raises:
-        ConvergenceError: the tangency solve did not converge; the message
-            reports the best estimate found.
+        ConvergenceError: the contact solve did not converge.
     """
     dd = (0.0, 0.0) if derivatives else (None, None)
     if body.kind == "disk":
@@ -286,31 +194,27 @@ def closest_approach(
         s2 = wrap_angle(psi_rel - theta_rel + math.pi)
         nx, ny = math.cos(psi_rel), math.sin(psi_rel)
         px, py = body.a * nx, body.a * ny
-    elif body.kind == "ellipse":
-        a, b = body.a, body.b
-        seed = _seed if _seed is not None else (0.0, 0.0, 0.0)
-        d, s1, s2, resid, ok = _kernel.ellipse_contact(
-            a, b, theta_rel, psi_rel, seed[0], seed[1], seed[2], _seed is not None
-        )
-        if not ok:
-            d, s1, s2 = _ellipse_oracle_fallback(body, theta_rel, psi_rel, d, resid)
-        if derivatives:
-            dd = _kernel.ellipse_contact_derivatives(a, b, theta_rel, psi_rel, s1, s2, d)
-            if dd is None:
-                raise ConvergenceError(
-                    f"singular tangency Jacobian at theta={theta_rel}, psi={psi_rel}"
-                )
-        c1, sn1 = math.cos(s1), math.sin(s1)
-        px, py = a * c1, b * sn1
-        nx, ny = b * c1, a * sn1
-        k = math.hypot(nx, ny)
-        nx, ny = nx / k, ny / k
     else:
-        d, s1, s2 = _generic_contact(body, theta_rel, psi_rel)
+        warm = _seed is not None
+        seed = _normal_of_param(body, _seed.s1) if warm else 0.0
+        if body.kind == "ellipse":
+            d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
+                body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
+            )
+        else:
+            d, alpha, d_th, d_ps, ok = _kernel.support_contact(
+                body.support, theta_rel, psi_rel, seed, use_seed=warm
+            )
+        if not ok:
+            _ellipse_oracle_fallback(body, theta_rel, psi_rel)
         if derivatives:
-            dd = d_derivatives(body, theta_rel, psi_rel, _seed=(s1, s2, d))
-        px, py = boundary_point(body, s1).tolist()
-        nx, ny = outward_normal(body, s1).tolist()
+            dd = (d_th, d_ps)
+        s1 = _param_of_normal(body, alpha)
+        s2 = _param_of_normal(body, alpha + math.pi - theta_rel)
+        # the support point of e(alpha): p = h e(alpha) + h' e(alpha)-perp
+        nx, ny = math.cos(alpha), math.sin(alpha)
+        h, dh, _ = body.support(alpha)
+        px, py = h * nx - dh * ny, h * ny + dh * nx
 
     qx, qy = px - d * math.cos(psi_rel), py - d * math.sin(psi_rel)
     c, s = math.cos(theta), math.sin(theta)
@@ -332,19 +236,19 @@ def _boundary_samples(body: Body, t: np.ndarray) -> np.ndarray:
     return np.array([body.boundary(float(v)) for v in t])
 
 
-def _overlap(body: Body, theta: float, psi: float, d: float, n_samples: int) -> bool:
+def _overlap(
+    body: Body, theta: float, psi: float, d: float, t: np.ndarray, bnd: np.ndarray
+) -> bool:
     """Sampled overlap predicate at separation d.
 
-    The per-evaluation budget of n_samples boundary points is split per
-    direction into a uniform localization pass and a refinement pass
-    concentrated around the deepest candidate, keeping the detection bias far
-    below the bisection tolerances in use.
+    t is a uniform grid of parameters and bnd the boundary points there.
+    Each direction takes a localization pass over bnd and a refinement pass
+    of as many points concentrated around the deepest candidate, keeping the
+    detection bias far below the bisection tolerances in use.
     """
-    half = n_samples // 2
+    half = len(t)
     Rm = rotation(theta)
     off = d * e_of(psi)
-    t = np.linspace(0.0, TWO_PI, half, endpoint=False)
-    bnd = _boundary_samples(body, t)
     dt = TWO_PI / half
 
     # second body's boundary against the first body's interior
@@ -376,19 +280,26 @@ def closest_approach_oracle(
 
     Monotone in d by convexity (the overlap set in d is an interval starting
     at 0), so plain bisection brackets the tangency separation. Used to
-    cross-check the Newton tangency solve.
+    cross-check the normal-angle contact solve.
 
     Args:
-        tol: final bracket width.
+        tol: final bracket width; the bisection also stops once the bracket
+            ends are adjacent floats.
         n_samples: boundary-sample budget per overlap evaluation.
     """
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
+    t = np.linspace(0.0, TWO_PI, n_samples // 2, endpoint=False)
+    bnd = _boundary_samples(body, t)
+
+    def overlap(d):
+        return _overlap(body, theta_rel, psi_rel, d, t, bnd)
+
     lo = 1e-3 * body.b
     hi = body.diameter + body.b
-    if not _overlap(body, theta_rel, psi_rel, lo, n_samples):
+    if not overlap(lo):
         raise ConvergenceError("overlap predicate false at near-zero separation")
-    while _overlap(body, theta_rel, psi_rel, hi, n_samples):
+    while overlap(hi):
         hi *= 2.0
         if hi > 4.0 * body.diameter:
             raise ConvergenceError(
@@ -396,7 +307,9 @@ def closest_approach_oracle(
             )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _overlap(body, theta_rel, psi_rel, mid, n_samples):
+        if not lo < mid < hi:
+            break
+        if overlap(mid):
             lo = mid
         else:
             hi = mid
@@ -420,15 +333,15 @@ def d_derivatives(
     psi_rel: float,
     h: float = 1e-5,
     *,
-    _seed: Optional[tuple[float, float, float]] = None,
+    _seed: Optional[ContactData] = None,
 ) -> tuple[float, float]:
     """Partial derivatives of D at (theta_rel, psi_rel) by finite differences.
 
-    Richardson-extrapolated central differences with steps h and h/2; solves
-    at the stencil points are warm-started from the center solution. Disks
-    have constant D, so both derivatives vanish identically. This is the
-    route for implicit bodies and the reference the Jacobian derivatives of
-    closest_approach are checked against.
+    Richardson-extrapolated central differences with steps h and h/2; the
+    stencil solves are warm-started from _seed, a solve at the center, or
+    from one made here. Disks have constant D, so both derivatives vanish
+    identically. This is the independent reference for the envelope
+    derivatives of closest_approach.
 
     Args:
         h: finite-difference step, required to lie in [1e-7, 1e-3].
@@ -437,11 +350,7 @@ def d_derivatives(
         raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
     if body.kind == "disk":
         return 0.0, 0.0
-    if _seed is None:
-        c = closest_approach(body, theta_rel, psi_rel)
-        seed = (c.s1, c.s2, c.d)
-    else:
-        seed = _seed
+    seed = _seed if _seed is not None else closest_approach(body, theta_rel, psi_rel)
 
     def dval(th: float, ps: float) -> float:
         return closest_approach(body, th, ps, _seed=seed).d
@@ -484,39 +393,41 @@ def identity_residuals(
 ) -> dict:
     """Cross-check of the contact identities and of the derivatives of D.
 
-    The identities are evaluated with the derivatives closest_approach
-    returns. Returns a report with the asserted residuals (direction
-    collinearity of n with its derivative form, relative error of the contact
-    scalars, direction collinearity of M nu with gamma-hat), the
-    fd_derivative_gap between those derivatives and finite differences of D
-    with step h (the largest difference, relative to the larger of d and the
-    partials, so a partial that vanishes by symmetry does not inflate it),
-    plus an `as_printed` block with the residuals of the historically
-    circulated variants of the same identities (theta/psi swapped in the
-    normal direction, flipped signs in the scalar blocks), which are reported
-    for reference and are expected to be large.
+    The identities are evaluated with finite differences of D with step h
+    (d_derivatives), not with the derivatives closest_approach returns:
+    those come from the contact normal by the envelope theorem, so they
+    satisfy the identities by construction.  Returns a report with the
+    asserted residuals (direction collinearity of n with its derivative
+    form, relative error of the contact scalars, direction collinearity of
+    M nu with gamma-hat), the fd_derivative_gap between the shipped
+    derivatives and the finite differences (the largest difference, relative
+    to the larger of d and the partials, so a partial that vanishes by
+    symmetry does not inflate it), plus an `as_printed` block with the
+    residuals of the historically circulated variants of the same identities
+    (theta/psi swapped in the normal direction, flipped signs in the scalar
+    blocks), which are reported for reference and are expected to be large.
 
     contact, the lab-frame result of d_beta(body, beta, derivatives=True),
     saves the solve when the caller already holds it; the finite differences
     are seeded from it.
     """
     c = contact if contact is not None else d_beta(body, beta, derivatives=True)
-    fd_theta, fd_psi = d_derivatives(body, *beta.reduced(), h, _seed=(c.s1, c.s2, c.d))
+    fd_theta, fd_psi = d_derivatives(body, *beta.reduced(), h, _seed=c)
     fd_gap = max(abs(c.dD_dtheta - fd_theta), abs(c.dD_dpsi - fd_psi)) / max(
         c.d, abs(fd_theta), abs(fd_psi)
     )
     ev = e_of(beta.psi)
     evp = perp(ev)
-    ntil = ev - (c.dD_dpsi / c.d) * evp
-    cosphi = 1.0 / math.sqrt(1.0 + (c.dD_dpsi / c.d) ** 2)
+    ntil = ev - (fd_psi / c.d) * evp
+    cosphi = 1.0 / math.sqrt(1.0 + (fd_psi / c.d) ** 2)
     pn = c.p_perp_n()
     qn = c.q_perp_n()
-    dsum = c.dD_dtheta + c.dD_dpsi
+    dsum = fd_theta + fd_psi
 
     m_nu_raw = np.concatenate([-c.n, c.n, [-pn, qn]])
-    gam = np.concatenate([-ntil, ntil, [dsum, -c.dD_dtheta]])
-    gam_flipped = np.concatenate([-ntil, ntil, [-dsum, c.dD_dtheta]])
-    ntil_swapped = ev - (c.dD_dtheta / c.d) * evp
+    gam = np.concatenate([-ntil, ntil, [dsum, -fd_theta]])
+    gam_flipped = np.concatenate([-ntil, ntil, [-dsum, fd_theta]])
+    ntil_swapped = ev - (fd_theta / c.d) * evp
 
     return {
         "d": c.d,
@@ -527,7 +438,7 @@ def identity_residuals(
         "fd_derivative_gap": fd_gap,
         "n_direction": _direction_residual(c.n, ntil),
         "p_scalar": abs(pn - (-dsum * cosphi)) / (1.0 + abs(pn)),
-        "q_scalar": abs(qn - (-c.dD_dtheta * cosphi)) / (1.0 + abs(qn)),
+        "q_scalar": abs(qn - (-fd_theta * cosphi)) / (1.0 + abs(qn)),
         "m_nu_gamma": _direction_residual(m_nu_raw, gam),
         "as_printed": {
             "n_direction_theta_swap": _direction_residual(c.n, ntil_swapped),

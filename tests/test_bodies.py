@@ -45,8 +45,8 @@ def test_implicit_reproduces_ellipse_mass_data():
     # spectral quadrature on an analytic boundary: machine-precision moments
     assert body.m == pytest.approx(math.pi * a * b, rel=1e-12)
     assert body.J == pytest.approx(math.pi * a * b * (a**2 + b**2) / 4.0, rel=1e-12)
-    # the support-curvature bound from the boundary samples is an upper
-    # bound on the exact a^2/b - b, and a tight one
+    # the support-curvature bound from the support function's Fourier
+    # coefficients is an upper bound on the exact a^2/b - b, and a tight one
     K = make_ellipse(a, b).K
     assert K <= body.K <= K * (1.0 + 1e-5)
 

@@ -54,9 +54,9 @@ def test_geometry_makes_one_contact_solve(tmp_path, capsys, monkeypatch):
     calls = []
     solve = geometry._kernel.ellipse_contact
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
     body = _write(tmp_path, "body.json", _body_cfg())
@@ -407,6 +407,23 @@ def test_out_of_domain_option_exits_two(tmp_path, capsys, options, field):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert f"option {field} " in err
+
+
+@pytest.mark.parametrize("axes,field", [
+    ({"a": 1.0, "b": 1e-300}, "b="),
+    ({"a": 1e160, "b": 1.0}, "a="),
+    ({"a": 1e200, "b": 1e200}, "a="),
+])
+def test_out_of_range_ellipse_axis_exits_two(tmp_path, capsys, axes, field):
+    # a J that overflows, or an a^2 b^2 that underflows, is rejected with the
+    # axis named before any contact solve
+    body = _write(tmp_path, "body.json", {"kind": "ellipse", **axes})
+    rc = cli.run(["geometry", "--body", body,
+                  "--theta", "0.5", "--thetabar", "1.2", "--psi", "0.8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"axis {field}" in err
 
 
 def test_overlapping_start_exits_three(tmp_path, capsys):

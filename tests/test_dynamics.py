@@ -191,10 +191,10 @@ def test_dense_resampling_warm_starts(monkeypatch):
     cold = []
     solve = geometry._kernel.ellipse_contact
 
-    def counted(*args):
-        if not args[7]:
+    def counted(*args, use_seed=False):
+        if not use_seed:
             cold.append(args)
-        return solve(*args)
+        return solve(*args, use_seed=use_seed)
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
     tr = simulate(ELL, Z0, REFL, 6.0, SimOptions(sample_dt=0.05))
@@ -328,9 +328,9 @@ def test_event_search_solve_budget(monkeypatch):
     calls = []
     solve = geometry._kernel.ellipse_contact
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
     Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],

@@ -150,6 +150,8 @@ def test_d_derivatives_match_distance_slope():
 
 @pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0])
 def test_jacobian_derivatives_match_finite_differences(ratio):
+    # the envelope derivatives of the normal-angle solve against Richardson
+    # finite differences of D
     ell = make_ellipse(ratio, 1.0)
     rng = np.random.default_rng(12)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (30, 2)):
@@ -160,22 +162,44 @@ def test_jacobian_derivatives_match_finite_differences(ratio):
         assert abs(c.dD_dpsi - fd_psi) <= 1e-7 * scale
 
 
-@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0])
+@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0, 300.0, 1e4, 1e6])
 def test_warm_start_lands_on_the_external_tangency(ratio):
-    # Newton from a solve at a nearby pose can converge to a root with
-    # parallel normals; such a root is rejected and the cold solve runs
+    # the normal-angle search started from a solve at a nearby pose finds
+    # the cold solve's root; D is compared on the scale max(d, |D_theta|,
+    # |D_psi|), since the inputs' own rounding moves it by that much times
+    # the float spacing
     from hardpair import _kernel
 
     a, b = ratio, 1.0
     rng = np.random.default_rng(15)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (300, 2)):
-        d, s1, s2, _, ok = _kernel.ellipse_contact(a, b, theta, psi)
+        d, alpha, _, _, ok = _kernel.ellipse_contact(a, b, theta, psi)
         assert ok
         for spread in (0.3, 0.05):
             th2, ps2 = (theta, psi) + rng.uniform(-spread, spread, 2)
-            warm = _kernel.ellipse_contact(a, b, th2, ps2, s1, s2, d, True)
+            warm = _kernel.ellipse_contact(a, b, th2, ps2, alpha, use_seed=True)
             cold = _kernel.ellipse_contact(a, b, th2, ps2)
-            assert warm[4] and abs(warm[0] - cold[0]) <= 1e-9
+            scale = max(cold[0], abs(cold[2]), abs(cold[3]))
+            assert warm[4] and abs(warm[0] - cold[0]) <= 1e-13 * scale
+
+
+def test_warm_and_cold_solves_reach_the_kernel_as_the_tracer_reads_them(monkeypatch):
+    # the benchmark's tracer labels a kernel call warm by args[7] or the
+    # use_seed keyword, and failed by out[4]; a change of signature must not
+    # turn warm solves into cold ones there
+    seen = []
+    solve = geometry._kernel.ellipse_contact
+
+    def traced(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        seen.append((args[7] if len(args) > 7 else kwargs.get("use_seed", False), out[4]))
+        return out
+
+    monkeypatch.setattr(geometry._kernel, "ellipse_contact", traced)
+    cold = closest_approach(ELL, 0.7, 1.1)
+    warm = closest_approach(ELL, 0.71, 1.12, _seed=cold)
+    assert seen == [(False, True), (True, True)]
+    assert warm.d == pytest.approx(closest_approach(ELL, 0.71, 1.12).d, rel=1e-14)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1.0001, 2.0, 20.0, 300.0])
@@ -259,19 +283,56 @@ def _implicit_ellipse(a=2.0, b=1.0):
 
 
 def test_implicit_ellipse_matches_ellipse_kernel():
-    # the implicit-body solver takes about 0.1 s per pose, so only a few
+    # the Fourier support function of the implicit (2,1) ellipse against the
+    # closed form: the same solve gives the same contact record
     implicit = _implicit_ellipse()
     rng = np.random.default_rng(14)
-    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (3, 2)):
-        d_implicit = closest_approach(implicit, theta, psi).d
-        assert abs(d_implicit - closest_approach(ELL, theta, psi).d) < 1e-9
+    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (200, 2)):
+        got = closest_approach(implicit, theta, psi, derivatives=True)
+        want = closest_approach(ELL, theta, psi, derivatives=True)
+        for x, y in ((got.d, want.d), (got.dD_dtheta, want.dD_dtheta),
+                     (got.dD_dpsi, want.dD_dpsi)):
+            assert abs(x - y) < 1e-9
+        for x, y in ((got.p, want.p), (got.q, want.q), (got.n, want.n)):
+            assert np.max(np.abs(x - y)) < 1e-9
+
+
+def _polar_body():
+    # r(phi) = 1 + 0.1 cos 2 phi: strictly convex, centrally symmetric, and
+    # not an ellipse
+    def radius(phi):
+        return 1.0 + 0.1 * np.cos(2.0 * phi)
+
+    return make_implicit(
+        level=lambda x, y: np.hypot(x, y) - radius(np.arctan2(y, x)),
+        boundary=lambda s: radius(s) * np.array([math.cos(s), math.sin(s)]),
+    )
+
+
+def test_non_elliptic_implicit_body_matches_oracle_and_finite_differences():
+    body = _polar_body()
+    rng = np.random.default_rng(18)
+    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (20, 2)):
+        c = closest_approach(body, theta, psi, derivatives=True)
+        assert abs(c.d - closest_approach_oracle(body, theta, psi)) < 1e-6
+        fd_theta, fd_psi = d_derivatives(body, theta, psi)
+        scale = max(c.d, abs(fd_theta), abs(fd_psi))
+        assert abs(c.dD_dtheta - fd_theta) <= 1e-7 * scale
+        assert abs(c.dD_dpsi - fd_psi) <= 1e-7 * scale
+
+
+def test_oracle_ends_below_the_float_spacing_of_d():
+    # d is about 3e7, where floats are 3.7e-9 apart: a bracket narrower than
+    # tol = 1e-9 cannot be reached, and the bisection stops at adjacent floats
+    body = make_ellipse(2e7, 1e7)
+    d = closest_approach(body, 0.3, 0.9).d
+    assert abs(closest_approach_oracle(body, 0.3, 0.9) - d) <= 1e-9 * d
 
 
 @pytest.mark.parametrize("body,n_poses,derivatives", [
     *((make_ellipse(ratio, 1.0), 300, True) for ratio in (1.25, 2.0, 5.0, 20.0)),
     (make_disk(0.8), 300, True),
-    # implicit solves are slow, and their finite-difference derivatives more so
-    (_implicit_ellipse(), 3, False),
+    (_implicit_ellipse(), 300, True),
 ], ids=["ratio1.25", "ratio2", "ratio5", "ratio20", "disk", "implicit"])
 def test_lab_record_is_the_canonical_record_turned(body, n_poses, derivatives):
     # closest_approach writes p, q, n turned by theta in scalar arithmetic;
