@@ -25,9 +25,8 @@ from hardpair.geometry import (
 from hardpair.frames import (
     LineField,
     build_frame,
-    build_frames,
-    contact_normal,
     e_beta_gram_schmidt,
+    sample_contacts,
 )
 from hardpair.scattering import (
     ScatteringFamily,
@@ -188,34 +187,6 @@ def check_identities(n: int = 100, seed: int = 103, h: float = 1e-5) -> CheckRes
     )
 
 
-def _pose_draws(body, n: int, seed: int):
-    """n contact poses and one standard-normal velocity at each.
-
-    Per pose the draws are the angles beta, then V, and the contact is
-    solved once.  Returns the frames at the poses, V (shape (n, 6)), and per
-    pose the contact normal n (shape (n, 2)), p_perp.n and q_perp.n.
-    """
-    rng = np.random.default_rng(seed)
-    angles = np.empty((n, 3))
-    d = np.empty(n)
-    normal = np.empty((n, 2))
-    pn = np.empty(n)
-    qn = np.empty(n)
-    nu = np.empty((n, 6))
-    V = np.empty((n, 6))
-    for i in range(n):
-        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-        contact, nu[i] = contact_normal(body, beta)
-        V[i] = rng.standard_normal(6)
-        angles[i] = beta.theta, beta.thetabar, beta.psi
-        d[i] = contact.d
-        normal[i] = contact.n
-        pn[i], qn[i] = contact.p_perp_n(), contact.q_perp_n()
-    theta, thetabar, psi = angles.T
-    frames = build_frames(theta, thetabar, psi, d, nu, body.m, body.J)
-    return frames, V, normal, pn, qn
-
-
 def check_scattering(n: int = 10000, seed: int = 104) -> CheckResult:
     """Involution, determinant, conservation, half-space flip, dual routes."""
     def body():
@@ -227,7 +198,8 @@ def check_scattering(n: int = 10000, seed: int = 104) -> CheckResult:
             ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
         ]
         want_sign = (-1, -1, 1)
-        frames, V, normal, pn, qn = _pose_draws(ell, n, seed)
+        # V stays unflipped, so the flip check sees both half-spaces
+        frames, V, normal, pn, qn = next(sample_contacts(ell, n, seed, n))
         Vp, reports = audit_scattering(fams, frames, V, m, J)
         worst = {
             "involution": max(r["involution"] for r in reports),
@@ -268,7 +240,7 @@ def check_disk_reduction(n: int = 1000, seed: int = 105) -> CheckResult:
     def body():
         disk = make_disk(1.0)
         diag = MassInertiaMatrix.from_mass(disk.m, disk.J).diag
-        frames, V, _, _, _ = _pose_draws(disk, n, seed)
+        frames, V, *_ = next(sample_contacts(disk, n, seed, n))
         Vp = scatter_stack([ScatteringFamily.reflection()], frames, V * diag)[0] / diag
         nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
         k = np.sum((V[:, 0:2] - V[:, 2:4]) * nvec, axis=1)[:, None]

@@ -109,6 +109,22 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _number(value, name: str) -> float:
+    """value as a float; ConfigError naming the field unless it is a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value unchanged; ConfigError naming the field unless it is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def body_from_config(cfg: dict) -> Body:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("body must be an object with a 'kind' field")
@@ -116,12 +132,12 @@ def body_from_config(cfg: dict) -> Body:
     if kind == "disk":
         if "r" not in cfg:
             raise ConfigError("body.r is required for kind 'disk'")
-        return make_disk(float(cfg["r"]))
+        return make_disk(_number(cfg["r"], "body.r"))
     if kind == "ellipse":
         for key in ("a", "b"):
             if key not in cfg:
                 raise ConfigError(f"body.{key} is required for kind 'ellipse'")
-        return make_ellipse(float(cfg["a"]), float(cfg["b"]))
+        return make_ellipse(_number(cfg["a"], "body.a"), _number(cfg["b"], "body.b"))
     raise ConfigError(f"body.kind must be 'disk' or 'ellipse', got {kind!r}")
 
 
@@ -142,7 +158,7 @@ def options_from_config(cfg: dict) -> SimOptions:
     opts = cfg.get("options", {})
     if not isinstance(opts, dict):
         raise ConfigError("options must be an object")
-    allowed = {"t_tol", "grazing_rtol", "max_events", "sample_dt"}
+    allowed = {"max_events", "sample_dt"}
     unknown = set(opts) - allowed
     if unknown:
         raise ConfigError(f"unknown options fields: {sorted(unknown)}")
@@ -181,7 +197,7 @@ def candidates_from_config(cfg: dict, body: Body):
             form = c.get("form", "sin")
             if form not in ("sin", "cos"):
                 raise ConfigError("theta_function form must be 'sin' or 'cos'")
-            k = int(c.get("k", 1))
+            k = _integer(c.get("k", 1), "candidate k")
             fn = (lambda t, k=k: np.sin(k * t)) if form == "sin" \
                 else (lambda t, k=k: np.cos(k * t))
             out.append(theta_function_candidate(fn, f"{form}({k}theta)"))
@@ -191,17 +207,14 @@ def candidates_from_config(cfg: dict, body: Body):
 
 
 def _n_samples(cfg: dict, default: int) -> int:
-    n = cfg.get("n_samples", default)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"n_samples must be an integer >= 1, got {n!r}")
-    return n
+    return _integer(cfg.get("n_samples", default), "n_samples", 1)
 
 
 def _resolve_seed(cfg: dict, args) -> int:
     seed = cfg.get("seed", 0)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    cfg["seed"] = int(seed)
+    cfg["seed"] = _integer(seed, "seed", 0)
     return cfg["seed"]
 
 
@@ -253,7 +266,7 @@ def _cmd_scatter(args) -> int:
         raise ConfigError("missing field: beta (three angles)")
     if not isinstance(cfg["beta"], list) or len(cfg["beta"]) != 3:
         raise ConfigError("beta must be a list of three angles")
-    beta = Beta(*(float(x) for x in cfg["beta"]))
+    beta = Beta(*(_number(x, "beta") for x in cfg["beta"]))
     if args.V is not None:
         V = _parse_vector(args.V, 6, "--V")
         cfg["V"] = V.tolist()
@@ -328,7 +341,7 @@ def _cmd_simulate(args) -> int:
     Z0 = state_from_config(cfg["Z0"])
     opts = options_from_config(cfg)
     h = config_hash(cfg)
-    tr = simulate(body, Z0, family, float(cfg["T"]), opts)
+    tr = simulate(body, Z0, family, _number(cfg["T"], "T"), opts)
     records = _trajectory_records(body, tr, h)
     if args.out:
         with open(args.out, "w") as fh:
@@ -361,7 +374,7 @@ def _cmd_nonuniq(args) -> int:
     if "Z0" not in cfg:
         raise ConfigError("missing field: Z0")
     Z0 = state_from_config(cfg["Z0"])
-    T = float(cfg.get("T", 4.0))
+    T = _number(cfg.get("T", 4.0), "T")
     opts = options_from_config(cfg)
     h = config_hash(cfg)
     rep = _checks.nonuniq_report(body, Z0, families, T, opts)

@@ -55,6 +55,9 @@ _CONTACT_WIDTH = 1e-13
 _ADMISSIBLE_RTOL = 1e-9
 # Gap magnitudes below this are projected to exact contact before resolving.
 _ANCHOR_TOL = 1e-12
+# A grazing root re-found within this fraction of the remaining horizon
+# after an event is merged into that event.
+_MERGE_RTOL = 1e-12
 
 
 class SimulationError(RuntimeError):
@@ -68,12 +71,6 @@ class State:
     X: np.ndarray
     V: np.ndarray
     t: float = 0.0
-
-    def x(self) -> np.ndarray:
-        return self.X[0:2]
-
-    def xbar(self) -> np.ndarray:
-        return self.X[2:4]
 
     def theta(self) -> float:
         return float(self.X[4])
@@ -106,34 +103,23 @@ def make_state(X, V, t: float = 0.0) -> State:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Tunable tolerances; t_tol None falls back to 1e-12 of the remaining horizon.
+    """Run options: max_events caps the resolved contacts; sample_dt, when
+    set, adds states on a regular time grid to the trajectory.
 
-    t_tol is the window within which a grazing root re-found after an event
-    is merged into it. Each field is checked on construction; a value out of
-    its domain raises ValueError naming the field.
+    Each field is checked on construction; a value out of its domain raises
+    ValueError naming the field.
     """
 
-    t_tol: float | None = None
-    grazing_rtol: float = GRAZING_RTOL
     max_events: int = 10**6
     sample_dt: float | None = None
 
     def __post_init__(self):
-        # (field, may be None, may be zero)
-        for name, optional, zero_ok in (
-            ("t_tol", True, False), ("grazing_rtol", False, True), ("sample_dt", True, False)
+        dt = self.sample_dt
+        if dt is not None and not (
+            isinstance(dt, numbers.Real) and not isinstance(dt, bool)
+            and math.isfinite(dt) and dt > 0.0
         ):
-            value = getattr(self, name)
-            if optional and value is None:
-                continue
-            if not (
-                isinstance(value, numbers.Real)
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-                and (value >= 0.0 if zero_ok else value > 0.0)
-            ):
-                rule = ("None or " if optional else "") + "a finite number " + (">= 0" if zero_ok else "> 0")
-                raise ValueError(f"option {name} must be {rule}, got {value!r}")
+            raise ValueError(f"option sample_dt must be None or a finite number > 0, got {dt!r}")
         n = self.max_events
         if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
             raise ValueError(f"option max_events must be an integer >= 1, got {n!r}")
@@ -312,7 +298,7 @@ def next_collision_time(body: Body, Z: State, t_max: float):
     return t
 
 
-def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: SimOptions,
+def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
                         contact: ContactData | None = None):
     """Scatter the velocity at a contact state; returns (new state, event).
 
@@ -335,7 +321,7 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: Si
         Z = State(X=X, V=Z.V, t=Z.t)
     beta = Z.beta()
     V_post, proj_pre, proj_post = scatter_velocity(family, build_frame(body, beta, contact), Z.V)
-    grazing = abs(proj_pre) <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
+    grazing = abs(proj_pre) <= GRAZING_RTOL * float(np.linalg.norm(Z.V))
     before = conserved_quantities(body, Z)
     Z_post = State(X=Z.X, V=V_post, t=Z.t)
     after = conserved_quantities(body, Z_post)
@@ -346,16 +332,6 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, opts: Si
         grazing=grazing, anchor_shift=anchor_shift, jumps=jumps,
     )
     return Z_post, event
-
-
-def resolve_collision(body: Body, Z: State, family: ScatteringFamily) -> State:
-    """Replace the velocity by its scattering image at a contact state.
-
-    The configuration is unchanged (up to the exact-contact projection when
-    the gap is already below the anchoring tolerance).
-    """
-    Z_post, _ = _resolve_at_contact(body, Z, family, SimOptions())
-    return Z_post
 
 
 def simulate(
@@ -393,7 +369,7 @@ def simulate(
         remaining = t_end - Z.t
         if remaining <= 0.0:
             break
-        t_tol = opts.t_tol if opts.t_tol is not None else 1e-12 * remaining
+        t_tol = _MERGE_RTOL * remaining
         dt, seen, contact = _next_collision(body, Z, remaining, contact)
         min_gap = min(min_gap, seen)
         if dt is None:
@@ -405,7 +381,7 @@ def simulate(
             and Z.t - last_event_t < t_tol
             and abs(normal_projection(Z.V, nu_hat(contact, body.m, body.J),
                                       body.m, body.J))
-            <= opts.grazing_rtol * float(np.linalg.norm(Z.V))
+            <= GRAZING_RTOL * float(np.linalg.norm(Z.V))
         ):
             # same grazing root re-found within the time tolerance: count it
             # into the previous event and step past it
@@ -415,7 +391,7 @@ def simulate(
             continue
         # the post-event state keeps the pose, so contact stays valid for the
         # next flight
-        Z, event = _resolve_at_contact(body, Z, family, opts, contact)
+        Z, event = _resolve_at_contact(body, Z, family, contact)
         events.append(event)
         samples.append(Z)
         last_event_t = Z.t

@@ -18,12 +18,15 @@ break the rotation symmetry, so a pair seeded in the lab would not be a
 function of the relative configuration; the transported pair is, and a line
 field's angle picks the same physical direction at every global rotation.
 One frame (build_frame) runs on Python floats; a stack of frames
-(build_frames) runs the same construction as array code.
+(build_frames) runs the same construction as array code.  sample_contacts
+draws random contact poses and builds their frames; the invariant probe and
+the verification checks read their samples from it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -312,6 +315,13 @@ def _complement_one(*vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise DegenerateFrameError("complement seeds collapsed; frame vectors are not orthonormal")
 
 
+def _finite(x, name: str) -> float:
+    """x as a float; ValueError naming the field unless it is a finite real number."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValueError(f"line field {name} takes only finite numbers, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class LineField:
     """Undirected direction angle phi(theta_rel, psi_rel) valued in [0, pi).
@@ -332,14 +342,15 @@ class LineField:
 
     @staticmethod
     def constant(phi: float) -> "LineField":
-        return LineField("constant", phi=float(phi))
+        return LineField("constant", phi=_finite(phi, "phi"))
 
     @staticmethod
     def fourier(coeffs) -> "LineField":
-        rows = tuple(tuple(float(x) for x in row) for row in coeffs)
-        if any(len(row) != 4 for row in rows):
+        if not isinstance(coeffs, (list, tuple)) or any(
+                not isinstance(row, (list, tuple)) or len(row) != 4 for row in coeffs):
             raise ValueError("fourier coeffs must be rows (k1, k2, cos_coeff, sin_coeff)")
-        return LineField("fourier", coeffs=rows)
+        return LineField("fourier", coeffs=tuple(
+            tuple(_finite(x, "coeffs") for x in row) for row in coeffs))
 
     def angle(self, theta_rel, psi_rel):
         """The angle at one relative configuration (floats), or at arrays of them."""
@@ -384,19 +395,6 @@ def line_field_vector(
     return math.cos(phi) * frame.F1 + math.sin(phi) * frame.F2
 
 
-def contact_normal(
-    body: Body, beta: Beta, contact: ContactData | None = None
-) -> tuple[ContactData, np.ndarray]:
-    """Lab-frame contact data at beta and the collision normal nu there.
-
-    The tangency problem is solved unless the caller already holds the
-    lab-frame contact data at beta (as d_beta returns it).
-    """
-    if contact is None:
-        contact = d_beta(body, beta)
-    return contact, nu_hat(contact, body.m, body.J)
-
-
 def build_frames(
     theta: np.ndarray,
     thetabar: np.ndarray,
@@ -420,6 +418,35 @@ def build_frames(
     )
 
 
+def sample_contacts(body: Body, n_samples: int, seed: int, block: int):
+    """n_samples random contact poses, in blocks of at most block poses.
+
+    Two streams are spawned from seed.  The first draws the angles beta
+    uniform on [0, 2pi)^3 as a (k, 3) array per block, the second a
+    standard-normal (k, 6) array W; both consume their stream row by row,
+    so the samples do not depend on block.  Each pose takes one contact
+    solve (d_beta).  Yields per block (frames, W, n, pn, qn): the frames at
+    the poses, W, and the contact data the frames come from, the normal n
+    (shape (k, 2)), p_perp.n and q_perp.n (shape (k,)).
+    """
+    beta_rng, w_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    m, J = body.m, body.J
+    for start in range(0, n_samples, block):
+        k = min(block, n_samples - start)
+        angles = beta_rng.uniform(0.0, TWO_PI, (k, 3))
+        contacts = [d_beta(body, Beta(*row)) for row in angles.tolist()]
+        d = np.array([c.d for c in contacts])
+        nu = np.array([nu_hat(c, m, J) for c in contacts])
+        theta, thetabar, psi = angles.T
+        yield (
+            build_frames(theta, thetabar, psi, d, nu, m, J),
+            w_rng.standard_normal((k, 6)),
+            np.array([c.n for c in contacts]),
+            np.array([c.p_perp_n() for c in contacts]),
+            np.array([c.q_perp_n() for c in contacts]),
+        )
+
+
 def _turn(v: np.ndarray, c: float, s: float) -> np.ndarray:
     """One 6-vector turned by the block rotation of the angle with cosine c, sine s."""
     x, y, xb, yb, w, wb = v.tolist()
@@ -434,8 +461,10 @@ def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> F
     Ebeta and the complement pair in the canonical gauge, as build_frames
     does on N poses, on floats.  Mass data comes from the body.
     """
-    contact, nu = contact_normal(body, beta, contact)
+    if contact is None:
+        contact = d_beta(body, beta)
     m, J = body.m, body.J
+    nu = nu_hat(contact, m, J)
     eb = e_beta(beta, contact.d, m, J)
     c, s = math.cos(beta.theta), math.sin(beta.theta)
     F1, F2 = complement_basis(E1_HAT, E2_HAT, _turn(eb, c, -s), _turn(nu, c, -s))

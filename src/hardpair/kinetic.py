@@ -3,8 +3,8 @@
 A collision invariant is a single-particle functional phi(v, omega, theta)
 whose two-particle sum is unchanged by scattering at every contact.  The
 probe samples contact configurations uniformly on the angle torus and
-velocities from a standard normal in mass-weighted coordinates (rejected to
-the approaching half-space), applies a family's map and reports the worst
+velocities from a standard normal in mass-weighted coordinates (reflected
+into the approaching half-space), applies a family's map and reports the worst
 observed defect.  Known invariants (constants, the velocity components, the
 kinetic energy m|v|^2 + J w^2, and any pure function of the orientation)
 should sit at rounding error; a candidate like the bare angular speed
@@ -16,14 +16,17 @@ The same machinery shows that Maxwellian densities are stationary under
 every family: their log-density is an affine combination of conserved
 quantities.
 
-Sampler.  Every probe reads one sample stream, made in blocks of at most
-_BLOCK samples.  Within a block a scalar loop draws, per sample and in this
-order, the angles beta (uniform on [0, 2pi)^3), then solves the contact and
-nu at beta, then draws W standard normal in mass-weighted coordinates until
-W.nu < 0 (V = M^-1 W).  Everything after the draws runs on arrays over the
-block: the frames (frames.build_frames), every family's map
-(scattering.scatter_stack) and every candidate.  A seed therefore gives the
-same samples whatever the families, candidates or block size.
+Sampler.  Every probe reads one sample stream, frames.sample_contacts in
+blocks of at most _BLOCK samples.  It draws the angles beta (uniform on
+[0, 2pi)^3) and W (standard normal in mass-weighted coordinates) as arrays
+from two streams spawned from the seed, and makes one contact solve per
+pose.  The probe sends W to -W wherever W.nu > 0; the normal law is
+symmetric, so W has the law conditioned on W.nu < 0 (W.nu = 0 has
+probability zero), and V = M^-1 W.  Everything after the contact solves runs
+on arrays over the block: the frames (frames.build_frames), every family's
+map (scattering.scatter_stack) and every candidate.  The streams are read
+row by row, so a seed gives the same samples whatever the families,
+candidates or block size.
 
 Candidate contract.  InvariantCandidate.fn takes v of shape (..., 2) and
 w, theta of shape (...) and returns an array of shape (...); the probe
@@ -33,17 +36,15 @@ raises ValueError naming the candidate otherwise.  Plain NumPy expressions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from hardpair.bodies import Body, MassInertiaMatrix
-from hardpair.geometry import Beta
 # build_frame and scattering_matrix are not called here; they stay bound
 # because hpbench's tracer wraps the layer bindings of this module by name
-from hardpair.frames import build_frame, build_frames, contact_normal  # noqa: F401
+from hardpair.frames import build_frame, sample_contacts  # noqa: F401
 from hardpair.scattering import (  # noqa: F401
     ScatteringFamily,
     scatter_stack,
@@ -144,30 +145,15 @@ def standard_candidates(body: Body) -> list[InvariantCandidate]:
 
 
 def _sample_blocks(body: Body, n_samples: int, seed: int):
-    """The shared sample stream, as (frames, W) blocks of at most _BLOCK samples.
+    """The probe's sample stream, as (frames, W) blocks of at most _BLOCK samples.
 
     W (shape (k, 6)) holds the mass-weighted pre-collision velocities,
-    standard normal and resampled until strictly approaching at the sampled
+    standard normal and turned to -W where they separate at the sampled
     contact; frames holds the k frames they were drawn at.
     """
-    rng = np.random.default_rng(seed)
-    for start in range(0, n_samples, _BLOCK):
-        k = min(_BLOCK, n_samples - start)
-        angles = np.empty((k, 3))
-        d = np.empty(k)
-        nu = np.empty((k, 6))
-        W = np.empty((k, 6))
-        for i in range(k):
-            beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-            contact, nu[i] = contact_normal(body, beta)
-            while True:
-                W[i] = rng.standard_normal(6)
-                if float(W[i] @ nu[i]) < 0.0:
-                    break
-            angles[i] = beta.theta, beta.thetabar, beta.psi
-            d[i] = contact.d
-        theta, thetabar, psi = angles.T
-        yield build_frames(theta, thetabar, psi, d, nu, body.m, body.J), W
+    for frames, W, *_ in sample_contacts(body, n_samples, seed, _BLOCK):
+        W[(W * frames.nu).sum(axis=1) > 0.0] *= -1.0
+        yield frames, W
 
 
 def _worst_defects(

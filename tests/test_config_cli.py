@@ -327,12 +327,14 @@ def test_validation_errors_exit_two(tmp_path, capsys):
 
 
 def test_unknown_option_exits_two(tmp_path, capsys):
-    # dt_scan, the stride of the old event scan, is no longer an option
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(options={"dt_scan": 0.01}))
-    assert cli.run(["simulate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "validation error" in err
-    assert "dt_scan" in err
+    # dt_scan, the stride of the old event scan, and the merge window t_tol
+    # and grazing threshold grazing_rtol, now constants, are not options
+    for name in ("dt_scan", "t_tol", "grazing_rtol"):
+        cfg = _write(tmp_path, "sim.json", _sim_cfg(options={name: 0.01}))
+        assert cli.run(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert name in err
 
 
 def test_post_collisional_velocity_exits_two(tmp_path, capsys):
@@ -379,6 +381,10 @@ def test_nonfinite_geometry_angle_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("over,field", [
     ({"beta": [0.3, 1.7, float("nan")]}, "psi"),
     ({"V": [0.2, -0.1, float("nan"), 0.4, 0.5, -0.3]}, "V"),
+    ({"family": {"family": "op", "line_field": {"kind": "constant", "phi": float("nan")}}},
+     "phi"),
+    ({"family": {"family": "op", "line_field": {
+        "kind": "fourier", "coeffs": [[1, 0, float("nan"), 0.1]]}}}, "coeffs"),
 ])
 def test_nonfinite_scatter_input_exits_two(tmp_path, capsys, over, field):
     cfg = {
@@ -396,8 +402,8 @@ def test_nonfinite_scatter_input_exits_two(tmp_path, capsys, over, field):
 
 
 @pytest.mark.parametrize("options,field", [
-    ({"t_tol": float("nan")}, "t_tol"),
-    ({"grazing_rtol": float("inf")}, "grazing_rtol"),
+    ({"sample_dt": float("nan")}, "sample_dt"),
+    ({"max_events": 2.5}, "max_events"),
     ({"sample_dt": 0}, "sample_dt"),
     ({"max_events": -1}, "max_events"),
 ])
@@ -407,6 +413,28 @@ def test_out_of_domain_option_exits_two(tmp_path, capsys, options, field):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert f"option {field} " in err
+
+
+@pytest.mark.parametrize("command,over,field", [
+    ("simulate", {"body": {"kind": "ellipse", "a": [2], "b": 1}}, "body.a"),
+    ("simulate", {"T": [8]}, "T"),
+    ("simulate", {"seed": 2.5}, "seed"),
+    ("invariants", {"candidates": [{"variant": "theta_function", "k": float("inf")}]}, "k"),
+    ("invariants", {"candidates": [{"variant": "theta_function", "k": 2.5}]}, "k"),
+    ("invariants", {"families": [{"family": "op", "line_field": {
+        "kind": "constant", "phi": float("inf")}}]}, "phi"),
+    ("invariants", {"families": [{"family": "op", "line_field": {
+        "kind": "fourier", "coeffs": [1, 2]}}]}, "coeffs"),
+])
+def test_non_number_config_value_exits_two(tmp_path, capsys, command, over, field):
+    cfg = _write(tmp_path, "cfg.json", _sim_cfg(n_samples=20, **over))
+    argv = [command, "--config", cfg]
+    if command == "invariants":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"{field} " in err
 
 
 @pytest.mark.parametrize("axes,field", [

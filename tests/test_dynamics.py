@@ -16,6 +16,7 @@ from hardpair.geometry import closest_approach, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
     SimOptions,
+    _resolve_at_contact,
     SimulationError,
     conserved_quantities,
     divergence_report,
@@ -23,7 +24,6 @@ from hardpair.dynamics import (
     gap,
     make_state,
     next_collision_time,
-    resolve_collision,
     simulate,
     time_reverse_check,
 )
@@ -72,7 +72,7 @@ def test_no_collision_returns_none():
 
 def test_resolve_requires_contact():
     with pytest.raises(SimulationError):
-        resolve_collision(DISK, _head_on(), REFL)
+        _resolve_at_contact(DISK, _head_on(), REFL)
 
 
 def test_head_on_exchange():
@@ -232,7 +232,7 @@ def test_resolve_collision_matches_scatter_stack():
     want = scatter_stack(fams, frames, W) / diag
     for f, fam in enumerate(fams):
         for i, Z in enumerate(states):
-            got = resolve_collision(ELL, Z, fam).V
+            got = _resolve_at_contact(ELL, Z, fam)[0].V
             assert np.max(np.abs(got - want[f, i])) <= 1e-13, (fam.label(), i)
 
 

@@ -9,6 +9,7 @@ from hardpair.bodies import MassInertiaMatrix, make_disk, make_ellipse
 from hardpair.frames import LineField, build_frame
 from hardpair.geometry import Beta
 from hardpair.scattering import ScatteringFamily, scattering_matrix
+from hardpair import kinetic
 from hardpair.kinetic import (
     angular_speed_candidate,
     constant_candidate,
@@ -123,17 +124,17 @@ def test_table_shares_samples_across_families():
 
 
 def _reference_table(body, families, cands, n_samples, seed):
-    # the per-sample route: same draw order, one assembled matrix per family
-    rng = np.random.default_rng(seed)
+    # the per-sample route: the two spawned streams read one sample at a
+    # time, a flip per sample, one assembled matrix per family
+    beta_rng, w_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     mim = MassInertiaMatrix.from_mass(body.m, body.J)
     table = {c.name: {fam.label(): 0.0 for fam in families} for c in cands}
     for _ in range(n_samples):
-        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
+        beta = Beta(*beta_rng.uniform(0.0, 2.0 * math.pi, 3))
         frame = build_frame(body, beta)
-        while True:
-            W = rng.standard_normal(6)
-            if float(W @ frame.nu) < 0.0:
-                break
+        W = w_rng.standard_normal(6)
+        if float(W @ frame.nu) > 0.0:
+            W = -W
         V = mim.apply_inverse(W)
         for fam in families:
             Vp = scattering_matrix(fam, frame).s @ V
@@ -164,3 +165,21 @@ def test_candidate_of_wrong_shape_is_named():
     bad = custom_candidate("scalar_one", lambda v, w, th: 1.0)
     with pytest.raises(ValueError, match="scalar_one"):
         invariant_residual(ELL, ScatteringFamily.reflection(), bad, 10, seed=0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 400])
+def test_table_does_not_depend_on_block_size(monkeypatch, block):
+    fams = FAMILIES + [ScatteringFamily.orientation_preserving(
+        LineField.fourier([[1, 0, 0.4, 0.1], [0, 1, -0.2, 0.3]]))]
+    cands = standard_candidates(ELL)
+    want = invariant_residual_table(ELL, fams, cands, 300, seed=11)
+    monkeypatch.setattr(kinetic, "_BLOCK", block)
+    assert invariant_residual_table(ELL, fams, cands, 300, seed=11) == want
+
+
+def test_probe_samples_approach():
+    n = 0
+    for frames, W in kinetic._sample_blocks(ELL, 600, seed=12):
+        assert np.all(np.sum(W * frames.nu, axis=1) <= 0.0)
+        n += len(W)
+    assert n == 600
