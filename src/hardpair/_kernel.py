@@ -1,4 +1,8 @@
-"""The contact solve: one root-find in the contact-normal angle, in scalar Python math.
+"""Contact kernel: the one normal-angle solve for a pair of congruent convex bodies.
+
+One root-find in the contact-normal angle, in scalar Python math.  Callers
+reach it through this module's bindings (`_kernel.ellipse_contact`,
+`_kernel.support_contact`), which tests and tracing replace in place.
 
 Canonical configuration: body 1 sits at the origin with orientation 0, and
 body 2, congruent, is turned by theta and translated by d e(psi).  A body
@@ -21,6 +25,8 @@ H / cos(alpha - psi) at fixed alpha:
 """
 
 import math
+
+BACKEND = "python"
 
 _ALPHA_MAX = 100
 _ALPHA_TOL = 1e-10

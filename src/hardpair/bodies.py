@@ -21,6 +21,10 @@ import numpy as np
 from hardpair._kernel import ellipse_support
 
 TWO_PI = 2.0 * math.pi
+# Quadrature points of make_implicit's mass and support-function sums.
+_N_QUAD = 4096
+# Random boundary parameters, and sweep points, of validate_body.
+_N_CHECK = 1000
 
 
 class BodyValidationError(ValueError):
@@ -211,35 +215,32 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
 def make_implicit(
     level: Callable[[np.ndarray, np.ndarray], np.ndarray],
     boundary: Callable[[float], np.ndarray],
-    n_quad: int = 4096,
 ) -> Body:
     """Body from user-supplied level function and boundary parameterization.
 
     Mass properties are computed from the boundary by Green's theorem with a
-    trapezoidal rule on a uniform parameter grid (spectrally accurate for
-    smooth periodic boundaries). The same sums give the Fourier series of the
-    support function (_fourier_support), and with it K. The body is then
-    validated by sampling; the centroid must sit at the origin to 1e-8
+    trapezoidal rule on a uniform grid of _N_QUAD parameters (spectrally
+    accurate for smooth periodic boundaries). The same sums give the Fourier
+    series of the support function (_fourier_support), and with it K. The
+    body is then validated by sampling; the centroid must sit at the origin to 1e-8
     because the collision bookkeeping assumes center-of-mass body frames.
 
     Args:
         level: b*(x, y), negative inside, zero on the boundary, positive
             outside; must broadcast over numpy arrays.
         boundary: s -> point on {b* = 0}, counterclockwise over [0, 2pi).
-        n_quad: quadrature points for the mass-property integrals.
     """
-    s = np.linspace(0.0, TWO_PI, n_quad, endpoint=False)
+    s = np.linspace(0.0, TWO_PI, _N_QUAD, endpoint=False)
     pts = np.array([boundary(float(v)) for v in s])
     x, y = pts[:, 0], pts[:, 1]
 
     # spectral differentiation on the periodic grid; trapezoid sums are then
     # spectrally accurate for analytic boundaries
-    k = np.fft.rfftfreq(n_quad, d=1.0 / n_quad)
-    if n_quad % 2 == 0:
-        k[-1] = 0.0  # drop the Nyquist mode from the derivative
+    k = np.fft.rfftfreq(_N_QUAD, d=1.0 / _N_QUAD)
+    k[-1] = 0.0  # drop the Nyquist mode from the derivative
     fx, fy = np.fft.rfft(x), np.fft.rfft(y)
-    dx = np.fft.irfft(1j * k * fx, n_quad) * (TWO_PI / n_quad)
-    dy = np.fft.irfft(1j * k * fy, n_quad) * (TWO_PI / n_quad)
+    dx = np.fft.irfft(1j * k * fx, _N_QUAD) * (TWO_PI / _N_QUAD)
+    dy = np.fft.irfft(1j * k * fy, _N_QUAD) * (TWO_PI / _N_QUAD)
 
     area = float(np.sum(x * dy - y * dx) / 2.0)
     if area <= 0:
@@ -256,8 +257,8 @@ def make_implicit(
 
     # at each sample: the outward normal's angle alpha, its rate dalpha =
     # alpha'(s) ds = (c' x c'') / |c'|^2 ds and the support value h = c . n
-    ddx = np.fft.irfft(-k * k * fx, n_quad) * (TWO_PI / n_quad) ** 2
-    ddy = np.fft.irfft(-k * k * fy, n_quad) * (TWO_PI / n_quad) ** 2
+    ddx = np.fft.irfft(-k * k * fx, _N_QUAD) * (TWO_PI / _N_QUAD) ** 2
+    ddy = np.fft.irfft(-k * k * fy, _N_QUAD) * (TWO_PI / _N_QUAD) ** 2
     speed = np.hypot(dx, dy)
     support, K = _fourier_support(
         (x * dy - y * dx) / speed, np.arctan2(-dx, dy), (dx * ddy - dy * ddx) / speed**2
@@ -313,10 +314,10 @@ def mass_inertia_matrix(body: Body) -> MassInertiaMatrix:
     return MassInertiaMatrix.from_mass(body.m, body.J)
 
 
-def validate_body(body: Body, n_check: int = 1000, rng_seed: int = 0) -> None:
+def validate_body(body: Body) -> None:
     """Sampled geometric checks; raises BodyValidationError on failure.
 
-    Checks, over n_check random boundary parameters plus a uniform sweep:
+    Checks, over _N_CHECK random boundary parameters plus a uniform sweep:
     boundary points lie on the zero level set (|b*| < 1e-12, relative to the
     local gradient scale), outward normals are orthogonal to finite-difference
     tangents (< 1e-8), discrete curvature is positive everywhere, and the
@@ -325,8 +326,7 @@ def validate_body(body: Body, n_check: int = 1000, rng_seed: int = 0) -> None:
     if body.m <= 0 or body.J <= 0:
         raise BodyValidationError(f"mass data must be positive, got m={body.m}, J={body.J}")
 
-    rng = np.random.default_rng(rng_seed)
-    ss = rng.uniform(0.0, TWO_PI, n_check)
+    ss = np.random.default_rng(0).uniform(0.0, TWO_PI, _N_CHECK)
     for s in ss:
         p = boundary_point(body, s)
         val = float(body.level(p[0], p[1]))
@@ -358,7 +358,7 @@ def validate_body(body: Body, n_check: int = 1000, rng_seed: int = 0) -> None:
         if not float(body.level(*(p - eps * n))) < 0 < float(body.level(*(p + eps * n))):
             raise BodyValidationError(f"level-set sign pattern wrong near s={s:.6f}")
 
-    sweep = np.linspace(0.0, TWO_PI, n_check, endpoint=False)
+    sweep = np.linspace(0.0, TWO_PI, _N_CHECK, endpoint=False)
     pts = np.array([boundary_point(body, s) for s in sweep])
     prev = pts - np.roll(pts, 1, axis=0)
     nxt = np.roll(pts, -1, axis=0) - pts

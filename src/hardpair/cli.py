@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from hardpair import _checks
-from hardpair.bodies import Body, BodyValidationError, make_disk, make_ellipse
+from hardpair.bodies import Body, make_disk, make_ellipse
 from hardpair.geometry import Beta, ConvergenceError, d_beta, identity_residuals
 from hardpair.frames import DegenerateFrameError, build_frame
 from hardpair.scattering import (
@@ -116,6 +116,14 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(value, name: str, n: int) -> list[float]:
+    """value as n floats; ConfigError naming the field unless it is a list of
+    n JSON numbers."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(f"{name} must be a list of {n} numbers, got {value!r}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
 def _integer(value, name: str, least: int | None = None) -> int:
     """value unchanged; ConfigError naming the field unless it is an integer >= least."""
     if isinstance(value, bool) or not isinstance(value, int) or (
@@ -146,10 +154,9 @@ def state_from_config(z) -> State:
     if isinstance(z, dict):
         if "X" not in z or "V" not in z:
             raise ConfigError("Z0 object form needs fields X and V")
-        return make_state(z["X"], z["V"])
-    if isinstance(z, (list, tuple)):
-        if len(z) != 12:
-            raise ConfigError(f"Z0 flat form needs 12 numbers, got {len(z)}")
+        return make_state(_numbers(z["X"], "Z0.X", 6), _numbers(z["V"], "Z0.V", 6))
+    if isinstance(z, list):
+        z = _numbers(z, "Z0", 12)
         return make_state(z[:6], z[6:])
     raise ConfigError("Z0 must be a 12-number list or an object with X and V")
 
@@ -165,12 +172,10 @@ def options_from_config(cfg: dict) -> SimOptions:
     return SimOptions(**opts)
 
 
-def families_from_config(cfg: dict, default: str = "six"):
+def families_from_config(cfg: dict):
     fams = cfg.get("families")
     if fams is None:
-        if default == "six":
-            return _checks.six_families()
-        raise ConfigError("missing field: families")
+        return _checks.six_families()
     if not isinstance(fams, list) or not fams:
         raise ConfigError("families must be a nonempty list of family objects")
     return [family_from_config(f) for f in fams]
@@ -264,16 +269,12 @@ def _cmd_scatter(args) -> int:
     family = family_from_config(cfg.get("family", {}))
     if "beta" not in cfg:
         raise ConfigError("missing field: beta (three angles)")
-    if not isinstance(cfg["beta"], list) or len(cfg["beta"]) != 3:
-        raise ConfigError("beta must be a list of three angles")
-    beta = Beta(*(_number(x, "beta") for x in cfg["beta"]))
+    beta = Beta(*_numbers(cfg["beta"], "beta", 3))
     if args.V is not None:
         V = _parse_vector(args.V, 6, "--V")
         cfg["V"] = V.tolist()
     elif "V" in cfg:
-        V = np.asarray(cfg["V"], dtype=float)
-        if V.shape != (6,):
-            raise ConfigError("V must hold 6 numbers")
+        V = np.array(_numbers(cfg["V"], "V", 6))
     else:
         raise ConfigError("missing field: V (six velocity components)")
 
@@ -303,7 +304,9 @@ def _cmd_scatter(args) -> int:
 
 
 def _trajectory_records(body, tr, h: str):
-    """All realized states in time order, events flagged and annotated."""
+    """Each realized state once, in time order: the trajectory's samples (the
+    initial state, the sample_dt grid and the final state) and the events,
+    flagged and annotated."""
     def base(t, X, V):
         return {
             "config_hash": h,
@@ -315,15 +318,12 @@ def _trajectory_records(body, tr, h: str):
                                                        V=np.asarray(V, float))),
         }
 
-    recs = [base(tr.initial.t, tr.initial.X, tr.initial.V)]
-    for Z in tr.samples[1:]:
-        recs.append(base(Z.t, Z.X, Z.V))
+    recs = [base(Z.t, Z.X, Z.V) for Z in tr.samples]
     for ev in tr.events:
         rec = base(ev.t, ev.X, ev.V_post)
         rec.update(event=True, grazing=ev.grazing, anchor_shift=ev.anchor_shift,
                    jumps=ev.jumps, d=ev.d, s1=ev.s1, s2=ev.s2)
         recs.append(rec)
-    recs.append(base(tr.final.t, tr.final.X, tr.final.V))
     # stable order: time first, plain states before the event at equal times
     recs.sort(key=lambda r: (r["t"], r["event"]))
     return recs
@@ -370,7 +370,7 @@ def _cmd_nonuniq(args) -> int:
     cfg = _load_config(args.config)
     _resolve_seed(cfg, args)
     body = body_from_config(cfg.get("body", {}))
-    families = families_from_config(cfg, default="six")
+    families = families_from_config(cfg)
     if "Z0" not in cfg:
         raise ConfigError("missing field: Z0")
     Z0 = state_from_config(cfg["Z0"])
@@ -402,7 +402,7 @@ def _cmd_invariants(args) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(cfg, args)
     body = body_from_config(cfg.get("body", {}))
-    families = families_from_config(cfg, default="six")
+    families = families_from_config(cfg)
     cands = candidates_from_config(cfg, body)
     n = _n_samples(cfg, 10000)
     h = config_hash(cfg)
@@ -505,10 +505,7 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (ConfigError, BodyValidationError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and BodyValidationError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, SimulationError, DegenerateFrameError) as exc:

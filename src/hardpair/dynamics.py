@@ -104,7 +104,7 @@ def make_state(X, V, t: float = 0.0) -> State:
 @dataclass(frozen=True)
 class SimOptions:
     """Run options: max_events caps the resolved contacts; sample_dt, when
-    set, adds states on a regular time grid to the trajectory.
+    set, adds states on a regular time grid to the trajectory's samples.
 
     Each field is checked on construction; a value out of its domain raises
     ValueError naming the field.
@@ -146,7 +146,12 @@ class CollisionEvent:
 
 @dataclass
 class Trajectory:
-    """A simulated path: events, sampled states, and the conservation audit."""
+    """A simulated path: events, sampled states, and the conservation audit.
+
+    samples holds the initial state, the states on the sample_dt grid
+    strictly between the start and the end, and the final state; the states
+    right after each contact are in events (V_post), not here.
+    """
 
     initial: State
     final: State
@@ -359,7 +364,6 @@ def simulate(
     Z = Z0
     t_end = Z0.t + T
     events: list[CollisionEvent] = []
-    samples: list[State] = [Z0]
     min_gap = g0
     accumulation = False
     merged = 0
@@ -393,43 +397,42 @@ def simulate(
         # next flight
         Z, event = _resolve_at_contact(body, Z, family, contact)
         events.append(event)
-        samples.append(Z)
         last_event_t = Z.t
         if len(events) > opts.max_events:
             accumulation = True
             break
 
+    grid = []
     if opts.sample_dt is not None:
-        dense = _resample(body, Z0, events, t_end, opts.sample_dt)
-        samples = sorted(dense + samples[1:], key=lambda s: s.t)
+        grid = _resample(Z0, events, Z.t, opts.sample_dt)
         # each solve warm-starts the next; the first from the start pose
         c = start
-        for s in samples:
+        for s in grid:
             g, c = _gap_at(body, s.X, seed=c)
             min_gap = min(min_gap, g)
 
-    samples.append(Z)
     return Trajectory(
-        initial=Z0, final=Z, events=events, samples=samples, min_gap=min_gap,
+        initial=Z0, final=Z, events=events, samples=[Z0, *grid, Z], min_gap=min_gap,
         family_label=family.label(), accumulation_suspected=accumulation,
         merged_grazing=merged,
     )
 
 
-def _resample(body: Body, Z0: State, events, t_end: float, sample_dt: float):
-    """States on a regular grid, replayed exactly from the event sequence."""
+def _resample(Z0: State, events, t_end: float, sample_dt: float):
+    """States at Z0.t + k sample_dt for k = 1, 2, ... before t_end, replayed
+    exactly from the event sequence."""
     out = []
     # replay: piecewise free flight from Z0 through the recorded events
     cur = Z0
     idx = 0
-    t = Z0.t
-    while t <= t_end + 1e-15:
+    k = 1
+    while (t := Z0.t + k * sample_dt) < t_end:
         while idx < len(events) and events[idx].t <= t:
             dt_ev = events[idx].t - cur.t
             cur = State(X=cur.X + dt_ev * cur.V, V=events[idx].V_post, t=events[idx].t)
             idx += 1
         out.append(State(X=cur.X + (t - cur.t) * cur.V, V=cur.V, t=t))
-        t += sample_dt
+        k += 1
     return out
 
 

@@ -22,15 +22,15 @@ arithmetic. With lab-frame vectors and angles the identities read
 with cos(phi) = e(psi) . n = (1 + ((dD/dpsi)/d)^2)^(-1/2) and u-perp the
 counterclockwise rotation (-u2, u1).
 
-Ellipses and implicit bodies are solved the same way, on their support
-functions: D is the least support-line distance of the pair, one root-find
-in the contact-normal angle alpha (_kernel), and the contact point, the
-normal and both partials follow from alpha in closed form, the partials by
-the envelope theorem.  Those partials satisfy the identities above by
+Every body, disks included, is solved the same way, on its support function:
+D is the least support-line distance of the pair, one root-find in the
+contact-normal angle alpha (_kernel), and the contact point, the normal and
+both partials follow from alpha in closed form, the partials by the envelope
+theorem.  Those partials satisfy the identities above by
 construction, so the identities are checked on an independent route:
 identity_residuals evaluates them with Richardson finite differences of D
 (d_derivatives), and its fd_derivative_gap compares the shipped partials
-against the same differences.  Disks have constant D and closed forms.
+against the same differences.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ from hardpair import _kernel
 from hardpair.bodies import Body
 
 TWO_PI = 2.0 * math.pi
+# Step of the finite differences of D that cross-check its partials.
+FD_STEP = 1e-5
+# The oracle's final bracket width, and its boundary samples per overlap test.
+_ORACLE_TOL = 1e-9
+_ORACLE_SAMPLES = 2048
 
 
 class ConvergenceError(RuntimeError):
@@ -181,40 +186,29 @@ def closest_approach(
         psi_rel: center-line direction relative to the first body's frame.
         theta: orientation of the first body; turns p, q and n.
         derivatives: also report dD/dtheta and dD/dpsi, which the solve
-            gives by the envelope theorem; disks get exact zeros.
+            gives by the envelope theorem.
 
     Raises:
         ConvergenceError: the contact solve did not converge.
     """
-    dd = (0.0, 0.0) if derivatives else (None, None)
-    if body.kind == "disk":
-        # disks touch at the center-line midpoint for every pose
-        d = 2.0 * body.a
-        s1 = wrap_angle(psi_rel)
-        s2 = wrap_angle(psi_rel - theta_rel + math.pi)
-        nx, ny = math.cos(psi_rel), math.sin(psi_rel)
-        px, py = body.a * nx, body.a * ny
+    warm = _seed is not None
+    seed = _normal_of_param(body, _seed.s1) if warm else 0.0
+    if body.kind == "ellipse":
+        d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
+            body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
+        )
     else:
-        warm = _seed is not None
-        seed = _normal_of_param(body, _seed.s1) if warm else 0.0
-        if body.kind == "ellipse":
-            d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
-                body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
-            )
-        else:
-            d, alpha, d_th, d_ps, ok = _kernel.support_contact(
-                body.support, theta_rel, psi_rel, seed, use_seed=warm
-            )
-        if not ok:
-            _ellipse_oracle_fallback(body, theta_rel, psi_rel)
-        if derivatives:
-            dd = (d_th, d_ps)
-        s1 = _param_of_normal(body, alpha)
-        s2 = _param_of_normal(body, alpha + math.pi - theta_rel)
-        # the support point of e(alpha): p = h e(alpha) + h' e(alpha)-perp
-        nx, ny = math.cos(alpha), math.sin(alpha)
-        h, dh, _ = body.support(alpha)
-        px, py = h * nx - dh * ny, h * ny + dh * nx
+        d, alpha, d_th, d_ps, ok = _kernel.support_contact(
+            body.support, theta_rel, psi_rel, seed, use_seed=warm
+        )
+    if not ok:
+        _ellipse_oracle_fallback(body, theta_rel, psi_rel)
+    s1 = _param_of_normal(body, alpha)
+    s2 = _param_of_normal(body, alpha + math.pi - theta_rel)
+    # the support point of e(alpha): p = h e(alpha) + h' e(alpha)-perp
+    nx, ny = math.cos(alpha), math.sin(alpha)
+    h, dh, _ = body.support(alpha)
+    px, py = h * nx - dh * ny, h * ny + dh * nx
 
     qx, qy = px - d * math.cos(psi_rel), py - d * math.sin(psi_rel)
     c, s = math.cos(theta), math.sin(theta)
@@ -225,8 +219,8 @@ def closest_approach(
         n=np.array((c * nx - s * ny, s * nx + c * ny)),
         s1=s1,
         s2=s2,
-        dD_dtheta=dd[0],
-        dD_dpsi=dd[1],
+        dD_dtheta=d_th if derivatives else None,
+        dD_dpsi=d_ps if derivatives else None,
     )
 
 
@@ -269,27 +263,16 @@ def _overlap(
     return bool(np.any(np.asarray(body.level(fine[:, 0], fine[:, 1])) < 0.0))
 
 
-def closest_approach_oracle(
-    body: Body,
-    theta_rel: float,
-    psi_rel: float,
-    tol: float = 1e-9,
-    n_samples: int = 2048,
-) -> float:
+def closest_approach_oracle(body: Body, theta_rel: float, psi_rel: float) -> float:
     """Independent route to D: bisection on the sampled overlap predicate.
 
     Monotone in d by convexity (the overlap set in d is an interval starting
     at 0), so plain bisection brackets the tangency separation. Used to
-    cross-check the normal-angle contact solve.
-
-    Args:
-        tol: final bracket width; the bisection also stops once the bracket
-            ends are adjacent floats.
-        n_samples: boundary-sample budget per overlap evaluation.
+    cross-check the normal-angle contact solve.  The bracket narrows to
+    _ORACLE_TOL, or until its ends are adjacent floats; each overlap test
+    spends _ORACLE_SAMPLES boundary samples.
     """
-    if not (tol > 0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    t = np.linspace(0.0, TWO_PI, n_samples // 2, endpoint=False)
+    t = np.linspace(0.0, TWO_PI, _ORACLE_SAMPLES // 2, endpoint=False)
     bnd = _boundary_samples(body, t)
 
     def overlap(d):
@@ -305,7 +288,7 @@ def closest_approach_oracle(
             raise ConvergenceError(
                 f"no separation bracket below 4x diameter for theta={theta_rel}, psi={psi_rel}"
             )
-    while hi - lo > tol:
+    while hi - lo > _ORACLE_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -331,25 +314,17 @@ def d_derivatives(
     body: Body,
     theta_rel: float,
     psi_rel: float,
-    h: float = 1e-5,
     *,
     _seed: Optional[ContactData] = None,
 ) -> tuple[float, float]:
     """Partial derivatives of D at (theta_rel, psi_rel) by finite differences.
 
-    Richardson-extrapolated central differences with steps h and h/2; the
-    stencil solves are warm-started from _seed, a solve at the center, or
-    from one made here. Disks have constant D, so both derivatives vanish
-    identically. This is the independent reference for the envelope
-    derivatives of closest_approach.
-
-    Args:
-        h: finite-difference step, required to lie in [1e-7, 1e-3].
+    Richardson-extrapolated central differences with steps FD_STEP and
+    FD_STEP/2; the stencil solves are warm-started from _seed, a solve at
+    the center, or from one made here. This is the independent reference
+    for the envelope derivatives of closest_approach.
     """
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
-    if body.kind == "disk":
-        return 0.0, 0.0
+    h = FD_STEP
     seed = _seed if _seed is not None else closest_approach(body, theta_rel, psi_rel)
 
     def dval(th: float, ps: float) -> float:
@@ -365,22 +340,6 @@ def d_derivatives(
     return dd_theta, dd_psi
 
 
-def gamma_hat(body: Body, beta: Beta) -> np.ndarray:
-    """Unit outward normal to the admissible set in configuration space.
-
-    Assembled from the contact geometry as the 6-vector
-    (-n~, n~, dD/dtheta + dD/dpsi, -dD/dtheta) with
-    n~ = e(psi) - ((dD/dpsi)/d) e(psi)-perp in the lab frame, then normalized
-    to unit length. Collinear with M nu by the contact identities, which is
-    what the identity tests assert.
-    """
-    c = d_beta(body, beta, derivatives=True)
-    ev = e_of(beta.psi)
-    ntil = ev - (c.dD_dpsi / c.d) * perp(ev)
-    g = np.concatenate([-ntil, ntil, [c.dD_dtheta + c.dD_dpsi, -c.dD_dtheta]])
-    return g / np.linalg.norm(g)
-
-
 def _direction_residual(u: np.ndarray, v: np.ndarray) -> float:
     """|1 - |cos angle|| between two nonzero vectors; sign-agnostic."""
     uu = u / np.linalg.norm(u)
@@ -389,14 +348,14 @@ def _direction_residual(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def identity_residuals(
-    body: Body, beta: Beta, h: float = 1e-5, *, contact: Optional[ContactData] = None
+    body: Body, beta: Beta, *, contact: Optional[ContactData] = None
 ) -> dict:
     """Cross-check of the contact identities and of the derivatives of D.
 
-    The identities are evaluated with finite differences of D with step h
-    (d_derivatives), not with the derivatives closest_approach returns:
-    those come from the contact normal by the envelope theorem, so they
-    satisfy the identities by construction.  Returns a report with the
+    The identities are evaluated with finite differences of D with step
+    FD_STEP (d_derivatives), not with the derivatives closest_approach
+    returns: those come from the contact normal by the envelope theorem, so
+    they satisfy the identities by construction.  Returns a report with the
     asserted residuals (direction collinearity of n with its derivative
     form, relative error of the contact scalars, direction collinearity of
     M nu with gamma-hat), the fd_derivative_gap between the shipped
@@ -412,7 +371,7 @@ def identity_residuals(
     are seeded from it.
     """
     c = contact if contact is not None else d_beta(body, beta, derivatives=True)
-    fd_theta, fd_psi = d_derivatives(body, *beta.reduced(), h, _seed=c)
+    fd_theta, fd_psi = d_derivatives(body, *beta.reduced(), _seed=c)
     fd_gap = max(abs(c.dD_dtheta - fd_theta), abs(c.dD_dpsi - fd_psi)) / max(
         c.d, abs(fd_theta), abs(fd_psi)
     )

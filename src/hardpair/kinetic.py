@@ -51,16 +51,6 @@ from hardpair.scattering import (  # noqa: F401
     scattering_matrix,
 )
 
-_VARIANTS = (
-    "constant",
-    "momentum_x",
-    "momentum_y",
-    "kinetic_energy",
-    "angular_speed",
-    "theta_function",
-    "custom",
-)
-
 # Samples per array pass.  A block holds a few (_BLOCK, 6, 6) stacks, so
 # memory stays flat in n_samples.
 _BLOCK = 256
@@ -74,12 +64,7 @@ class InvariantCandidate:
     """
 
     name: str
-    variant: str
     fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown candidate variant {self.variant!r}")
 
     def value(self, v: np.ndarray, w: np.ndarray, th: np.ndarray) -> np.ndarray:
         """fn(v, w, th), checked to have the shape of th."""
@@ -98,26 +83,25 @@ class InvariantCandidate:
 
 
 def constant_candidate() -> InvariantCandidate:
-    return InvariantCandidate("1", "constant", lambda v, w, th: np.ones_like(w))
+    return InvariantCandidate("1", lambda v, w, th: np.ones_like(w))
 
 
 def momentum_candidate(axis: int) -> InvariantCandidate:
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     name = "v_x" if axis == 0 else "v_y"
-    variant = "momentum_x" if axis == 0 else "momentum_y"
-    return InvariantCandidate(name, variant, lambda v, w, th, a=axis: v[..., a])
+    return InvariantCandidate(name, lambda v, w, th, a=axis: v[..., a])
 
 
 def kinetic_energy_candidate(m: float, J: float) -> InvariantCandidate:
     return InvariantCandidate(
-        "m|v|^2+Jw^2", "kinetic_energy",
+        "m|v|^2+Jw^2",
         lambda v, w, th: m * np.sum(v * v, axis=-1) + J * w * w,
     )
 
 
 def angular_speed_candidate() -> InvariantCandidate:
-    return InvariantCandidate("w", "angular_speed", lambda v, w, th: w)
+    return InvariantCandidate("w", lambda v, w, th: w)
 
 
 def theta_function_candidate(a: Callable[[np.ndarray], np.ndarray], name: str) -> InvariantCandidate:
@@ -125,11 +109,11 @@ def theta_function_candidate(a: Callable[[np.ndarray], np.ndarray], name: str) -
 
     a acts elementwise on arrays of angles (np.sin, not math.sin).
     """
-    return InvariantCandidate(name, "theta_function", lambda v, w, th: a(th))
+    return InvariantCandidate(name, lambda v, w, th: a(th))
 
 
 def custom_candidate(name: str, fn: Callable) -> InvariantCandidate:
-    return InvariantCandidate(name, "custom", fn)
+    return InvariantCandidate(name, fn)
 
 
 def standard_candidates(body: Body) -> list[InvariantCandidate]:

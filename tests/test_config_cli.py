@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ import pytest
 # hardpair (the benchmark's tests make one) leaves alone
 from hardpair import cli, geometry
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+X0 = [0.0, 0.0, 4.2, 0.3, 0.4, 1.9]
+V0 = [0.5, 0.0, -0.45, 0.05, 0.3, -0.2]
 
 def _write(tmp_path, name, obj):
     p = tmp_path / name
@@ -26,8 +30,7 @@ def _sim_cfg(**over):
     cfg = {
         "body": _body_cfg(),
         "family": {"family": "reflection"},
-        "Z0": [0.0, 0.0, 4.2, 0.3, 0.4, 1.9,
-               0.5, 0.0, -0.45, 0.05, 0.3, -0.2],
+        "Z0": X0 + V0,
         "T": 6.0,
         "seed": 0,
     }
@@ -197,10 +200,24 @@ def test_simulate_jsonl_stream(tmp_path, capsys):
     assert hashes == {summary["config_hash"]}
 
 
+def test_simulate_writes_each_realized_state_once(tmp_path):
+    # the shipped config runs to T = 8 through two contacts: with sample_dt
+    # 0.5 that is the start, 15 grid states, the two events and the end
+    cfg = json.loads((CONFIGS / "simulate.json").read_text())
+    plain = {k: v for k, v in cfg.items() if k != "options"}
+    out = tmp_path / "traj.jsonl"
+    for c, want in ((cfg, 19), (plain, 4)):
+        path = _write(tmp_path, "sim.json", c)
+        assert cli.run(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(recs) == want
+        assert sum(r["event"] for r in recs) == 2
+        assert len({(r["t"], *r["X"], *r["V"]) for r in recs}) == want
+        assert recs[0]["t"] == 0.0 and recs[-1]["t"] == 8.0
+
+
 def test_simulate_object_form_datum(tmp_path, capsys):
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(
-        Z0={"X": [0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
-            "V": [0.5, 0.0, -0.45, 0.05, 0.3, -0.2]}))
+    cfg = _write(tmp_path, "sim.json", _sim_cfg(Z0={"X": X0, "V": V0}))
     rc = cli.run(["simulate", "--config", cfg, "--out",
                   str(tmp_path / "t.jsonl")])
     assert rc == 0
@@ -425,6 +442,16 @@ def test_out_of_domain_option_exits_two(tmp_path, capsys, options, field):
         "kind": "constant", "phi": float("inf")}}]}, "phi"),
     ("invariants", {"families": [{"family": "op", "line_field": {
         "kind": "fourier", "coeffs": [1, 2]}}]}, "coeffs"),
+    ("simulate", {"Z0": ["0"] + X0[1:] + V0}, "Z0[0]"),
+    ("simulate", {"Z0": [[0.0]] + X0[1:] + V0}, "Z0[0]"),
+    ("simulate", {"Z0": X0 + V0[:5]}, "Z0"),
+    ("simulate", {"Z0": {"X": X0[:1] + ["0"] + X0[2:], "V": V0}}, "Z0.X[1]"),
+    ("simulate", {"Z0": {"X": X0, "V": V0 + [0.0]}}, "Z0.V"),
+    ("scatter", {"beta": [0.3, 1.7, 0.9], "V": ["0.2"] + V0[1:]}, "V[0]"),
+    ("scatter", {"beta": [0.3, 1.7, 0.9], "V": [[0.2]] + V0[1:]}, "V[0]"),
+    ("scatter", {"beta": [0.3, 1.7, 0.9], "V": V0[:5]}, "V"),
+    ("scatter", {"beta": [0.3, "1.7", 0.9], "V": V0}, "beta[1]"),
+    ("scatter", {"beta": [0.3, 1.7], "V": V0}, "beta"),
 ])
 def test_non_number_config_value_exits_two(tmp_path, capsys, command, over, field):
     cfg = _write(tmp_path, "cfg.json", _sim_cfg(n_samples=20, **over))

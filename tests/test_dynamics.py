@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-# geometry as bound here at import, the module simulate calls into; the
-# kernel-counting tests patch its _kernel, which a later fresh import of
+# dynamics and geometry as bound here at import, the modules simulate lives
+# in and calls into; the kernel-counting tests patch geometry's _kernel and
+# the merge test dynamics' _next_collision, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
-from hardpair import geometry
+from hardpair import dynamics, geometry
 from hardpair.bodies import make_disk, make_ellipse, make_implicit
 from hardpair.frames import LineField
 from hardpair.geometry import closest_approach, e_of, wrap_angle
@@ -117,6 +118,18 @@ def test_dense_samples_cover_horizon():
     assert ts[0] == pytest.approx(0.0)
     assert ts[-1] == pytest.approx(8.0)
     assert max(np.diff(ts)) < 0.5 + 1e-9
+
+
+def test_samples_hold_each_state_once():
+    # the start, the grid strictly inside the run and the end; the states
+    # right after the two contacts live in the events only
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    tr = simulate(ELL, Z0, REFL, 8.0, SimOptions(sample_dt=0.5))
+    assert tr.n_events() == 2
+    assert [Z.t for Z in tr.samples] == [0.5 * k for k in range(17)]
+    assert tr.samples[0] is Z0 and tr.samples[-1] is tr.final
+    assert [Z.t for Z in simulate(ELL, Z0, REFL, 8.0).samples] == [0.0, 8.0]
 
 
 @pytest.mark.parametrize("family", [
@@ -276,6 +289,29 @@ def test_accumulation_is_flagged_not_warned():
         tr = simulate(ELL, Z0, REFL, 6.0, SimOptions(max_events=1))
     assert tr.accumulation_suspected
     assert tr.n_events() == 2 and tr.final.t < 6.0
+
+
+def test_regrazed_root_is_merged(monkeypatch):
+    # tip to tip on the (2,1) ellipses with a common drift, so V.(M nu) = 0:
+    # the first root resolves as a grazing event, and the same root reported
+    # again at once is merged into it rather than resolved a second time
+    real = dynamics._next_collision
+    calls = []
+
+    def root_now(body, Z, t_max, contact=None):
+        calls.append(Z.t)
+        if len(calls) <= 2:
+            g, contact = dynamics._gap_at(body, Z.X, solved=contact)
+            return 0.0, g, contact
+        return real(body, Z, t_max, contact)
+
+    monkeypatch.setattr(dynamics, "_next_collision", root_now)
+    Z0 = make_state([0, 0, 4, 0, 0, 0], [0.3, -0.2, 0.3, -0.2, 0, 0])
+    tr = simulate(ELL, Z0, REFL, 2.0)
+    assert tr.n_events() == 1 and tr.events[0].grazing
+    assert tr.merged_grazing == 1
+    assert len(calls) == 3
+    assert tr.final.t == pytest.approx(2.0) and not tr.accumulation_suspected
 
 
 def test_late_graze_is_a_collision():

@@ -17,7 +17,6 @@ from hardpair.geometry import (
     d_beta,
     d_derivatives,
     e_of,
-    gamma_hat,
     identity_residuals,
     perp,
     rotation,
@@ -275,6 +274,25 @@ def test_disk_derivatives_are_exact_zeros():
         assert c.dD_dtheta == 0.0 and c.dD_dpsi == 0.0
 
 
+def test_disk_contact_cold_and_warm():
+    # a disk's support function is the constant r, so G = 2r sin(alpha - psi):
+    # a cold solve stops at alpha = psi on its first step, and a solve warm
+    # from a nearby pose reaches it to rounding
+    disk = make_disk(0.8)
+    rng = np.random.default_rng(19)
+    for theta, psi, dth, dps in rng.uniform(-0.3, 0.3, (50, 4)) * [20, 20, 1, 1]:
+        cold = closest_approach(disk, theta, psi, derivatives=True)
+        warm = closest_approach(disk, theta + dth, psi + dps, derivatives=True, _seed=cold)
+        for c, th, ps in ((cold, theta, psi), (warm, theta + dth, psi + dps)):
+            assert abs(c.d - 1.6) <= 1e-14
+            assert np.max(np.abs(c.n - e_of(ps))) <= 1e-14
+            assert np.max(np.abs(c.p - 0.8 * e_of(ps))) <= 1e-14
+            assert abs(c.dD_dtheta) <= 1e-14 and abs(c.dD_dpsi) <= 1e-14
+            assert abs(math.remainder(c.s1 - ps, 2.0 * math.pi)) <= 1e-14
+            assert abs(math.remainder(c.s2 - (ps - th + math.pi), 2.0 * math.pi)) <= 1e-14
+        assert cold.d == 1.6 and cold.s1 == wrap_angle(psi)
+
+
 def _implicit_ellipse(a=2.0, b=1.0):
     return make_implicit(
         level=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
@@ -348,13 +366,6 @@ def test_lab_record_is_the_canonical_record_turned(body, n_poses, derivatives):
             assert np.max(np.abs(got - R @ want)) <= 1e-14
         assert (lab.d, lab.s1, lab.s2, lab.dD_dtheta, lab.dD_dpsi) == (
             canon.d, canon.s1, canon.s2, canon.dD_dtheta, canon.dD_dpsi)
-
-
-def test_gamma_hat_unit_and_orthogonal_to_translations():
-    beta = Beta(0.3, 1.9, 2.4)
-    g = gamma_hat(ELL, beta)
-    assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-10)
-    assert abs(g[0] + g[2]) < 1e-12 and abs(g[1] + g[3]) < 1e-12
 
 
 def test_beta_reduced_and_shifted():
