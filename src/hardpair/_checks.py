@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hardpair.bodies import MassInertiaMatrix, make_disk, make_ellipse
+from hardpair.bodies import make_disk, make_ellipse, mass_weights
 from hardpair.geometry import (
     FD_STEP,
     Beta,
@@ -46,7 +46,6 @@ from hardpair.dynamics import (
 )
 from hardpair.kinetic import (
     angular_speed_candidate,
-    invariant_residual,
     invariant_residual_table,
     standard_candidates,
 )
@@ -111,8 +110,8 @@ def check_frames(n: int = 1000) -> CheckResult:
             shape = shapes[k % 2]
             beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
             fr = build_frame(shape, beta)
-            worst_orth = max(worst_orth, fr.orthonormality_residual())
-            dual = e_beta_gram_schmidt(beta, fr.d, fr.m, fr.J)
+            worst_orth = max(worst_orth, float(fr.orthonormality_residual()))
+            dual = e_beta_gram_schmidt(fr.psi, fr.d, fr.m, fr.J)
             worst_dual = max(worst_dual, float(np.max(np.abs(fr.Ebeta - dual))))
         return worst_orth, worst_dual
 
@@ -201,7 +200,7 @@ def check_scattering(n: int = 10000) -> CheckResult:
         want_sign = (-1, -1, 1)
         # V stays unflipped, so the flip check sees both half-spaces
         frames, V, normal, pn, qn = next(sample_contacts(ell, n, 104, n))
-        Vp, reports = audit_scattering(fams, frames, V, m, J)
+        Vp, reports = audit_scattering(fams, frames, V)
         worst = {
             "involution": max(r["involution"] for r in reports),
             "det": max(
@@ -240,7 +239,7 @@ def check_disk_reduction(n: int = 1000) -> CheckResult:
     """Reflection on disks is the specular exchange; spins never change."""
     def body():
         disk = make_disk(1.0)
-        diag = MassInertiaMatrix.from_mass(disk.m, disk.J).diag
+        diag = mass_weights(disk.m, disk.J)
         frames, V, *_ = next(sample_contacts(disk, n, 105, n))
         Vp = scatter_stack([ScatteringFamily.reflection()], frames, V * diag)[0] / diag
         nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
@@ -331,30 +330,12 @@ def check_dynamics(n_data: int = 50) -> CheckResult:
     )
 
 
-def nonuniq_report(ell, Z0, families, T, opts=None) -> dict:
-    """Divergence report plus the derived pass/fail quantities.
-
-    The same function backs the nonuniq subcommand and the verification
-    suite, so the numbers in both come from one pipeline.
-    """
-    rep = divergence_report(ell, Z0, families, T, opts)
-    if rep["degenerate"]:
-        return rep
-    k = len(families)
-    off = rep["velocity_divergence"][np.triu_indices(k, 1)]
-    vnorm = float(np.linalg.norm(Z0.V))
-    rep["min_pairwise_velocity_divergence"] = float(off.min())
-    rep["velocity_scale"] = vnorm
-    rep["distinct"] = bool(off.min() > 1e-6 * vnorm)
-    return rep
-
-
 def check_nonuniqueness() -> CheckResult:
     """Six families on the frozen datum: all conserve, all differ."""
     def body():
         ell = make_ellipse(2.0, 1.0)
         Z0 = make_state(NONUNIQ_X0, NONUNIQ_V0)
-        return nonuniq_report(ell, Z0, six_families(), NONUNIQ_T)
+        return divergence_report(ell, Z0, six_families(), NONUNIQ_T)
 
     rep, dt = _timed(body)
     passed = not rep["degenerate"] and rep["all_conserve"] and rep["distinct"]
@@ -385,8 +366,9 @@ def check_kinetic(n: int = 10000) -> CheckResult:
         known = ("1", "v_x", "v_y", "m|v|^2+Jw^2", "sin(theta)")
         worst_known = max(max(table[name].values()) for name in known)
         w_ellipse = min(table["w"].values())
-        w_disk = invariant_residual(
-            disk, ScatteringFamily.reflection(), angular_speed_candidate(), n, 107)
+        w_disk = invariant_residual_table(
+            disk, [ScatteringFamily.reflection()], [angular_speed_candidate()], n, 107,
+        )["w"]["reflection"]
         return worst_known, w_ellipse, w_disk
 
     (worst_known, w_ellipse, w_disk), dt = _timed(body)

@@ -80,32 +80,17 @@ class Body:
         return replace(self, m=float(m), J=float(J))
 
 
-@dataclass(frozen=True)
-class MassInertiaMatrix:
-    """Diagonal weighting diag(sqrt(m) x4, sqrt(J) x2) of velocity 6-vectors.
+def mass_weights(m: float, J: float) -> np.ndarray:
+    """The diagonal (sqrt(m) x4, sqrt(J) x2) of the mass weighting M, shape (6,).
 
-    Applied to V = (v, vbar, omega, omegabar), its square scales linear
-    components by m and angular components by J.
+    W = M V weights a velocity V = (v, vbar, omega, omegabar) so that |W|^2
+    scales linear components by m and angular components by J; V = W / M
+    undoes it.  m and J must be positive.
     """
-
-    diag: np.ndarray
-
-    @classmethod
-    def from_mass(cls, m: float, J: float) -> "MassInertiaMatrix":
-        if m <= 0 or J <= 0:
-            raise ValueError(f"mass data must be positive, got m={m}, J={J}")
-        rm, rj = math.sqrt(m), math.sqrt(J)
-        return cls(diag=np.array([rm, rm, rm, rm, rj, rj]))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-    def apply(self, V: np.ndarray) -> np.ndarray:
-        return self.diag * V
-
-    def apply_inverse(self, V: np.ndarray) -> np.ndarray:
-        return V / self.diag
+    if m <= 0 or J <= 0:
+        raise ValueError(f"mass data must be positive, got m={m}, J={J}")
+    rm, rj = math.sqrt(m), math.sqrt(J)
+    return np.array([rm, rm, rm, rm, rj, rj])
 
 
 def make_disk(r: float) -> Body:
@@ -307,11 +292,6 @@ def outward_normal(body: Body, s: float) -> np.ndarray:
         t = boundary_tangent(body, s)
         n = np.array([t[1], -t[0]])
     return n / np.linalg.norm(n)
-
-
-def mass_inertia_matrix(body: Body) -> MassInertiaMatrix:
-    """The diagonal weighting diag(sqrt(m) x4, sqrt(J) x2) for this body."""
-    return MassInertiaMatrix.from_mass(body.m, body.J)
 
 
 def validate_body(body: Body) -> None:

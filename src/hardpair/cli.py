@@ -29,9 +29,9 @@ from hardpair.bodies import Body, make_disk, make_ellipse
 from hardpair.geometry import Beta, ConvergenceError, d_beta, identity_residuals
 from hardpair.frames import DegenerateFrameError, build_frame
 from hardpair.scattering import (
-    GRAZING_RTOL,
     audit_scattering,
     family_from_config,
+    is_grazing,
     scatter_velocity,
 )
 from hardpair.dynamics import (
@@ -39,6 +39,7 @@ from hardpair.dynamics import (
     SimulationError,
     State,
     conserved_quantities,
+    divergence_report,
     make_state,
     simulate,
 )
@@ -282,9 +283,9 @@ def _cmd_scatter(args) -> int:
 
     frame = build_frame(body, beta)
     V_prime, proj_pre, proj_post = scatter_velocity(family, frame, V)
-    grazing = abs(proj_pre) <= GRAZING_RTOL * float(np.linalg.norm(V))
+    grazing = is_grazing(proj_pre, float(np.linalg.norm(V)))
     samples = np.random.default_rng(seed).standard_normal((n, 6))
-    _, (report,) = audit_scattering([family], frame.stack(), samples, body.m, body.J)
+    _, (report,) = audit_scattering([family], frame, samples)
     if args.quiet:
         return EXIT_OK
     _emit({
@@ -371,13 +372,15 @@ def _cmd_nonuniq(args) -> int:
     _resolve_seed(cfg, args)
     body = body_from_config(cfg.get("body", {}))
     families = families_from_config(cfg)
+    if len(families) < 2:
+        raise ConfigError("families must list at least two families to compare")
     if "Z0" not in cfg:
         raise ConfigError("missing field: Z0")
     Z0 = state_from_config(cfg["Z0"])
     T = _number(cfg.get("T", 4.0), "T")
     opts = options_from_config(cfg)
     h = config_hash(cfg)
-    rep = _checks.nonuniq_report(body, Z0, families, T, opts)
+    rep = divergence_report(body, Z0, families, T, opts)
     if not args.quiet:
         rep_out = {"record": "nonuniq", "config_hash": h}
         rep_out.update(rep)

@@ -41,8 +41,8 @@ from hardpair.geometry import (  # noqa: F401
 from hardpair.frames import build_frame, nu_hat
 # scattering_matrix is not called here; it stays bound for the same reason
 from hardpair.scattering import (  # noqa: F401
-    GRAZING_RTOL,
     ScatteringFamily,
+    is_grazing,
     normal_projection,
     scatter_velocity,
     scattering_matrix,
@@ -148,9 +148,12 @@ class CollisionEvent:
 class Trajectory:
     """A simulated path: events, sampled states, and the conservation audit.
 
-    samples holds the initial state, the states on the sample_dt grid
-    strictly between the start and the end, and the final state; the states
-    right after each contact are in events (V_post), not here.
+    samples holds each realized state once: the initial state, the states
+    on the sample_dt grid strictly between the start and the end, and the
+    final state unless it is already held.  With T = 0 it is the initial
+    state, and a run stopped by max_events ends on the state right after
+    its last contact; the states right after each contact are in events
+    (V_post), not here.
     """
 
     initial: State
@@ -326,7 +329,7 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
         Z = State(X=X, V=Z.V, t=Z.t)
     beta = Z.beta()
     V_post, proj_pre, proj_post = scatter_velocity(family, build_frame(body, beta, contact), Z.V)
-    grazing = abs(proj_pre) <= GRAZING_RTOL * float(np.linalg.norm(Z.V))
+    grazing = is_grazing(proj_pre, float(np.linalg.norm(Z.V)))
     before = conserved_quantities(body, Z)
     Z_post = State(X=Z.X, V=V_post, t=Z.t)
     after = conserved_quantities(body, Z_post)
@@ -383,9 +386,9 @@ def simulate(
         if (
             last_event_t is not None
             and Z.t - last_event_t < t_tol
-            and abs(normal_projection(Z.V, nu_hat(contact, body.m, body.J),
-                                      body.m, body.J))
-            <= GRAZING_RTOL * float(np.linalg.norm(Z.V))
+            and is_grazing(normal_projection(Z.V, nu_hat(contact, body.m, body.J),
+                                             body.m, body.J),
+                           float(np.linalg.norm(Z.V)))
         ):
             # same grazing root re-found within the time tolerance: count it
             # into the previous event and step past it
@@ -402,6 +405,9 @@ def simulate(
             accumulation = True
             break
 
+    # the final state is already held when it is the initial one or the
+    # state right after the event the run stopped on
+    tail = [] if Z is Z0 or accumulation else [Z]
     grid = []
     if opts.sample_dt is not None:
         grid = _resample(Z0, events, Z.t, opts.sample_dt)
@@ -412,7 +418,7 @@ def simulate(
             min_gap = min(min_gap, g)
 
     return Trajectory(
-        initial=Z0, final=Z, events=events, samples=[Z0, *grid, Z], min_gap=min_gap,
+        initial=Z0, final=Z, events=events, samples=[Z0, *grid, *tail], min_gap=min_gap,
         family_label=family.label(), accumulation_suspected=accumulation,
         merged_grazing=merged,
     )
@@ -468,7 +474,10 @@ def divergence_report(
 
     Reports, per family, the post-first-event velocity, final state and
     conservation residuals, plus pairwise sup-norm differences of the
-    post-first-event velocities and of the final states.  A datum with no
+    post-first-event velocities and of the final states.  The families are
+    distinct when every pairwise velocity divergence exceeds 1e-6 |V0|
+    (min_pairwise_velocity_divergence against velocity_scale; with one
+    family there is no pair, the minimum is inf).  A datum with no
     collision within T yields {"degenerate": True}.
     """
     trajectories = [simulate(body, Z0, fam, T, opts) for fam in families]
@@ -502,6 +511,8 @@ def divergence_report(
                 np.max(np.abs(per_family[i]["final_X"] - per_family[j]["final_X"])),
                 np.max(np.abs(per_family[i]["final_V"] - per_family[j]["final_V"])),
             ))
+    least = float(vel_diff[np.triu_indices(k, 1)].min(initial=math.inf))
+    vnorm = float(np.linalg.norm(Z0.V))
     return {
         "degenerate": False,
         "families": [tr.family_label for tr in trajectories],
@@ -509,4 +520,7 @@ def divergence_report(
         "velocity_divergence": vel_diff,
         "final_state_divergence": fin_diff,
         "all_conserve": bool(all(p["max_ledger_jump_rel"] < 1e-9 for p in per_family)),
+        "min_pairwise_velocity_divergence": least,
+        "velocity_scale": vnorm,
+        "distinct": least > 1e-6 * vnorm,
     }

@@ -18,7 +18,8 @@ break the rotation symmetry, so a pair seeded in the lab would not be a
 function of the relative configuration; the transported pair is, and a line
 field's angle picks the same physical direction at every global rotation.
 One frame (build_frame) runs on Python floats; a stack of frames
-(build_frames) runs the same construction as array code.  sample_contacts
+(build_frames) runs the same construction as array code.  Both return
+Frames, one frame being the unbatched case.  sample_contacts
 draws random contact poses and builds their frames; the invariant probe and
 the verification checks read their samples from it.
 """
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hardpair.bodies import Body, MassInertiaMatrix
+from hardpair.bodies import Body, mass_weights
 from hardpair.geometry import TWO_PI, Beta, ContactData, d_beta
 
 E1_HAT = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
@@ -61,49 +62,16 @@ class DegenerateFrameError(RuntimeError):
     """The complement construction found fewer than two independent directions."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal basis of velocity space adapted to one contact configuration.
+class Frames(NamedTuple):
+    """Orthonormal bases of velocity space adapted to N contact configurations.
 
     E1, E2, Ebeta span the conserved directions, nu is the collision normal,
-    and F1, F2 span the orthogonal complement of the four.  The mass data and
-    the configuration (beta, d) used in the construction are kept so that
-    downstream consumers can evaluate line fields and conservation
-    functionals without re-deriving them.
-    """
-
-    E1: np.ndarray
-    E2: np.ndarray
-    Ebeta: np.ndarray
-    nu: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
-    m: float
-    J: float
-    beta: Beta
-    d: float
-
-    def stack(self) -> "Frames":
-        """This frame as the one-row Frames."""
-        b = self.beta
-        return Frames(
-            E1=self.E1, E2=self.E2, Ebeta=self.Ebeta[None], nu=self.nu[None],
-            F1=self.F1[None], F2=self.F2[None], theta=np.array([b.theta]),
-            thetabar=np.array([b.thetabar]), psi=np.array([b.psi]),
-            d=np.array([self.d]),
-        )
-
-    def orthonormality_residual(self) -> float:
-        return float(self.stack().orthonormality_residual()[0])
-
-
-class Frames(NamedTuple):
-    """N frames as arrays; row i of each array belongs to pose i.
-
-    Ebeta, nu, F1 and F2 have shape (N, 6); theta, thetabar, psi and d have
-    shape (N,).  E1 and E2 (shape (6,)) are shared by every pose.  A single
-    Frame is the N = 1 case (Frame.stack).  A named tuple rather than a
-    dataclass: it is cheaper to build and to define.
+    and F1, F2 span the orthogonal complement of the four.  Row i of each
+    array belongs to pose i: Ebeta, nu, F1 and F2 have shape (N, 6), and the
+    configuration theta, thetabar, psi and the separation d have shape (N,).
+    E1 and E2 (shape (6,)) and the mass data m, J are shared by every pose.
+    One frame is the unbatched case: vectors of shape (6,) and floats.  A
+    named tuple rather than a dataclass: it is cheaper to build and to define.
     """
 
     E1: np.ndarray
@@ -116,35 +84,29 @@ class Frames(NamedTuple):
     thetabar: np.ndarray
     psi: np.ndarray
     d: np.ndarray
+    m: float
+    J: float
 
     def basis(self) -> np.ndarray:
-        """Shape (N, 6, 6): per pose the rows E1, E2, Ebeta, nu, F1, F2."""
+        """Shape (N, 6, 6), or (6, 6) for one frame: the rows E1, E2, Ebeta, nu, F1, F2."""
         return _rows(self.E1, self.E2, self.Ebeta, self.nu, self.F1, self.F2)
 
     def orthonormality_residual(self) -> np.ndarray:
-        """Per pose, max |B B^T - I| over the basis rows B; shape (N,)."""
+        """Per pose, max |B B^T - I| over the basis rows B; shape (N,), or () for one frame."""
         b = self.basis()
-        return np.abs(b @ b.transpose(0, 2, 1) - _EYE6).max(axis=(1, 2))
+        return np.abs(b @ b.swapaxes(-1, -2) - _EYE6).max(axis=(-2, -1))
 
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """Relative angles (thetabar - theta, psi - theta) mod 2pi, as Beta.reduced."""
         return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
 
 
-def block_rotation(phi: float) -> np.ndarray:
-    """Rotation of both translational velocity blocks by phi; spins untouched.
-
-    This is how a rotation of the plane acts on 6-vectors (v, vbar, w, wbar).
-    It commutes with the mass-inertia matrix.
-    """
-    # rotate_blocks turns the rows of I into the columns of the rotation
-    return rotate_blocks(np.eye(6), np.full(6, phi)).T
-
-
 def rotate_blocks(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Row i of X (shape (N, 6)) turned by block_rotation(phi[i]).
+    """Row i of X (shape (N, 6)) turned by the angle phi[i].
 
-    The two translational pairs are turned as complex numbers x + iy.
+    A rotation of the plane turns both translational pairs, as complex
+    numbers x + iy, and leaves the spins alone; it commutes with the mass
+    weighting.
     """
     out = X.copy()
     z = out[:, 0:4].view(np.complex128)
@@ -185,19 +147,15 @@ def angular_momentum_vector(psi, d, m: float, J: float) -> np.ndarray:
     return g / np.sqrt(m * m * d * d + 2.0 * J * J)[..., None]
 
 
-def e_beta(beta: Beta, d: float, m: float, J: float) -> np.ndarray:
+def e_beta(psi, d, m: float, J: float) -> np.ndarray:
     """Angular-momentum frame vector, closed form.
 
     Equals the Gram-Schmidt orthogonalization of M^-1 times the angular
     momentum gradient against E1, E2 (see e_beta_gram_schmidt), evaluated in
     closed form.  At d = 0 it degenerates gracefully to the pure spin
-    direction (0,0,0,0,1,1)/sqrt(2).
+    direction (0,0,0,0,1,1)/sqrt(2).  One pose takes floats psi, d (shape
+    (6,)), N poses arrays of shape (N,) (shape (N, 6)).
     """
-    return _e_beta(beta.psi, d, m, J)
-
-
-def _e_beta(psi, d, m: float, J: float) -> np.ndarray:
-    """e_beta at one pose (psi, d floats; shape (6,)) or N (arrays; shape (N, 6))."""
     sp = math.sqrt(m) * d * np.sin(psi)
     cp = math.sqrt(m) * d * np.cos(psi)
     spin = 2.0 * math.sqrt(J) + 0.0 * sp
@@ -205,16 +163,14 @@ def _e_beta(psi, d, m: float, J: float) -> np.ndarray:
     return vec / np.sqrt(2.0 * m * d * d + 8.0 * J)[..., None]
 
 
-def e_beta_gram_schmidt(beta: Beta, d: float, m: float, J: float) -> np.ndarray:
+def e_beta_gram_schmidt(psi: float, d: float, m: float, J: float) -> np.ndarray:
     """Angular-momentum frame vector via explicit Gram-Schmidt.
 
     Independent construction used to cross-check e_beta: take the normalized
     angular-momentum gradient, pull it to mass-weighted coordinates with
     M^-1, orthogonalize against E1 and E2, and normalize.
     """
-    gam = angular_momentum_vector(beta.psi, d, m, J)
-    mim = MassInertiaMatrix.from_mass(m, J)
-    u = mim.apply_inverse(gam)
+    u = angular_momentum_vector(psi, d, m, J) / mass_weights(m, J)
     for e in (E1_HAT, E2_HAT):
         u = u - (u @ e) * e
     nrm = np.linalg.norm(u)
@@ -254,11 +210,10 @@ def complement_basis(
 
 
 def _rows(*vecs: np.ndarray) -> np.ndarray:
-    """Vectors of shape (6,) or (N, 6) as the rows of an (N, k, 6) stack."""
-    shape = np.broadcast(*vecs).shape
-    out = np.empty((shape[0] if len(shape) == 2 else 1, len(vecs), 6))
+    """k vectors of shape (6,) or (N, 6) as the rows of a (k, 6) or (N, k, 6) stack."""
+    out = np.empty(np.broadcast(*vecs).shape[:-1] + (len(vecs), 6))
     for i, v in enumerate(vecs):
-        out[:, i] = v
+        out[..., i, :] = v
     return out
 
 
@@ -387,14 +342,6 @@ def line_field_from_config(cfg: dict) -> LineField:
     raise ValueError(f"unknown line_field kind {kind!r}")
 
 
-def line_field_vector(
-    frame: Frame, lf: LineField, theta_rel: float, psi_rel: float
-) -> np.ndarray:
-    """Unit vector cos(phi) F1 + sin(phi) F2 selected by the line field."""
-    phi = lf.angle(theta_rel, psi_rel)
-    return math.cos(phi) * frame.F1 + math.sin(phi) * frame.F2
-
-
 def build_frames(
     theta: np.ndarray,
     thetabar: np.ndarray,
@@ -409,12 +356,12 @@ def build_frames(
     Ebeta comes in closed form and the complement pair, in the canonical
     gauge, from one stacked complement_basis call.
     """
-    eb = _e_beta(psi, d, m, J)
+    eb = e_beta(psi, d, m, J)
     F1, F2 = complement_basis(E1_HAT, E2_HAT, rotate_blocks(eb, -theta), rotate_blocks(nu, -theta))
     return Frames(
         E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu,
         F1=rotate_blocks(F1, theta), F2=rotate_blocks(F2, theta),
-        theta=theta, thetabar=thetabar, psi=psi, d=d,
+        theta=theta, thetabar=thetabar, psi=psi, d=d, m=m, J=J,
     )
 
 
@@ -453,8 +400,8 @@ def _turn(v: np.ndarray, c: float, s: float) -> np.ndarray:
     return np.array((c * x - s * y, s * x + c * y, c * xb - s * yb, s * xb + c * yb, w, wb))
 
 
-def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frame:
-    """Assemble the full six-vector frame at one contact configuration.
+def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frames:
+    """The frame at one contact configuration: Frames with vectors of shape (6,).
 
     Solves the tangency problem for the contact data at beta (unless
     contact, the lab-frame contact data at beta, is given), then builds nu,
@@ -465,10 +412,10 @@ def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> F
         contact = d_beta(body, beta)
     m, J = body.m, body.J
     nu = nu_hat(contact, m, J)
-    eb = e_beta(beta, contact.d, m, J)
+    eb = e_beta(beta.psi, contact.d, m, J)
     c, s = math.cos(beta.theta), math.sin(beta.theta)
     F1, F2 = complement_basis(E1_HAT, E2_HAT, _turn(eb, c, -s), _turn(nu, c, -s))
-    return Frame(
+    return Frames(
         E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=_turn(F1, c, s), F2=_turn(F2, c, s),
-        m=m, J=J, beta=beta, d=contact.d,
+        theta=beta.theta, thetabar=beta.thetabar, psi=beta.psi, d=contact.d, m=m, J=J,
     )

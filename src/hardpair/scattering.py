@@ -34,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hardpair.bodies import MassInertiaMatrix
+from hardpair.bodies import mass_weights
 # complement_basis is not called here; it stays bound because hpbench's
 # tracer wraps the layer bindings of this module by name
 from hardpair.frames import (  # noqa: F401
     _EYE6,
-    Frame,
     Frames,
     LineField,
     _dot,
@@ -53,6 +52,14 @@ GRAZING_RTOL = 1e-9
 
 _VARIANTS = ("reflection", "epsi", "op")
 _NOT_ORTHONORMAL = "frame is not orthonormal; refusing to build a scattering matrix"
+
+
+def is_grazing(proj, speed):
+    """|proj| <= GRAZING_RTOL * speed, for proj = V.(M nu) and speed = |V|.
+
+    Floats give a bool, arrays an array of bools.
+    """
+    return abs(proj) <= GRAZING_RTOL * speed
 
 
 class NotPreCollisionalError(ValueError):
@@ -120,7 +127,7 @@ class ScatterMatrix:
 
     s: np.ndarray
     A: np.ndarray
-    frame: Frame
+    frame: Frames
     family: ScatteringFamily
 
 
@@ -129,17 +136,16 @@ def normal_projection(V: np.ndarray, nu: np.ndarray, m: float, J: float) -> floa
 
     Negative for approaching states, positive for separating ones.
     """
-    mim = MassInertiaMatrix.from_mass(m, J)
-    return float(mim.apply(np.asarray(V, dtype=float)) @ nu)
+    return float((mass_weights(m, J) * np.asarray(V, dtype=float)) @ nu)
 
 
 def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     """Each family's orthogonal core A at every frame, as (sign, U).
 
-    A = sign (I - 2 U^T U), where U (shape (N, k, 6)) holds orthonormal
-    rows: nu for reflection (sign +1), nu and the line-field direction for
-    op (sign +1), and E1, E2, Ebeta for epsi (sign -1, i.e.
-    A = 2 (E1 E1^T + E2 E2^T + Ebeta Ebeta^T) - I).
+    A = sign (I - 2 U^T U), where U (shape (N, k, 6), or (k, 6) for one
+    frame) holds orthonormal rows: nu for reflection (sign +1), nu and the
+    line-field direction for op (sign +1), and E1, E2, Ebeta for epsi
+    (sign -1, i.e. A = 2 (E1 E1^T + E2 E2^T + Ebeta Ebeta^T) - I).
 
     The 'op' line field is a function of the reduced relative configuration
     (thetabar - theta, psi - theta) alone, and its angle phi picks
@@ -155,17 +161,18 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     cores = []
     for fam in families:
         if fam.variant == "reflection":
-            cores.append((1.0, frames.nu[:, None, :]))
+            cores.append((1.0, frames.nu[..., None, :]))
         elif fam.variant == "epsi":
-            cores.append((-1.0, frames.basis()[:, 0:3]))
+            cores.append((-1.0, frames.basis()[..., 0:3, :]))
         else:
-            phi = fam.line_field.angle(*frames.reduced())[:, None]
+            # arrays even for one frame, so that its angle takes the array path
+            phi = fam.line_field.angle(*map(np.asarray, frames.reduced()))[..., None]
             fhat = np.cos(phi) * frames.F1 + np.sin(phi) * frames.F2
-            cores.append((1.0, np.stack([frames.nu, fhat], axis=1)))
+            cores.append((1.0, np.stack([frames.nu, fhat], axis=-2)))
     return cores
 
 
-def _core(family: ScatteringFamily, frame: Frame) -> tuple[float, list]:
+def _core(family: ScatteringFamily, frame: Frames) -> tuple[float, list]:
     """The family's core at one frame, on floats: (sign, rows) as in _cores.
 
     The frame's six rows are checked for orthonormality first.
@@ -179,12 +186,12 @@ def _core(family: ScatteringFamily, frame: Frame) -> tuple[float, list]:
         return 1.0, [B[3]]
     if family.variant == "epsi":
         return -1.0, B[0:3]
-    phi = family.line_field.angle(*frame.beta.reduced())
+    phi = family.line_field.angle(*frame.reduced())
     c, s = math.cos(phi), math.sin(phi)
     return 1.0, [B[3], [c * x + s * y for x, y in zip(B[4], B[5])]]
 
 
-def scattering_matrix(family: ScatteringFamily, frame: Frame) -> ScatterMatrix:
+def scattering_matrix(family: ScatteringFamily, frame: Frames) -> ScatterMatrix:
     """Assemble the family's matrix s = M^-1 A M at the given frame.
 
     No path of the program forms the matrix; it is the reference the
@@ -196,8 +203,7 @@ def scattering_matrix(family: ScatteringFamily, frame: Frame) -> ScatterMatrix:
     sign, rows = _core(family, frame)
     U = np.array(rows)
     A = sign * (np.eye(6) - 2.0 * (U.T @ U))
-    mim = MassInertiaMatrix.from_mass(frame.m, frame.J)
-    diag = mim.diag
+    diag = mass_weights(frame.m, frame.J)
     s = A * (diag[np.newaxis, :] / diag[:, np.newaxis])
     return ScatterMatrix(s=s, A=A, frame=frame, family=family)
 
@@ -219,25 +225,13 @@ def _reflect(sign: float, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Row i of W mapped by A = sign (I - 2 U[i]^T U[i]), as the low-rank update.
 
     U has shape (N, k, 6) and W shape (N, 6); U may also hold one frame
-    (N = 1) for any number of rows of W.
+    (shape (k, 6)) for any number of rows of W.
     """
-    c = U @ W[:, :, None]
-    return sign * (W - 2.0 * np.sum(c * U, axis=1))
+    c = U @ W[..., :, None]
+    return sign * (W - 2.0 * np.sum(c * U, axis=-2))
 
 
-def _grazing_band(V: np.ndarray, proj: float) -> float:
-    """GRAZING_RTOL * |V|, once V is known finite and proj = V.(M nu) not above it."""
-    if not np.isfinite(V).all():
-        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
-    tol = GRAZING_RTOL * float(np.linalg.norm(V))
-    if proj > tol:
-        raise NotPreCollisionalError(
-            f"velocity is separating at the contact: V.(M nu) = {proj:.6g} > {tol:.6g}"
-        )
-    return tol
-
-
-def scatter_velocity(family: ScatteringFamily, frame: Frame, V: np.ndarray):
+def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
     """Map a pre-collisional velocity through the family at one frame.
 
     Applies the low-rank update W' = sign (W - 2 sum_u (u.W) u) to W = M V,
@@ -253,7 +247,14 @@ def scatter_velocity(family: ScatteringFamily, frame: Frame, V: np.ndarray):
     W = [rm * v[0], rm * v[1], rm * v[2], rm * v[3], rj * v[4], rj * v[5]]
     nu = frame.nu.tolist()
     proj = _dot(W, nu)
-    _grazing_band(V, proj)
+    if not np.isfinite(V).all():
+        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
+    speed = float(np.linalg.norm(V))
+    if proj > 0.0 and not is_grazing(proj, speed):
+        raise NotPreCollisionalError(
+            "velocity is separating at the contact: "
+            f"V.(M nu) = {proj:.6g} > {GRAZING_RTOL * speed:.6g}"
+        )
     Wp = W
     for u in rows:
         c = 2.0 * _dot(u, W)
@@ -316,16 +317,13 @@ def explicit_epsi_velocities(psi, d, m: float, J: float, V: np.ndarray) -> np.nd
 
 
 def audit_scattering(
-    families: list[ScatteringFamily],
-    frames: Frames,
-    V: np.ndarray,
-    m: float,
-    J: float,
+    families: list[ScatteringFamily], frames: Frames, V: np.ndarray
 ) -> tuple[np.ndarray, list[dict]]:
     """Monte-Carlo audit of every family's map over a stack of frames.
 
     V (shape (N, 6)) holds one velocity at each of N frames, or N
-    velocities at a single frame.  Returns the post-collision velocities
+    velocities at one frame (vectors of shape (6,)).  The mass data come
+    from the frames.  Returns the post-collision velocities
     (shape (len(families), N, 6)) and, per family, the worst case over the
     samples of:
 
@@ -349,13 +347,14 @@ def audit_scattering(
     A = sign (I - 2 U^T U) is formed only for the determinant and A A - I.
     """
     V = np.asarray(V, dtype=float)
-    diag = MassInertiaMatrix.from_mass(m, J).diag
+    m, J = frames.m, frames.J
+    diag = mass_weights(m, J)
     W = V * diag
     norm2 = np.sum(V * V, axis=-1)
     scale = 1.0 + norm2
     gam = angular_momentum_vector(frames.psi, frames.d, m, J)
     pre = np.sum(W * frames.nu, axis=-1)
-    grazing = np.abs(pre) <= GRAZING_RTOL * np.sqrt(norm2)
+    grazing = is_grazing(pre, np.sqrt(norm2))
     flip = ~grazing
     Vp = np.empty((len(families),) + V.shape)
     reports = []
@@ -363,8 +362,8 @@ def audit_scattering(
         Wp = _reflect(sign, U, W)
         Vp[f] = Wp / diag
         dV = Vp[f] - V
-        A = sign * (_EYE6 - 2.0 * (U.transpose(0, 2, 1) @ U))
-        det = np.linalg.det(A)
+        A = sign * (_EYE6 - 2.0 * (U.swapaxes(-1, -2) @ U))
+        det = np.linalg.det(A).reshape(-1)
         worst = int(np.argmax(np.abs(np.abs(det) - 1.0)))
         signs = np.where(det > 0.0, 1, -1)
         post = np.sum(Wp * frames.nu, axis=-1)

@@ -1,0 +1,38 @@
+"""Frame utilities that only the tests use.
+
+block_rotation writes the plane rotation out as a 6x6 matrix, and
+line_field_vector reads a line field's direction off one frame; the program
+itself turns vectors with frames.rotate_blocks and builds the line-field
+direction inside the op family's core.
+"""
+
+import math
+
+import numpy as np
+
+from hardpair.frames import rotate_blocks
+
+# The fields of Frames that hold one entry per pose.
+PER_POSE = ("Ebeta", "nu", "F1", "F2", "theta", "thetabar", "psi", "d")
+
+
+def block_rotation(phi: float) -> np.ndarray:
+    """Rotation of both translational velocity blocks by phi; spins untouched.
+
+    This is how a rotation of the plane acts on 6-vectors (v, vbar, w, wbar).
+    It commutes with the mass weighting.
+    """
+    # rotate_blocks turns the rows of I into the columns of the rotation
+    return rotate_blocks(np.eye(6), np.full(6, phi)).T
+
+
+def line_field_vector(frame, lf, theta_rel: float, psi_rel: float) -> np.ndarray:
+    """Unit vector cos(phi) F1 + sin(phi) F2 selected by the line field."""
+    phi = lf.angle(theta_rel, psi_rel)
+    return math.cos(phi) * frame.F1 + math.sin(phi) * frame.F2
+
+
+def one_row(frame):
+    """One frame (vectors of shape (6,)) as the N = 1 stack."""
+    return frame._replace(**{name: np.asarray(getattr(frame, name))[None] for name in PER_POSE})
+

@@ -7,13 +7,12 @@ import pytest
 
 from hardpair.bodies import (
     BodyValidationError,
-    MassInertiaMatrix,
     boundary_point,
     boundary_tangent,
     make_disk,
     make_ellipse,
     make_implicit,
-    mass_inertia_matrix,
+    mass_weights,
     outward_normal,
     validate_body,
 )
@@ -119,12 +118,15 @@ def test_validate_accepts_standard_bodies():
 
 
 def test_mass_inertia_matrix_roundtrip():
-    mim = mass_inertia_matrix(make_ellipse(2.0, 1.0))
+    # M = diag(mass_weights): W = M V, V = W / M, and |M V|^2 is twice the
+    # kinetic energy
+    ell = make_ellipse(2.0, 1.0)
+    diag = mass_weights(ell.m, ell.J)
     V = np.array([0.3, -1.2, 0.5, 0.9, -0.4, 2.0])
-    assert np.allclose(mim.apply_inverse(mim.apply(V)), V, atol=1e-14)
-    expect = np.diag(mim.matrix)
-    m, J = make_ellipse(2.0, 1.0).m, make_ellipse(2.0, 1.0).J
-    assert np.allclose(expect, [math.sqrt(m)] * 4 + [math.sqrt(J)] * 2)
+    assert np.allclose((diag * V) / diag, V, atol=1e-14)
+    assert np.allclose(diag, [math.sqrt(ell.m)] * 4 + [math.sqrt(ell.J)] * 2)
+    ke = ell.m * float(V[0:4] @ V[0:4]) + ell.J * float(V[4:6] @ V[4:6])
+    assert float((diag * V) @ (diag * V)) == pytest.approx(ke, rel=1e-14)
 
 
 def test_with_mass_override():
@@ -137,5 +139,6 @@ def test_with_mass_override():
 
 
 def test_mass_inertia_matrix_rejects_bad_mass():
-    with pytest.raises(ValueError):
-        MassInertiaMatrix.from_mass(0.0, 1.0)
+    for m, J in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="mass data must be positive"):
+            mass_weights(m, J)

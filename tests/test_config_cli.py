@@ -105,15 +105,15 @@ def test_scatter_velocity_override(tmp_path, capsys):
 
 def test_scatter_flags_a_grazing_velocity(tmp_path, capsys):
     # an exactly tangential V is mapped (exit 0) and flagged in the record
-    from hardpair.bodies import MassInertiaMatrix, make_ellipse
+    from hardpair.bodies import make_ellipse, mass_weights
     from hardpair.frames import build_frame
     from hardpair.geometry import Beta
 
     ell = make_ellipse(2.0, 1.0)
     nu = build_frame(ell, Beta(0.3, 1.7, 0.9)).nu
-    mim = MassInertiaMatrix.from_mass(ell.m, ell.J)
-    w = mim.apply(np.array([0.2, -0.1, -0.6, 0.4, 0.5, -0.3]))
-    V = mim.apply_inverse(w - (w @ nu) * nu)
+    diag = mass_weights(ell.m, ell.J)
+    w = diag * np.array([0.2, -0.1, -0.6, 0.4, 0.5, -0.3])
+    V = (w - (w @ nu) * nu) / diag
     cfg = _write(tmp_path, "scatter.json", {
         "body": _body_cfg(),
         "family": {"family": "reflection"},
@@ -214,6 +214,24 @@ def test_simulate_writes_each_realized_state_once(tmp_path):
         assert sum(r["event"] for r in recs) == 2
         assert len({(r["t"], *r["X"], *r["V"]) for r in recs}) == want
         assert recs[0]["t"] == 0.0 and recs[-1]["t"] == 8.0
+
+
+@pytest.mark.parametrize("over, want, n_events", [
+    ({"T": 0.0}, 1, 0),
+    ({"options": {"max_events": 1}}, 3, 2),
+], ids=["T0", "max_events"])
+def test_simulate_writes_the_end_state_once(tmp_path, over, want, n_events):
+    # with T = 0 the end is the start; a run stopped by max_events ends on
+    # the state right after its last event, which the event record holds
+    cfg = json.loads((CONFIGS / "simulate.json").read_text())
+    cfg.update(over)
+    out = tmp_path / "traj.jsonl"
+    path = _write(tmp_path, "sim.json", cfg)
+    assert cli.run(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(recs) == want
+    assert sum(r["event"] for r in recs) == n_events
+    assert len({(r["t"], *r["X"], *r["V"]) for r in recs}) == want
 
 
 def test_simulate_object_form_datum(tmp_path, capsys):
@@ -341,6 +359,11 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert cli.run(["simulate", "--config", short]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
+    # nonuniq compares families pairwise; one family has no pair
+    one = _write(tmp_path, "one.json", {"body": _body_cfg(), "Z0": X0 + V0,
+                                        "families": [{"family": "reflection"}]})
+    assert cli.run(["nonuniq", "--config", one, "--out", str(tmp_path / "n.csv")]) == 2
+    assert "families" in capsys.readouterr().err
 
 
 def test_unknown_option_exits_two(tmp_path, capsys):

@@ -222,13 +222,13 @@ def test_dense_resampling_warm_starts(monkeypatch):
 def test_resolve_collision_matches_scatter_stack():
     # one event on floats (build_frame, scatter_velocity) against the array
     # route over stacks (build_frames, scatter_stack) at 300 contact states
-    from hardpair.bodies import MassInertiaMatrix
+    from hardpair.bodies import mass_weights
     from hardpair.frames import build_frames, nu_hat
     from hardpair.scattering import scatter_stack
 
     fams = SIX_FAMILIES + [ScatteringFamily.orientation_preserving(
         LineField.fourier([[1, 0, 0.4, 0.1], [0, 1, -0.2, 0.3]]))]
-    diag = MassInertiaMatrix.from_mass(ELL.m, ELL.J).diag
+    diag = mass_weights(ELL.m, ELL.J)
     rng = np.random.default_rng(62)
     n = 300
     angles, d, nu, states = np.empty((n, 3)), np.empty(n), np.empty((n, 6)), []

@@ -6,15 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hardpair.bodies import MassInertiaMatrix, make_disk, make_ellipse
+from hardpair.bodies import make_disk, make_ellipse, mass_weights
 from hardpair.geometry import Beta, d_beta, e_of
-from hardpair.frames import (
-    LineField,
-    block_rotation,
-    build_frame,
-    build_frames,
-    line_field_vector,
-)
+from hardpair.frames import LineField, build_frame, build_frames
 from hardpair import scattering
 from hardpair.scattering import (
     NotPreCollisionalError,
@@ -28,10 +22,11 @@ from hardpair.scattering import (
     scatter_velocity,
     scattering_matrix,
 )
+from frame_helpers import block_rotation, line_field_vector, one_row
 
 ELL = make_ellipse(2.0, 1.0)
 DISK = make_disk(1.0)
-MIM = MassInertiaMatrix.from_mass(ELL.m, ELL.J)
+DIAG = mass_weights(ELL.m, ELL.J)
 
 FAMILIES = [
     ScatteringFamily.reflection(),
@@ -46,7 +41,7 @@ def _random_frame(rng, body=ELL):
 
 def _incoming(rng, fr):
     V = rng.standard_normal(6)
-    if float(MIM.apply(V) @ fr.nu) > 0.0:
+    if float((DIAG * V) @ fr.nu) > 0.0:
         V = -V
     return V
 
@@ -112,7 +107,7 @@ def test_conservation_under_all_families():
             assert abs(ELL.m * (dV[0] + dV[2])) < 1e-10
             assert abs(ELL.m * (dV[1] + dV[3])) < 1e-10
             assert abs(gam @ dV) < 1e-9
-            w, wp = MIM.apply(V), MIM.apply(Vp)
+            w, wp = DIAG * V, DIAG * Vp
             assert abs(wp @ wp - w @ w) < 1e-10
 
 
@@ -155,13 +150,13 @@ def test_explicit_epsi_equals_matrix():
 
 def test_disk_reflection_is_specular_exchange():
     rng = np.random.default_rng(39)
-    mim = MassInertiaMatrix.from_mass(DISK.m, DISK.J)
+    diag = mass_weights(DISK.m, DISK.J)
     for _ in range(50):
         beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
         fr = build_frame(DISK, beta)
         sm = scattering_matrix(ScatteringFamily.reflection(), fr)
         V = rng.standard_normal(6)
-        if float(mim.apply(V) @ fr.nu) > 0.0:
+        if float((diag * V) @ fr.nu) > 0.0:
             V = -V
         Vp = sm.s @ V
         n = e_of(beta.psi)
@@ -174,8 +169,7 @@ def test_disk_reflection_is_specular_exchange():
 def test_scattering_matrix_rejects_bad_frame():
     rng = np.random.default_rng(43)
     fr = _random_frame(rng)
-    import dataclasses
-    broken = dataclasses.replace(fr, nu=fr.nu * 1.5)
+    broken = fr._replace(nu=fr.nu * 1.5)
     with pytest.raises(ValueError):
         scattering_matrix(ScatteringFamily.reflection(), broken)
 
@@ -221,7 +215,7 @@ def test_verify_scattering_report():
     # the audit of every family at one frame, as `hardpair scatter` runs it
     rng = np.random.default_rng(46)
     fr, V = _one_frame_samples(rng)
-    Vp, reports = audit_scattering(FAMILIES, fr.stack(), V, ELL.m, ELL.J)
+    Vp, reports = audit_scattering(FAMILIES, fr, V)
     assert Vp.shape == (len(FAMILIES), 200, 6)
     for fam, rep in zip(FAMILIES, reports):
         assert rep["half_space_flip_ok"]
@@ -240,7 +234,7 @@ def test_audit_over_a_frame_stack():
     frames = [_random_frame(rng) for _ in range(300)]
     V = rng.standard_normal((300, 6))
     fams = FAMILIES + [FOURIER_OP]
-    Vp, reports = audit_scattering(fams, _stack_of(frames), V, ELL.m, ELL.J)
+    Vp, reports = audit_scattering(fams, _stack_of(frames), V)
     for f, (fam, rep) in enumerate(zip(fams, reports)):
         assert rep["half_space_flip_ok"] and rep["n_samples"] == 300
         assert rep["det_sign"] == (1 if fam.variant == "op" else -1)
@@ -251,12 +245,29 @@ def test_audit_over_a_frame_stack():
             assert np.max(np.abs(Vp[f, i] - scattering_matrix(fam, fr).s @ V[i])) < 1e-13
 
 
+@pytest.mark.parametrize("body", [ELL, DISK], ids=["ellipse", "disk"])
+def test_audit_of_one_frame_equals_its_one_row_stack(body):
+    # one frame broadcasts against N velocities exactly as the same frame
+    # with every per-pose field lifted to one row: bitwise, Vp and reports
+    rng = np.random.default_rng(58)
+    fams = [ScatteringFamily.reflection(), ScatteringFamily.epsi(),
+            ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
+            FOURIER_OP]
+    for _ in range(50):
+        fr = _random_frame(rng, body)
+        V = rng.standard_normal((40, 6))
+        Vp, reports = audit_scattering(fams, fr, V)
+        Vp_row, reports_row = audit_scattering(fams, one_row(fr), V)
+        assert np.array_equal(Vp, Vp_row)
+        assert reports == reports_row
+
+
 def test_audit_matches_scatter_velocity():
     rng = np.random.default_rng(54)
     fr = _random_frame(rng)
     V = np.array([_incoming(rng, fr) for _ in range(100)])
     for fam in FAMILIES + [FOURIER_OP]:
-        (Vp,), _ = audit_scattering([fam], fr.stack(), V, ELL.m, ELL.J)
+        (Vp,), _ = audit_scattering([fam], fr, V)
         for i in range(len(V)):
             assert np.max(np.abs(Vp[i] - scatter_velocity(fam, fr, V[i])[0])) <= 1e-14
 
@@ -265,16 +276,16 @@ def test_audit_counts_grazing_samples():
     # tangential samples are counted and left out of the flip check
     rng = np.random.default_rng(55)
     fr, V = _one_frame_samples(rng, 50)
-    w = MIM.apply(V[:5])
-    V[:5] = MIM.apply_inverse(w - np.outer(w @ fr.nu, fr.nu))
-    _, (rep,) = audit_scattering(FAMILIES[:1], fr.stack(), V, ELL.m, ELL.J)
+    w = DIAG * V[:5]
+    V[:5] = (w - np.outer(w @ fr.nu, fr.nu)) / DIAG
+    _, (rep,) = audit_scattering(FAMILIES[:1], fr, V)
     assert rep["grazing_count"] == 5 and rep["half_space_flip_ok"]
 
 
 def _injected(monkeypatch, sign):
     # every family's core replaced by sign * I (no rows to reflect)
     def cores(families, frames):
-        return [(sign, np.zeros((len(frames.nu), 0, 6))) for _ in families]
+        return [(sign, np.zeros(frames.nu.shape[:-1] + (0, 6))) for _ in families]
 
     monkeypatch.setattr(scattering, "_cores", cores)
 
@@ -285,7 +296,7 @@ def test_verify_scattering_catches_identity_injection(monkeypatch):
     rng = np.random.default_rng(47)
     fr, V = _one_frame_samples(rng)
     _injected(monkeypatch, 1.0)
-    _, (rep,) = audit_scattering(FAMILIES[:1], fr.stack(), V, ELL.m, ELL.J)
+    _, (rep,) = audit_scattering(FAMILIES[:1], fr, V)
     assert not rep["half_space_flip_ok"]
     assert rep["kinetic_energy"] == 0.0 and rep["det_sign"] == 1
 
@@ -295,7 +306,7 @@ def test_audit_catches_energy_injection(monkeypatch):
     rng = np.random.default_rng(56)
     fr, V = _one_frame_samples(rng)
     _injected(monkeypatch, 2.0)
-    _, (rep,) = audit_scattering(FAMILIES[:1], fr.stack(), V, ELL.m, ELL.J)
+    _, (rep,) = audit_scattering(FAMILIES[:1], fr, V)
     assert rep["kinetic_energy"] > 1e-10
     assert rep["abs_det_residual"] > 1e-10
 
@@ -324,9 +335,9 @@ def test_dual_routes_on_arrays():
 
 def _stack_of(frames):
     return build_frames(
-        np.array([fr.beta.theta for fr in frames]),
-        np.array([fr.beta.thetabar for fr in frames]),
-        np.array([fr.beta.psi for fr in frames]),
+        np.array([fr.theta for fr in frames]),
+        np.array([fr.thetabar for fr in frames]),
+        np.array([fr.psi for fr in frames]),
         np.array([fr.d for fr in frames]),
         np.array([fr.nu for fr in frames]), ELL.m, ELL.J)
 
@@ -368,9 +379,9 @@ def test_op_map_flips_the_line_field_vector():
     fams = [FAMILIES[2], FOURIER_OP]
     for k in range(300):
         fr = _random_frame(rng)
-        assert fr.beta.theta != 0.0
+        assert fr.theta != 0.0
         fam = fams[k % 2]
-        u = line_field_vector(fr, fam.line_field, *fr.beta.reduced())
+        u = line_field_vector(fr, fam.line_field, *fr.reduced())
         A = scattering_matrix(fam, fr).A
         assert np.max(np.abs(A @ u + u)) < 1e-12
 
@@ -391,8 +402,6 @@ def test_scatter_velocity_matches_matrix():
 
 
 def test_scatter_velocity_rejects_bad_input():
-    import dataclasses
-
     rng = np.random.default_rng(52)
     fr = _random_frame(rng)
     fam = ScatteringFamily.reflection()
@@ -405,10 +414,10 @@ def test_scatter_velocity_rejects_bad_input():
         with pytest.raises(ValueError, match="non-finite"):
             scatter_velocity(fam, fr, W)
     with pytest.raises(ValueError, match="not orthonormal"):
-        scatter_velocity(fam, dataclasses.replace(fr, F1=fr.F1 * 1.5), V)
+        scatter_velocity(fam, fr._replace(F1=fr.F1 * 1.5), V)
     # a grazing velocity is mapped, and flagged by the caller, not warned
-    w = MIM.apply(V)
-    tangent = MIM.apply_inverse(w - (w @ fr.nu) * fr.nu)
+    w = DIAG * V
+    tangent = (w - (w @ fr.nu) * fr.nu) / DIAG
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scatter_velocity(fam, fr, tangent)
