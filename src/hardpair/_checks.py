@@ -22,6 +22,7 @@ from hardpair.geometry import (
     closest_approach_oracle,
     e_of,
     identity_residuals,
+    wrap_angle,
 )
 from hardpair.frames import (
     LineField,
@@ -37,7 +38,6 @@ from hardpair.scattering import (
     scatter_stack,
 )
 from hardpair.dynamics import (
-    SimOptions,
     divergence_report,
     make_state,
     next_collision_time,
@@ -59,29 +59,14 @@ NONUNIQ_V0 = [0.0050130786, 0.124744358, 0.2336652212, 0.7169422611,
 NONUNIQ_T = 4.0
 NONUNIQ_PHIS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3)
 
-NONUNIQ_CONFIG = {
-    "body": {"kind": "ellipse", "a": 2.0, "b": 1.0},
-    "Z0": NONUNIQ_X0 + NONUNIQ_V0,
-    "T": NONUNIQ_T,
-    "families": [
-        {"family": "reflection"},
-        {"family": "epsi"},
-    ] + [
-        {"family": "op", "line_field": {"kind": "constant", "phi": phi}}
-        for phi in NONUNIQ_PHIS
-    ],
-    "seed": 0,
-}
-
 
 @dataclass
 class CheckResult:
-    """One check's verdict; runtime (wall seconds) stays out of detail."""
+    """One check's verdict; its wall time stays out of it (run_all reports it)."""
 
     name: str
     passed: bool
     detail: str
-    runtime: float
 
 
 def six_families() -> list[ScatteringFamily]:
@@ -94,62 +79,46 @@ def six_families() -> list[ScatteringFamily]:
     ]
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
 def check_frames(n: int = 1000) -> CheckResult:
     """Orthonormality of 1000 random frames and the dual Ebeta routes."""
-    def body():
-        rng = np.random.default_rng(101)
-        shapes = [make_disk(1.0), make_ellipse(2.0, 1.0)]
-        worst_orth = worst_dual = 0.0
-        for k in range(n):
-            shape = shapes[k % 2]
-            beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-            fr = build_frame(shape, beta)
-            worst_orth = max(worst_orth, float(fr.orthonormality_residual()))
-            dual = e_beta_gram_schmidt(fr.psi, fr.d, fr.m, fr.J)
-            worst_dual = max(worst_dual, float(np.max(np.abs(fr.Ebeta - dual))))
-        return worst_orth, worst_dual
-
-    (worst_orth, worst_dual), dt = _timed(body)
+    rng = np.random.default_rng(101)
+    shapes = [make_disk(1.0), make_ellipse(2.0, 1.0)]
+    worst_orth = worst_dual = 0.0
+    for k in range(n):
+        shape = shapes[k % 2]
+        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
+        fr = build_frame(shape, beta)
+        worst_orth = max(worst_orth, float(fr.orthonormality_residual()))
+        dual = e_beta_gram_schmidt(fr.psi, fr.d, fr.m, fr.J)
+        worst_dual = max(worst_dual, float(np.max(np.abs(fr.Ebeta - dual))))
     passed = worst_orth < 1e-10 and worst_dual < 1e-10
     return CheckResult(
         "frames",
         passed,
         f"orthonormality {worst_orth:.2e} (<1e-10), dual-route {worst_dual:.2e} (<1e-10)",
-        dt,
     )
 
 
 def check_geometry_oracle(n: int = 200) -> CheckResult:
     """Tangency solver versus the independent bisection oracle."""
-    def body():
-        rng = np.random.default_rng(102)
-        ell = make_ellipse(2.0, 1.0)
-        disk = make_disk(1.0)
-        worst = 0.0
-        for _ in range(n):
-            th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
-            d_fast = closest_approach(ell, th, ps).d
-            d_slow = closest_approach_oracle(ell, th, ps)
-            worst = max(worst, abs(d_fast - d_slow))
-        worst_disk = 0.0
-        for _ in range(50):
-            th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
-            worst_disk = max(worst_disk, abs(closest_approach(disk, th, ps).d - 2.0))
-        return worst, worst_disk
-
-    (worst, worst_disk), dt = _timed(body)
+    rng = np.random.default_rng(102)
+    ell = make_ellipse(2.0, 1.0)
+    disk = make_disk(1.0)
+    worst = 0.0
+    for _ in range(n):
+        th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
+        d_fast = closest_approach(ell, th, ps).d
+        d_slow = closest_approach_oracle(ell, th, ps)
+        worst = max(worst, abs(d_fast - d_slow))
+    worst_disk = 0.0
+    for _ in range(50):
+        th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
+        worst_disk = max(worst_disk, abs(closest_approach(disk, th, ps).d - 2.0))
     passed = worst < 1e-6 and worst_disk < 1e-10
     return CheckResult(
         "geometry-oracle",
         passed,
         f"ellipse |solver-oracle| {worst:.2e} (<1e-6), disk |d-2r| {worst_disk:.2e} (<1e-10)",
-        dt,
     )
 
 
@@ -160,21 +129,17 @@ def check_identities(n: int = 100) -> CheckResult:
     FD_STEP, since the shipped derivatives satisfy them by construction; the
     shipped derivatives are compared against the same differences.
     """
-    def body():
-        rng = np.random.default_rng(103)
-        ell = make_ellipse(2.0, 1.0)
-        disk = make_disk(1.0)
-        worst_e = worst_d = worst_fd = 0.0
-        for _ in range(n):
-            beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-            res = identity_residuals(ell, beta)
-            worst_e = max(worst_e, res["n_direction"], res["m_nu_gamma"])
-            worst_fd = max(worst_fd, res["fd_derivative_gap"])
-            res = identity_residuals(disk, beta)
-            worst_d = max(worst_d, res["n_direction"], res["m_nu_gamma"])
-        return worst_e, worst_d, worst_fd
-
-    (worst_e, worst_d, worst_fd), dt = _timed(body)
+    rng = np.random.default_rng(103)
+    ell = make_ellipse(2.0, 1.0)
+    disk = make_disk(1.0)
+    worst_e = worst_d = worst_fd = 0.0
+    for _ in range(n):
+        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
+        res = identity_residuals(ell, beta)
+        worst_e = max(worst_e, res["n_direction"], res["m_nu_gamma"])
+        worst_fd = max(worst_fd, res["fd_derivative_gap"])
+        res = identity_residuals(disk, beta)
+        worst_d = max(worst_d, res["n_direction"], res["m_nu_gamma"])
     passed = worst_e < 1e-5 and worst_d < 1e-10 and worst_fd < 1e-6
     return CheckResult(
         "identities",
@@ -183,40 +148,36 @@ def check_identities(n: int = 100) -> CheckResult:
             f"ellipse collinearity {worst_e:.2e} (<1e-5), disk {worst_d:.2e} (<1e-10), "
             f"derivatives against finite differences {worst_fd:.2e} (<1e-6 at h={FD_STEP:g})"
         ),
-        dt,
     )
 
 
 def check_scattering(n: int = 10000) -> CheckResult:
     """Involution, determinant, conservation, half-space flip, dual routes."""
-    def body():
-        ell = make_ellipse(2.0, 1.0)
-        m, J = ell.m, ell.J
-        fams = [
-            ScatteringFamily.reflection(),
-            ScatteringFamily.epsi(),
-            ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
-        ]
-        want_sign = (-1, -1, 1)
-        # V stays unflipped, so the flip check sees both half-spaces
-        frames, V, normal, pn, qn = next(sample_contacts(ell, n, 104, n))
-        Vp, reports = audit_scattering(fams, frames, V)
-        worst = {
-            "involution": max(r["involution"] for r in reports),
-            "det": max(
-                r["abs_det_residual"] if r["det_sign"] == want else math.inf
-                for r, want in zip(reports, want_sign)),
-            "lm": max(max(r["linear_momentum_x"], r["linear_momentum_y"]) for r in reports),
-            "am": max(r["angular_momentum"] for r in reports),
-            "ke": max(r["kinetic_energy"] for r in reports),
-            # the dual routes take the contact data, not the frame
-            "impulse": float(np.max(np.abs(Vp[0] - impulse_scatter(normal, pn, qn, m, J, V)))),
-            "epsi_explicit": float(np.max(np.abs(
-                Vp[1] - explicit_epsi_velocities(frames.psi, frames.d, m, J, V)))),
-        }
-        return worst, all(r["half_space_flip_ok"] for r in reports)
-
-    (worst, flip_ok), dt = _timed(body)
+    ell = make_ellipse(2.0, 1.0)
+    m, J = ell.m, ell.J
+    fams = [
+        ScatteringFamily.reflection(),
+        ScatteringFamily.epsi(),
+        ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
+    ]
+    want_sign = (-1, -1, 1)
+    # V stays unflipped, so the flip check sees both half-spaces
+    frames, V, normal, pn, qn = next(sample_contacts(ell, n, 104, n))
+    Vp, reports = audit_scattering(fams, frames, V)
+    worst = {
+        "involution": max(r["involution"] for r in reports),
+        "det": max(
+            r["abs_det_residual"] if r["det_sign"] == want else math.inf
+            for r, want in zip(reports, want_sign)),
+        "lm": max(max(r["linear_momentum_x"], r["linear_momentum_y"]) for r in reports),
+        "am": max(r["angular_momentum"] for r in reports),
+        "ke": max(r["kinetic_energy"] for r in reports),
+        # the dual routes take the contact data, not the frame
+        "impulse": float(np.max(np.abs(Vp[0] - impulse_scatter(normal, pn, qn, m, J, V)))),
+        "epsi_explicit": float(np.max(np.abs(
+            Vp[1] - explicit_epsi_velocities(frames.psi, frames.d, m, J, V)))),
+    }
+    flip_ok = all(r["half_space_flip_ok"] for r in reports)
     passed = (
         worst["involution"] < 1e-10 and worst["det"] < 1e-10
         and worst["lm"] < 1e-10 and worst["am"] < 1e-10 and worst["ke"] < 1e-10
@@ -231,31 +192,25 @@ def check_scattering(n: int = 10000) -> CheckResult:
             f"(<1e-10 each), flip {'ok' if flip_ok else 'VIOLATED'}, "
             f"impulse {worst['impulse']:.2e}, epsi closed form {worst['epsi_explicit']:.2e}"
         ),
-        dt,
     )
 
 
 def check_disk_reduction(n: int = 1000) -> CheckResult:
     """Reflection on disks is the specular exchange; spins never change."""
-    def body():
-        disk = make_disk(1.0)
-        diag = mass_weights(disk.m, disk.J)
-        frames, V, *_ = next(sample_contacts(disk, n, 105, n))
-        Vp = scatter_stack([ScatteringFamily.reflection()], frames, V * diag)[0] / diag
-        nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
-        k = np.sum((V[:, 0:2] - V[:, 2:4]) * nvec, axis=1)[:, None]
-        expect = np.concatenate([V[:, 0:2] - k * nvec, V[:, 2:4] + k * nvec, V[:, 4:6]], axis=1)
-        worst = float(np.max(np.abs(Vp - expect)))
-        worst_spin = float(np.max(np.abs(Vp[:, 4:6] - V[:, 4:6])))
-        return worst, worst_spin
-
-    (worst, worst_spin), dt = _timed(body)
+    disk = make_disk(1.0)
+    diag = mass_weights(disk.m, disk.J)
+    frames, V, *_ = next(sample_contacts(disk, n, 105, n))
+    Vp = scatter_stack([ScatteringFamily.reflection()], frames, V * diag)[0] / diag
+    nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
+    k = np.sum((V[:, 0:2] - V[:, 2:4]) * nvec, axis=1)[:, None]
+    expect = np.concatenate([V[:, 0:2] - k * nvec, V[:, 2:4] + k * nvec, V[:, 4:6]], axis=1)
+    worst = float(np.max(np.abs(Vp - expect)))
+    worst_spin = float(np.max(np.abs(Vp[:, 4:6] - V[:, 4:6])))
     passed = worst < 1e-12 and worst_spin < 1e-12
     return CheckResult(
         "disk-reduction",
         passed,
         f"specular exchange {worst:.2e} (<1e-12), spin change {worst_spin:.2e}",
-        dt,
     )
 
 
@@ -267,8 +222,6 @@ def colliding_ellipse_data(n: int, seed: int):
     and spin noise, so nearly every draw collides; draws that do not are
     skipped.
     """
-    from hardpair.geometry import wrap_angle
-
     rng = np.random.default_rng(seed)
     ell = make_ellipse(2.0, 1.0)
     out = []
@@ -293,51 +246,42 @@ def colliding_ellipse_data(n: int, seed: int):
 
 def check_dynamics(n_data: int = 50) -> CheckResult:
     """Analytic collision time, conservation ledger, gap floor, reversibility."""
-    def body():
-        disk = make_disk(1.0)
-        Z = make_state([0, 0, 4, 0, 0, 0], [1, 0, 0, 0, 0, 0])
-        t_star = next_collision_time(disk, Z, 10.0)
-        t_err = abs(t_star - 2.0) if t_star is not None else math.inf
+    disk = make_disk(1.0)
+    Z = make_state([0, 0, 4, 0, 0, 0], [1, 0, 0, 0, 0, 0])
+    t_star = next_collision_time(disk, Z, 10.0)
+    t_err = abs(t_star - 2.0) if t_star is not None else math.inf
 
-        ell, data = colliding_ellipse_data(n_data, 106)
-        fams = six_families()
-        worst_ledger = 0.0
-        worst_gap = 0.0
-        reversals = []
-        for idx, (Z0, T) in enumerate(data):
-            fam = fams[idx % len(fams)]
-            tr = simulate(ell, Z0, fam, T)
-            worst_ledger = max(worst_ledger, tr.max_ledger_jump())
-            worst_gap = max(worst_gap, -tr.min_gap / ell.diameter)
-            if tr.n_events() <= 5 and len(reversals) < 8:
-                reversals.append(time_reverse_check(ell, Z0, fam, T))
-        worst_rev = max(reversals) if reversals else math.inf
-        return t_err, worst_ledger, worst_gap, worst_rev, len(data)
-
-    (t_err, worst_ledger, worst_gap, worst_rev, n_used), dt = _timed(body)
+    ell, data = colliding_ellipse_data(n_data, 106)
+    fams = six_families()
+    worst_ledger = 0.0
+    worst_gap = 0.0
+    reversals = []
+    for idx, (Z0, T) in enumerate(data):
+        fam = fams[idx % len(fams)]
+        tr = simulate(ell, Z0, fam, T)
+        worst_ledger = max(worst_ledger, tr.max_ledger_jump())
+        worst_gap = max(worst_gap, -tr.min_gap / ell.diameter)
+        if tr.n_events() <= 5 and len(reversals) < 8:
+            reversals.append(time_reverse_check(ell, Z0, fam, T))
+    worst_rev = max(reversals) if reversals else math.inf
     passed = (
         t_err < 1e-9 and worst_ledger < 1e-9 and worst_gap < 1e-9
-        and worst_rev < 1e-6 and n_used == n_data
+        and worst_rev < 1e-6 and len(data) == n_data
     )
     return CheckResult(
         "dynamics",
         passed,
         (
-            f"head-on |t*-2| {t_err:.2e} (<1e-9), ledger {worst_ledger:.2e} (<1e-9, {n_used} data), "
+            f"head-on |t*-2| {t_err:.2e} (<1e-9), ledger {worst_ledger:.2e} (<1e-9, {len(data)} data), "
             f"gap deficit {worst_gap:.2e} (<1e-9*diam), reversal {worst_rev:.2e} (<1e-6)"
         ),
-        dt,
     )
 
 
 def check_nonuniqueness() -> CheckResult:
     """Six families on the frozen datum: all conserve, all differ."""
-    def body():
-        ell = make_ellipse(2.0, 1.0)
-        Z0 = make_state(NONUNIQ_X0, NONUNIQ_V0)
-        return divergence_report(ell, Z0, six_families(), NONUNIQ_T)
-
-    rep, dt = _timed(body)
+    rep = divergence_report(make_ellipse(2.0, 1.0), make_state(NONUNIQ_X0, NONUNIQ_V0),
+                            six_families(), NONUNIQ_T)
     passed = not rep["degenerate"] and rep["all_conserve"] and rep["distinct"]
     detail = (
         f"degenerate datum"
@@ -348,30 +292,26 @@ def check_nonuniqueness() -> CheckResult:
             f"all conserve: {rep['all_conserve']}"
         )
     )
-    return CheckResult("non-uniqueness", passed, detail, dt)
+    return CheckResult("non-uniqueness", passed, detail)
 
 
 def check_kinetic(n: int = 10000) -> CheckResult:
     """Known invariants vanish under every family; bare spin only on disks."""
-    def body():
-        ell = make_ellipse(2.0, 1.0)
-        disk = make_disk(1.0)
-        fams = [
-            ScatteringFamily.reflection(),
-            ScatteringFamily.epsi(),
-            ScatteringFamily.orientation_preserving(LineField.constant(0.0)),
-            ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
-        ]
-        table = invariant_residual_table(ell, fams, standard_candidates(ell), n, 107)
-        known = ("1", "v_x", "v_y", "m|v|^2+Jw^2", "sin(theta)")
-        worst_known = max(max(table[name].values()) for name in known)
-        w_ellipse = min(table["w"].values())
-        w_disk = invariant_residual_table(
-            disk, [ScatteringFamily.reflection()], [angular_speed_candidate()], n, 107,
-        )["w"]["reflection"]
-        return worst_known, w_ellipse, w_disk
-
-    (worst_known, w_ellipse, w_disk), dt = _timed(body)
+    ell = make_ellipse(2.0, 1.0)
+    disk = make_disk(1.0)
+    fams = [
+        ScatteringFamily.reflection(),
+        ScatteringFamily.epsi(),
+        ScatteringFamily.orientation_preserving(LineField.constant(0.0)),
+        ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
+    ]
+    table = invariant_residual_table(ell, fams, standard_candidates(ell), n, 107)
+    known = ("1", "v_x", "v_y", "m|v|^2+Jw^2", "sin(theta)")
+    worst_known = max(max(table[name].values()) for name in known)
+    w_ellipse = min(table["w"].values())
+    w_disk = invariant_residual_table(
+        disk, [ScatteringFamily.reflection()], [angular_speed_candidate()], n, 107,
+    )["w"]["reflection"]
     passed = worst_known < 1e-9 and w_disk < 1e-10 and w_ellipse > 1e-3
     return CheckResult(
         "kinetic",
@@ -380,20 +320,26 @@ def check_kinetic(n: int = 10000) -> CheckResult:
             f"known invariants {worst_known:.2e} (<1e-9), "
             f"spin on disk {w_disk:.2e} (<1e-10), on ellipse {w_ellipse:.2e} (>1e-3)"
         ),
-        dt,
     )
 
 
-def run_all(quick: bool = False) -> list[CheckResult]:
-    """Run every check; quick mode scales sample counts down for a smoke pass."""
+def run_all(quick: bool = False) -> list[tuple[CheckResult, float]]:
+    """Run every check, each paired with its wall time in seconds; quick mode
+    scales sample counts down for a smoke pass."""
     k = 10 if quick else 1
-    return [
-        check_frames(n=1000 // k),
-        check_geometry_oracle(n=200 // k),
-        check_identities(n=100 // k),
-        check_scattering(n=10000 // k),
-        check_disk_reduction(n=1000 // k),
-        check_dynamics(n_data=50 // k),
-        check_nonuniqueness(),
-        check_kinetic(n=10000 // k),
-    ]
+    checks = (
+        lambda: check_frames(n=1000 // k),
+        lambda: check_geometry_oracle(n=200 // k),
+        lambda: check_identities(n=100 // k),
+        lambda: check_scattering(n=10000 // k),
+        lambda: check_disk_reduction(n=1000 // k),
+        lambda: check_dynamics(n_data=50 // k),
+        check_nonuniqueness,
+        lambda: check_kinetic(n=10000 // k),
+    )
+    out = []
+    for check in checks:
+        t0 = time.perf_counter()
+        result = check()
+        out.append((result, time.perf_counter() - t0))
+    return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,12 @@ _ANCHOR_TOL = 1e-12
 # A grazing root re-found within this fraction of the remaining horizon
 # after an event is merged into that event.
 _MERGE_RTOL = 1e-12
+# A run stops, flagged as a suspected accumulation, after more than this
+# many contacts.
+_MAX_EVENTS = 10**6
+# The largest sample_dt grid a run builds, as T / sample_dt: each grid
+# point costs a state and a contact solve.
+_MAX_SAMPLES = 10**6
 
 
 class SimulationError(RuntimeError):
@@ -72,19 +78,6 @@ class State:
     V: np.ndarray
     t: float = 0.0
 
-    def theta(self) -> float:
-        return float(self.X[4])
-
-    def thetabar(self) -> float:
-        return float(self.X[5])
-
-    def psi(self) -> float:
-        rel = self.X[2:4] - self.X[0:2]
-        return math.atan2(rel[1], rel[0])
-
-    def beta(self) -> Beta:
-        return Beta(self.theta(), self.thetabar(), self.psi())
-
 
 def _require_finite(X: np.ndarray, V: np.ndarray) -> None:
     for name, arr in (("X", X), ("V", V)):
@@ -92,37 +85,13 @@ def _require_finite(X: np.ndarray, V: np.ndarray) -> None:
             raise ValueError(f"state {name} holds a non-finite value: {arr.tolist()}")
 
 
-def make_state(X, V, t: float = 0.0) -> State:
+def make_state(X, V) -> State:
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     if X.shape != (6,) or V.shape != (6,):
         raise ValueError("State requires six configuration and six velocity numbers")
     _require_finite(X, V)
-    return State(X=X, V=V, t=float(t))
-
-
-@dataclass(frozen=True)
-class SimOptions:
-    """Run options: max_events caps the resolved contacts; sample_dt, when
-    set, adds states on a regular time grid to the trajectory's samples.
-
-    Each field is checked on construction; a value out of its domain raises
-    ValueError naming the field.
-    """
-
-    max_events: int = 10**6
-    sample_dt: float | None = None
-
-    def __post_init__(self):
-        dt = self.sample_dt
-        if dt is not None and not (
-            isinstance(dt, numbers.Real) and not isinstance(dt, bool)
-            and math.isfinite(dt) and dt > 0.0
-        ):
-            raise ValueError(f"option sample_dt must be None or a finite number > 0, got {dt!r}")
-        n = self.max_events
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-            raise ValueError(f"option max_events must be an integer >= 1, got {n!r}")
+    return State(X=X, V=V)
 
 
 @dataclass(frozen=True)
@@ -151,9 +120,9 @@ class Trajectory:
     samples holds each realized state once: the initial state, the states
     on the sample_dt grid strictly between the start and the end, and the
     final state unless it is already held.  With T = 0 it is the initial
-    state, and a run stopped by max_events ends on the state right after
-    its last contact; the states right after each contact are in events
-    (V_post), not here.
+    state, and a run stopped after more than _MAX_EVENTS contacts ends on
+    the state right after its last contact; the states right after each
+    contact are in events (V_post), not here.
     """
 
     initial: State
@@ -327,7 +296,8 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
         X[2:4] = X[0:2] + rel * ((dist - g) / dist)
         anchor_shift = abs(g)
         Z = State(X=X, V=Z.V, t=Z.t)
-    beta = Z.beta()
+    x, y, xb, yb, theta, thetabar = X.tolist()
+    beta = Beta(theta, thetabar, math.atan2(yb - y, xb - x))
     V_post, proj_pre, proj_post = scatter_velocity(family, build_frame(body, beta, contact), Z.V)
     grazing = is_grazing(proj_pre, float(np.linalg.norm(Z.V)))
     before = conserved_quantities(body, Z)
@@ -347,17 +317,28 @@ def simulate(
     Z0: State,
     family: ScatteringFamily,
     T: float,
-    opts: SimOptions | None = None,
+    sample_dt: float | None = None,
 ) -> Trajectory:
     """Evolve for duration T, alternating free flight and collisions.
 
-    Stops early with accumulation_suspected when more than opts.max_events
+    sample_dt, when set, adds the states on a regular time grid to the
+    trajectory's samples; it must be a finite number > 0 whose grid
+    T / sample_dt holds at most _MAX_SAMPLES points, else ValueError naming
+    it.  Stops early with accumulation_suspected when more than _MAX_EVENTS
     contacts occur; repeated grazing roots within the time tolerance are
     merged rather than re-resolved.
     """
-    opts = opts or SimOptions()
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"horizon T must be finite and nonnegative, got {T}")
+    if sample_dt is not None:
+        if not (isinstance(sample_dt, numbers.Real) and not isinstance(sample_dt, bool)
+                and math.isfinite(sample_dt) and sample_dt > 0.0):
+            raise ValueError(
+                f"option sample_dt must be None or a finite number > 0, got {sample_dt!r}")
+        if T / sample_dt > _MAX_SAMPLES:
+            raise ValueError(
+                f"option sample_dt {sample_dt!r} asks for T / sample_dt = {T / sample_dt:.3g} "
+                f"grid states; at most {_MAX_SAMPLES} are allowed")
     _require_finite(Z0.X, Z0.V)
     g0, contact = _gap_at(body, Z0.X)
     if g0 < -_ADMISSIBLE_RTOL * body.diameter:
@@ -401,7 +382,7 @@ def simulate(
         Z, event = _resolve_at_contact(body, Z, family, contact)
         events.append(event)
         last_event_t = Z.t
-        if len(events) > opts.max_events:
+        if len(events) > _MAX_EVENTS:
             accumulation = True
             break
 
@@ -409,8 +390,8 @@ def simulate(
     # state right after the event the run stopped on
     tail = [] if Z is Z0 or accumulation else [Z]
     grid = []
-    if opts.sample_dt is not None:
-        grid = _resample(Z0, events, Z.t, opts.sample_dt)
+    if sample_dt is not None:
+        grid = _resample(Z0, events, Z.t, sample_dt)
         # each solve warm-starts the next; the first from the start pose
         c = start
         for s in grid:
@@ -442,17 +423,16 @@ def _resample(Z0: State, events, t_end: float, sample_dt: float):
     return out
 
 
-def time_reverse_check(body: Body, Z0: State, family: ScatteringFamily, T: float,
-                       opts: SimOptions | None = None) -> float:
+def time_reverse_check(body: Body, Z0: State, family: ScatteringFamily, T: float) -> float:
     """Forward T, negate velocities, forward T, negate again; distance to Z0.
 
     Returns the worst absolute error over positions and angles (angles
     compared modulo a full turn).  Linear involutive scattering makes the
     flow reversible, so the residual is set by root-finding accuracy alone.
     """
-    fwd = simulate(body, Z0, family, T, opts)
+    fwd = simulate(body, Z0, family, T)
     turned = State(X=fwd.final.X, V=-fwd.final.V, t=0.0)
-    back = simulate(body, turned, family, T, opts)
+    back = simulate(body, turned, family, T)
     X_back = back.final.X
     err_pos = float(np.max(np.abs(X_back[0:4] - Z0.X[0:4])))
     # centered wrap: an angle error of -1e-12 must read as 1e-12, not 2*pi
@@ -468,7 +448,7 @@ def divergence_report(
     Z0: State,
     families: list[ScatteringFamily],
     T: float,
-    opts: SimOptions | None = None,
+    sample_dt: float | None = None,
 ) -> dict:
     """Run the same initial datum under every family and compare outcomes.
 
@@ -480,7 +460,7 @@ def divergence_report(
     family there is no pair, the minimum is inf).  A datum with no
     collision within T yields {"degenerate": True}.
     """
-    trajectories = [simulate(body, Z0, fam, T, opts) for fam in families]
+    trajectories = [simulate(body, Z0, fam, T, sample_dt) for fam in families]
     if any(tr.n_events() == 0 for tr in trajectories):
         return {
             "degenerate": True,
@@ -500,18 +480,12 @@ def divergence_report(
             "max_ledger_jump_rel": tr.max_ledger_jump() / scale,
             "min_gap": tr.min_gap,
         })
-    k = len(trajectories)
-    vel_diff = np.zeros((k, k))
-    fin_diff = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            vel_diff[i, j] = float(np.max(np.abs(
-                per_family[i]["V_post_first"] - per_family[j]["V_post_first"])))
-            fin_diff[i, j] = float(max(
-                np.max(np.abs(per_family[i]["final_X"] - per_family[j]["final_X"])),
-                np.max(np.abs(per_family[i]["final_V"] - per_family[j]["final_V"])),
-            ))
-    least = float(vel_diff[np.triu_indices(k, 1)].min(initial=math.inf))
+    # sup-norm differences of every pair, rows i against columns j
+    V1 = np.array([tr.events[0].V_post for tr in trajectories])
+    vel_diff = np.max(np.abs(V1[:, None] - V1[None, :]), axis=-1)
+    XV = np.array([np.concatenate([tr.final.X, tr.final.V]) for tr in trajectories])
+    fin_diff = np.max(np.abs(XV[:, None] - XV[None, :]), axis=-1)
+    least = float(vel_diff[np.triu_indices(len(trajectories), 1)].min(initial=math.inf))
     vnorm = float(np.linalg.norm(Z0.V))
     return {
         "degenerate": False,

@@ -66,5 +66,17 @@ def test_criterion_7_distinct_trajectories(tmp_path, capsys):
     _run(_checks.check_nonuniqueness())
 
 
+def test_nonuniq_config_is_the_frozen_datum():
+    # criterion 7 runs the datum from configs/nonuniq.json and from _checks;
+    # the two copies must not drift apart
+    cfg = json.loads((CONFIGS / "nonuniq.json").read_text())
+    assert cfg["Z0"] == _checks.NONUNIQ_X0 + _checks.NONUNIQ_V0
+    assert cfg["T"] == _checks.NONUNIQ_T
+    assert cfg["families"] == [{"family": "reflection"}, {"family": "epsi"}] + [
+        {"family": "op", "line_field": {"kind": "constant", "phi": phi}}
+        for phi in _checks.NONUNIQ_PHIS
+    ]
+
+
 def test_criterion_8_invariant_battery():
     _run(_checks.check_kinetic(n=10000))

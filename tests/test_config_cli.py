@@ -152,9 +152,10 @@ def test_bad_n_samples_exits_two(tmp_path, capsys, command, n):
     assert "validation error" in captured.err and "n_samples" in captured.err
 
 
-def test_simulate_reports_accumulation_without_warning(tmp_path, capsys):
-    # the datum has 2 events before T; max_events 1 stops at the second
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(options={"max_events": 1}))
+def test_simulate_reports_accumulation_without_warning(tmp_path, capsys, monkeypatch):
+    # the datum has 2 events before T; an event cap of 1 stops at the second
+    monkeypatch.setitem(cli.simulate.__globals__, "_MAX_EVENTS", 1)
+    cfg = _write(tmp_path, "sim.json", _sim_cfg())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.jsonl")])
@@ -198,6 +199,9 @@ def test_simulate_jsonl_stream(tmp_path, capsys):
     assert max(kes) - min(kes) < 1e-9
     hashes = {r["config_hash"] for r in lines}
     assert hashes == {summary["config_hash"]}
+    # without --out the same records stream to stdout
+    assert cli.run(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines() == out.read_text().splitlines()
 
 
 def test_simulate_writes_each_realized_state_once(tmp_path):
@@ -216,13 +220,16 @@ def test_simulate_writes_each_realized_state_once(tmp_path):
         assert recs[0]["t"] == 0.0 and recs[-1]["t"] == 8.0
 
 
-@pytest.mark.parametrize("over, want, n_events", [
-    ({"T": 0.0}, 1, 0),
-    ({"options": {"max_events": 1}}, 3, 2),
+@pytest.mark.parametrize("over, max_events, want, n_events", [
+    ({"T": 0.0}, None, 1, 0),
+    ({"options": {}}, 1, 3, 2),
 ], ids=["T0", "max_events"])
-def test_simulate_writes_the_end_state_once(tmp_path, over, want, n_events):
-    # with T = 0 the end is the start; a run stopped by max_events ends on
-    # the state right after its last event, which the event record holds
+def test_simulate_writes_the_end_state_once(tmp_path, monkeypatch, over, max_events, want,
+                                            n_events):
+    # with T = 0 the end is the start; a run stopped by the event cap ends
+    # on the state right after its last event, which the event record holds
+    if max_events is not None:
+        monkeypatch.setitem(cli.simulate.__globals__, "_MAX_EVENTS", max_events)
     cfg = json.loads((CONFIGS / "simulate.json").read_text())
     cfg.update(over)
     out = tmp_path / "traj.jsonl"
@@ -305,7 +312,11 @@ def test_invariants_custom_candidates(tmp_path, capsys):
     cfg = _write(tmp_path, "inv.json", {
         "body": _body_cfg(),
         "families": [{"family": "reflection"}],
-        "candidates": [{"variant": "kinetic_energy"},
+        "candidates": [{"variant": "constant"},
+                       {"variant": "momentum_x"},
+                       {"variant": "momentum_y"},
+                       {"variant": "kinetic_energy"},
+                       {"variant": "angular_speed"},
                        {"variant": "theta_function", "form": "cos", "k": 2}],
         "n_samples": 100,
     })
@@ -313,7 +324,24 @@ def test_invariants_custom_candidates(tmp_path, capsys):
                   str(tmp_path / "i.csv")])
     assert rc == 0
     table = json.loads(capsys.readouterr().out)["table"]
-    assert set(table) == {"m|v|^2+Jw^2", "cos(2theta)"}
+    assert set(table) == {"1", "v_x", "v_y", "m|v|^2+Jw^2", "w", "cos(2theta)"}
+
+
+@pytest.mark.parametrize("candidate,field", [
+    ({"form": "sin"}, "variant"),
+    ({"variant": "spin_squared"}, "variant"),
+    ({"variant": "theta_function", "form": "tan"}, "form"),
+], ids=["missing_variant", "unknown_variant", "bad_form"])
+def test_bad_candidate_exits_two(tmp_path, capsys, candidate, field):
+    cfg = _write(tmp_path, "inv.json", {
+        "body": _body_cfg(),
+        "families": [{"family": "reflection"}],
+        "candidates": [candidate],
+        "n_samples": 10,
+    })
+    assert cli.run(["invariants", "--config", cfg, "--out", str(tmp_path / "i.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and field in err
 
 
 def test_seed_override_changes_hash(tmp_path, capsys):
@@ -334,12 +362,25 @@ def test_quiet_suppresses_record(tmp_path, capsys):
     cfg = _write(tmp_path, "inv.json", {
         "body": _body_cfg(),
         "families": [{"family": "reflection"}],
+        "family": {"family": "reflection"},
+        "beta": [0.3, 1.7, 0.9],
+        "V": [0.2, -0.1, -0.6, 0.4, 0.5, -0.3],
         "n_samples": 50,
     })
     rc = cli.run(["invariants", "--config", cfg, "--quiet",
                   "--out", str(tmp_path / "i.csv")])
     assert rc == 0
+    assert cli.run(["scatter", "--config", cfg, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_config_hash_reads_numpy_values_and_beta_as_json():
+    from hardpair.geometry import Beta
+
+    plain = {"n": 3, "ok": True, "x": 0.5, "v": [1.0, 2.0], "beta": [0.3, 1.7, 0.9]}
+    typed = {"n": np.int64(3), "ok": np.bool_(True), "x": np.float64(0.5),
+             "v": np.array([1.0, 2.0]), "beta": Beta(0.3, 1.7, 0.9)}
+    assert cli.config_hash(typed) == cli.config_hash(plain)
 
 
 def test_usage_errors_exit_one(capsys):
@@ -441,13 +482,21 @@ def test_nonfinite_scatter_input_exits_two(tmp_path, capsys, over, field):
     assert f"{field} " in err
 
 
+def _no_grid(*args):
+    raise AssertionError("the sample grid was built")
+
+
 @pytest.mark.parametrize("options,field", [
     ({"sample_dt": float("nan")}, "sample_dt"),
+    # the event cap max_events is a constant now: any value is refused
     ({"max_events": 2.5}, "max_events"),
     ({"sample_dt": 0}, "sample_dt"),
     ({"max_events": -1}, "max_events"),
+    # 6e9 grid states over T = 6: refused before one is built
+    ({"sample_dt": 1e-9}, "sample_dt"),
 ])
-def test_out_of_domain_option_exits_two(tmp_path, capsys, options, field):
+def test_out_of_domain_option_exits_two(tmp_path, capsys, monkeypatch, options, field):
+    monkeypatch.setitem(cli.simulate.__globals__, "_resample", _no_grid)
     cfg = _write(tmp_path, "sim.json", _sim_cfg(options=options))
     assert cli.run(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -502,6 +551,18 @@ def test_out_of_range_ellipse_axis_exits_two(tmp_path, capsys, axes, field):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert f"axis {field}" in err
+
+
+def test_disk_body(tmp_path, capsys):
+    # a disk of radius r touches its twin at d = 2r at every pose
+    body = _write(tmp_path, "disk.json", {"kind": "disk", "r": 0.75})
+    assert cli.run(["geometry", "--body", body,
+                    "--theta", "0.5", "--thetabar", "1.2", "--psi", "0.8"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == pytest.approx(1.5, abs=1e-12)
+    no_r = _write(tmp_path, "nor.json", {"kind": "disk"})
+    assert cli.run(["geometry", "--body", no_r,
+                    "--theta", "0.5", "--thetabar", "1.2", "--psi", "0.8"]) == 2
+    assert "body.r " in capsys.readouterr().err
 
 
 def test_overlapping_start_exits_three(tmp_path, capsys):

@@ -8,15 +8,15 @@ import pytest
 
 # dynamics and geometry as bound here at import, the modules simulate lives
 # in and calls into; the kernel-counting tests patch geometry's _kernel and
-# the merge test dynamics' _next_collision, which a later fresh import of
+# the merge and cap tests dynamics' _next_collision, _MAX_EVENTS,
+# _MAX_SAMPLES and _resample, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
 from hardpair import dynamics, geometry
 from hardpair.bodies import make_disk, make_ellipse, make_implicit
 from hardpair.frames import LineField
-from hardpair.geometry import closest_approach, e_of, wrap_angle
+from hardpair.geometry import Beta, closest_approach, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
-    SimOptions,
     _resolve_at_contact,
     SimulationError,
     conserved_quantities,
@@ -106,14 +106,14 @@ def test_simulate_rejects_overlapping_start():
 def test_min_gap_floor():
     Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
                     [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
-    tr = simulate(ELL, Z0, REFL, 8.0, SimOptions(sample_dt=0.05))
+    tr = simulate(ELL, Z0, REFL, 8.0, sample_dt=0.05)
     assert tr.min_gap >= -1e-9 * ELL.diameter
 
 
 def test_dense_samples_cover_horizon():
     Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
                     [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
-    tr = simulate(ELL, Z0, REFL, 8.0, SimOptions(sample_dt=0.5))
+    tr = simulate(ELL, Z0, REFL, 8.0, sample_dt=0.5)
     ts = [Z.t for Z in tr.samples]
     assert ts[0] == pytest.approx(0.0)
     assert ts[-1] == pytest.approx(8.0)
@@ -125,11 +125,36 @@ def test_samples_hold_each_state_once():
     # right after the two contacts live in the events only
     Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
                     [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
-    tr = simulate(ELL, Z0, REFL, 8.0, SimOptions(sample_dt=0.5))
+    tr = simulate(ELL, Z0, REFL, 8.0, sample_dt=0.5)
     assert tr.n_events() == 2
     assert [Z.t for Z in tr.samples] == [0.5 * k for k in range(17)]
     assert tr.samples[0] is Z0 and tr.samples[-1] is tr.final
     assert [Z.t for Z in simulate(ELL, Z0, REFL, 8.0).samples] == [0.0, 8.0]
+
+
+def _no_grid(*args):
+    raise AssertionError("the sample grid was built")
+
+
+@pytest.mark.parametrize("sample_dt", [math.nan, 0, True, "0.5", 1e-9],
+                         ids=["nan", "zero", "bool", "string", "grid_8e9"])
+def test_sample_dt_out_of_domain_raises(monkeypatch, sample_dt):
+    # 1e-9 over T = 8 asks for 8e9 grid states; every case is refused
+    # before a grid state is built
+    monkeypatch.setattr(dynamics, "_resample", _no_grid)
+    with pytest.raises(ValueError, match="sample_dt"):
+        simulate(ELL, _head_on(), REFL, 8.0, sample_dt=sample_dt)
+
+
+def test_sample_grid_cap(monkeypatch):
+    # T / sample_dt may reach _MAX_SAMPLES but not pass it
+    monkeypatch.setattr(dynamics, "_MAX_SAMPLES", 16)
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    assert len(simulate(ELL, Z0, REFL, 8.0, sample_dt=0.5).samples) == 17
+    monkeypatch.setattr(dynamics, "_resample", _no_grid)
+    with pytest.raises(ValueError, match="sample_dt"):
+        simulate(ELL, Z0, REFL, 8.0, sample_dt=0.49)
 
 
 @pytest.mark.parametrize("family", [
@@ -152,7 +177,7 @@ def test_grazing_pass_tangential_motion():
     # pure tangential sliding past the contact: no event should fire even
     # though the gap dips close to zero
     Z0 = make_state([0, 0, 0, 2.0 + 1e-4, 0, 0], [0, 0, 1, 0, 0, 0])
-    tr = simulate(DISK, Z0, REFL, 1e-4, SimOptions())
+    tr = simulate(DISK, Z0, REFL, 1e-4)
     assert tr.n_events() == 0
 
 
@@ -210,7 +235,7 @@ def test_dense_resampling_warm_starts(monkeypatch):
         return solve(*args, use_seed=use_seed)
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
-    tr = simulate(ELL, Z0, REFL, 6.0, SimOptions(sample_dt=0.05))
+    tr = simulate(ELL, Z0, REFL, 6.0, sample_dt=0.05)
     assert tr.n_events() == 2
     assert 1 <= len(cold) <= 2
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", solve)
@@ -263,7 +288,7 @@ def test_grazing_merge_projection_is_the_frame_normal():
                              theta=th)
         Z = make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb],
                        rng.standard_normal(6))
-        want = normal_projection(Z.V, build_frame(ELL, Z.beta(), c).nu, ELL.m, ELL.J)
+        want = normal_projection(Z.V, build_frame(ELL, Beta(th, thb, psi), c).nu, ELL.m, ELL.J)
         got = normal_projection(Z.V, nu_hat(c, ELL.m, ELL.J), ELL.m, ELL.J)
         assert got == want
 
@@ -278,15 +303,16 @@ def test_brief_tip_overlap_is_a_collision(spin):
     assert tr.min_gap >= -1e-9 * thin.diameter
 
 
-def test_accumulation_is_flagged_not_warned():
-    # more than max_events contacts stop the run early; the flag on the
+def test_accumulation_is_flagged_not_warned(monkeypatch):
+    # more than _MAX_EVENTS contacts stop the run early; the flag on the
     # trajectory is the report, and no warning is raised
     Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
                     [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
     assert simulate(ELL, Z0, REFL, 6.0).n_events() == 2
+    monkeypatch.setattr(dynamics, "_MAX_EVENTS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tr = simulate(ELL, Z0, REFL, 6.0, SimOptions(max_events=1))
+        tr = simulate(ELL, Z0, REFL, 6.0)
     assert tr.accumulation_suspected
     assert tr.n_events() == 2 and tr.final.t < 6.0
 
