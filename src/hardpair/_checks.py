@@ -21,6 +21,7 @@ from hardpair.geometry import (
     closest_approach,
     closest_approach_oracle,
     e_of,
+    ellipse_shape,
     identity_residuals,
     wrap_angle,
 )
@@ -103,12 +104,13 @@ def check_geometry_oracle(n: int = 200) -> CheckResult:
     """Tangency solver versus the independent bisection oracle."""
     rng = np.random.default_rng(102)
     ell = make_ellipse(2.0, 1.0)
+    shape = ellipse_shape(2.0, 1.0)
     disk = make_disk(1.0)
     worst = 0.0
     for _ in range(n):
         th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
         d_fast = closest_approach(ell, th, ps).d
-        d_slow = closest_approach_oracle(ell, th, ps)
+        d_slow = closest_approach_oracle(*shape, th, ps)
         worst = max(worst, abs(d_fast - d_slow))
     worst_disk = 0.0
     for _ in range(50):

@@ -53,13 +53,18 @@ def support_contact(support, theta, psi, seed=0.0, *, use_seed=False):
     Returns (d, alpha, dD_dtheta, dD_dpsi, ok): the center separation at
     tangency, the angle of the contact normal e(alpha) outward from body 1,
     the partials of D, and a convergence flag.  Newton on G from alpha =
-    psi or, with use_seed, from the seed angle when it faces e(psi); a step
-    that leaves the bracket is replaced by a bisection.  Once a step falls
-    below the tolerance it is taken and the result is read off at the new
+    psi or, with use_seed, from the seed angle when it faces e(psi).  As in
+    Numerical Recipes' rtsafe, a step that would leave the bracket, or that
+    would not at least halve the step before last, is replaced by a
+    bisection; without the second rule Newton can bounce between the two
+    ends of the bracket until the iteration cap.  Once a step falls below
+    the tolerance it is taken and the result is read off at the new
     iterate; a bracket that has shrunk to adjacent floats also ends the
     search there.
     """
     lo, hi = psi - _HALF_PI, psi + _HALF_PI
+    # the last step taken and the one before it, both the bracket width at first
+    last = before_last = math.pi
     al = psi
     if use_seed:
         al = psi + (seed - psi + math.pi) % _TWO_PI - math.pi
@@ -91,9 +96,12 @@ def support_contact(support, theta, psi, seed=0.0, *, use_seed=False):
             lo = al
         else:
             hi = al
-        al -= step
-        if not lo < al < hi:
-            al = 0.5 * (lo + hi)
+        if lo < al - step < hi and 2.0 * abs(step) <= before_last:
+            al -= step
+        else:
+            step = 0.5 * (hi - lo)
+            al = lo + step
+        before_last, last = last, abs(step)
     return math.nan, al, math.nan, math.nan, False
 
 

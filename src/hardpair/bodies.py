@@ -1,19 +1,19 @@
 """Reference particles: compact, strictly convex planar bodies.
 
 A body is described in its own frame with the centroid at the origin. It
-carries unit-density mass properties (mass m = area, polar second moment
-J = integral of |y|^2 over the region), a boundary parameterization
-s -> c(s) for s in [0, 2pi), a level function b*(x, y) that is negative
-inside, zero on the boundary, and positive outside, and its support function,
-which is all the contact solve uses. Disks and ellipses get closed forms;
-arbitrary analytic convex bodies can be supplied as callables, are validated
-by sampling, and get their support function as a Fourier series.
+is its support function h, which is all the contact solve and the event
+search read, together with its unit-density mass properties (mass m = area,
+polar second moment J = integral of |y|^2 over the region) and the bound K
+on |h''|. Disks and ellipses get closed forms. Any other analytic convex
+body is given by a counterclockwise boundary map; make_implicit takes its
+mass data and the Fourier series of h from quadrature sums on the boundary
+and checks strict convexity by the sign of the curvature there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,12 +23,12 @@ from hardpair._kernel import ellipse_support
 TWO_PI = 2.0 * math.pi
 # Quadrature points of make_implicit's mass and support-function sums.
 _N_QUAD = 4096
-# Random boundary parameters, and sweep points, of validate_body.
-_N_CHECK = 1000
+# How far make_implicit's total turning of the normal may miss 2pi.
+_TURNING_TOL = 1e-6
 
 
 class BodyValidationError(ValueError):
-    """A body failed its sampled geometric checks."""
+    """A body failed its geometric checks."""
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,6 @@ class Body:
             the Fourier coefficients h_k of h for implicit bodies. The
             event search bounds how fast a separating slab can close under
             rotation with it.
-        boundary: s -> boundary point, shape (2,), counterclockwise.
-        level: (x, y) -> scalar b*; must broadcast over numpy arrays.
         support: alpha -> (h, h', rho) at the body-frame direction e(alpha),
             the input of the contact solve.
     """
@@ -60,24 +58,11 @@ class Body:
     a: float
     b: float
     K: float
-    boundary: Callable[[float], np.ndarray]
-    level: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Callable[[float], tuple[float, float, float]]
-
-    @property
-    def radius(self) -> float:
-        """Circumradius: max distance from centroid to boundary."""
-        return self.a
 
     @property
     def diameter(self) -> float:
         return 2.0 * self.a
-
-    def with_mass(self, m: float, J: float) -> "Body":
-        """Same shape with overridden mass data (synthetic test bodies)."""
-        if m <= 0 or J <= 0:
-            raise ValueError(f"mass data must be positive, got m={m}, J={J}")
-        return replace(self, m=float(m), J=float(J))
 
 
 def mass_weights(m: float, J: float) -> np.ndarray:
@@ -102,13 +87,6 @@ def make_disk(r: float) -> Body:
     if not (r > 0) or not math.isfinite(r):
         raise BodyValidationError(f"disk radius must be positive, got {r}")
     r = float(r)
-
-    def boundary(s: float) -> np.ndarray:
-        return np.array([r * math.cos(s), r * math.sin(s)])
-
-    def level(x, y):
-        return (x / r) ** 2 + (y / r) ** 2 - 1.0
-
     return Body(
         kind="disk",
         m=math.pi * r * r,
@@ -116,8 +94,6 @@ def make_disk(r: float) -> Body:
         a=r,
         b=r,
         K=0.0,
-        boundary=boundary,
-        level=level,
         support=lambda alpha: (r, 0.0, r),
     )
 
@@ -142,13 +118,6 @@ def make_ellipse(a: float, b: float) -> Body:
         raise BodyValidationError(f"ellipse axis a={a} is too large: J or K overflows")
     if a * a * b * b == 0.0:
         raise BodyValidationError(f"ellipse axis b={b} is too small: a*a*b*b underflows to 0")
-
-    def boundary(s: float) -> np.ndarray:
-        return np.array([a * math.cos(s), b * math.sin(s)])
-
-    def level(x, y):
-        return (x / a) ** 2 + (y / b) ** 2 - 1.0
-
     return Body(
         kind="ellipse",
         m=math.pi * a * b,
@@ -156,8 +125,6 @@ def make_ellipse(a: float, b: float) -> Body:
         a=a,
         b=b,
         K=K,
-        boundary=boundary,
-        level=level,
         support=ellipse_support(a, b),
     )
 
@@ -197,26 +164,24 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
     return support, float(np.sum(k * k * (np.abs(c) + 2.0 * tol)))
 
 
-def make_implicit(
-    level: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    boundary: Callable[[float], np.ndarray],
-) -> Body:
-    """Body from user-supplied level function and boundary parameterization.
+def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
+    """Body from a boundary map.
 
     Mass properties are computed from the boundary by Green's theorem with a
     trapezoidal rule on a uniform grid of _N_QUAD parameters (spectrally
     accurate for smooth periodic boundaries). The same sums give the Fourier
     series of the support function (_fourier_support), and with it K. The
-    body is then validated by sampling; the centroid must sit at the origin to 1e-8
-    because the collision bookkeeping assumes center-of-mass body frames.
+    centroid must sit at the origin to 1e-8 because the collision bookkeeping
+    assumes center-of-mass body frames. The body is strictly convex when its
+    outward normal turns counterclockwise at every grid point, and once
+    around in all.
 
     Args:
-        level: b*(x, y), negative inside, zero on the boundary, positive
-            outside; must broadcast over numpy arrays.
-        boundary: s -> point on {b* = 0}, counterclockwise over [0, 2pi).
+        boundary: an array of parameters s in [0, 2pi), shape (n,), -> the
+            boundary points there, shape (n, 2), counterclockwise.
     """
     s = np.linspace(0.0, TWO_PI, _N_QUAD, endpoint=False)
-    pts = np.array([boundary(float(v)) for v in s])
+    pts = np.asarray(boundary(s), dtype=float)
     x, y = pts[:, 0], pts[:, 1]
 
     # spectral differentiation on the periodic grid; trapezoid sums are then
@@ -245,105 +210,25 @@ def make_implicit(
     ddx = np.fft.irfft(-k * k * fx, _N_QUAD) * (TWO_PI / _N_QUAD) ** 2
     ddy = np.fft.irfft(-k * k * fy, _N_QUAD) * (TWO_PI / _N_QUAD) ** 2
     speed = np.hypot(dx, dy)
-    support, K = _fourier_support(
-        (x * dy - y * dx) / speed, np.arctan2(-dx, dy), (dx * ddy - dy * ddx) / speed**2
-    )
+    dalpha = (dx * ddy - dy * ddx) / speed**2
+    if not np.all(dalpha > 0):
+        raise BodyValidationError(
+            "curvature is not strictly positive; body must be strictly convex"
+        )
+    turning = float(np.sum(dalpha))
+    if abs(turning - TWO_PI) > _TURNING_TOL:
+        raise BodyValidationError(
+            f"boundary must wind once around the body: its normal turns by {turning:.6f}, "
+            f"not 2pi"
+        )
+    support, K = _fourier_support((x * dy - y * dx) / speed, np.arctan2(-dx, dy), dalpha)
     radii = np.hypot(x, y)
-    body = Body(
+    return Body(
         kind="implicit",
         m=area,
         J=J,
         a=float(np.max(radii)),
         b=float(np.min(radii)),
         K=K,
-        boundary=boundary,
-        level=level,
         support=support,
     )
-    validate_body(body)
-    return body
-
-
-def boundary_point(body: Body, s: float) -> np.ndarray:
-    """Point on the body boundary at parameter s (taken mod 2pi)."""
-    return np.asarray(body.boundary(float(s % TWO_PI)), dtype=float)
-
-
-def boundary_tangent(body: Body, s: float) -> np.ndarray:
-    """Unnormalized boundary tangent dc/ds at parameter s."""
-    s = float(s % TWO_PI)
-    if body.kind in ("disk", "ellipse"):
-        return np.array([-body.a * math.sin(s), body.b * math.cos(s)])
-    h = 1e-5
-    return (boundary_point(body, s + h) - boundary_point(body, s - h)) / (2 * h)
-
-
-def outward_normal(body: Body, s: float) -> np.ndarray:
-    """Unit outward normal at boundary parameter s.
-
-    For disks and ellipses this is the normalized level-set gradient in
-    closed form; for implicit bodies the finite-difference tangent is rotated
-    clockwise (outward for a counterclockwise parameterization).
-    """
-    s = float(s % TWO_PI)
-    if body.kind in ("disk", "ellipse"):
-        n = np.array([body.b * math.cos(s), body.a * math.sin(s)])
-    else:
-        t = boundary_tangent(body, s)
-        n = np.array([t[1], -t[0]])
-    return n / np.linalg.norm(n)
-
-
-def validate_body(body: Body) -> None:
-    """Sampled geometric checks; raises BodyValidationError on failure.
-
-    Checks, over _N_CHECK random boundary parameters plus a uniform sweep:
-    boundary points lie on the zero level set (|b*| < 1e-12, relative to the
-    local gradient scale), outward normals are orthogonal to finite-difference
-    tangents (< 1e-8), discrete curvature is positive everywhere, and the
-    level function has the correct sign just inside and outside.
-    """
-    if body.m <= 0 or body.J <= 0:
-        raise BodyValidationError(f"mass data must be positive, got m={body.m}, J={body.J}")
-
-    ss = np.random.default_rng(0).uniform(0.0, TWO_PI, _N_CHECK)
-    for s in ss:
-        p = boundary_point(body, s)
-        val = float(body.level(p[0], p[1]))
-        if abs(val) > 1e-12:
-            raise BodyValidationError(
-                f"boundary point at s={s:.6f} off the zero level set: b*={val:.3e}"
-            )
-        n = outward_normal(body, s)
-        t = boundary_tangent(body, s)
-        t = t / np.linalg.norm(t)
-        if abs(float(n @ t)) > 1e-8:
-            raise BodyValidationError(
-                f"normal not orthogonal to tangent at s={s:.6f}"
-            )
-        # outwardness: normal points away from the centroid at the origin
-        if float(n @ p) <= 0:
-            raise BodyValidationError(f"normal points inward at s={s:.6f}")
-        # normal agrees with the level-set gradient direction
-        h = 1e-6 * body.b
-        gx = float(body.level(p[0] + h, p[1]) - body.level(p[0] - h, p[1]))
-        gy = float(body.level(p[0], p[1] + h) - body.level(p[0], p[1] - h))
-        g = np.array([gx, gy])
-        g = g / np.linalg.norm(g)
-        if abs(1.0 - float(n @ g)) > 1e-6:
-            raise BodyValidationError(
-                f"normal disagrees with the level-set gradient at s={s:.6f}"
-            )
-        eps = 1e-6 * body.b
-        if not float(body.level(*(p - eps * n))) < 0 < float(body.level(*(p + eps * n))):
-            raise BodyValidationError(f"level-set sign pattern wrong near s={s:.6f}")
-
-    sweep = np.linspace(0.0, TWO_PI, _N_CHECK, endpoint=False)
-    pts = np.array([boundary_point(body, s) for s in sweep])
-    prev = pts - np.roll(pts, 1, axis=0)
-    nxt = np.roll(pts, -1, axis=0) - pts
-    turn = prev[:, 0] * nxt[:, 1] - prev[:, 1] * nxt[:, 0]
-    if not np.all(turn > 0):
-        raise BodyValidationError(
-            "discrete curvature is not strictly positive; body must be strictly convex"
-        )

@@ -30,7 +30,9 @@ theorem.  Those partials satisfy the identities above by
 construction, so the identities are checked on an independent route:
 identity_residuals evaluates them with Richardson finite differences of D
 (d_derivatives), and its fd_derivative_gap compares the shipped partials
-against the same differences.
+against the same differences.  closest_approach_oracle checks D itself; it
+takes the shape as its own level function and boundary map, not a Body, so
+it never reads the support function the solve runs on.
 """
 
 from __future__ import annotations
@@ -138,10 +140,11 @@ class ContactData:
 
 
 def _ellipse_oracle_fallback(body: Body, theta_rel: float, psi_rel: float) -> None:
-    """The failure path of the contact solve: raises ConvergenceError.
+    """The failure path of the contact solve for every body: raises ConvergenceError.
 
-    The normal-angle solve brackets its one root, so it fails only on
-    non-finite arithmetic, which no re-seeding would mend.
+    The safeguarded normal-angle solve fails only on non-finite arithmetic
+    or at its iteration cap, which no kernel sweep has reached; re-seeding
+    mends neither.  The benchmark's tracer counts failures by this name.
     """
     raise ConvergenceError(
         f"contact solve failed at theta={theta_rel}, psi={psi_rel} "
@@ -224,15 +227,18 @@ def closest_approach(
     )
 
 
-def _boundary_samples(body: Body, t: np.ndarray) -> np.ndarray:
-    if body.kind in ("disk", "ellipse"):
-        return np.stack([body.a * np.cos(t), body.b * np.sin(t)], axis=1)
-    return np.array([body.boundary(float(v)) for v in t])
+def ellipse_shape(a: float, b: float):
+    """The (a, b) ellipse for closest_approach_oracle: its level function
+    and its boundary map t -> (a cos t, b sin t)."""
+
+    def level(x, y):
+        return (x / a) ** 2 + (y / b) ** 2 - 1.0
+
+    return level, lambda t: np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
 
 
-def _overlap(
-    body: Body, theta: float, psi: float, d: float, t: np.ndarray, bnd: np.ndarray
-) -> bool:
+def _overlap(level, boundary, theta: float, psi: float, d: float, t: np.ndarray,
+             bnd: np.ndarray) -> bool:
     """Sampled overlap predicate at separation d.
 
     t is a uniform grid of parameters and bnd the boundary points there.
@@ -244,47 +250,45 @@ def _overlap(
     Rm = rotation(theta)
     off = d * e_of(psi)
     dt = TWO_PI / half
-
-    # second body's boundary against the first body's interior
-    pts2 = bnd @ Rm.T + off
-    vals = np.asarray(body.level(pts2[:, 0], pts2[:, 1]))
-    j = int(np.argmin(vals))
-    tf = t[j] + np.linspace(-2 * dt, 2 * dt, half)
-    fine = _boundary_samples(body, tf) @ Rm.T + off
-    if bool(np.any(np.asarray(body.level(fine[:, 0], fine[:, 1])) < 0.0)):
-        return True
-
-    # first body's boundary against the second body's interior
-    pts1 = (bnd - off) @ Rm
-    vals = np.asarray(body.level(pts1[:, 0], pts1[:, 1]))
-    j = int(np.argmin(vals))
-    tf = t[j] + np.linspace(-2 * dt, 2 * dt, half)
-    fine = (_boundary_samples(body, tf) - off) @ Rm
-    return bool(np.any(np.asarray(body.level(fine[:, 0], fine[:, 1])) < 0.0))
+    # the second body's boundary in the first body's frame, then the first's
+    # in the second's
+    for place in (lambda pts: pts @ Rm.T + off, lambda pts: (pts - off) @ Rm):
+        pts = place(bnd)
+        j = int(np.argmin(np.asarray(level(pts[:, 0], pts[:, 1]))))
+        fine = place(boundary(t[j] + np.linspace(-2 * dt, 2 * dt, half)))
+        if bool(np.any(np.asarray(level(fine[:, 0], fine[:, 1])) < 0.0)):
+            return True
+    return False
 
 
-def closest_approach_oracle(body: Body, theta_rel: float, psi_rel: float) -> float:
+def closest_approach_oracle(level, boundary, theta_rel: float, psi_rel: float) -> float:
     """Independent route to D: bisection on the sampled overlap predicate.
 
+    The shape comes as its own level function (negative inside, broadcasting
+    over arrays) and boundary map (parameters, shape (n,), to points, shape
+    (n, 2)), not as a Body, so nothing here reads the support function the
+    contact solve runs on; ellipse_shape gives both for an ellipse.
     Monotone in d by convexity (the overlap set in d is an interval starting
-    at 0), so plain bisection brackets the tangency separation. Used to
-    cross-check the normal-angle contact solve.  The bracket narrows to
-    _ORACLE_TOL, or until its ends are adjacent floats; each overlap test
-    spends _ORACLE_SAMPLES boundary samples.
+    at 0), so plain bisection from the sampled in- and circumradius brackets
+    the tangency separation.  The bracket narrows to _ORACLE_TOL, or until
+    its ends are adjacent floats; each overlap test spends _ORACLE_SAMPLES
+    boundary samples.
     """
     t = np.linspace(0.0, TWO_PI, _ORACLE_SAMPLES // 2, endpoint=False)
-    bnd = _boundary_samples(body, t)
+    bnd = boundary(t)
+    radii = np.hypot(bnd[:, 0], bnd[:, 1])
+    inner, diameter = float(np.min(radii)), 2.0 * float(np.max(radii))
 
     def overlap(d):
-        return _overlap(body, theta_rel, psi_rel, d, t, bnd)
+        return _overlap(level, boundary, theta_rel, psi_rel, d, t, bnd)
 
-    lo = 1e-3 * body.b
-    hi = body.diameter + body.b
+    lo = 1e-3 * inner
+    hi = diameter + inner
     if not overlap(lo):
         raise ConvergenceError("overlap predicate false at near-zero separation")
     while overlap(hi):
         hi *= 2.0
-        if hi > 4.0 * body.diameter:
+        if hi > 4.0 * diameter:
             raise ConvergenceError(
                 f"no separation bracket below 4x diameter for theta={theta_rel}, psi={psi_rel}"
             )

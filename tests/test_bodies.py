@@ -1,4 +1,4 @@
-"""Body construction, mass data, and boundary validation."""
+"""Body construction, mass data, and the checks on implicit bodies."""
 
 import math
 
@@ -7,15 +7,21 @@ import pytest
 
 from hardpair.bodies import (
     BodyValidationError,
-    boundary_point,
-    boundary_tangent,
     make_disk,
     make_ellipse,
     make_implicit,
     mass_weights,
-    outward_normal,
-    validate_body,
 )
+from hardpair.geometry import ellipse_shape
+
+
+def _circle(turns=1.0, sign=1.0, center=(0.0, 0.0)):
+    """Boundary map of the unit circle, traced `turns` times in direction sign."""
+    def boundary(s):
+        u = sign * turns * s
+        return np.stack([center[0] + np.cos(u), center[1] + np.sin(u)], axis=1)
+
+    return boundary
 
 
 def test_disk_mass_data():
@@ -23,7 +29,7 @@ def test_disk_mass_data():
     disk = make_disk(r)
     assert disk.m == pytest.approx(math.pi * r**2, rel=1e-14)
     assert disk.J == pytest.approx(math.pi * r**4 / 2.0, rel=1e-14)
-    assert disk.radius == r
+    assert disk.a == disk.b == r
     assert disk.diameter == 2.0 * r
 
 
@@ -32,15 +38,12 @@ def test_ellipse_mass_data():
     ell = make_ellipse(a, b)
     assert ell.m == pytest.approx(math.pi * a * b, rel=1e-14)
     assert ell.J == pytest.approx(math.pi * a * b * (a**2 + b**2) / 4.0, rel=1e-14)
-    assert ell.radius == a
+    assert (ell.a, ell.b) == (a, b)
 
 
 def test_implicit_reproduces_ellipse_mass_data():
     a, b = 2.0, 1.0
-    body = make_implicit(
-        level=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
-        boundary=lambda s: np.array([a * math.cos(s), b * math.sin(s)]),
-    )
+    body = make_implicit(ellipse_shape(a, b)[1])
     # spectral quadrature on an analytic boundary: machine-precision moments
     assert body.m == pytest.approx(math.pi * a * b, rel=1e-12)
     assert body.J == pytest.approx(math.pi * a * b * (a**2 + b**2) / 4.0, rel=1e-12)
@@ -75,46 +78,35 @@ def test_ellipse_rejects_swapped_axes():
 
 
 def test_implicit_rejects_offcenter_boundary():
-    with pytest.raises(BodyValidationError):
-        make_implicit(
-            level=lambda x, y: (x - 0.5) ** 2 + y**2 - 1.0,
-            boundary=lambda s: np.array([0.5 + math.cos(s), math.sin(s)]),
-        )
+    with pytest.raises(BodyValidationError, match="centroid"):
+        make_implicit(_circle(center=(0.5, 0.0)))
 
 
 def test_implicit_rejects_nonconvex_boundary():
-    def radius(phi):
-        return 1.0 + 0.5 * np.cos(2.0 * phi)
+    # r(phi) = 1 + 0.5 cos 2 phi is centered but dented at phi = pi/2: the
+    # curvature (c' x c'') / |c'|^2 changes sign there
+    def boundary(s):
+        r = 1.0 + 0.5 * np.cos(2.0 * s)
+        return r[:, None] * np.stack([np.cos(s), np.sin(s)], axis=1)
 
-    with pytest.raises(BodyValidationError):
-        make_implicit(
-            level=lambda x, y: np.hypot(x, y) - radius(np.arctan2(y, x)),
-            boundary=lambda s: radius(s) * np.array([math.cos(s), math.sin(s)]),
-        )
+    with pytest.raises(BodyValidationError, match="strictly convex"):
+        make_implicit(boundary)
 
 
 def test_implicit_rejects_clockwise_boundary():
-    with pytest.raises(BodyValidationError):
-        make_implicit(
-            level=lambda x, y: x**2 + y**2 - 1.0,
-            boundary=lambda s: np.array([math.cos(-s), math.sin(-s)]),
-        )
+    with pytest.raises(BodyValidationError, match="counterclockwise"):
+        make_implicit(_circle(sign=-1.0))
 
 
-def test_boundary_frame_on_ellipse():
-    ell = make_ellipse(2.0, 1.0)
-    for s in np.linspace(0.0, 2.0 * math.pi, 17):
-        p = boundary_point(ell, s)
-        t = boundary_tangent(ell, s)
-        n = outward_normal(ell, s)
-        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
-        assert abs(t @ n) < 1e-10 * np.linalg.norm(t)
-        assert p @ n > 0.0
-
-
-def test_validate_accepts_standard_bodies():
-    validate_body(make_disk(0.7))
-    validate_body(make_ellipse(2.0, 1.0))
+def test_implicit_rejects_a_boundary_that_winds_twice():
+    # the unit circle traced twice has positive curvature everywhere and its
+    # centroid at the origin, but it would count its area twice (m = 2 pi)
+    # and its support function double (h = 2), so D = 4 instead of 2
+    with pytest.raises(BodyValidationError, match="wind once"):
+        make_implicit(_circle(turns=2.0))
+    circle = make_implicit(_circle())
+    assert circle.m == pytest.approx(math.pi, rel=1e-12)
+    assert circle.support(0.3)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mass_inertia_matrix_roundtrip():
@@ -127,15 +119,6 @@ def test_mass_inertia_matrix_roundtrip():
     assert np.allclose(diag, [math.sqrt(ell.m)] * 4 + [math.sqrt(ell.J)] * 2)
     ke = ell.m * float(V[0:4] @ V[0:4]) + ell.J * float(V[4:6] @ V[4:6])
     assert float((diag * V) @ (diag * V)) == pytest.approx(ke, rel=1e-14)
-
-
-def test_with_mass_override():
-    ell = make_ellipse(2.0, 1.0)
-    heavy = ell.with_mass(10.0, 5.0)
-    assert heavy.m == 10.0 and heavy.J == 5.0
-    assert heavy.a == ell.a
-    with pytest.raises(ValueError):
-        ell.with_mass(-1.0, 1.0)
 
 
 def test_mass_inertia_matrix_rejects_bad_mass():

@@ -536,6 +536,57 @@ def test_non_number_config_value_exits_two(tmp_path, capsys, command, over, fiel
     assert f"{field} " in err
 
 
+def _without(key, **over):
+    cfg = _sim_cfg(**over)
+    del cfg[key]
+    return cfg
+
+
+SCATTER_CFG = _sim_cfg(beta=[0.3, 1.7, 0.9], V=V0, n_samples=20)
+
+
+@pytest.mark.parametrize("command,cfg,extra,message", [
+    ("simulate", _without("Z0"), [], "missing field: Z0"),
+    ("nonuniq", _without("Z0"), [], "missing field: Z0"),
+    ("simulate", _without("T"), [], "missing field: T"),
+    ("scatter", _without("beta", **SCATTER_CFG), [], "missing field: beta"),
+    ("scatter", _without("V", **SCATTER_CFG), [], "missing field: V"),
+    ("simulate", _sim_cfg(options=[0.05]), [], "options must be an object"),
+    ("nonuniq", _sim_cfg(families=[]), [], "families must be a nonempty list"),
+    ("invariants", _sim_cfg(families={"family": "reflection"}), [],
+     "families must be a nonempty list"),
+    ("simulate", _sim_cfg(Z0={"X": X0}), [], "Z0 object form needs fields X and V"),
+    ("simulate", _sim_cfg(Z0=4.2), [], "Z0 must be a 12-number list or an object"),
+    ("simulate", _sim_cfg(body={"a": 2.0, "b": 1.0}), [], "body must be an object with a 'kind'"),
+    ("simulate", _sim_cfg(body="ellipse"), [], "body must be an object with a 'kind'"),
+    ("simulate", _sim_cfg(body={"kind": "ellipse", "b": 1.0}), [], "body.a is required"),
+    ("simulate", _sim_cfg(body={"kind": "ellipse", "a": 2.0}), [], "body.b is required"),
+    ("simulate", None, [], "cannot read config"),
+    ("simulate", [X0, V0], [], "must be a JSON object"),
+    ("scatter", SCATTER_CFG, ["--V", "0.1,x,0,0,0,0"], "--V must be comma-separated numbers"),
+    ("scatter", SCATTER_CFG, ["--V", "0.1,0.2"], "--V needs 6 numbers, got 2"),
+], ids=[
+    "simulate-no-Z0", "nonuniq-no-Z0", "simulate-no-T", "scatter-no-beta", "scatter-no-V",
+    "options-list", "families-empty", "families-object", "Z0-object-no-V", "Z0-number",
+    "body-no-kind", "body-string", "ellipse-no-a", "ellipse-no-b", "config-missing",
+    "config-list", "V-flag-text", "V-flag-short",
+])
+def test_config_errors_exit_two_naming_the_field(tmp_path, capsys, command, cfg, extra,
+                                                  message):
+    # cfg None is a config file that does not exist
+    path = tmp_path / "cfg.json"
+    if cfg is not None:
+        path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path), *extra]
+    if command in ("nonuniq", "invariants"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("axes,field", [
     ({"a": 1.0, "b": 1e-300}, "b="),
     ({"a": 1e160, "b": 1.0}, "a="),

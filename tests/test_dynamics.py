@@ -14,7 +14,7 @@ import pytest
 from hardpair import dynamics, geometry
 from hardpair.bodies import make_disk, make_ellipse, make_implicit
 from hardpair.frames import LineField
-from hardpair.geometry import Beta, closest_approach, e_of, wrap_angle
+from hardpair.geometry import Beta, closest_approach, e_of, ellipse_shape, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
     _resolve_at_contact,
@@ -405,11 +405,7 @@ def test_event_search_solve_budget(monkeypatch):
 def test_simulate_on_implicit_body_matches_ellipse():
     # the shipped simulate datum, on an implicit (2,1) ellipse: the event
     # loop's implicit-body route must reproduce the closed-form ellipse
-    a, b = 2.0, 1.0
-    implicit = make_implicit(
-        level=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
-        boundary=lambda s: np.array([a * math.cos(s), b * math.sin(s)]),
-    )
+    implicit = make_implicit(ellipse_shape(2.0, 1.0)[1])
     Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
                     [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
     got = simulate(implicit, Z0, REFL, 3.0)
@@ -419,6 +415,19 @@ def test_simulate_on_implicit_body_matches_ellipse():
         assert abs(e.t - f.t) <= 1e-8
         assert np.max(np.abs(e.V_post - f.V_post)) <= 1e-8
     assert np.max(np.abs(got.final.X - want.final.X)) <= 1e-8
+
+
+def test_event_search_survives_a_long_certified_step():
+    # one certified step of this flight turns the contact normal by about
+    # 1.1 rad, so the next solve is seeded far from its root; the kernel's
+    # Newton used to cycle there and the search raised ConvergenceError
+    X = [0.0, 0.0, -3.1465614198305927, -3.286516183631665,
+         4.982714596807376, 3.2232965741189865]
+    V = [-1.9977462929070549, -1.1314074705230586, 0.3628397991887543,
+         -2.1285670418221447, -0.641187944865707, -0.3078771217750431]
+    t_hit, min_gap, contact = dynamics._next_collision(ELL, make_state(X, V), 4.0)
+    assert t_hit is None and contact is None
+    assert min_gap > 0.0
 
 
 def test_slab_bound_holds_along_free_flight():

@@ -17,6 +17,7 @@ from hardpair.geometry import (
     d_beta,
     d_derivatives,
     e_of,
+    ellipse_shape,
     identity_residuals,
     perp,
     rotation,
@@ -24,6 +25,7 @@ from hardpair.geometry import (
 )
 
 ELL = make_ellipse(2.0, 1.0)
+ELL_SHAPE = ellipse_shape(2.0, 1.0)
 
 # independently frozen bisection-oracle values for the (2, 1) ellipse pair
 ORACLE_PINS = [
@@ -58,7 +60,7 @@ def test_solver_matches_oracle_on_random_poses():
     rng = np.random.default_rng(11)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (40, 2)):
         d_fast = closest_approach(ELL, theta, psi).d
-        d_slow = closest_approach_oracle(ELL, theta, psi)
+        d_slow = closest_approach_oracle(*ELL_SHAPE, theta, psi)
         assert abs(d_fast - d_slow) < 1e-6
 
 
@@ -105,7 +107,7 @@ def test_tangency_no_overlap_at_contact():
         R2 = rotation(theta)
         center = c.d * e_of(psi)
         pts = (R2 @ bd.T).T + center
-        vals = ELL.level(pts[:, 0], pts[:, 1])
+        vals = ELL_SHAPE[0](pts[:, 0], pts[:, 1])
         assert float(np.min(vals)) > -1e-7
 
 
@@ -229,6 +231,37 @@ def test_cold_solve_converges_where_a_bracket_end_is_hit(theta, psi, d_expected)
     assert ok and abs(d - d_expected) <= 1e-14 * d
 
 
+def test_warm_solve_from_a_far_seed_does_not_cycle():
+    # from this seed on the (2, 1) pair, plain bracketed Newton bounced
+    # between iterates near 5.22 and 7.21 (root 6.307) until the iteration
+    # cap and returned nan; a step that fails to halve the step before last
+    # now bisects, and the warm solve lands on the cold one
+    from hardpair import _kernel
+
+    pose = (4.793641986930684, 6.238974125569195)
+    warm = _kernel.ellipse_contact(2.0, 1.0, *pose, -1.063367345692057, use_seed=True)
+    cold = _kernel.ellipse_contact(2.0, 1.0, *pose)
+    assert warm[4] and cold[4]
+    assert warm[0] == pytest.approx(3.0114704545881033, rel=1e-15)
+    assert abs(warm[0] - cold[0]) <= 1e-15 * cold[0]
+
+
+@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0, 300.0, 1e4])
+def test_warm_solves_from_random_seeds_never_fail(ratio):
+    # seeds drawn anywhere on the half-circle facing e(psi), however far from
+    # the root: 20,000 warm solves, none may fail (the (2, 1) pair failed 4
+    # times here before the halving rule)
+    from hardpair import _kernel
+
+    support = _kernel.ellipse_support(ratio, 1.0)
+    rng = np.random.default_rng(7)
+    theta, psi, u = rng.uniform(0.0, 2.0 * math.pi, (3, 20000))
+    seeds = psi + (u / (2.0 * math.pi) - 0.5) * math.pi
+    failed = [(t, p, s) for t, p, s in zip(theta.tolist(), psi.tolist(), seeds.tolist())
+              if not _kernel.support_contact(support, t, p, s, use_seed=True)[4]]
+    assert failed == []
+
+
 def _dense_support_distance(a, b, theta, psi, n=257, zooms=4):
     """min over alpha of H(alpha) / cos(alpha - psi), H(alpha) = h(alpha) + h(alpha - theta).
 
@@ -294,10 +327,7 @@ def test_disk_contact_cold_and_warm():
 
 
 def _implicit_ellipse(a=2.0, b=1.0):
-    return make_implicit(
-        level=lambda x, y: (x / a) ** 2 + (y / b) ** 2 - 1.0,
-        boundary=lambda s: np.array([a * math.cos(s), b * math.sin(s)]),
-    )
+    return make_implicit(ellipse_shape(a, b)[1])
 
 
 def test_implicit_ellipse_matches_ellipse_kernel():
@@ -315,24 +345,28 @@ def test_implicit_ellipse_matches_ellipse_kernel():
             assert np.max(np.abs(x - y)) < 1e-9
 
 
-def _polar_body():
+def _polar_shape():
     # r(phi) = 1 + 0.1 cos 2 phi: strictly convex, centrally symmetric, and
-    # not an ellipse
+    # not an ellipse; its level function and boundary map
     def radius(phi):
         return 1.0 + 0.1 * np.cos(2.0 * phi)
 
-    return make_implicit(
-        level=lambda x, y: np.hypot(x, y) - radius(np.arctan2(y, x)),
-        boundary=lambda s: radius(s) * np.array([math.cos(s), math.sin(s)]),
-    )
+    def level(x, y):
+        return np.hypot(x, y) - radius(np.arctan2(y, x))
+
+    def boundary(s):
+        return radius(s)[:, None] * np.stack([np.cos(s), np.sin(s)], axis=1)
+
+    return level, boundary
 
 
 def test_non_elliptic_implicit_body_matches_oracle_and_finite_differences():
-    body = _polar_body()
+    shape = _polar_shape()
+    body = make_implicit(shape[1])
     rng = np.random.default_rng(18)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (20, 2)):
         c = closest_approach(body, theta, psi, derivatives=True)
-        assert abs(c.d - closest_approach_oracle(body, theta, psi)) < 1e-6
+        assert abs(c.d - closest_approach_oracle(*shape, theta, psi)) < 1e-6
         fd_theta, fd_psi = d_derivatives(body, theta, psi)
         scale = max(c.d, abs(fd_theta), abs(fd_psi))
         assert abs(c.dD_dtheta - fd_theta) <= 1e-7 * scale
@@ -344,7 +378,7 @@ def test_oracle_ends_below_the_float_spacing_of_d():
     # tol = 1e-9 cannot be reached, and the bisection stops at adjacent floats
     body = make_ellipse(2e7, 1e7)
     d = closest_approach(body, 0.3, 0.9).d
-    assert abs(closest_approach_oracle(body, 0.3, 0.9) - d) <= 1e-9 * d
+    assert abs(closest_approach_oracle(*ellipse_shape(2e7, 1e7), 0.3, 0.9) - d) <= 1e-9 * d
 
 
 @pytest.mark.parametrize("body,n_poses,derivatives", [

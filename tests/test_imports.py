@@ -1,4 +1,5 @@
-"""Source hygiene: every name a hardpair module imports is read in it.
+"""Source hygiene: every name a hardpair module imports is read in it, and
+every binding the benchmark's tracer wraps exists.
 
 A module may keep an import it never reads only where the benchmark's
 tracer replaces that binding by name (hpbench/tracing.BINDINGS); names a
@@ -6,6 +7,7 @@ module lists in __all__ are its exports and count as read.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,10 @@ def test_guard_sees_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(), path.stem, _traced_bindings()) == []
+
+
+@pytest.mark.parametrize("module,attr", sorted(_traced_bindings()))
+def test_every_traced_binding_resolves(module, attr):
+    # the tracer replaces hardpair.<module>.<attr> by name when a run asks for
+    # --trace 1; a name removed or renamed in src/ would fail only there
+    assert callable(getattr(importlib.import_module(f"hardpair.{module}"), attr, None))
