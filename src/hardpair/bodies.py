@@ -81,16 +81,27 @@ def mass_weights(m: float, J: float) -> np.ndarray:
 def make_disk(r: float) -> Body:
     """Disk of radius r: m = pi r^2, J = pi r^4 / 2.
 
+    A radius whose J overflows or underflows to 0 raises
+    BodyValidationError naming r.
+
     Args:
         r: radius, > 0.
     """
     if not (r > 0) or not math.isfinite(r):
         raise BodyValidationError(f"disk radius must be positive, got {r}")
     r = float(r)
+    try:
+        J = math.pi * r**4 / 2.0
+    except OverflowError:
+        J = math.inf
+    if not math.isfinite(J):
+        raise BodyValidationError(f"disk radius r={r} is too large: J overflows")
+    if J == 0.0:
+        raise BodyValidationError(f"disk radius r={r} is too small: J underflows to 0")
     return Body(
         kind="disk",
         m=math.pi * r * r,
-        J=math.pi * r**4 / 2.0,
+        J=J,
         a=r,
         b=r,
         K=0.0,
@@ -139,7 +150,9 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
     the sums reach rounding. Returns the callable alpha -> (h, h', rho = h +
     h'') and K = sum over k of k^2 (|h_k| + tol), which bounds |h''|
     everywhere: each kept coefficient is taken at the top of its rounding
-    error, which also covers the modes past the cut.
+    error, which also covers the modes past the cut. A series still not
+    quiet at len(h) // 4 modes is aliased, the samples too sparse for the
+    body's turning normal, and raises BodyValidationError.
     """
     w = h * dalpha / TWO_PI
     z = np.exp(-1j * alpha)
@@ -151,6 +164,10 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
         zk *= z
         coef.append(complex(w @ zk))
         quiet = quiet + 1 if abs(coef[-1]) < tol else 0
+    if quiet < 4:
+        raise BodyValidationError(
+            f"the support function's Fourier series does not fall below {tol:.3g} within "
+            f"{len(coef)} modes of {len(h)} samples; the body is too elongated for them")
     # h = Re sum_{k >= 0} c_k e^{ik alpha}, with c_0 = h_0 and c_k = 2 h_k
     c = np.array(coef[: len(coef) - quiet])
     c[1:] *= 2.0
@@ -174,7 +191,8 @@ def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
     centroid must sit at the origin to 1e-8 because the collision bookkeeping
     assumes center-of-mass body frames. The body is strictly convex when its
     outward normal turns counterclockwise at every grid point, and once
-    around in all.
+    around in all. A body too elongated for the grid, whose series of h
+    does not converge, raises BodyValidationError.
 
     Args:
         boundary: an array of parameters s in [0, 2pi), shape (n,), -> the

@@ -183,6 +183,8 @@ def candidates_from_config(cfg: dict, body: Body):
     cands = cfg.get("candidates")
     if cands is None:
         return standard_candidates(body)
+    if not isinstance(cands, list) or not cands:
+        raise ConfigError("candidates must be a nonempty list of candidate objects")
     out = []
     for c in cands:
         if not isinstance(c, dict) or "variant" not in c:
@@ -214,9 +216,7 @@ def _n_samples(cfg: dict, default: int) -> int:
 
 
 def _resolve_seed(cfg: dict, args) -> int:
-    seed = cfg.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
     cfg["seed"] = _integer(seed, "seed", 0)
     return cfg["seed"]
 
@@ -312,8 +312,7 @@ def _trajectory_records(body, tr, h: str):
             "X": X,
             "V": V,
             "event": False,
-            "ledger": conserved_quantities(body, State(X=np.asarray(X, float),
-                                                       V=np.asarray(V, float))),
+            "ledger": conserved_quantities(body, X, V),
         }
 
     recs = [base(Z.t, Z.X, Z.V) for Z in tr.samples]
@@ -329,7 +328,6 @@ def _trajectory_records(body, tr, h: str):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    _resolve_seed(cfg, args)
     body = body_from_config(cfg.get("body", {}))
     family = family_from_config(cfg.get("family", {}))
     if "Z0" not in cfg:
@@ -366,7 +364,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_nonuniq(args) -> int:
     cfg = _load_config(args.config)
-    _resolve_seed(cfg, args)
     body = body_from_config(cfg.get("body", {}))
     families = families_from_config(cfg)
     if len(families) < 2:
@@ -444,10 +441,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the seed in the config")
     common.add_argument("--quiet", action="store_true",
                         help="suppress the summary record")
+    # only the commands that draw random numbers take a seed
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="override the seed in the config")
 
     p = sub.add_parser("geometry", help="contact data for one configuration")
     p.add_argument("--body", required=True, help="JSON body file")
@@ -456,7 +455,7 @@ def build_parser() -> _Parser:
     p.add_argument("--psi", type=float, required=True)
     p.set_defaults(fn=_cmd_geometry)
 
-    p = sub.add_parser("scatter", parents=[common],
+    p = sub.add_parser("scatter", parents=[seeded],
                        help="scatter one velocity at a contact")
     p.add_argument("--config", required=True)
     p.add_argument("--V", default=None,
@@ -477,7 +476,7 @@ def build_parser() -> _Parser:
                    help="CSV of per-family final states")
     p.set_defaults(fn=_cmd_nonuniq)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[seeded],
                        help="candidate x family residual table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="invariants.csv", help="CSV output path")

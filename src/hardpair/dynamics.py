@@ -10,9 +10,10 @@ its width along the flight, and the flight steps to where that bound could
 first reach zero, so every pose visited is separated and no contact can be
 stepped over.  Near a transversal contact the steps converge quadratically.
 Resolution replaces the velocity with its image under a chosen scattering
-family.  Because several families share the same conservation laws, one
-initial condition continues into many distinct trajectories, and
-divergence_report measures exactly that.
+family, once per root; a grazing root found again right after its event
+is merged into that event.  Because several families share the same
+conservation laws, one initial condition continues into many distinct
+trajectories, and divergence_report measures exactly that.
 
 A conservation ledger (linear momentum, angular momentum about the origin,
 kinetic energy) is kept across every event.  Angular momentum is audited
@@ -38,12 +39,11 @@ from hardpair.geometry import (  # noqa: F401
     d_beta,
     wrap_angle,
 )
-from hardpair.frames import build_frame, nu_hat
+from hardpair.frames import build_frame
 # scattering_matrix is not called here; it stays bound for the same reason
 from hardpair.scattering import (  # noqa: F401
     ScatteringFamily,
     is_grazing,
-    normal_projection,
     scatter_velocity,
     scattering_matrix,
 )
@@ -55,8 +55,8 @@ _CONTACT_WIDTH = 1e-13
 _ADMISSIBLE_RTOL = 1e-9
 # Gap magnitudes below this are projected to exact contact before resolving.
 _ANCHOR_TOL = 1e-12
-# A grazing root re-found within this fraction of the remaining horizon
-# after an event is merged into that event.
+# A root found within this fraction of the remaining horizon after an
+# event, and grazing there, is merged into that event.
 _MERGE_RTOL = 1e-12
 # A run stops, flagged as a suspected accumulation, after more than this
 # many contacts.
@@ -100,14 +100,11 @@ class CollisionEvent:
 
     t: float
     X: np.ndarray
-    beta: Beta
     d: float
     s1: float
     s2: float
     V_pre: np.ndarray
     V_post: np.ndarray
-    proj_pre: float
-    proj_post: float
     grazing: bool
     anchor_shift: float
     jumps: dict
@@ -138,24 +135,21 @@ class Trajectory:
         return len(self.events)
 
     def max_ledger_jump(self) -> float:
-        worst = 0.0
-        for ev in self.events:
-            worst = max(worst, max(abs(v) for v in ev.jumps.values()))
-        return worst
+        return max((abs(v) for ev in self.events for v in ev.jumps.values()), default=0.0)
 
 
-def conserved_quantities(body: Body, Z: State) -> dict:
-    """Linear momentum, angular momentum about the origin, kinetic energy."""
+def conserved_quantities(body: Body, X: np.ndarray, V: np.ndarray) -> dict:
+    """Linear momentum, angular momentum about the origin and kinetic energy
+    of the configuration X and velocity V (arrays of shape (6,))."""
     m, J = body.m, body.J
-    x, xb = Z.X[0:2], Z.X[2:4]
-    v, vb = Z.V[0:2], Z.V[2:4]
-    om, omb = float(Z.V[4]), float(Z.V[5])
-    cross = lambda a, b: float(a[0] * b[1] - a[1] * b[0])
+    x, y, xb, yb = X.tolist()[0:4]
+    vx, vy, vbx, vby, om, omb = V.tolist()
     return {
-        "lm_x": m * float(v[0] + vb[0]),
-        "lm_y": m * float(v[1] + vb[1]),
-        "am": m * (cross(x, v) + cross(xb, vb)) + J * (om + omb),
-        "ke": 0.5 * (m * float(v @ v) + m * float(vb @ vb) + J * (om * om + omb * omb)),
+        "lm_x": m * (vx + vbx),
+        "lm_y": m * (vy + vby),
+        "am": m * ((x * vy - y * vx) + (xb * vby - yb * vbx)) + J * (om + omb),
+        "ke": 0.5 * (m * (vx * vx + vy * vy) + m * (vbx * vbx + vby * vby)
+                     + J * (om * om + omb * omb)),
     }
 
 
@@ -276,17 +270,18 @@ def next_collision_time(body: Body, Z: State, t_max: float):
 
 
 def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
-                        contact: ContactData | None = None):
+                        contact: ContactData):
     """Scatter the velocity at a contact state; returns (new state, event).
 
-    contact is the contact solve at Z.X, when the caller holds it.
-    Anchoring moves the second center along the center line, which leaves
-    the relative angles and so the contact solve unchanged.
+    contact is the contact solve at Z.X.  Anchoring moves the second center
+    along the center line, which leaves the relative angles and so the
+    contact solve unchanged.  The event is flagged grazing when V.(M nu)
+    is within GRAZING_RTOL |V| of zero.
     """
     g, contact = _gap_at(body, Z.X, solved=contact)
     if abs(g) > 1e-8 * body.diameter:
         raise SimulationError(f"resolve called away from contact: gap {g:.3g}")
-    X = Z.X
+    X, V = Z.X, Z.V
     anchor_shift = 0.0
     if abs(g) < _ANCHOR_TOL:
         # project the second center along the center line to exact contact
@@ -295,21 +290,17 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
         X = X.copy()
         X[2:4] = X[0:2] + rel * ((dist - g) / dist)
         anchor_shift = abs(g)
-        Z = State(X=X, V=Z.V, t=Z.t)
     x, y, xb, yb, theta, thetabar = X.tolist()
     beta = Beta(theta, thetabar, math.atan2(yb - y, xb - x))
-    V_post, proj_pre, proj_post = scatter_velocity(family, build_frame(body, beta, contact), Z.V)
-    grazing = is_grazing(proj_pre, float(np.linalg.norm(Z.V)))
-    before = conserved_quantities(body, Z)
-    Z_post = State(X=Z.X, V=V_post, t=Z.t)
-    after = conserved_quantities(body, Z_post)
-    jumps = {k: after[k] - before[k] for k in before}
+    V_post, proj_pre, _ = scatter_velocity(family, build_frame(body, beta, contact), V)
+    before = conserved_quantities(body, X, V)
+    after = conserved_quantities(body, X, V_post)
     event = CollisionEvent(
-        t=Z.t, X=Z.X, beta=beta, d=contact.d, s1=contact.s1, s2=contact.s2,
-        V_pre=Z.V, V_post=V_post, proj_pre=proj_pre, proj_post=proj_post,
-        grazing=grazing, anchor_shift=anchor_shift, jumps=jumps,
+        t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=V, V_post=V_post,
+        grazing=is_grazing(proj_pre, float(np.linalg.norm(V))),
+        anchor_shift=anchor_shift, jumps={k: after[k] - before[k] for k in before},
     )
-    return Z_post, event
+    return State(X=X, V=V_post, t=Z.t), event
 
 
 def simulate(
@@ -325,8 +316,10 @@ def simulate(
     trajectory's samples; it must be a finite number > 0 whose grid
     T / sample_dt holds at most _MAX_SAMPLES points, else ValueError naming
     it.  Stops early with accumulation_suspected when more than _MAX_EVENTS
-    contacts occur; repeated grazing roots within the time tolerance are
-    merged rather than re-resolved.
+    contacts occur.  Every root is resolved; a root within the time
+    tolerance of the last event whose resolve comes out grazing is the same
+    grazing contact found again, so its event is dropped, counted in
+    merged_grazing, and the flight steps past it.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"horizon T must be finite and nonnegative, got {T}")
@@ -364,22 +357,17 @@ def simulate(
             Z = free_flight(Z, remaining)
             break
         Z = free_flight(Z, dt)
-        if (
-            last_event_t is not None
-            and Z.t - last_event_t < t_tol
-            and is_grazing(normal_projection(Z.V, nu_hat(contact, body.m, body.J),
-                                             body.m, body.J),
-                           float(np.linalg.norm(Z.V)))
-        ):
-            # same grazing root re-found within the time tolerance: count it
-            # into the previous event and step past it
+        Z_post, event = _resolve_at_contact(body, Z, family, contact)
+        if event.grazing and last_event_t is not None and Z.t - last_event_t < t_tol:
+            # the last event's grazing root found again: count it into that
+            # event and step past it
             merged += 1
             Z = free_flight(Z, min(t_tol, t_end - Z.t))
             contact = None
             continue
         # the post-event state keeps the pose, so contact stays valid for the
         # next flight
-        Z, event = _resolve_at_contact(body, Z, family, contact)
+        Z = Z_post
         events.append(event)
         last_event_t = Z.t
         if len(events) > _MAX_EVENTS:

@@ -286,12 +286,11 @@ def closest_approach_oracle(level, boundary, theta_rel: float, psi_rel: float) -
     hi = diameter + inner
     if not overlap(lo):
         raise ConvergenceError("overlap predicate false at near-zero separation")
-    while overlap(hi):
-        hi *= 2.0
-        if hi > 4.0 * diameter:
-            raise ConvergenceError(
-                f"no separation bracket below 4x diameter for theta={theta_rel}, psi={psi_rel}"
-            )
+    # D is at most the diameter, so the bodies are apart at hi = diameter + inner
+    if overlap(hi):
+        raise ConvergenceError(
+            f"overlap predicate true beyond the diameter for theta={theta_rel}, psi={psi_rel}"
+        )
     while hi - lo > _ORACLE_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -131,14 +131,6 @@ class ScatterMatrix:
     family: ScatteringFamily
 
 
-def normal_projection(V: np.ndarray, nu: np.ndarray, m: float, J: float) -> float:
-    """V.(M nu) for the collision normal nu of a frame with mass data (m, J).
-
-    Negative for approaching states, positive for separating ones.
-    """
-    return float((mass_weights(m, J) * np.asarray(V, dtype=float)) @ nu)
-
-
 def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     """Each family's orthogonal core A at every frame, as (sign, U).
 

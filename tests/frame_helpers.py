@@ -1,15 +1,18 @@
 """Frame utilities that only the tests use.
 
-block_rotation writes the plane rotation out as a 6x6 matrix, and
-line_field_vector reads a line field's direction off one frame; the program
-itself turns vectors with frames.rotate_blocks and builds the line-field
-direction inside the op family's core.
+block_rotation writes the plane rotation out as a 6x6 matrix,
+line_field_vector reads a line field's direction off one frame, and
+normal_projection gives V.(M nu) as its own array product; the program
+itself turns vectors with frames.rotate_blocks, builds the line-field
+direction inside the op family's core and takes V.(M nu) inside
+scattering.scatter_velocity.
 """
 
 import math
 
 import numpy as np
 
+from hardpair.bodies import mass_weights
 from hardpair.frames import rotate_blocks
 
 # The fields of Frames that hold one entry per pose.
@@ -30,6 +33,14 @@ def line_field_vector(frame, lf, theta_rel: float, psi_rel: float) -> np.ndarray
     """Unit vector cos(phi) F1 + sin(phi) F2 selected by the line field."""
     phi = lf.angle(theta_rel, psi_rel)
     return math.cos(phi) * frame.F1 + math.sin(phi) * frame.F2
+
+
+def normal_projection(V: np.ndarray, nu: np.ndarray, m: float, J: float) -> float:
+    """V.(M nu) for the collision normal nu of a frame with mass data (m, J).
+
+    Negative for approaching states, positive for separating ones.
+    """
+    return float((mass_weights(m, J) * np.asarray(V, dtype=float)) @ nu)
 
 
 def one_row(frame):

@@ -109,6 +109,14 @@ def test_implicit_rejects_a_boundary_that_winds_twice():
     assert circle.support(0.3)[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_implicit_rejects_a_body_its_series_cannot_resolve():
+    # past ratio 7.5 the support function's series never goes quiet on the
+    # grid and K comes out ~1e6 times too large; at ratio 7 it is exact
+    assert make_implicit(ellipse_shape(7.0, 1.0)[1]).K == pytest.approx(48.0, rel=1e-8)
+    with pytest.raises(BodyValidationError, match="too elongated"):
+        make_implicit(ellipse_shape(8.0, 1.0)[1])
+
+
 def test_mass_inertia_matrix_roundtrip():
     # M = diag(mass_weights): W = M V, V = W / M, and |M V|^2 is twice the
     # kinetic energy

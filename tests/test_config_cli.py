@@ -358,6 +358,14 @@ def test_seed_override_changes_hash(tmp_path, capsys):
     assert hashes[0] != hashes[1]
 
 
+@pytest.mark.parametrize("command", ["simulate", "nonuniq"])
+def test_seed_is_a_usage_error_where_nothing_is_drawn(tmp_path, capsys, command):
+    # simulate and nonuniq draw no random numbers, so they take no --seed
+    cfg = _write(tmp_path, "sim.json", _sim_cfg())
+    assert cli.run([command, "--config", cfg, "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_quiet_suppresses_record(tmp_path, capsys):
     cfg = _write(tmp_path, "inv.json", {
         "body": _body_cfg(),
@@ -507,7 +515,7 @@ def test_out_of_domain_option_exits_two(tmp_path, capsys, monkeypatch, options, 
 @pytest.mark.parametrize("command,over,field", [
     ("simulate", {"body": {"kind": "ellipse", "a": [2], "b": 1}}, "body.a"),
     ("simulate", {"T": [8]}, "T"),
-    ("simulate", {"seed": 2.5}, "seed"),
+    ("invariants", {"seed": 2.5}, "seed"),
     ("invariants", {"candidates": [{"variant": "theta_function", "k": float("inf")}]}, "k"),
     ("invariants", {"candidates": [{"variant": "theta_function", "k": 2.5}]}, "k"),
     ("invariants", {"families": [{"family": "op", "line_field": {
@@ -555,6 +563,8 @@ SCATTER_CFG = _sim_cfg(beta=[0.3, 1.7, 0.9], V=V0, n_samples=20)
     ("nonuniq", _sim_cfg(families=[]), [], "families must be a nonempty list"),
     ("invariants", _sim_cfg(families={"family": "reflection"}), [],
      "families must be a nonempty list"),
+    ("invariants", _sim_cfg(candidates=5), [], "candidates must be a nonempty list"),
+    ("invariants", _sim_cfg(candidates=[]), [], "candidates must be a nonempty list"),
     ("simulate", _sim_cfg(Z0={"X": X0}), [], "Z0 object form needs fields X and V"),
     ("simulate", _sim_cfg(Z0=4.2), [], "Z0 must be a 12-number list or an object"),
     ("simulate", _sim_cfg(body={"a": 2.0, "b": 1.0}), [], "body must be an object with a 'kind'"),
@@ -567,7 +577,8 @@ SCATTER_CFG = _sim_cfg(beta=[0.3, 1.7, 0.9], V=V0, n_samples=20)
     ("scatter", SCATTER_CFG, ["--V", "0.1,0.2"], "--V needs 6 numbers, got 2"),
 ], ids=[
     "simulate-no-Z0", "nonuniq-no-Z0", "simulate-no-T", "scatter-no-beta", "scatter-no-V",
-    "options-list", "families-empty", "families-object", "Z0-object-no-V", "Z0-number",
+    "options-list", "families-empty", "families-object", "candidates-number",
+    "candidates-empty", "Z0-object-no-V", "Z0-number",
     "body-no-kind", "body-string", "ellipse-no-a", "ellipse-no-b", "config-missing",
     "config-list", "V-flag-text", "V-flag-short",
 ])
@@ -602,6 +613,18 @@ def test_out_of_range_ellipse_axis_exits_two(tmp_path, capsys, axes, field):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert f"axis {field}" in err
+
+
+@pytest.mark.parametrize("r,word", [(1e100, "large"), (1e-100, "small")])
+def test_out_of_range_disk_radius_exits_two(tmp_path, capsys, r, word):
+    # a J that overflows or underflows to 0 is rejected with r named, before
+    # the scatter frame divides by it
+    cfg = _write(tmp_path, "scatter.json", _sim_cfg(
+        body={"kind": "disk", "r": r}, beta=[0.3, 1.7, 0.9], V=V0, n_samples=20))
+    assert cli.run(["scatter", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert f"radius r={r}" in err and word in err
 
 
 def test_disk_body(tmp_path, capsys):

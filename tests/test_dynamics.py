@@ -13,7 +13,7 @@ import pytest
 # hardpair (the benchmark's tests make one) leaves alone
 from hardpair import dynamics, geometry
 from hardpair.bodies import make_disk, make_ellipse, make_implicit
-from hardpair.frames import LineField
+from hardpair.frames import LineField, nu_hat
 from hardpair.geometry import Beta, closest_approach, e_of, ellipse_shape, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
@@ -28,6 +28,7 @@ from hardpair.dynamics import (
     simulate,
     time_reverse_check,
 )
+from frame_helpers import normal_projection
 
 DISK = make_disk(1.0)
 ELL = make_ellipse(2.0, 1.0)
@@ -72,8 +73,9 @@ def test_no_collision_returns_none():
 
 
 def test_resolve_requires_contact():
+    Z = _head_on()
     with pytest.raises(SimulationError):
-        _resolve_at_contact(DISK, _head_on(), REFL)
+        _resolve_at_contact(DISK, Z, REFL, dynamics._gap_at(DISK, Z.X)[1])
 
 
 def test_head_on_exchange():
@@ -89,8 +91,8 @@ def test_simulate_conserves_across_events():
                     [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
     tr = simulate(ELL, Z0, REFL, 8.0)
     assert tr.n_events() >= 1
-    before = conserved_quantities(ELL, tr.initial)
-    after = conserved_quantities(ELL, tr.final)
+    before = conserved_quantities(ELL, tr.initial.X, tr.initial.V)
+    after = conserved_quantities(ELL, tr.final.X, tr.final.V)
     for key in ("lm_x", "lm_y", "ke"):
         assert after[key] == pytest.approx(before[key], abs=1e-10)
     assert after["am"] == pytest.approx(before["am"], abs=1e-9)
@@ -216,7 +218,10 @@ def test_event_records_carry_contact_geometry():
     assert ev.t == pytest.approx(2.0, abs=1e-9)
     assert ev.d == pytest.approx(2.0, abs=1e-9)
     assert ev.X.shape == (6,)
-    assert ev.proj_pre < 0.0 < ev.proj_post
+    # V.(M nu) on the contact's normal flips from approaching to separating
+    nu = nu_hat(dynamics._gap_at(DISK, ev.X)[1], DISK.m, DISK.J)
+    assert (normal_projection(ev.V_pre, nu, DISK.m, DISK.J) < 0.0
+            < normal_projection(ev.V_post, nu, DISK.m, DISK.J))
     assert not ev.grazing
     assert max(abs(v) for v in ev.jumps.values()) < 1e-12
 
@@ -248,7 +253,7 @@ def test_resolve_collision_matches_scatter_stack():
     # one event on floats (build_frame, scatter_velocity) against the array
     # route over stacks (build_frames, scatter_stack) at 300 contact states
     from hardpair.bodies import mass_weights
-    from hardpair.frames import build_frames, nu_hat
+    from hardpair.frames import build_frames
     from hardpair.scattering import scatter_stack
 
     fams = SIX_FAMILIES + [ScatteringFamily.orientation_preserving(
@@ -256,7 +261,7 @@ def test_resolve_collision_matches_scatter_stack():
     diag = mass_weights(ELL.m, ELL.J)
     rng = np.random.default_rng(62)
     n = 300
-    angles, d, nu, states = np.empty((n, 3)), np.empty(n), np.empty((n, 6)), []
+    angles, d, nu, states, contacts = np.empty((n, 3)), np.empty(n), np.empty((n, 6)), [], []
     for i in range(n):
         th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
         c = closest_approach(ELL, wrap_angle(thb - th), wrap_angle(psi - th), theta=th)
@@ -265,32 +270,14 @@ def test_resolve_collision_matches_scatter_stack():
         if float((diag * V) @ nu[i]) > 0.0:
             V = -V
         states.append(make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb], V))
+        contacts.append(c)
     frames = build_frames(*angles.T, d, nu, ELL.m, ELL.J)
     W = np.array([Z.V for Z in states]) * diag
     want = scatter_stack(fams, frames, W) / diag
     for f, fam in enumerate(fams):
         for i, Z in enumerate(states):
-            got = _resolve_at_contact(ELL, Z, fam)[0].V
+            got = _resolve_at_contact(ELL, Z, fam, contacts[i])[0].V
             assert np.max(np.abs(got - want[f, i])) <= 1e-13, (fam.label(), i)
-
-
-def test_grazing_merge_projection_is_the_frame_normal():
-    # the merge test reads V.(M nu) from the contact's normal alone; it must
-    # equal the projection on the normal of the frame the map is built from
-    from hardpair.frames import build_frame, nu_hat
-    from hardpair.geometry import closest_approach
-    from hardpair.scattering import normal_projection
-
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
-        c = closest_approach(ELL, (thb - th) % (2 * math.pi), (psi - th) % (2 * math.pi),
-                             theta=th)
-        Z = make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb],
-                       rng.standard_normal(6))
-        want = normal_projection(Z.V, build_frame(ELL, Beta(th, thb, psi), c).nu, ELL.m, ELL.J)
-        got = normal_projection(Z.V, nu_hat(c, ELL.m, ELL.J), ELL.m, ELL.J)
-        assert got == want
 
 
 @pytest.mark.parametrize("spin", [2.0, 2.5, 3.0, 3.7])

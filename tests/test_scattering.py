@@ -17,12 +17,11 @@ from hardpair.scattering import (
     explicit_epsi_velocities,
     family_from_config,
     impulse_scatter,
-    normal_projection,
     scatter_stack,
     scatter_velocity,
     scattering_matrix,
 )
-from frame_helpers import block_rotation, line_field_vector, one_row
+from frame_helpers import block_rotation, line_field_vector, normal_projection, one_row
 
 ELL = make_ellipse(2.0, 1.0)
 DISK = make_disk(1.0)
