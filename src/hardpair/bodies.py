@@ -40,8 +40,8 @@ class Body:
         m: mass (area at unit density), > 0.
         J: polar second moment about the centroid, > 0.
         a, b: semi-axes for disk/ellipse kinds (a >= b; a = b = r for disks).
-            For implicit bodies these hold the sampled circumradius and
-            inradius estimates and are used only for scaling heuristics.
+            For implicit bodies a is an upper bound on the circumradius, so
+            the diameter 2a bounds D, and b the sampled inradius estimate.
         K: bound on |h''| = |rho - h| for the support function h (rho the
             radius of curvature at the support point), over all directions:
             exact for disks and ellipses, sum k^2 (|h_k| + rounding) over
@@ -148,9 +148,12 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
     is the trapezoid sum (1/2pi) sum_j h_j e^{-ik alpha_j} dalpha_j. The
     series stops once four modes in a row fall below tol = 1e-15 h_0, where
     the sums reach rounding. Returns the callable alpha -> (h, h', rho = h +
-    h'') and K = sum over k of k^2 (|h_k| + tol), which bounds |h''|
+    h''), K = sum over k of k^2 (|h_k| + tol), which bounds |h''|
     everywhere: each kept coefficient is taken at the top of its rounding
-    error, which also covers the modes past the cut. A series still not
+    error, which also covers the modes past the cut, and a bound on the
+    circumradius max h: the largest h on a uniform grid of len(h) angles
+    plus K dalpha^2 / 8, since h' = 0 at the maximum and the nearest grid
+    angle lies within dalpha / 2 of it. A series still not
     quiet at len(h) // 4 modes is aliased, the samples too sparse for the
     body's turning normal, and raises BodyValidationError.
     """
@@ -178,7 +181,11 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
         h, dh, rho = (rows @ np.exp(1j * alpha * k)).real.tolist()
         return h, dh, rho
 
-    return support, float(np.sum(k * k * (np.abs(c) + 2.0 * tol)))
+    K = float(np.sum(k * k * (np.abs(c) + 2.0 * tol)))
+    # h at the angles 2pi j / n is the real part of n ifft(c, n)
+    n = len(h)
+    h_max = float(np.max((n * np.fft.ifft(c, n)).real))
+    return support, K, h_max + K * (TWO_PI / n) ** 2 / 8.0
 
 
 def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
@@ -239,14 +246,13 @@ def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
             f"boundary must wind once around the body: its normal turns by {turning:.6f}, "
             f"not 2pi"
         )
-    support, K = _fourier_support((x * dy - y * dx) / speed, np.arctan2(-dx, dy), dalpha)
-    radii = np.hypot(x, y)
+    support, K, a = _fourier_support((x * dy - y * dx) / speed, np.arctan2(-dx, dy), dalpha)
     return Body(
         kind="implicit",
         m=area,
         J=J,
-        a=float(np.max(radii)),
-        b=float(np.min(radii)),
+        a=a,
+        b=float(np.min(np.hypot(x, y))),
         K=K,
         support=support,
     )

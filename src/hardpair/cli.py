@@ -9,7 +9,8 @@ Subcommands:
   verify      run the full verification suite
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 convergence
-failure.  Every emitted record carries a short hash of the resolved
+failure; a config field the command does not read is a validation failure
+too.  Every emitted record carries a short hash of the resolved
 configuration (config file plus command-line overrides), and all randomness
 is seeded, so a rerun with the same inputs is byte-identical.
 """
@@ -20,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,10 +29,10 @@ import numpy as np
 from hardpair import _checks
 from hardpair.bodies import Body, make_disk, make_ellipse
 from hardpair.geometry import Beta, ConvergenceError, d_beta, identity_residuals
-from hardpair.frames import DegenerateFrameError, build_frame
+from hardpair.frames import DegenerateFrameError, LineField, build_frame
 from hardpair.scattering import (
+    ScatteringFamily,
     audit_scattering,
-    family_from_config,
     is_grazing,
     scatter_velocity,
 )
@@ -59,7 +61,8 @@ EXIT_CONVERGENCE = 3
 
 
 class ConfigError(ValueError):
-    """A config file is missing a field or holds one of the wrong shape."""
+    """A config file is missing a field, holds one of the wrong shape, or holds
+    one the command does not read."""
 
 
 class _UsageError(Exception):
@@ -113,112 +116,136 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _numbers(value, name: str, n: int) -> list[float]:
-    """value as n floats; ConfigError naming the field unless it is a list of
-    n JSON numbers."""
-    if not isinstance(value, list) or len(value) != n:
-        raise ConfigError(f"{name} must be a list of {n} numbers, got {value!r}")
-    return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
+def _integer(least: int, most: float = math.inf):
+    """Reader of a JSON integer in [least, most]."""
+    def read(value, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
+            raise ConfigError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+        return value
+    return read
 
 
-def _integer(value, name: str, least: int | None = None) -> int:
-    """value unchanged; ConfigError naming the field unless it is an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, int) or (
-            least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
-    return value
+def _choice(*options: str):
+    """Reader of a string that is one of options."""
+    def read(value, name: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {', '.join(map(repr, options))}, "
+                              f"got {value!r}")
+        return value
+    return read
 
 
-def body_from_config(cfg: dict) -> Body:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("body must be an object with a 'kind' field")
-    kind = cfg["kind"]
-    if kind == "disk":
-        if "r" not in cfg:
-            raise ConfigError("body.r is required for kind 'disk'")
-        return make_disk(_number(cfg["r"], "body.r"))
-    if kind == "ellipse":
-        for key in ("a", "b"):
-            if key not in cfg:
-                raise ConfigError(f"body.{key} is required for kind 'ellipse'")
-        return make_ellipse(_number(cfg["a"], "body.a"), _number(cfg["b"], "body.b"))
-    raise ConfigError(f"body.kind must be 'disk' or 'ellipse', got {kind!r}")
+def _list(read_item, n: int | None = None):
+    """Reader of a list of n entries (without n, at least one), each read by read_item."""
+    def read(value, name: str) -> list:
+        if not isinstance(value, list) or not value or n not in (None, len(value)):
+            size = "nonempty" if n is None else f"{n}-entry"
+            raise ConfigError(f"{name} must be a {size} list, got {value!r}")
+        return [read_item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return read
 
 
-def state_from_config(z) -> State:
+_REQUIRED = object()
+
+
+class _Fields:
+    """One config object, read field by field in a with block: take() reads
+    each field the command uses, and leaving the block refuses every field no
+    take() asked for, so a misspelt or unused field exits 2 instead of being
+    hashed and ignored."""
+
+    def __init__(self, cfg, path: str = ""):
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{path} must be an object, got {cfg!r}")
+        self.cfg, self.prefix, self.taken = cfg, f"{path}." if path else "", set()
+
+    def take(self, field: str, read, default=_REQUIRED):
+        """read(value, name) of the field, else its default, else a ConfigError."""
+        self.taken.add(field)
+        if field in self.cfg:
+            return read(self.cfg[field], self.prefix + field)
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.prefix}{field} is required")
+        return default
+
+    def __enter__(self) -> "_Fields":
+        return self
+
+    def __exit__(self, error, *_) -> None:
+        unread = sorted(set(self.cfg) - self.taken)
+        if error is None and unread:
+            raise ConfigError("; ".join(f"{self.prefix}{field} is not a field this command reads"
+                                        for field in unread))
+
+
+_BODIES = {"disk": (make_disk, ("r",)), "ellipse": (make_ellipse, ("a", "b"))}
+
+
+def body_from_config(cfg, path: str = "body") -> Body:
+    """{"kind": "disk", "r": r} or {"kind": "ellipse", "a": a, "b": b}."""
+    with _Fields(cfg, path) as f:
+        make, axes = _BODIES[f.take("kind", _choice(*_BODIES))]
+        return make(*[f.take(axis, _number) for axis in axes])
+
+
+def line_field_from_config(cfg, path: str = "line_field") -> LineField:
+    """{"kind": "constant", "phi": x} or {"kind": "fourier", "coeffs": [[k1, k2, c, s], ...]}."""
+    with _Fields(cfg, path) as f:
+        if f.take("kind", _choice("constant", "fourier")) == "constant":
+            return LineField.constant(f.take("phi", _number))
+        # LineField.fourier checks the rows
+        return LineField.fourier(f.take("coeffs", lambda value, name: value))
+
+
+def family_from_config(cfg, path: str = "family") -> ScatteringFamily:
+    """{"family": "reflection"|"epsi"} or {"family": "op", "line_field": {...}}."""
+    with _Fields(cfg, path) as f:
+        variant = f.take("family", _choice("reflection", "epsi", "op"))
+        return ScatteringFamily(
+            variant, f.take("line_field", line_field_from_config) if variant == "op" else None)
+
+
+def state_from_config(z, path: str = "Z0") -> State:
     """Initial datum: a flat list of 12 numbers or {"X": [...], "V": [...]}."""
     if isinstance(z, dict):
-        if "X" not in z or "V" not in z:
-            raise ConfigError("Z0 object form needs fields X and V")
-        return make_state(_numbers(z["X"], "Z0.X", 6), _numbers(z["V"], "Z0.V", 6))
+        with _Fields(z, path) as f:
+            return make_state(f.take("X", _list(_number, 6)), f.take("V", _list(_number, 6)))
     if isinstance(z, list):
-        z = _numbers(z, "Z0", 12)
+        z = _list(_number, 12)(z, path)
         return make_state(z[:6], z[6:])
-    raise ConfigError("Z0 must be a 12-number list or an object with X and V")
+    raise ConfigError(f"{path} must be a 12-number list or an object with X and V")
 
 
-def options_from_config(cfg: dict) -> float | None:
+def options_from_config(cfg, path: str = "options") -> float | None:
     """The run's sample_dt, None when unset; simulate checks its domain."""
-    opts = cfg.get("options", {})
-    if not isinstance(opts, dict):
-        raise ConfigError("options must be an object")
-    unknown = set(opts) - {"sample_dt"}
-    if unknown:
-        raise ConfigError("; ".join(f"option {name} is unknown, the only option is sample_dt"
-                                    for name in sorted(unknown)))
-    return opts.get("sample_dt")
+    with _Fields(cfg, path) as f:
+        return f.take("sample_dt", _number, None)
 
 
-def families_from_config(cfg: dict):
-    fams = cfg.get("families")
-    if fams is None:
-        return _checks.six_families()
-    if not isinstance(fams, list) or not fams:
-        raise ConfigError("families must be a nonempty list of family objects")
-    return [family_from_config(f) for f in fams]
+def _theta_function(f: _Fields, body: Body):
+    form = f.take("form", _choice("sin", "cos"), "sin")
+    # k t is a float product: past 2**53 k is not exact, and far past it k t overflows
+    k = f.take("k", _integer(-2**53, 2**53), 1)
+    fn = getattr(np, form)
+    return theta_function_candidate(lambda t: fn(k * t), f"{form}({k}theta)")
 
 
-def candidates_from_config(cfg: dict, body: Body):
-    cands = cfg.get("candidates")
-    if cands is None:
-        return standard_candidates(body)
-    if not isinstance(cands, list) or not cands:
-        raise ConfigError("candidates must be a nonempty list of candidate objects")
-    out = []
-    for c in cands:
-        if not isinstance(c, dict) or "variant" not in c:
-            raise ConfigError("each candidate needs a 'variant' field")
-        v = c["variant"]
-        if v == "constant":
-            out.append(constant_candidate())
-        elif v in ("momentum_x", "momentum_y"):
-            out.append(momentum_candidate(0 if v == "momentum_x" else 1))
-        elif v == "kinetic_energy":
-            out.append(kinetic_energy_candidate(body.m, body.J))
-        elif v == "angular_speed":
-            out.append(angular_speed_candidate())
-        elif v == "theta_function":
-            form = c.get("form", "sin")
-            if form not in ("sin", "cos"):
-                raise ConfigError("theta_function form must be 'sin' or 'cos'")
-            k = _integer(c.get("k", 1), "candidate k")
-            fn = (lambda t, k=k: np.sin(k * t)) if form == "sin" \
-                else (lambda t, k=k: np.cos(k * t))
-            out.append(theta_function_candidate(fn, f"{form}({k}theta)"))
-        else:
-            raise ConfigError(f"unknown candidate variant {v!r}")
-    return out
+_CANDIDATES = {
+    "constant": lambda f, body: constant_candidate(),
+    "momentum_x": lambda f, body: momentum_candidate(0),
+    "momentum_y": lambda f, body: momentum_candidate(1),
+    "kinetic_energy": lambda f, body: kinetic_energy_candidate(body.m, body.J),
+    "angular_speed": lambda f, body: angular_speed_candidate(),
+    "theta_function": _theta_function,
+}
 
 
-def _n_samples(cfg: dict, default: int) -> int:
-    return _integer(cfg.get("n_samples", default), "n_samples", 1)
-
-
-def _resolve_seed(cfg: dict, args) -> int:
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    cfg["seed"] = _integer(seed, "seed", 0)
-    return cfg["seed"]
+def _candidates(body: Body):
+    """Reader of the candidate list, {"variant": name, ...} each."""
+    def read_one(cfg, path: str):
+        with _Fields(cfg, path) as f:
+            return _CANDIDATES[f.take("variant", _choice(*_CANDIDATES))](f, body)
+    return _list(read_one)
 
 
 def _cmd_geometry(args) -> int:
@@ -250,44 +277,39 @@ def _cmd_geometry(args) -> int:
     return EXIT_OK
 
 
-def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
-    try:
-        vals = [float(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"{label} must be comma-separated numbers") from exc
-    if len(vals) != n:
-        raise ConfigError(f"{label} needs {n} numbers, got {len(vals)}")
-    return np.array(vals)
+def _take_seed(f: _Fields, args) -> int:
+    """The seed, --seed over the config's; written back, so the hash covers it."""
+    if args.seed is not None:
+        f.cfg["seed"] = args.seed
+    f.cfg["seed"] = f.take("seed", _integer(0), 0)
+    return f.cfg["seed"]
 
 
 def _cmd_scatter(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    body = body_from_config(cfg.get("body", {}))
-    family = family_from_config(cfg.get("family", {}))
-    if "beta" not in cfg:
-        raise ConfigError("missing field: beta (three angles)")
-    beta = Beta(*_numbers(cfg["beta"], "beta", 3))
-    if args.V is not None:
-        V = _parse_vector(args.V, 6, "--V")
-        cfg["V"] = V.tolist()
-    elif "V" in cfg:
-        V = np.array(_numbers(cfg["V"], "V", 6))
-    else:
-        raise ConfigError("missing field: V (six velocity components)")
-
-    n = _n_samples(cfg, 1000)
-
+    with _Fields(_load_config(args.config)) as f:
+        if args.V is not None:
+            # --V replaces the config's V; the reader checks it and the hash covers it
+            try:
+                f.cfg["V"] = [float(x) for x in args.V.split(",")]
+            except ValueError as exc:
+                raise ConfigError("--V must be comma-separated numbers") from exc
+        seed = _take_seed(f, args)
+        body = f.take("body", body_from_config)
+        family = f.take("family", family_from_config)
+        beta = Beta(*f.take("beta", _list(_number, 3)))
+        V = np.array(f.take("V", _list(_number, 6)))
+        # the audit draws all n velocities at once
+        n = f.take("n_samples", _integer(1, 10**6), 1000)
     frame = build_frame(body, beta)
     V_prime, proj_pre, proj_post = scatter_velocity(family, frame, V)
-    grazing = is_grazing(proj_pre, float(np.linalg.norm(V)))
+    grazing = is_grazing(proj_pre, math.hypot(*V))
     samples = np.random.default_rng(seed).standard_normal((n, 6))
     _, (report,) = audit_scattering([family], frame, samples)
     if args.quiet:
         return EXIT_OK
     _emit({
         "record": "scatter",
-        "config_hash": config_hash(cfg),
+        "config_hash": config_hash(f.cfg),
         "family": family.label(),
         "beta": beta,
         "d": frame.d,
@@ -327,17 +349,14 @@ def _trajectory_records(body, tr, h: str):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    body = body_from_config(cfg.get("body", {}))
-    family = family_from_config(cfg.get("family", {}))
-    if "Z0" not in cfg:
-        raise ConfigError("missing field: Z0")
-    if "T" not in cfg:
-        raise ConfigError("missing field: T")
-    Z0 = state_from_config(cfg["Z0"])
-    sample_dt = options_from_config(cfg)
-    h = config_hash(cfg)
-    tr = simulate(body, Z0, family, _number(cfg["T"], "T"), sample_dt)
+    with _Fields(_load_config(args.config)) as f:
+        body = f.take("body", body_from_config)
+        family = f.take("family", family_from_config)
+        Z0 = f.take("Z0", state_from_config)
+        T = f.take("T", _number)
+        sample_dt = f.take("options", options_from_config, None)
+    h = config_hash(f.cfg)
+    tr = simulate(body, Z0, family, T, sample_dt)
     records = _trajectory_records(body, tr, h)
     if args.out:
         with open(args.out, "w") as fh:
@@ -363,17 +382,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nonuniq(args) -> int:
-    cfg = _load_config(args.config)
-    body = body_from_config(cfg.get("body", {}))
-    families = families_from_config(cfg)
-    if len(families) < 2:
-        raise ConfigError("families must list at least two families to compare")
-    if "Z0" not in cfg:
-        raise ConfigError("missing field: Z0")
-    Z0 = state_from_config(cfg["Z0"])
-    T = _number(cfg.get("T", 4.0), "T")
-    sample_dt = options_from_config(cfg)
-    h = config_hash(cfg)
+    with _Fields(_load_config(args.config)) as f:
+        body = f.take("body", body_from_config)
+        families = f.take("families", _list(family_from_config), _checks.six_families())
+        if len(families) < 2:
+            raise ConfigError("families must list at least two families to compare")
+        Z0 = f.take("Z0", state_from_config)
+        T = f.take("T", _number, 4.0)
+        sample_dt = f.take("options", options_from_config, None)
+    h = config_hash(f.cfg)
     rep = divergence_report(body, Z0, families, T, sample_dt)
     if not args.quiet:
         rep_out = {"record": "nonuniq", "config_hash": h}
@@ -396,15 +413,15 @@ def _cmd_nonuniq(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(cfg, args)
-    body = body_from_config(cfg.get("body", {}))
-    families = families_from_config(cfg)
-    cands = candidates_from_config(cfg, body)
-    n = _n_samples(cfg, 10000)
-    h = config_hash(cfg)
+    with _Fields(_load_config(args.config)) as f:
+        seed = _take_seed(f, args)
+        body = f.take("body", body_from_config)
+        families = f.take("families", _list(family_from_config), _checks.six_families())
+        cands = f.take("candidates", _candidates(body), standard_candidates(body))
+        n = f.take("n_samples", _integer(1), 10000)
+    h = config_hash(f.cfg)
     table = invariant_residual_table(body, families, cands, n, seed)
-    labels = [f.label() for f in families]
+    labels = [fam.label() for fam in families]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -238,7 +238,9 @@ def _next_collision(body: Body, Z: State, t_max: float,
     and w(tau) >= w + rate tau - M tau^2 / 2.  Each step goes to the first
     zero of that bound and solves there, warm from the previous solve; the
     flight ends at a pose whose slab is thinner than _CONTACT_WIDTH and
-    closing, or without a root once the bound stays positive up to t_max.
+    closing, or without a root once the bound stays positive up to t_max or
+    the pair can no longer touch: once the centers are farther apart than
+    the diameter, which bounds D, and not closing, their distance only grows.
     """
     g, contact = _gap_at(body, Z.X, solved=contact)
     if g < -_ADMISSIBLE_RTOL * body.diameter:
@@ -247,7 +249,11 @@ def _next_collision(body: Body, Z: State, t_max: float,
         return None, g, None
     V = Z.V
     M = body.K * float(V[4] * V[4] + V[5] * V[5])
-    thin = _CONTACT_WIDTH * body.diameter
+    diameter = body.diameter
+    thin = _CONTACT_WIDTH * diameter
+    x, y, xb, yb = Z.X.tolist()[0:4]
+    vx, vy, vbx, vby = V.tolist()[0:4]
+    rx, ry, ux, uy = xb - x, yb - y, vbx - vx, vby - vy
     t, min_seen = 0.0, g
     while True:
         w, rate = _slab(V, g, contact)
@@ -258,6 +264,9 @@ def _next_collision(body: Body, Z: State, t_max: float,
             return t, min_seen, contact
         t += tau
         if t >= t_max:
+            return None, min_seen, None
+        px, py = rx + t * ux, ry + t * uy
+        if px * ux + py * uy >= 0.0 and px * px + py * py > diameter * diameter:
             return None, min_seen, None
         g, contact = _gap_at(body, Z.X + t * V, seed=contact)
         min_seen = min(min_seen, g)
@@ -297,7 +306,7 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
     after = conserved_quantities(body, X, V_post)
     event = CollisionEvent(
         t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=V, V_post=V_post,
-        grazing=is_grazing(proj_pre, float(np.linalg.norm(V))),
+        grazing=is_grazing(proj_pre, math.hypot(*V.tolist())),
         anchor_shift=anchor_shift, jumps={k: after[k] - before[k] for k in before},
     )
     return State(X=X, V=V_post, t=Z.t), event
@@ -315,7 +324,8 @@ def simulate(
     sample_dt, when set, adds the states on a regular time grid to the
     trajectory's samples; it must be a finite number > 0 whose grid
     T / sample_dt holds at most _MAX_SAMPLES points, else ValueError naming
-    it.  Stops early with accumulation_suspected when more than _MAX_EVENTS
+    it; so does a velocity whose kinetic energy or K (omega^2 + omegabar^2)
+    overflows.  Stops early with accumulation_suspected when more than _MAX_EVENTS
     contacts occur.  Every root is resolved; a root within the time
     tolerance of the last event whose resolve comes out grazing is the same
     grazing contact found again, so its event is dropped, counted in
@@ -333,6 +343,12 @@ def simulate(
                 f"option sample_dt {sample_dt!r} asks for T / sample_dt = {T / sample_dt:.3g} "
                 f"grid states; at most {_MAX_SAMPLES} are allowed")
     _require_finite(Z0.X, Z0.V)
+    om, omb = Z0.V.tolist()[4:6]
+    if not (math.isfinite(conserved_quantities(body, Z0.X, Z0.V)["ke"])
+            and math.isfinite(body.K * (om * om + omb * omb))):
+        raise ValueError(
+            f"state V is too large: its kinetic energy or K (omega^2 + omegabar^2) "
+            f"overflows, V = {Z0.V.tolist()}")
     g0, contact = _gap_at(body, Z0.X)
     if g0 < -_ADMISSIBLE_RTOL * body.diameter:
         raise SimulationError(f"initial gap {g0:.3g} is negative beyond tolerance")

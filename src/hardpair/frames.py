@@ -322,26 +322,6 @@ class LineField:
         return a % math.pi
 
 
-def line_field_from_config(cfg: dict) -> LineField:
-    """Build a LineField from its configuration dictionary.
-
-    Accepted shapes: {"kind": "constant", "phi": x} and
-    {"kind": "fourier", "coeffs": [[k1, k2, c, s], ...]}.
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError("line_field config must be an object")
-    kind = cfg.get("kind")
-    if kind == "constant":
-        if "phi" not in cfg:
-            raise ValueError("constant line_field requires 'phi'")
-        return LineField.constant(cfg["phi"])
-    if kind == "fourier":
-        if "coeffs" not in cfg:
-            raise ValueError("fourier line_field requires 'coeffs'")
-        return LineField.fourier(cfg["coeffs"])
-    raise ValueError(f"unknown line_field kind {kind!r}")
-
-
 def build_frames(
     theta: np.ndarray,
     thetabar: np.ndarray,

@@ -44,7 +44,6 @@ from hardpair.frames import (  # noqa: F401
     _dot,
     angular_momentum_vector,
     complement_basis,
-    line_field_from_config,
 )
 
 # Relative tolerance on V.(M nu) below which a collision counts as grazing.
@@ -98,27 +97,6 @@ class ScatteringFamily:
                 return f"op(phi={lf.phi:.6g})"
             return "op(fourier)"
         return self.variant
-
-
-def family_from_config(cfg: dict) -> ScatteringFamily:
-    """Build a family from {"family": "reflection"|"epsi"|"op", ...}.
-
-    The 'op' variant requires a "line_field" sub-object.
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError("family config must be an object")
-    name = cfg.get("family")
-    if name == "reflection":
-        return ScatteringFamily.reflection()
-    if name == "epsi":
-        return ScatteringFamily.epsi()
-    if name == "op":
-        if "line_field" not in cfg:
-            raise ValueError("family 'op' requires a 'line_field' object")
-        return ScatteringFamily.orientation_preserving(
-            line_field_from_config(cfg["line_field"])
-        )
-    raise ValueError(f"unknown family {name!r}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +219,8 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
     proj = _dot(W, nu)
     if not np.isfinite(V).all():
         raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
-    speed = float(np.linalg.norm(V))
+    # hypot, unlike the norm, does not overflow for |V| near the float range
+    speed = math.hypot(*v)
     if proj > 0.0 and not is_grazing(proj, speed):
         raise NotPreCollisionalError(
             "velocity is separating at the contact: "

@@ -133,3 +133,19 @@ def test_mass_inertia_matrix_rejects_bad_mass():
     for m, J in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)):
         with pytest.raises(ValueError, match="mass data must be positive"):
             mass_weights(m, J)
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.7])
+def test_implicit_diameter_bounds_the_body(turn):
+    # the (2,1) ellipse turned by `turn` and parameterized from half a grid
+    # step past its vertex, so that no boundary sample is a farthest point:
+    # the largest sampled radius falls short of 2, the diameter must not
+    half_step = math.pi / 4096
+    c, s = math.cos(turn), math.sin(turn)
+
+    def boundary(t):
+        x, y = 2.0 * np.cos(t + half_step), np.sin(t + half_step)
+        return np.stack([c * x - s * y, s * x + c * y], axis=1)
+
+    body = make_implicit(boundary)
+    assert 4.0 <= body.diameter <= 4.0 + 1e-5

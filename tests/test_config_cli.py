@@ -1,5 +1,6 @@
 """Command-line surface: configs, records, exit codes, determinism."""
 
+import copy
 import json
 import warnings
 from pathlib import Path
@@ -26,16 +27,20 @@ def _body_cfg():
     return {"kind": "ellipse", "a": 2.0, "b": 1.0}
 
 
-def _sim_cfg(**over):
-    cfg = {
-        "body": _body_cfg(),
-        "family": {"family": "reflection"},
-        "Z0": X0 + V0,
-        "T": 6.0,
-        "seed": 0,
-    }
-    cfg.update(over)
-    return cfg
+# each command's config besides body: fields that command reads, its
+# required ones and, kept small, n_samples and families where it takes them
+_FIELDS = {
+    "scatter": {"family": {"family": "reflection"}, "beta": [0.3, 1.7, 0.9],
+                "V": [0.2, -0.1, -0.6, 0.4, 0.5, -0.3], "n_samples": 20},
+    "simulate": {"family": {"family": "reflection"}, "Z0": X0 + V0, "T": 6.0},
+    "nonuniq": {"Z0": X0 + V0, "T": 6.0},
+    "invariants": {"families": [{"family": "reflection"}], "n_samples": 20},
+}
+
+
+def _cfg(command, **over):
+    """A config holding only fields that command reads, with over applied."""
+    return {"body": _body_cfg(), **copy.deepcopy(_FIELDS[command]), **over}
 
 
 def test_geometry_record(tmp_path, capsys):
@@ -131,19 +136,13 @@ def test_scatter_flags_a_grazing_velocity(tmp_path, capsys):
     ("scatter", 0),
     ("scatter", -3),
     ("scatter", 2.5),
+    # the scatter audit draws its n velocities at once; 10^13 would not fit
+    ("scatter", 10**13),
     ("invariants", 0),
     ("invariants", 2.5),
 ])
 def test_bad_n_samples_exits_two(tmp_path, capsys, command, n):
-    cfg = {
-        "body": _body_cfg(),
-        "family": {"family": "reflection"},
-        "families": [{"family": "reflection"}],
-        "beta": [0.3, 1.7, 0.9],
-        "V": [0.2, -0.1, -0.6, 0.4, 0.5, -0.3],
-        "n_samples": n,
-    }
-    argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
+    argv = [command, "--config", _write(tmp_path, "cfg.json", _cfg(command, n_samples=n))]
     if command == "invariants":
         argv += ["--out", str(tmp_path / "out.csv")]
     assert cli.run(argv) == 2
@@ -155,7 +154,7 @@ def test_bad_n_samples_exits_two(tmp_path, capsys, command, n):
 def test_simulate_reports_accumulation_without_warning(tmp_path, capsys, monkeypatch):
     # the datum has 2 events before T; an event cap of 1 stops at the second
     monkeypatch.setitem(cli.simulate.__globals__, "_MAX_EVENTS", 1)
-    cfg = _write(tmp_path, "sim.json", _sim_cfg())
+    cfg = _write(tmp_path, "sim.json", _cfg("simulate"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.jsonl")])
@@ -178,7 +177,7 @@ def test_verify_stdout_is_the_same_on_rerun(capsys):
 
 
 def test_simulate_jsonl_stream(tmp_path, capsys):
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(options={"sample_dt": 1.0}))
+    cfg = _write(tmp_path, "sim.json", _cfg("simulate", options={"sample_dt": 1.0}))
     out = tmp_path / "traj.jsonl"
     rc = cli.run(["simulate", "--config", cfg, "--out", str(out)])
     assert rc == 0
@@ -242,7 +241,7 @@ def test_simulate_writes_the_end_state_once(tmp_path, monkeypatch, over, max_eve
 
 
 def test_simulate_object_form_datum(tmp_path, capsys):
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(Z0={"X": X0, "V": V0}))
+    cfg = _write(tmp_path, "sim.json", _cfg("simulate", Z0={"X": X0, "V": V0}))
     rc = cli.run(["simulate", "--config", cfg, "--out",
                   str(tmp_path / "t.jsonl")])
     assert rc == 0
@@ -256,7 +255,6 @@ def test_nonuniq_record_and_csv(tmp_path, capsys):
                0.0050130786, 0.124744358, 0.2336652212, 0.7169422611,
                -0.5278013393, -0.5216380153],
         "T": 4.0,
-        "seed": 0,
     })
     out = tmp_path / "nu.csv"
     rc = cli.run(["nonuniq", "--config", cfg, "--out", str(out)])
@@ -361,23 +359,17 @@ def test_seed_override_changes_hash(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "nonuniq"])
 def test_seed_is_a_usage_error_where_nothing_is_drawn(tmp_path, capsys, command):
     # simulate and nonuniq draw no random numbers, so they take no --seed
-    cfg = _write(tmp_path, "sim.json", _sim_cfg())
+    cfg = _write(tmp_path, "sim.json", _cfg(command))
     assert cli.run([command, "--config", cfg, "--seed", "3"]) == 1
     assert "--seed" in capsys.readouterr().err
 
 
 def test_quiet_suppresses_record(tmp_path, capsys):
-    cfg = _write(tmp_path, "inv.json", {
-        "body": _body_cfg(),
-        "families": [{"family": "reflection"}],
-        "family": {"family": "reflection"},
-        "beta": [0.3, 1.7, 0.9],
-        "V": [0.2, -0.1, -0.6, 0.4, 0.5, -0.3],
-        "n_samples": 50,
-    })
+    cfg = _write(tmp_path, "inv.json", _cfg("invariants", n_samples=50))
     rc = cli.run(["invariants", "--config", cfg, "--quiet",
                   "--out", str(tmp_path / "i.csv")])
     assert rc == 0
+    cfg = _write(tmp_path, "scatter.json", _cfg("scatter", n_samples=50))
     assert cli.run(["scatter", "--config", cfg, "--quiet"]) == 0
     assert capsys.readouterr().out == ""
 
@@ -399,12 +391,12 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):
-    bad_body = _write(tmp_path, "bad.json", _sim_cfg(body={"kind": "triangle"}))
+    bad_body = _write(tmp_path, "bad.json", _cfg("simulate", body={"kind": "triangle"}))
     assert cli.run(["simulate", "--config", bad_body]) == 2
     not_json = tmp_path / "nj.json"
     not_json.write_text("{{{")
     assert cli.run(["simulate", "--config", str(not_json)]) == 2
-    short = _write(tmp_path, "short.json", _sim_cfg(Z0=[0.0] * 5))
+    short = _write(tmp_path, "short.json", _cfg("simulate", Z0=[0.0] * 5))
     assert cli.run(["simulate", "--config", short]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
@@ -419,7 +411,7 @@ def test_unknown_option_exits_two(tmp_path, capsys):
     # dt_scan, the stride of the old event scan, and the merge window t_tol
     # and grazing threshold grazing_rtol, now constants, are not options
     for name in ("dt_scan", "t_tol", "grazing_rtol"):
-        cfg = _write(tmp_path, "sim.json", _sim_cfg(options={name: 0.01}))
+        cfg = _write(tmp_path, "sim.json", _cfg("simulate", options={name: 0.01}))
         assert cli.run(["simulate", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "validation error" in err
@@ -450,7 +442,7 @@ def test_post_collisional_velocity_exits_two(tmp_path, capsys):
     ({"T": float("inf")}, "T"),
 ])
 def test_nonfinite_input_exits_two(tmp_path, capsys, over, field):
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(**over))
+    cfg = _write(tmp_path, "sim.json", _cfg("simulate", **over))
     assert cli.run(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
@@ -505,11 +497,12 @@ def _no_grid(*args):
 ])
 def test_out_of_domain_option_exits_two(tmp_path, capsys, monkeypatch, options, field):
     monkeypatch.setitem(cli.simulate.__globals__, "_resample", _no_grid)
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(options=options))
+    cfg = _write(tmp_path, "sim.json", _cfg("simulate", options=options))
     assert cli.run(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
-    assert f"option {field} " in err
+    # simulate names a bad sample_dt; the reader names a field options does not have
+    assert (f"option {field} " if field == "sample_dt" else f"options.{field} ") in err
 
 
 @pytest.mark.parametrize("command,over,field", [
@@ -534,7 +527,7 @@ def test_out_of_domain_option_exits_two(tmp_path, capsys, monkeypatch, options, 
     ("scatter", {"beta": [0.3, 1.7], "V": V0}, "beta"),
 ])
 def test_non_number_config_value_exits_two(tmp_path, capsys, command, over, field):
-    cfg = _write(tmp_path, "cfg.json", _sim_cfg(n_samples=20, **over))
+    cfg = _write(tmp_path, "cfg.json", _cfg(command, **over))
     argv = [command, "--config", cfg]
     if command == "invariants":
         argv += ["--out", str(tmp_path / "out.csv")]
@@ -544,37 +537,38 @@ def test_non_number_config_value_exits_two(tmp_path, capsys, command, over, fiel
     assert f"{field} " in err
 
 
-def _without(key, **over):
-    cfg = _sim_cfg(**over)
+def _without(command, key, **over):
+    cfg = _cfg(command, **over)
     del cfg[key]
     return cfg
 
 
-SCATTER_CFG = _sim_cfg(beta=[0.3, 1.7, 0.9], V=V0, n_samples=20)
+SCATTER_CFG = _cfg("scatter", V=V0)
 
 
 @pytest.mark.parametrize("command,cfg,extra,message", [
-    ("simulate", _without("Z0"), [], "missing field: Z0"),
-    ("nonuniq", _without("Z0"), [], "missing field: Z0"),
-    ("simulate", _without("T"), [], "missing field: T"),
-    ("scatter", _without("beta", **SCATTER_CFG), [], "missing field: beta"),
-    ("scatter", _without("V", **SCATTER_CFG), [], "missing field: V"),
-    ("simulate", _sim_cfg(options=[0.05]), [], "options must be an object"),
-    ("nonuniq", _sim_cfg(families=[]), [], "families must be a nonempty list"),
-    ("invariants", _sim_cfg(families={"family": "reflection"}), [],
+    ("simulate", _without("simulate", "Z0"), [], "Z0 is required"),
+    ("nonuniq", _without("nonuniq", "Z0"), [], "Z0 is required"),
+    ("simulate", _without("simulate", "T"), [], "T is required"),
+    ("scatter", _without("scatter", "beta", V=V0), [], "beta is required"),
+    ("scatter", _without("scatter", "V"), [], "V is required"),
+    ("simulate", _cfg("simulate", options=[0.05]), [], "options must be an object"),
+    ("nonuniq", _cfg("nonuniq", families=[]), [], "families must be a nonempty list"),
+    ("invariants", _cfg("invariants", families={"family": "reflection"}), [],
      "families must be a nonempty list"),
-    ("invariants", _sim_cfg(candidates=5), [], "candidates must be a nonempty list"),
-    ("invariants", _sim_cfg(candidates=[]), [], "candidates must be a nonempty list"),
-    ("simulate", _sim_cfg(Z0={"X": X0}), [], "Z0 object form needs fields X and V"),
-    ("simulate", _sim_cfg(Z0=4.2), [], "Z0 must be a 12-number list or an object"),
-    ("simulate", _sim_cfg(body={"a": 2.0, "b": 1.0}), [], "body must be an object with a 'kind'"),
-    ("simulate", _sim_cfg(body="ellipse"), [], "body must be an object with a 'kind'"),
-    ("simulate", _sim_cfg(body={"kind": "ellipse", "b": 1.0}), [], "body.a is required"),
-    ("simulate", _sim_cfg(body={"kind": "ellipse", "a": 2.0}), [], "body.b is required"),
+    ("invariants", _cfg("invariants", candidates=5), [], "candidates must be a nonempty list"),
+    ("invariants", _cfg("invariants", candidates=[]), [],
+     "candidates must be a nonempty list"),
+    ("simulate", _cfg("simulate", Z0={"X": X0}), [], "Z0.V is required"),
+    ("simulate", _cfg("simulate", Z0=4.2), [], "Z0 must be a 12-number list or an object"),
+    ("simulate", _cfg("simulate", body={"a": 2.0, "b": 1.0}), [], "body.kind is required"),
+    ("simulate", _cfg("simulate", body="ellipse"), [], "body must be an object"),
+    ("simulate", _cfg("simulate", body={"kind": "ellipse", "b": 1.0}), [], "body.a is required"),
+    ("simulate", _cfg("simulate", body={"kind": "ellipse", "a": 2.0}), [], "body.b is required"),
     ("simulate", None, [], "cannot read config"),
     ("simulate", [X0, V0], [], "must be a JSON object"),
     ("scatter", SCATTER_CFG, ["--V", "0.1,x,0,0,0,0"], "--V must be comma-separated numbers"),
-    ("scatter", SCATTER_CFG, ["--V", "0.1,0.2"], "--V needs 6 numbers, got 2"),
+    ("scatter", SCATTER_CFG, ["--V", "0.1,0.2"], "V must be a 6-entry list, got [0.1, 0.2]"),
 ], ids=[
     "simulate-no-Z0", "nonuniq-no-Z0", "simulate-no-T", "scatter-no-beta", "scatter-no-V",
     "options-list", "families-empty", "families-object", "candidates-number",
@@ -619,8 +613,7 @@ def test_out_of_range_ellipse_axis_exits_two(tmp_path, capsys, axes, field):
 def test_out_of_range_disk_radius_exits_two(tmp_path, capsys, r, word):
     # a J that overflows or underflows to 0 is rejected with r named, before
     # the scatter frame divides by it
-    cfg = _write(tmp_path, "scatter.json", _sim_cfg(
-        body={"kind": "disk", "r": r}, beta=[0.3, 1.7, 0.9], V=V0, n_samples=20))
+    cfg = _write(tmp_path, "scatter.json", _cfg("scatter", body={"kind": "disk", "r": r}, V=V0))
     assert cli.run(["scatter", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
@@ -640,8 +633,8 @@ def test_disk_body(tmp_path, capsys):
 
 
 def test_overlapping_start_exits_three(tmp_path, capsys):
-    cfg = _write(tmp_path, "sim.json", _sim_cfg(
-        Z0=[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0, 0]))
+    cfg = _write(tmp_path, "sim.json", _cfg(
+        "simulate", Z0=[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0, 0]))
     assert cli.run(["simulate", "--config", cfg]) == 3
     assert "convergence failure" in capsys.readouterr().err
 
@@ -649,3 +642,82 @@ def test_overlapping_start_exits_three(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
+
+
+# each shipped config and the command that reads it; a new config needs an entry
+SHIPPED = {
+    "body_ellipse.json": ["geometry", "--theta", "0.3", "--thetabar", "1.7", "--psi", "0.9",
+                          "--body"],
+    "invariants.json": ["invariants", "--config"],
+    "nonuniq.json": ["nonuniq", "--config"],
+    "scatter.json": ["scatter", "--config"],
+    "simulate.json": ["simulate", "--config"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config_runs(tmp_path, capsys, name):
+    argv = SHIPPED[name] + [str(CONFIGS / name)]
+    if argv[0] in ("simulate", "nonuniq", "invariants"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _shipped(name, edit):
+    cfg = json.loads((CONFIGS / name).read_text())
+    edit(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("command,cfg,field", [
+    # a misspelt option at the top level, and a seed that simulate never reads
+    ("simulate", _shipped("simulate.json", lambda c: c.update(sampel_dt=0.1)), "sampel_dt"),
+    ("simulate", _shipped("simulate.json", lambda c: c.update(seed=2.5)), "seed"),
+    ("simulate", _shipped("simulate.json", lambda c: c["body"].update(c=1.0)), "body.c"),
+    ("simulate", _shipped("simulate.json", lambda c: c["family"].update(
+        line_field={"kind": "constant", "phi": 0.1})), "family.line_field"),
+    ("simulate", _shipped("simulate.json", lambda c: c["Z0"].update(W=V0)), "Z0.W"),
+    ("simulate", _shipped("simulate.json", lambda c: c["options"].update(sampel_dt=0.1)),
+     "options.sampel_dt"),
+    ("nonuniq", _shipped("nonuniq.json", lambda c: c.update(family={"family": "epsi"})),
+     "family"),
+    ("nonuniq", _shipped("nonuniq.json", lambda c: c["families"][2]["line_field"].update(
+        coeffs=[[1, 0, 0.1, 0.0]])), "families[2].line_field.coeffs"),
+    ("scatter", _shipped("scatter.json", lambda c: c.update(families=[])), "families"),
+    ("invariants", _shipped("invariants.json", lambda c: c["families"][0].update(phi=0.0)),
+     "families[0].phi"),
+    ("invariants", _shipped("invariants.json", lambda c: c.update(
+        candidates=[{"variant": "constant", "k": 2}])), "candidates[0].k"),
+    ("geometry", _shipped("body_ellipse.json", lambda c: c.update(r=1.0)), "body.r"),
+], ids=["top", "seed", "body", "family", "Z0", "options", "nonuniq-family", "line_field",
+        "scatter-families", "families", "candidate", "body-file"])
+def test_unread_field_exits_two(tmp_path, capsys, command, cfg, field):
+    argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
+    if command == "geometry":
+        argv = SHIPPED["body_ellipse.json"] + [argv[-1]]
+    if command in ("nonuniq", "invariants"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"validation error: {field} is not a field this command reads" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command,cfg,named", [
+    ("invariants", _cfg("invariants", candidates=[
+        {"variant": "theta_function", "k": 10**400}]), "candidates[0].k"),
+    ("simulate", _cfg("simulate", Z0=X0 + [1e155] + V0[1:]), "V"),
+    ("simulate", _cfg("simulate", Z0=X0 + V0[:4] + [1e200, V0[5]]), "V"),
+    # V = 1e200 (1, ..., 1) separates; |V| as a norm overflowed and passed it as grazing
+    ("scatter", _cfg("scatter", V=[1e200] * 6), "separating"),
+], ids=["theta_k", "speed", "spin", "scatter_speed"])
+def test_out_of_range_value_exits_two(tmp_path, capsys, command, cfg, named):
+    argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
+    if command == "invariants":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error" in captured.err and f"{named} " in captured.err

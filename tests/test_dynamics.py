@@ -389,6 +389,42 @@ def test_event_search_solve_budget(monkeypatch):
     assert tr.n_events() <= len(calls) <= 10 * tr.n_events()
 
 
+@pytest.mark.parametrize("T,v0", [(1e6, None), (8.0, 1e10), (8.0, 1e20), (1e308, None)],
+                         ids=["T_1e6", "V0_1e10", "V0_1e20", "T_1e308"])
+def test_flight_ends_once_the_pair_cannot_touch(monkeypatch, T, v0):
+    # past the last contact the centers fly apart beyond the diameter, which
+    # bounds D; the search stops there instead of stepping on towards T with
+    # steps that grow only with the square root of the distance flown
+    calls = []
+    solve = geometry._kernel.ellipse_contact
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
+    V = [0.5, 0.0, -0.45, 0.05, 0.3, -0.2]
+    if v0 is not None:
+        V[0] = v0
+    tr = simulate(ELL, make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9], V), REFL, T)
+    assert tr.n_events() == (2 if v0 is None else 1)
+    assert len(calls) <= 10 * tr.n_events()
+    assert tr.final.t == T
+
+
+@pytest.mark.parametrize("body,i,v", [
+    (ELL, 0, 1e155),
+    (ELL, 4, 1e200),
+    # K = 1e3 - 1e-3 on this ellipse: K omega^2 overflows, the energy does not
+    (make_ellipse(1.0, 1e-3), 4, 1e154),
+], ids=["speed", "spin", "thin_spin"])
+def test_simulate_refuses_a_velocity_whose_energy_overflows(body, i, v):
+    V = [0.5, 0.0, -0.45, 0.05, 0.3, -0.2]
+    V[i] = v
+    with pytest.raises(ValueError, match="state V "):
+        simulate(body, make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9], V), REFL, 8.0)
+
+
 def test_simulate_on_implicit_body_matches_ellipse():
     # the shipped simulate datum, on an implicit (2,1) ellipse: the event
     # loop's implicit-body route must reproduce the closed-form ellipse

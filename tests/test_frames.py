@@ -10,6 +10,7 @@ import pytest
 # one) leaves it alone
 import hardpair.frames as frames_mod
 from hardpair.bodies import make_disk, make_ellipse, mass_weights
+from hardpair.cli import line_field_from_config
 from hardpair.geometry import Beta, d_beta, e_of, perp
 from hardpair.frames import (
     E1_HAT,
@@ -22,7 +23,6 @@ from hardpair.frames import (
     complement_basis,
     e_beta,
     e_beta_gram_schmidt,
-    line_field_from_config,
     nu_hat,
     rotate_blocks,
 )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hardpair.bodies import make_disk, make_ellipse, mass_weights
+from hardpair.cli import family_from_config
 from hardpair.geometry import Beta, d_beta, e_of
 from hardpair.frames import LineField, build_frame, build_frames
 from hardpair import scattering
@@ -15,7 +16,6 @@ from hardpair.scattering import (
     ScatteringFamily,
     audit_scattering,
     explicit_epsi_velocities,
-    family_from_config,
     impulse_scatter,
     scatter_stack,
     scatter_velocity,
@@ -420,3 +420,13 @@ def test_scatter_velocity_rejects_bad_input():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scatter_velocity(fam, fr, tangent)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e200])
+def test_separating_velocity_is_refused_at_any_scale(scale):
+    # at the frame of configs/scatter.json, V = scale (1, ..., 1) separates;
+    # |V| taken as a norm overflowed to inf at 1e200 and let V through as grazing
+    frame = build_frame(ELL, Beta(0.3, 1.7, 0.9))
+    fam = ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4))
+    with pytest.raises(NotPreCollisionalError):
+        scatter_velocity(fam, frame, np.full(6, scale))
