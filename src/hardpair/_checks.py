@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ NONUNIQ_T = 4.0
 NONUNIQ_PHIS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's verdict; its wall time stays out of it (run_all reports it)."""
 
     name: str

@@ -13,8 +13,7 @@ and checks strict convexity by the sign of the curvature there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class BodyValidationError(ValueError):
     """A body failed its geometric checks."""
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(NamedTuple):
     """Immutable convex reference particle.
 
     Fields:

@@ -135,14 +135,26 @@ def _choice(*options: str):
     return read
 
 
-def _list(read_item, n: int | None = None):
-    """Reader of a list of n entries (without n, at least one), each read by read_item."""
+def _list(read_item):
+    """Reader of a nonempty list, each entry read by read_item."""
     def read(value, name: str) -> list:
-        if not isinstance(value, list) or not value or n not in (None, len(value)):
-            size = "nonempty" if n is None else f"{n}-entry"
-            raise ConfigError(f"{name} must be a {size} list, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
         return [read_item(v, f"{name}[{i}]") for i, v in enumerate(value)]
     return read
+
+
+def _row(*readers):
+    """Reader of a list of len(readers) entries, entry i read by readers[i]."""
+    def read(value, name: str) -> list:
+        if not isinstance(value, list) or len(value) != len(readers):
+            raise ConfigError(f"{name} must be a {len(readers)}-entry list, got {value!r}")
+        return [read_i(v, f"{name}[{i}]") for i, (read_i, v) in enumerate(zip(readers, value))]
+    return read
+
+
+# k t is a float product: past 2**53 k is not exact, and far past it k t overflows
+_WAVE_NUMBER = _integer(-2**53, 2**53)
 
 
 _REQUIRED = object()
@@ -193,8 +205,8 @@ def line_field_from_config(cfg, path: str = "line_field") -> LineField:
     with _Fields(cfg, path) as f:
         if f.take("kind", _choice("constant", "fourier")) == "constant":
             return LineField.constant(f.take("phi", _number))
-        # LineField.fourier checks the rows
-        return LineField.fourier(f.take("coeffs", lambda value, name: value))
+        return LineField.fourier(f.take(
+            "coeffs", _list(_row(_WAVE_NUMBER, _WAVE_NUMBER, _number, _number))))
 
 
 def family_from_config(cfg, path: str = "family") -> ScatteringFamily:
@@ -209,9 +221,9 @@ def state_from_config(z, path: str = "Z0") -> State:
     """Initial datum: a flat list of 12 numbers or {"X": [...], "V": [...]}."""
     if isinstance(z, dict):
         with _Fields(z, path) as f:
-            return make_state(f.take("X", _list(_number, 6)), f.take("V", _list(_number, 6)))
+            return make_state(*(f.take(key, _row(*6 * [_number])) for key in "XV"))
     if isinstance(z, list):
-        z = _list(_number, 12)(z, path)
+        z = _row(*12 * [_number])(z, path)
         return make_state(z[:6], z[6:])
     raise ConfigError(f"{path} must be a 12-number list or an object with X and V")
 
@@ -224,8 +236,7 @@ def options_from_config(cfg, path: str = "options") -> float | None:
 
 def _theta_function(f: _Fields, body: Body):
     form = f.take("form", _choice("sin", "cos"), "sin")
-    # k t is a float product: past 2**53 k is not exact, and far past it k t overflows
-    k = f.take("k", _integer(-2**53, 2**53), 1)
+    k = f.take("k", _WAVE_NUMBER, 1)
     fn = getattr(np, form)
     return theta_function_candidate(lambda t: fn(k * t), f"{form}({k}theta)")
 
@@ -296,8 +307,8 @@ def _cmd_scatter(args) -> int:
         seed = _take_seed(f, args)
         body = f.take("body", body_from_config)
         family = f.take("family", family_from_config)
-        beta = Beta(*f.take("beta", _list(_number, 3)))
-        V = np.array(f.take("V", _list(_number, 6)))
+        beta = Beta(*f.take("beta", _row(*3 * [_number])))
+        V = np.array(f.take("V", _row(*6 * [_number])))
         # the audit draws all n velocities at once
         n = f.take("n_samples", _integer(1, 10**6), 1000)
     frame = build_frame(body, beta)
@@ -389,9 +400,8 @@ def _cmd_nonuniq(args) -> int:
             raise ConfigError("families must list at least two families to compare")
         Z0 = f.take("Z0", state_from_config)
         T = f.take("T", _number, 4.0)
-        sample_dt = f.take("options", options_from_config, None)
     h = config_hash(f.cfg)
-    rep = divergence_report(body, Z0, families, T, sample_dt)
+    rep = divergence_report(body, Z0, families, T)
     if not args.quiet:
         rep_out = {"record": "nonuniq", "config_hash": h}
         rep_out.update(rep)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class SimulationError(RuntimeError):
     """Trajectory evolution failed (inadmissible state or event explosion)."""
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Configuration X = (x, xbar, theta, thetabar), velocity V, and time."""
 
     X: np.ndarray
@@ -94,8 +93,7 @@ def make_state(X, V) -> State:
     return State(X=X, V=V)
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
+class CollisionEvent(NamedTuple):
     """One resolved contact: geometry, velocities on both sides, diagnostics."""
 
     t: float
@@ -110,8 +108,7 @@ class CollisionEvent:
     jumps: dict
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """A simulated path: events, sampled states, and the conservation audit.
 
     samples holds each realized state once: the initial state, the states
@@ -452,7 +449,6 @@ def divergence_report(
     Z0: State,
     families: list[ScatteringFamily],
     T: float,
-    sample_dt: float | None = None,
 ) -> dict:
     """Run the same initial datum under every family and compare outcomes.
 
@@ -464,7 +460,7 @@ def divergence_report(
     family there is no pair, the minimum is inf).  A datum with no
     collision within T yields {"degenerate": True}.
     """
-    trajectories = [simulate(body, Z0, fam, T, sample_dt) for fam in families]
+    trajectories = [simulate(body, Z0, fam, T) for fam in families]
     if any(tr.n_events() == 0 for tr in trajectories):
         return {
             "degenerate": True,

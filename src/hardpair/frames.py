@@ -277,6 +277,13 @@ def _finite(x, name: str) -> float:
     return float(x)
 
 
+def _wave_number(k, name: str) -> float:
+    """k as a float; ValueError naming the field unless it is an integer in [-2**53, 2**53]."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Real) or abs(k) > 2**53 or k % 1:
+        raise ValueError(f"line field {name} must be an integer in [-2**53, 2**53], got {k!r}")
+    return float(k)
+
+
 @dataclass(frozen=True)
 class LineField:
     """Undirected direction angle phi(theta_rel, psi_rel) valued in [0, pi).
@@ -284,7 +291,8 @@ class LineField:
     Angles phi and phi + pi give the same rank-one projector F F^T, so the
     value is a point of the projective line; 'angle' reduces mod pi.  Two
     kinds: a constant angle, and a finite Fourier series over the relative
-    2-torus with rows (k1, k2, cos_coeff, sin_coeff).
+    2-torus with rows (k1, k2, cos_coeff, sin_coeff); the wave numbers k1, k2
+    are integers, so the angle is a function on the torus.
     """
 
     kind: str
@@ -305,7 +313,9 @@ class LineField:
                 not isinstance(row, (list, tuple)) or len(row) != 4 for row in coeffs):
             raise ValueError("fourier coeffs must be rows (k1, k2, cos_coeff, sin_coeff)")
         return LineField("fourier", coeffs=tuple(
-            tuple(_finite(x, "coeffs") for x in row) for row in coeffs))
+            (_wave_number(k1, f"coeffs[{i}][0]"), _wave_number(k2, f"coeffs[{i}][1]"),
+             _finite(c, "coeffs"), _finite(s, "coeffs"))
+            for i, (k1, k2, c, s) in enumerate(coeffs)))
 
     def angle(self, theta_rel, psi_rel):
         """The angle at one relative configuration (floats), or at arrays of them."""

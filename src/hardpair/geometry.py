@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -107,18 +107,17 @@ class Beta:
         return Beta(self.theta + phi, self.thetabar + phi, self.psi + phi)
 
 
-@dataclass(frozen=True)
-class ContactData:
+class ContactData(NamedTuple):
     """Geometric payload of a tangent configuration.
 
     d is the center separation, p/q the contact point from each body's
     center, n the unit contact normal outward from body 1 (p, q and n in the
     frame closest_approach was asked for). s1/s2 place the contact point on
-    each body in that body's frame: the boundary parameter s of (a cos s,
-    b sin s) for an ellipse, the angle of the outward normal for disks and
-    implicit bodies. dD_dtheta and dD_dpsi are the partial derivatives of D
-    at the reduced angles, from the envelope theorem on the normal-angle
-    solve; they are None unless the contact was requested with derivatives.
+    each body: the angle in [0, 2pi) of its outward normal there, in that
+    body's frame, so n = e(theta + s1) and -n = e(thetabar + s2) in the lab.
+    dD_dtheta and dD_dpsi are the partial derivatives of D at the reduced
+    angles, from the envelope theorem on the normal-angle solve; they are
+    None unless the contact was requested with derivatives.
     """
 
     d: float
@@ -152,21 +151,6 @@ def _ellipse_oracle_fallback(body: Body, theta_rel: float, psi_rel: float) -> No
     )
 
 
-def _param_of_normal(body: Body, alpha: float) -> float:
-    """s of the support point of body-frame direction e(alpha): the ellipse's
-    boundary parameter, the normal angle itself for other bodies."""
-    if body.kind == "ellipse":
-        return math.atan2(body.b * math.sin(alpha), body.a * math.cos(alpha))
-    return wrap_angle(alpha)
-
-
-def _normal_of_param(body: Body, s: float) -> float:
-    """Body-frame normal angle at s; inverts _param_of_normal."""
-    if body.kind == "ellipse":
-        return math.atan2(body.a * math.sin(s), body.b * math.cos(s))
-    return s
-
-
 def closest_approach(
     body: Body,
     theta_rel: float,
@@ -181,7 +165,7 @@ def closest_approach(
     The tangency problem is solved in the canonical pose; p, q and n are
     then written turned by theta, the first body's orientation.  theta = 0
     gives the canonical record.  _seed, a solve at a nearby pose, starts
-    the normal-angle search from its normal.
+    the normal-angle search from its normal angle s1.
 
     Args:
         body: reference particle (shared by both congruent bodies).
@@ -195,7 +179,7 @@ def closest_approach(
         ConvergenceError: the contact solve did not converge.
     """
     warm = _seed is not None
-    seed = _normal_of_param(body, _seed.s1) if warm else 0.0
+    seed = _seed.s1 if warm else 0.0
     if body.kind == "ellipse":
         d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
             body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
@@ -206,8 +190,6 @@ def closest_approach(
         )
     if not ok:
         _ellipse_oracle_fallback(body, theta_rel, psi_rel)
-    s1 = _param_of_normal(body, alpha)
-    s2 = _param_of_normal(body, alpha + math.pi - theta_rel)
     # the support point of e(alpha): p = h e(alpha) + h' e(alpha)-perp
     nx, ny = math.cos(alpha), math.sin(alpha)
     h, dh, _ = body.support(alpha)
@@ -220,8 +202,8 @@ def closest_approach(
         p=np.array((c * px - s * py, s * px + c * py)),
         q=np.array((c * qx - s * qy, s * qx + c * qy)),
         n=np.array((c * nx - s * ny, s * nx + c * ny)),
-        s1=s1,
-        s2=s2,
+        s1=wrap_angle(alpha),
+        s2=wrap_angle(alpha + math.pi - theta_rel),
         dD_dtheta=d_th if derivatives else None,
         dD_dpsi=d_ps if derivatives else None,
     )

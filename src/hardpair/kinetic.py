@@ -37,8 +37,7 @@ raises ValueError naming the candidate otherwise.  Plain NumPy expressions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,8 +56,7 @@ from hardpair.scattering import (  # noqa: F401
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class InvariantCandidate:
+class InvariantCandidate(NamedTuple):
     """A named functional phi(v, omega, theta) tested for collision invariance.
 
     fn maps v (shape (..., 2)) and w, th (shape (...)) to shape (...).
@@ -172,10 +170,15 @@ def invariant_residual_table(
 
     Returns {candidate name: {family label: worst residual}}.  Sharing the
     samples makes the table directly comparable across columns and an order
-    of magnitude cheaper than independent runs.
+    of magnitude cheaper than independent runs.  Columns are keyed by label,
+    so families that share one raise ValueError naming both positions.
     """
-    worst = _worst_defects(body, families, cands, n_samples, seed)
     labels = [fam.label() for fam in families]
+    for j, label in enumerate(labels):
+        if label in labels[:j]:
+            raise ValueError(f"families[{labels.index(label)}] and families[{j}] "
+                             f"share the label {label!r}")
+    worst = _worst_defects(body, families, cands, n_samples, seed)
     return {
         cand.name: {label: float(x) for label, x in zip(labels, row)}
         for cand, row in zip(cands, worst)

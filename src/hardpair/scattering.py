@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +100,7 @@ class ScatteringFamily:
         return self.variant
 
 
-@dataclass(frozen=True)
-class ScatterMatrix:
+class ScatterMatrix(NamedTuple):
     """The velocity-space map s = M^-1 A M together with its orthogonal core."""
 
     s: np.ndarray

@@ -513,8 +513,10 @@ def test_out_of_domain_option_exits_two(tmp_path, capsys, monkeypatch, options, 
     ("invariants", {"candidates": [{"variant": "theta_function", "k": 2.5}]}, "k"),
     ("invariants", {"families": [{"family": "op", "line_field": {
         "kind": "constant", "phi": float("inf")}}]}, "phi"),
-    ("invariants", {"families": [{"family": "op", "line_field": {
-        "kind": "fourier", "coeffs": [1, 2]}}]}, "coeffs"),
+    # the reader names the entry that is not a row
+    pytest.param("invariants", {"families": [{"family": "op", "line_field": {
+        "kind": "fourier", "coeffs": [1, 2]}}]}, "families[0].line_field.coeffs[0]",
+        id="invariants-over6-coeffs"),
     ("simulate", {"Z0": ["0"] + X0[1:] + V0}, "Z0[0]"),
     ("simulate", {"Z0": [[0.0]] + X0[1:] + V0}, "Z0[0]"),
     ("simulate", {"Z0": X0 + V0[:5]}, "Z0"),
@@ -569,12 +571,21 @@ SCATTER_CFG = _cfg("scatter", V=V0)
     ("simulate", [X0, V0], [], "must be a JSON object"),
     ("scatter", SCATTER_CFG, ["--V", "0.1,x,0,0,0,0"], "--V must be comma-separated numbers"),
     ("scatter", SCATTER_CFG, ["--V", "0.1,0.2"], "V must be a 6-entry list, got [0.1, 0.2]"),
+    ("invariants", _cfg("invariants", families=[{"family": "op", "line_field": {
+        "kind": "fourier", "coeffs": []}}]), [],
+     "families[0].line_field.coeffs must be a nonempty list"),
+    # both columns were labelled op(fourier), and both printed one family's residual
+    ("invariants", _cfg("invariants", families=[
+        {"family": "op", "line_field": {"kind": "fourier", "coeffs": [[1, 0, 0.3, 0.1]]}},
+        {"family": "op", "line_field": {"kind": "fourier", "coeffs": [[0, 1, 2.0, 0.5]]}},
+        {"family": "reflection"}], candidates=[{"variant": "angular_speed"}], n_samples=200,
+        seed=1), [], "families[0] and families[1] share the label 'op(fourier)'"),
 ], ids=[
     "simulate-no-Z0", "nonuniq-no-Z0", "simulate-no-T", "scatter-no-beta", "scatter-no-V",
     "options-list", "families-empty", "families-object", "candidates-number",
     "candidates-empty", "Z0-object-no-V", "Z0-number",
     "body-no-kind", "body-string", "ellipse-no-a", "ellipse-no-b", "config-missing",
-    "config-list", "V-flag-text", "V-flag-short",
+    "config-list", "V-flag-text", "V-flag-short", "coeffs-empty", "families-same-label",
 ])
 def test_config_errors_exit_two_naming_the_field(tmp_path, capsys, command, cfg, extra,
                                                   message):
@@ -690,8 +701,11 @@ def _shipped(name, edit):
     ("invariants", _shipped("invariants.json", lambda c: c.update(
         candidates=[{"variant": "constant", "k": 2}])), "candidates[0].k"),
     ("geometry", _shipped("body_ellipse.json", lambda c: c.update(r=1.0)), "body.r"),
+    # nonuniq prints no grid state, so it takes no sample_dt
+    ("nonuniq", _shipped("nonuniq.json", lambda c: c.update(options={"sample_dt": 0.5})),
+     "options"),
 ], ids=["top", "seed", "body", "family", "Z0", "options", "nonuniq-family", "line_field",
-        "scatter-families", "families", "candidate", "body-file"])
+        "scatter-families", "families", "candidate", "body-file", "nonuniq-options"])
 def test_unread_field_exits_two(tmp_path, capsys, command, cfg, field):
     argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
     if command == "geometry":
@@ -712,7 +726,18 @@ def test_unread_field_exits_two(tmp_path, capsys, command, cfg, field):
     ("simulate", _cfg("simulate", Z0=X0 + V0[:4] + [1e200, V0[5]]), "V"),
     # V = 1e200 (1, ..., 1) separates; |V| as a norm overflowed and passed it as grazing
     ("scatter", _cfg("scatter", V=[1e200] * 6), "separating"),
-], ids=["theta_k", "speed", "spin", "scatter_speed"])
+    # k times an angle overflowed: invariants printed nan, scatter named no field
+    ("invariants", _cfg("invariants", families=[{"family": "op", "line_field": {
+        "kind": "fourier", "coeffs": [[1e308, 0, 1.0, 0.0]]}}]),
+     "families[0].line_field.coeffs[0][0]"),
+    ("scatter", _cfg("scatter", family={"family": "op", "line_field": {
+        "kind": "fourier", "coeffs": [[1e308, 0, 1.0, 0.0]]}}), "family.line_field.coeffs[0][0]"),
+    # a line field with a half-integer wave number is no function on the torus
+    ("invariants", _cfg("invariants", families=[{"family": "op", "line_field": {
+        "kind": "fourier", "coeffs": [[1, 0, 0.3, 0.1], [0, 0.5, 1.0, 0.0]]}}]),
+     "families[0].line_field.coeffs[1][1]"),
+], ids=["theta_k", "speed", "spin", "scatter_speed", "fourier_k", "scatter_fourier_k",
+        "fourier_half_k"])
 def test_out_of_range_value_exits_two(tmp_path, capsys, command, cfg, named):
     argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
     if command == "invariants":

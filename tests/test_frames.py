@@ -1,6 +1,7 @@
 """Collision frames: the normal direction, conserved directions, complements."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_fourier_line_field():
     th, ps = 0.7, 1.9
     expect = (0.3 * math.cos(th) + 0.5 * math.sin(2 * ps)) % math.pi
     assert lf.angle(th, ps) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("row,entry", [
+    ([0.5, 0, 1.0, 0.0], "coeffs[1][0]"),
+    # k times an angle overflowed to inf and the angle read nan
+    ([0, 1e308, 1.0, 0.0], "coeffs[1][1]"),
+    ([2**53 + 2, 0, 1.0, 0.0], "coeffs[1][0]"),
+    ([0, math.nan, 1.0, 0.0], "coeffs[1][1]"),
+    ([True, 0, 1.0, 0.0], "coeffs[1][0]"),
+])
+def test_fourier_wave_numbers_are_integers(row, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        LineField.fourier([[1, 0, 0.3, 0.0], row])
+    # integer-valued floats and the ends of the range are integers
+    lf = LineField.fourier([[2.0, -(2**53), 0.3, 0.0]])
+    assert lf.coeffs == ((2.0, -(2.0**53), 0.3, 0.0),)
 
 
 def test_line_field_from_config_validation():

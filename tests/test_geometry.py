@@ -330,6 +330,19 @@ def _implicit_ellipse(a=2.0, b=1.0):
     return make_implicit(ellipse_shape(a, b)[1])
 
 
+@pytest.mark.parametrize("body", [ELL, _implicit_ellipse()], ids=["ellipse", "implicit"])
+def test_s1_s2_are_the_outward_normal_angles(body):
+    # s1 and s2 are each body's own-frame angle of its outward normal at the
+    # touching point, on every body: n = e(theta + s1) and -n = e(thetabar + s2)
+    rng = np.random.default_rng(23)
+    for angles in rng.uniform(0.0, 2.0 * math.pi, (300, 3)):
+        beta = Beta(*angles)
+        c = d_beta(body, beta)
+        assert 0.0 <= c.s1 < 2.0 * math.pi and 0.0 <= c.s2 < 2.0 * math.pi
+        assert np.max(np.abs(c.n - e_of(beta.theta + c.s1))) <= 1e-14
+        assert np.max(np.abs(e_of(beta.thetabar + c.s2) + c.n)) <= 1e-14
+
+
 def test_implicit_ellipse_matches_ellipse_kernel():
     # the Fourier support function of the implicit (2,1) ellipse against the
     # closed form: the same solve gives the same contact record

@@ -1,5 +1,9 @@
-"""Source hygiene: every name a hardpair module imports is read in it, and
-every binding the benchmark's tracer wraps exists.
+"""Source hygiene: every name a hardpair module imports is read in it, every
+binding the benchmark's tracer wraps exists, and every dataclass checks its
+fields.
+
+A record whose fields go unchecked is a NamedTuple, which is cheaper to
+build and to define; a dataclass is kept only where __post_init__ checks.
 
 A module may keep an import it never reads only where the benchmark's
 tracer replaces that binding by name (hpbench/tracing.BINDINGS); names a
@@ -64,3 +68,31 @@ def test_every_traced_binding_resolves(module, attr):
     # the tracer replaces hardpair.<module>.<attr> by name when a run asks for
     # --trace 1; a name removed or renamed in src/ would fail only there
     assert callable(getattr(importlib.import_module(f"hardpair.{module}"), attr, None))
+
+
+def unchecked_dataclasses(source: str, module: str) -> list[str]:
+    """Classes in source decorated with dataclass that define no __post_init__."""
+    def is_dataclass(dec) -> bool:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass"
+
+    return sorted(
+        f"{module}.py:{node.lineno} {node.name}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+        and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                    for item in node.body)
+    )
+
+
+def test_guard_sees_an_unchecked_dataclass():
+    src = ("import dataclasses\nfrom dataclasses import dataclass\n"
+           "@dataclass\nclass A:\n    x: int\n"
+           "@dataclasses.dataclass(frozen=True)\nclass B:\n    x: int\n"
+           "@dataclass(frozen=True)\nclass C:\n    x: int\n"
+           "    def __post_init__(self):\n        pass\n")
+    assert unchecked_dataclasses(src, "m") == ["m.py:4 A", "m.py:7 B"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_dataclass_checks_its_fields(path):
+    assert unchecked_dataclasses(path.read_text(), path.stem) == []

@@ -120,6 +120,20 @@ def test_invariant_residual_rejects_empty_sample():
                                  [constant_candidate()], 0, seed=0)
 
 
+@pytest.mark.parametrize("families,first,second", [
+    ([LineField.fourier([[1, 0, 0.3, 0.1]]), LineField.fourier([[0, 1, 2.0, 0.5]])], 0, 1),
+    # labels keep 6 significant digits of phi
+    ([LineField.constant(0.1), None, LineField.constant(0.1 + 1e-9)], 0, 2),
+], ids=["fourier", "constant"])
+def test_table_refuses_families_that_share_a_label(families, first, second):
+    # the columns are keyed by label: a repeated one would print one family's
+    # residuals under both
+    fams = [ScatteringFamily.reflection() if lf is None
+            else ScatteringFamily.orientation_preserving(lf) for lf in families]
+    with pytest.raises(ValueError, match=rf"families\[{first}\] and families\[{second}\]"):
+        invariant_residual_table(ELL, fams, [angular_speed_candidate()], 10, 1)
+
+
 def test_table_shares_samples_across_families():
     # the residual table must evaluate every family on the same draws, so
     # each column equals the single-family table with the same seed
