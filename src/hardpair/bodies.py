@@ -193,11 +193,12 @@ def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
     trapezoidal rule on a uniform grid of _N_QUAD parameters (spectrally
     accurate for smooth periodic boundaries). The same sums give the Fourier
     series of the support function (_fourier_support), and with it K. The
-    centroid must sit at the origin to 1e-8 because the collision bookkeeping
-    assumes center-of-mass body frames. The body is strictly convex when its
-    outward normal turns counterclockwise at every grid point, and once
-    around in all. A body too elongated for the grid, whose series of h
-    does not converge, raises BodyValidationError.
+    centroid must sit at the origin to 1e-8 of the equal-area radius
+    sqrt(m/pi) because the collision bookkeeping assumes center-of-mass body
+    frames. The body is strictly convex when its outward normal turns
+    counterclockwise at every grid point, and once around in all. A body too
+    elongated for the grid, whose series of h does not converge, raises
+    BodyValidationError.
 
     Args:
         boundary: an array of parameters s in [0, 2pi), shape (n,), -> the
@@ -222,9 +223,9 @@ def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
         )
     cx = float(np.sum(x * x * dy) / 2.0) / area
     cy = float(-np.sum(y * y * dx) / 2.0) / area
-    if math.hypot(cx, cy) > 1e-8:
+    if math.hypot(cx, cy) > 1e-8 * math.sqrt(area / math.pi):
         raise BodyValidationError(
-            f"centroid ({cx:.3e}, {cy:.3e}) exceeds 1e-8 from origin"
+            f"centroid ({cx:.3e}, {cy:.3e}) exceeds 1e-8 equal-area radii from origin"
         )
     J = float(np.sum(x**3 * dy - y**3 * dx) / 3.0)
 

@@ -33,7 +33,6 @@ from hardpair.frames import DegenerateFrameError, LineField, build_frame
 from hardpair.scattering import (
     ScatteringFamily,
     audit_scattering,
-    is_grazing,
     scatter_velocity,
 )
 from hardpair.dynamics import (
@@ -110,9 +109,10 @@ def _load_config(path: str) -> dict:
 
 
 def _number(value, name: str) -> float:
-    """value as a float; ConfigError naming the field unless it is a JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    """value as a float; ConfigError naming the field unless it is a JSON number in float range."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise ConfigError(f"{name} must be a number in the float range, got {value!r}")
     return float(value)
 
 
@@ -312,8 +312,7 @@ def _cmd_scatter(args) -> int:
         # the audit draws all n velocities at once
         n = f.take("n_samples", _integer(1, 10**6), 1000)
     frame = build_frame(body, beta)
-    V_prime, proj_pre, proj_post = scatter_velocity(family, frame, V)
-    grazing = is_grazing(proj_pre, math.hypot(*V))
+    V_prime, proj_pre, proj_post, grazing = scatter_velocity(family, frame, V)
     samples = np.random.default_rng(seed).standard_normal((n, 6))
     _, (report,) = audit_scattering([family], frame, samples)
     if args.quiet:

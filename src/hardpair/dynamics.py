@@ -43,7 +43,6 @@ from hardpair.frames import build_frame
 # scattering_matrix is not called here; it stays bound for the same reason
 from hardpair.scattering import (  # noqa: F401
     ScatteringFamily,
-    is_grazing,
     scatter_velocity,
     scattering_matrix,
 )
@@ -53,8 +52,6 @@ from hardpair.scattering import (  # noqa: F401
 _CONTACT_WIDTH = 1e-13
 # Admissibility slack, relative to the diameter.
 _ADMISSIBLE_RTOL = 1e-9
-# Gap magnitudes below this are projected to exact contact before resolving.
-_ANCHOR_TOL = 1e-12
 # A root found within this fraction of the remaining horizon after an
 # event, and grazing there, is merged into that event.
 _MERGE_RTOL = 1e-12
@@ -279,32 +276,25 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
                         contact: ContactData):
     """Scatter the velocity at a contact state; returns (new state, event).
 
-    contact is the contact solve at Z.X.  Anchoring moves the second center
-    along the center line, which leaves the relative angles and so the
-    contact solve unchanged.  The event is flagged grazing when V.(M nu)
-    is within GRAZING_RTOL |V| of zero.
+    contact is the contact solve at Z.X.  The second center moves along the
+    center line to the solved separation d, which keeps the contact solve and
+    puts the pose at the contact the frame's Ebeta is built for, so the
+    ledger holds at any unit of length.  The map flags grazing events.
     """
-    g, contact = _gap_at(body, Z.X, solved=contact)
+    x, y, xb, yb, theta, thetabar = Z.X.tolist()
+    dist = math.hypot(xb - x, yb - y)
+    g = dist - contact.d
     if abs(g) > 1e-8 * body.diameter:
         raise SimulationError(f"resolve called away from contact: gap {g:.3g}")
-    X, V = Z.X, Z.V
-    anchor_shift = 0.0
-    if abs(g) < _ANCHOR_TOL:
-        # project the second center along the center line to exact contact
-        rel = X[2:4] - X[0:2]
-        dist = float(np.linalg.norm(rel))
-        X = X.copy()
-        X[2:4] = X[0:2] + rel * ((dist - g) / dist)
-        anchor_shift = abs(g)
-    x, y, xb, yb, theta, thetabar = X.tolist()
+    xb, yb = x + (xb - x) * (contact.d / dist), y + (yb - y) * (contact.d / dist)
+    X, V = np.array([x, y, xb, yb, theta, thetabar]), Z.V
     beta = Beta(theta, thetabar, math.atan2(yb - y, xb - x))
-    V_post, proj_pre, _ = scatter_velocity(family, build_frame(body, beta, contact), V)
+    V_post, _, _, grazing = scatter_velocity(family, build_frame(body, beta, contact), V)
     before = conserved_quantities(body, X, V)
     after = conserved_quantities(body, X, V_post)
     event = CollisionEvent(
         t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=V, V_post=V_post,
-        grazing=is_grazing(proj_pre, math.hypot(*V.tolist())),
-        anchor_shift=anchor_shift, jumps={k: after[k] - before[k] for k in before},
+        grazing=grazing, anchor_shift=abs(g), jumps={k: after[k] - before[k] for k in before},
     )
     return State(X=X, V=V_post, t=Z.t), event
 

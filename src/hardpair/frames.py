@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -271,8 +272,11 @@ def _complement_one(*vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finite(x, name: str) -> float:
-    """x as a float; ValueError naming the field unless it is a finite real number."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+    """x as a float; ValueError naming the field unless it is a finite real number.
+
+    An integer past the float range is not finite as a float.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not abs(x) <= sys.float_info.max:
         raise ValueError(f"line field {name} takes only finite numbers, got {x!r}")
     return float(x)
 

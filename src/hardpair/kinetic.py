@@ -170,14 +170,17 @@ def invariant_residual_table(
 
     Returns {candidate name: {family label: worst residual}}.  Sharing the
     samples makes the table directly comparable across columns and an order
-    of magnitude cheaper than independent runs.  Columns are keyed by label,
-    so families that share one raise ValueError naming both positions.
+    of magnitude cheaper than independent runs.  Rows are keyed by name and
+    columns by label, so candidates that share a name, or families that
+    share a label, raise ValueError naming both positions.
     """
     labels = [fam.label() for fam in families]
-    for j, label in enumerate(labels):
-        if label in labels[:j]:
-            raise ValueError(f"families[{labels.index(label)}] and families[{j}] "
-                             f"share the label {label!r}")
+    for field, what, keys in (("candidates", "name", [c.name for c in cands]),
+                              ("families", "label", labels)):
+        for j, key in enumerate(keys):
+            if key in keys[:j]:
+                raise ValueError(f"{field}[{keys.index(key)}] and {field}[{j}] "
+                                 f"share the {what} {key!r}")
     worst = _worst_defects(body, families, cands, n_samples, seed)
     return {
         cand.name: {label: float(x) for label, x in zip(labels, row)}

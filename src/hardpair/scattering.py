@@ -205,10 +205,10 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
     """Map a pre-collisional velocity through the family at one frame.
 
     Applies the low-rank update W' = sign (W - 2 sum_u (u.W) u) to W = M V,
-    on floats, without forming a matrix.  Returns (V', V.(M nu), V'.(M nu)).
-    A non-finite V raises ValueError, and a separating V (V.(M nu) above
-    GRAZING_RTOL * |V|) raises NotPreCollisionalError.  A grazing V is
-    mapped without a warning; the caller flags it.
+    on floats, without forming a matrix.  Returns (V', V.(M nu), V'.(M nu),
+    grazing), grazing being is_grazing(V.(M nu), |V|).  A non-finite V
+    raises ValueError, and a separating V (V.(M nu) above GRAZING_RTOL * |V|)
+    raises NotPreCollisionalError.  A grazing V is mapped without a warning.
     """
     V = np.asarray(V, dtype=float)
     sign, rows = _core(family, frame)
@@ -221,7 +221,8 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
         raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
     # hypot, unlike the norm, does not overflow for |V| near the float range
     speed = math.hypot(*v)
-    if proj > 0.0 and not is_grazing(proj, speed):
+    grazing = is_grazing(proj, speed)
+    if proj > 0.0 and not grazing:
         raise NotPreCollisionalError(
             "velocity is separating at the contact: "
             f"V.(M nu) = {proj:.6g} > {GRAZING_RTOL * speed:.6g}"
@@ -232,7 +233,7 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
         Wp = [x - c * y for x, y in zip(Wp, u)]
     Wp = [sign * x for x in Wp]
     Vp = np.array([Wp[0] / rm, Wp[1] / rm, Wp[2] / rm, Wp[3] / rm, Wp[4] / rj, Wp[5] / rj])
-    return Vp, proj, _dot(Wp, nu)
+    return Vp, proj, _dot(Wp, nu), grazing
 
 
 def impulse_scatter(n, pn, qn, m: float, J: float, V: np.ndarray) -> np.ndarray:

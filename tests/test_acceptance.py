@@ -46,6 +46,22 @@ def test_criterion_6_event_loop_fidelity():
     _run(_checks.check_dynamics(n_data=50))
 
 
+def test_criterion_6_fails_on_a_missed_collision(monkeypatch):
+    # every datum must collide by geometry, so a run with no event is a
+    # failure of the event loop, not a datum to skip
+    simulate = _checks.simulate
+    runs = []
+
+    def missing_one(*args):
+        tr = simulate(*args)
+        runs.append(tr)
+        return tr._replace(events=[]) if len(runs) == 3 else tr
+
+    monkeypatch.setattr(_checks, "simulate", missing_one)
+    result = _checks.check_dynamics(n_data=10)
+    assert not result.passed and "1 data without a collision" in result.detail
+
+
 def test_criterion_7_distinct_trajectories(tmp_path, capsys):
     # the frozen datum must branch into six mutually distinct conserving
     # trajectories, reported through the nonuniq pipeline

@@ -82,6 +82,18 @@ def test_implicit_rejects_offcenter_boundary():
         make_implicit(_circle(center=(0.5, 0.0)))
 
 
+def test_implicit_centroid_bound_scales_with_the_body():
+    # the bound is 1e-8 equal-area radii: an absolute 1e-8 let a tiny body
+    # be taken about a point 2.5 semi-axes off its centroid, and refused a
+    # centered large one over the rounding of its centroid sums
+    tiny = ellipse_shape(2e-9, 1e-9)[1]
+    with pytest.raises(BodyValidationError, match="centroid"):
+        make_implicit(lambda s: tiny(s) + np.array([5e-9, 0.0]))
+    large = make_implicit(ellipse_shape(2e9, 1e9)[1])
+    assert large.m == pytest.approx(math.pi * 2e18, rel=1e-12)
+    assert large.a == pytest.approx(2e9, rel=1e-6)
+
+
 def test_implicit_rejects_nonconvex_boundary():
     # r(phi) = 1 + 0.5 cos 2 phi is centered but dented at phi = pi/2: the
     # curvature (c' x c'') / |c'|^2 changes sign there

@@ -580,12 +580,16 @@ SCATTER_CFG = _cfg("scatter", V=V0)
         {"family": "op", "line_field": {"kind": "fourier", "coeffs": [[0, 1, 2.0, 0.5]]}},
         {"family": "reflection"}], candidates=[{"variant": "angular_speed"}], n_samples=200,
         seed=1), [], "families[0] and families[1] share the label 'op(fourier)'"),
+    ("invariants", _cfg("invariants", candidates=[
+        {"variant": "angular_speed"}, {"variant": "momentum_x"}, {"variant": "angular_speed"}],
+        n_samples=200, seed=1), [], "candidates[0] and candidates[2] share the name 'w'"),
 ], ids=[
     "simulate-no-Z0", "nonuniq-no-Z0", "simulate-no-T", "scatter-no-beta", "scatter-no-V",
     "options-list", "families-empty", "families-object", "candidates-number",
     "candidates-empty", "Z0-object-no-V", "Z0-number",
     "body-no-kind", "body-string", "ellipse-no-a", "ellipse-no-b", "config-missing",
     "config-list", "V-flag-text", "V-flag-short", "coeffs-empty", "families-same-label",
+    "candidates-same-name",
 ])
 def test_config_errors_exit_two_naming_the_field(tmp_path, capsys, command, cfg, extra,
                                                   message):
@@ -736,8 +740,12 @@ def test_unread_field_exits_two(tmp_path, capsys, command, cfg, field):
     ("invariants", _cfg("invariants", families=[{"family": "op", "line_field": {
         "kind": "fourier", "coeffs": [[1, 0, 0.3, 0.1], [0, 0.5, 1.0, 0.0]]}}]),
      "families[0].line_field.coeffs[1][1]"),
+    # an integer past the float range raised OverflowError and exited 1
+    ("scatter", _cfg("scatter", family={"family": "op", "line_field": {
+        "kind": "constant", "phi": 10**400}}), "family.line_field.phi"),
+    ("simulate", _cfg("simulate", T=10**400), "T"),
 ], ids=["theta_k", "speed", "spin", "scatter_speed", "fourier_k", "scatter_fourier_k",
-        "fourier_half_k"])
+        "fourier_half_k", "huge_phi", "huge_T"])
 def test_out_of_range_value_exits_two(tmp_path, capsys, command, cfg, named):
     argv = [command, "--config", _write(tmp_path, "cfg.json", cfg)]
     if command == "invariants":

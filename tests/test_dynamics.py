@@ -11,7 +11,7 @@ import pytest
 # the merge and cap tests dynamics' _next_collision, _MAX_EVENTS,
 # _MAX_SAMPLES and _resample, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
-from hardpair import dynamics, geometry
+from hardpair import _checks, dynamics, geometry
 from hardpair.bodies import make_disk, make_ellipse, make_implicit
 from hardpair.frames import LineField, nu_hat
 from hardpair.geometry import Beta, closest_approach, e_of, ellipse_shape, wrap_angle
@@ -76,6 +76,25 @@ def test_resolve_requires_contact():
     Z = _head_on()
     with pytest.raises(SimulationError):
         _resolve_at_contact(DISK, Z, REFL, dynamics._gap_at(DISK, Z.X)[1])
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e6])
+def test_events_sit_at_contact_at_any_unit_of_length(s):
+    # verify's colliding data with lengths and velocities scaled by s: every
+    # root is moved to exact contact before the map, so the event pose has
+    # no gap and the angular-momentum ledger closes to rounding, both
+    # relative to the scale of the scaled body
+    body = make_ellipse(2.0 * s, 1.0 * s)
+    _, data = _checks.colliding_ellipse_data(50, 106)
+    to_scale = np.array([s, s, s, s, 1.0, 1.0])
+    am_scale = body.m * s * s + body.J
+    for idx, (Z0, T) in enumerate(data):
+        Z = make_state(Z0.X * to_scale, Z0.V * to_scale)
+        tr = simulate(body, Z, SIX_FAMILIES[idx % len(SIX_FAMILIES)], T)
+        assert tr.n_events() > 0
+        for ev in tr.events:
+            assert abs(gap(body, ev.X)) / body.diameter <= 1e-15
+            assert abs(ev.jumps["am"]) / am_scale <= 5e-15
 
 
 def test_head_on_exchange():

@@ -178,6 +178,13 @@ def test_fourier_wave_numbers_are_integers(row, entry):
     assert lf.coeffs == ((2.0, -(2.0**53), 0.3, 0.0),)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, 10**400, True, "0.5"])
+def test_constant_line_field_takes_finite_reals(phi):
+    # 10**400 is past the float range: the check raised OverflowError
+    with pytest.raises(ValueError, match="line field phi"):
+        LineField.constant(phi)
+
+
 def test_line_field_from_config_validation():
     assert line_field_from_config({"kind": "constant", "phi": 0.2}).phi == 0.2
     with pytest.raises(ValueError):

@@ -134,6 +134,15 @@ def test_table_refuses_families_that_share_a_label(families, first, second):
         invariant_residual_table(ELL, fams, [angular_speed_candidate()], 10, 1)
 
 
+def test_table_refuses_candidates_that_share_a_name():
+    # the rows are keyed by name: w and v_x both named x printed one row at
+    # v_x's rounding error, though w alone gives 1.67
+    w, v_x = angular_speed_candidate(), momentum_candidate(0)
+    same = [InvariantCandidate("x", w.fn), InvariantCandidate("x", v_x.fn)]
+    with pytest.raises(ValueError, match=r"candidates\[0\] and candidates\[1\] share the name 'x'"):
+        invariant_residual_table(ELL, [ScatteringFamily.reflection()], same, 200, 1)
+
+
 def test_table_shares_samples_across_families():
     # the residual table must evaluate every family on the same draws, so
     # each column equals the single-family table with the same seed

@@ -392,12 +392,12 @@ def test_scatter_velocity_matches_matrix():
             fr = _random_frame(rng)
             V = _incoming(rng, fr)
             sm = scattering_matrix(fam, fr)
-            Vp, pre, post = scatter_velocity(fam, fr, V)
+            Vp, pre, post, grazing = scatter_velocity(fam, fr, V)
             assert Vp.shape == (6,)
             assert np.max(np.abs(Vp - sm.s @ V)) < 1e-13
             assert pre == pytest.approx(normal_projection(V, fr.nu, ELL.m, ELL.J), abs=1e-14)
             assert post == pytest.approx(normal_projection(Vp, fr.nu, ELL.m, ELL.J), abs=1e-14)
-            assert pre < 0.0 < post
+            assert pre < 0.0 < post and not grazing
 
 
 def test_scatter_velocity_rejects_bad_input():
@@ -414,12 +414,14 @@ def test_scatter_velocity_rejects_bad_input():
             scatter_velocity(fam, fr, W)
     with pytest.raises(ValueError, match="not orthonormal"):
         scatter_velocity(fam, fr._replace(F1=fr.F1 * 1.5), V)
-    # a grazing velocity is mapped, and flagged by the caller, not warned
+    # a grazing velocity is mapped and flagged, not warned; an approaching
+    # one is not flagged
     w = DIAG * V
     tangent = (w - (w @ fr.nu) * fr.nu) / DIAG
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scatter_velocity(fam, fr, tangent)
+        assert scatter_velocity(fam, fr, tangent)[3] is True
+    assert scatter_velocity(fam, fr, V)[3] is False
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200])
