@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hardpair.bodies import Body
+from hardpair.bodies import Body, mass_weights
 # d_beta is not called here; it stays bound because hpbench's tracer wraps
 # the layer bindings of this module by name
 from hardpair.geometry import (  # noqa: F401
@@ -130,6 +130,27 @@ class Trajectory(NamedTuple):
 
     def max_ledger_jump(self) -> float:
         return max((abs(v) for ev in self.events for v in ev.jumps.values()), default=0.0)
+
+
+def relative_ledger_jump(body: Body, events: list[CollisionEvent]) -> float:
+    """The worst conservation jump over the events, free of any unit.
+
+    For each conserved quantity q the figure is |dq| / (|grad_W q| |W|),
+    W = M V_pre, at the event's X: the jump along q's unit gradient in W
+    over |W| for the momenta and for angular momentum about the origin, and
+    |dKE| / |W|^2 for kinetic energy.  The verdicts read this figure; the
+    events keep their absolute jumps.
+    """
+    m, J = body.m, body.J
+    diag = mass_weights(m, J)
+    worst = 0.0
+    for ev in events:
+        speed = math.hypot(*(ev.V_pre * diag).tolist())
+        x, y, xb, yb = ev.X.tolist()[0:4]
+        am = math.sqrt(m * (x * x + y * y + xb * xb + yb * yb) + 2.0 * J)
+        grad = {"lm_x": math.sqrt(2.0 * m), "lm_y": math.sqrt(2.0 * m), "am": am, "ke": speed}
+        worst = max(worst, *(abs(ev.jumps[k]) / (g * speed) for k, g in grad.items()))
+    return worst
 
 
 def conserved_quantities(body: Body, X: np.ndarray, V: np.ndarray) -> dict:
@@ -417,15 +438,15 @@ def _resample(Z0: State, events, t_end: float, sample_dt: float):
 def time_reverse_check(body: Body, Z0: State, family: ScatteringFamily, T: float) -> float:
     """Forward T, negate velocities, forward T, negate again; distance to Z0.
 
-    Returns the worst absolute error over positions and angles (angles
-    compared modulo a full turn).  Linear involutive scattering makes the
-    flow reversible, so the residual is set by root-finding accuracy alone.
+    Returns the worse of the largest position error over the diameter and
+    the largest angle error (modulo a full turn); involutive scattering
+    makes the flow reversible, so it is set by root-finding accuracy alone.
     """
     fwd = simulate(body, Z0, family, T)
     turned = State(X=fwd.final.X, V=-fwd.final.V, t=0.0)
     back = simulate(body, turned, family, T)
     X_back = back.final.X
-    err_pos = float(np.max(np.abs(X_back[0:4] - Z0.X[0:4])))
+    err_pos = float(np.max(np.abs(X_back[0:4] - Z0.X[0:4]))) / body.diameter
     # centered wrap: an angle error of -1e-12 must read as 1e-12, not 2*pi
     err_ang = max(
         abs(math.remainder(float(X_back[4] - Z0.X[4]), 2.0 * math.pi)),
@@ -443,12 +464,12 @@ def divergence_report(
     """Run the same initial datum under every family and compare outcomes.
 
     Reports, per family, the post-first-event velocity, final state and
-    conservation residuals, plus pairwise sup-norm differences of the
-    post-first-event velocities and of the final states.  The families are
-    distinct when every pairwise velocity divergence exceeds 1e-6 |V0|
-    (min_pairwise_velocity_divergence against velocity_scale; with one
-    family there is no pair, the minimum is inf).  A datum with no
-    collision within T yields {"degenerate": True}.
+    max_ledger_jump_rel, the relative_ledger_jump all_conserve holds below
+    1e-9; per pair, |W'_i - W'_j| / |W0| of the post-first-event W' = M V'
+    (velocity_divergence) and the sup-norm difference of the final states.
+    The families are distinct when every pairwise |W'_i - W'_j| / |W0|
+    exceeds 1e-6 (with one family there is no pair, the minimum is inf).  A
+    datum with no collision within T yields {"degenerate": True}.
     """
     trajectories = [simulate(body, Z0, fam, T) for fam in families]
     if any(tr.n_events() == 0 for tr in trajectories):
@@ -457,7 +478,6 @@ def divergence_report(
             "n_events": [tr.n_events() for tr in trajectories],
             "families": [tr.family_label for tr in trajectories],
         }
-    scale = 1.0 + float(Z0.V @ Z0.V)
     per_family = []
     for tr in trajectories:
         per_family.append({
@@ -467,16 +487,17 @@ def divergence_report(
             "final_X": tr.final.X,
             "final_V": tr.final.V,
             "max_ledger_jump": tr.max_ledger_jump(),
-            "max_ledger_jump_rel": tr.max_ledger_jump() / scale,
+            "max_ledger_jump_rel": relative_ledger_jump(body, tr.events),
             "min_gap": tr.min_gap,
         })
-    # sup-norm differences of every pair, rows i against columns j
-    V1 = np.array([tr.events[0].V_post for tr in trajectories])
-    vel_diff = np.max(np.abs(V1[:, None] - V1[None, :]), axis=-1)
+    # differences of every pair, rows i against columns j
+    diag = mass_weights(body.m, body.J)
+    W1 = np.array([tr.events[0].V_post for tr in trajectories]) * (
+        diag / math.hypot(*(Z0.V * diag).tolist()))
+    vel_diff = np.linalg.norm(W1[:, None] - W1[None, :], axis=-1)
     XV = np.array([np.concatenate([tr.final.X, tr.final.V]) for tr in trajectories])
     fin_diff = np.max(np.abs(XV[:, None] - XV[None, :]), axis=-1)
     least = float(vel_diff[np.triu_indices(len(trajectories), 1)].min(initial=math.inf))
-    vnorm = float(np.linalg.norm(Z0.V))
     return {
         "degenerate": False,
         "families": [tr.family_label for tr in trajectories],
@@ -485,6 +506,5 @@ def divergence_report(
         "final_state_divergence": fin_diff,
         "all_conserve": bool(all(p["max_ledger_jump_rel"] < 1e-9 for p in per_family)),
         "min_pairwise_velocity_divergence": least,
-        "velocity_scale": vnorm,
-        "distinct": least > 1e-6 * vnorm,
+        "distinct": least > 1e-6,
     }

@@ -342,14 +342,14 @@ def identity_residuals(
     returns: those come from the contact normal by the envelope theorem, so
     they satisfy the identities by construction.  Returns a report with the
     asserted residuals (direction collinearity of n with its derivative
-    form, relative error of the contact scalars, direction collinearity of
-    M nu with gamma-hat), the fd_derivative_gap between the shipped
-    derivatives and the finite differences (the largest difference, relative
-    to the larger of d and the partials, so a partial that vanishes by
-    symmetry does not inflate it), plus an `as_printed` block with the
-    residuals of the historically circulated variants of the same identities
-    (theta/psi swapped in the normal direction, flipped signs in the scalar
-    blocks), which are reported for reference and are expected to be large.
+    form, error of the contact scalars over d, direction collinearity of
+    M nu with gamma-hat, lengths taken over d), the fd_derivative_gap
+    between the shipped derivatives and the finite differences (the largest
+    difference, relative to the larger of d and the partials, so a partial
+    that vanishes by symmetry does not inflate it), plus an `as_printed`
+    block with the residuals of the historically circulated variants of the
+    same identities (theta/psi swapped in the normal direction, flipped
+    signs in the scalar blocks), reported for reference and expected large.
 
     contact, the lab-frame result of d_beta(body, beta, derivatives=True),
     saves the solve when the caller already holds it; the finite differences
@@ -368,9 +368,9 @@ def identity_residuals(
     qn = c.q_perp_n()
     dsum = fd_theta + fd_psi
 
-    m_nu_raw = np.concatenate([-c.n, c.n, [-pn, qn]])
-    gam = np.concatenate([-ntil, ntil, [dsum, -fd_theta]])
-    gam_flipped = np.concatenate([-ntil, ntil, [-dsum, fd_theta]])
+    m_nu_raw = np.concatenate([-c.n, c.n, [-pn / c.d, qn / c.d]])
+    gam = np.concatenate([-ntil, ntil, [dsum / c.d, -fd_theta / c.d]])
+    gam_flipped = np.concatenate([-ntil, ntil, [-dsum / c.d, fd_theta / c.d]])
     ntil_swapped = ev - (fd_theta / c.d) * evp
 
     return {
@@ -381,12 +381,12 @@ def identity_residuals(
         "dD_dpsi": c.dD_dpsi,
         "fd_derivative_gap": fd_gap,
         "n_direction": _direction_residual(c.n, ntil),
-        "p_scalar": abs(pn - (-dsum * cosphi)) / (1.0 + abs(pn)),
-        "q_scalar": abs(qn - (-fd_theta * cosphi)) / (1.0 + abs(qn)),
+        "p_scalar": abs(pn - (-dsum * cosphi)) / c.d,
+        "q_scalar": abs(qn - (-fd_theta * cosphi)) / c.d,
         "m_nu_gamma": _direction_residual(m_nu_raw, gam),
         "as_printed": {
             "n_direction_theta_swap": _direction_residual(c.n, ntil_swapped),
-            "p_scalar_plus_sign": abs(pn - (dsum * cosphi)) / (1.0 + abs(pn)),
+            "p_scalar_plus_sign": abs(pn - (dsum * cosphi)) / c.d,
             "gamma_scalar_sign_flip": _direction_residual(m_nu_raw, gam_flipped),
         },
     }

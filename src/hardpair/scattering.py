@@ -14,7 +14,10 @@ differ in what they do on the leftover two-plane:
 
 All of them conserve linear momentum, angular momentum and kinetic energy
 and map approaching velocities to separating ones, so a single pre-collision
-state admits many distinct physical continuations.
+state admits many distinct physical continuations.  Every family is an
+isometry of W = M V, so |W| is the one unit a verdict about a map needs: the
+grazing test and every audit figure are a defect in W over |W|, the same at
+any unit of length or mass.
 
 Two independent routes cross-check the matrices: an impulse computation
 along the contact normal reproduces the reflection family, and closed-form
@@ -43,11 +46,10 @@ from hardpair.frames import (  # noqa: F401
     Frames,
     LineField,
     _dot,
-    angular_momentum_vector,
     complement_basis,
 )
 
-# Relative tolerance on V.(M nu) below which a collision counts as grazing.
+# Relative tolerance on W.nu, W = M V, below which a collision counts as grazing.
 GRAZING_RTOL = 1e-9
 
 _VARIANTS = ("reflection", "epsi", "op")
@@ -55,7 +57,7 @@ _NOT_ORTHONORMAL = "frame is not orthonormal; refusing to build a scattering mat
 
 
 def is_grazing(proj, speed):
-    """|proj| <= GRAZING_RTOL * speed, for proj = V.(M nu) and speed = |V|.
+    """|proj| <= GRAZING_RTOL * speed, for proj = W.nu and speed = |W|, W = M V.
 
     Floats give a bool, arrays an array of bools.
     """
@@ -206,8 +208,8 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
 
     Applies the low-rank update W' = sign (W - 2 sum_u (u.W) u) to W = M V,
     on floats, without forming a matrix.  Returns (V', V.(M nu), V'.(M nu),
-    grazing), grazing being is_grazing(V.(M nu), |V|).  A non-finite V
-    raises ValueError, and a separating V (V.(M nu) above GRAZING_RTOL * |V|)
+    grazing), grazing being is_grazing(V.(M nu), |M V|).  A non-finite V
+    raises ValueError, and a separating V (V.(M nu) above GRAZING_RTOL |M V|)
     raises NotPreCollisionalError.  A grazing V is mapped without a warning.
     """
     V = np.asarray(V, dtype=float)
@@ -219,8 +221,8 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
     proj = _dot(W, nu)
     if not np.isfinite(V).all():
         raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
-    # hypot, unlike the norm, does not overflow for |V| near the float range
-    speed = math.hypot(*v)
+    # hypot, unlike the norm, does not overflow for |W| near the float range
+    speed = math.hypot(*W)
     grazing = is_grazing(proj, speed)
     if proj > 0.0 and not grazing:
         raise NotPreCollisionalError(
@@ -297,61 +299,60 @@ def audit_scattering(
     velocities at one frame (vectors of shape (6,)).  The mass data come
     from the frames.  Returns the post-collision velocities
     (shape (len(families), N, 6)) and, per family, the worst case over the
-    samples of:
+    samples of these defects in W = M V over |W|, W' = A W mapped:
 
       matrix_involution     max |A A - I|
-      involution            max |s(sV) - V|, the map applied a second time
-      linear_momentum_x/_y  conservation defect, scaled by 1/(1 + |V|^2)
-      angular_momentum      defect along the angular-momentum gradient
-                            about the first center, same scaling
-      kinetic_energy        | |M sV|^2 - |MV|^2 |, same scaling
+      involution            |A W' - W| / |W|, the map applied a second time
+      linear_momentum_x/_y  |E1.(W' - W)| / |W| and |E2.(W' - W)| / |W|
+      angular_momentum      |Ebeta.(W' - W)| / |W|
+      kinetic_energy        | |W'|^2 - |W|^2 | / |W|^2
       det, abs_det_residual the determinant of A farthest from |det| = 1,
                             and that distance
       det_sign              the sign of every det A; 0 if the signs differ
       half_space_flip_ok    every strictly approaching sample maps to a
                             strictly separating one (and, by linearity,
                             every strictly separating one to an approaching one)
-      half_space_flip_worst max |proj(sV) + proj(V)| over those samples
-      grazing_count         samples with |proj(V)| <= GRAZING_RTOL |V|,
-                            left out of the flip check
+      half_space_flip_worst |W'.nu + W.nu| / |W| over those samples
+      grazing_count         samples with is_grazing(W.nu, |W|), left out of
+                            the flip check
 
-    proj(V) = V.(M nu).  The maps are the low-rank updates of scatter_stack;
-    A = sign (I - 2 U^T U) is formed only for the determinant and A A - I.
+    The maps are the low-rank updates of scatter_stack; A = sign (I - 2 U^T U)
+    is formed only for the determinant and A A - I.
     """
     V = np.asarray(V, dtype=float)
-    m, J = frames.m, frames.J
-    diag = mass_weights(m, J)
+    diag = mass_weights(frames.m, frames.J)
     W = V * diag
-    norm2 = np.sum(V * V, axis=-1)
-    scale = 1.0 + norm2
-    gam = angular_momentum_vector(frames.psi, frames.d, m, J)
+    w2 = np.sum(W * W, axis=-1)
+    speed = np.sqrt(w2)
+    conserved = frames.basis()[..., 0:3, :]  # rows E1, E2, Ebeta
     pre = np.sum(W * frames.nu, axis=-1)
-    grazing = is_grazing(pre, np.sqrt(norm2))
+    grazing = is_grazing(pre, speed)
     flip = ~grazing
     Vp = np.empty((len(families),) + V.shape)
     reports = []
     for f, (sign, U) in enumerate(_cores(families, frames)):
         Wp = _reflect(sign, U, W)
         Vp[f] = Wp / diag
-        dV = Vp[f] - V
+        drift = np.abs(conserved @ (Wp - W)[..., :, None])[..., 0] / speed[:, None]
         A = sign * (_EYE6 - 2.0 * (U.swapaxes(-1, -2) @ U))
         det = np.linalg.det(A).reshape(-1)
         worst = int(np.argmax(np.abs(np.abs(det) - 1.0)))
         signs = np.where(det > 0.0, 1, -1)
         post = np.sum(Wp * frames.nu, axis=-1)
+        back = np.linalg.norm(_reflect(sign, U, Wp) - W, axis=-1)
         reports.append({
             "matrix_involution": float(np.max(np.abs(A @ A - _EYE6))),
-            "involution": float(np.max(np.abs(_reflect(sign, U, Wp) / diag - V))),
-            "linear_momentum_x": float(np.max(np.abs(m * (dV[:, 0] + dV[:, 2])) / scale)),
-            "linear_momentum_y": float(np.max(np.abs(m * (dV[:, 1] + dV[:, 3])) / scale)),
-            "angular_momentum": float(np.max(np.abs(np.sum(gam * dV, axis=-1)) / scale)),
-            "kinetic_energy": float(np.max(
-                np.abs(np.sum(Wp * Wp, axis=-1) - np.sum(W * W, axis=-1)) / scale)),
+            "involution": float(np.max(back / speed)),
+            "linear_momentum_x": float(np.max(drift[:, 0])),
+            "linear_momentum_y": float(np.max(drift[:, 1])),
+            "angular_momentum": float(np.max(drift[:, 2])),
+            "kinetic_energy": float(np.max(np.abs(np.sum(Wp * Wp, axis=-1) - w2) / w2)),
             "det": float(det[worst]),
             "det_sign": int(signs[0]) if np.all(signs == signs[0]) else 0,
             "abs_det_residual": abs(abs(float(det[worst])) - 1.0),
             "half_space_flip_ok": bool(np.all(np.sign(post[flip]) == -np.sign(pre[flip]))),
-            "half_space_flip_worst": float(np.max(np.abs(post + pre)[flip], initial=0.0)),
+            "half_space_flip_worst": float(np.max(np.abs(post + pre)[flip] / speed[flip],
+                                                  initial=0.0)),
             "grazing_count": int(np.count_nonzero(grazing)),
             "n_samples": len(V),
         })

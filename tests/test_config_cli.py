@@ -129,7 +129,7 @@ def test_scatter_flags_a_grazing_velocity(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["grazing"] is True
-    assert abs(rec["proj_pre"]) <= 1e-9 * np.linalg.norm(V)
+    assert abs(rec["proj_pre"]) <= 1e-9 * np.linalg.norm(diag * V)
 
 
 @pytest.mark.parametrize("command,n", [
@@ -683,6 +683,37 @@ def _shipped(name, edit):
     cfg = json.loads((CONFIGS / name).read_text())
     edit(cfg)
     return cfg
+
+
+def _run_shipped_times_1e3(tmp_path, capsys, name, key, linear):
+    # body axes, positions and linear velocities (the entries `linear` of
+    # cfg[key]) of a shipped config times 1e3; angles and spins unchanged
+    def scale(c):
+        c["body"].update(a=1e3 * c["body"]["a"], b=1e3 * c["body"]["b"])
+        for i in linear:
+            c[key][i] *= 1e3
+
+    cfg = _write(tmp_path, name, _shipped(name, scale))
+    assert cli.run(SHIPPED[name] + [cfg]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_scatter_audit_holds_at_a_larger_unit(tmp_path, capsys):
+    # every audit figure is relative to |W|, W = M V, so it reads rounding
+    # error at any unit of length
+    rec = _run_shipped_times_1e3(tmp_path, capsys, "scatter.json", "V", range(4))
+    audit = rec["verify"]
+    assert audit["half_space_flip_ok"]
+    for key in ("matrix_involution", "involution", "linear_momentum_x", "linear_momentum_y",
+                "angular_momentum", "kinetic_energy", "abs_det_residual",
+                "half_space_flip_worst"):
+        assert audit[key] < 1e-10, key
+
+
+def test_nonuniq_verdicts_hold_at_a_larger_unit(tmp_path, capsys):
+    rec = _run_shipped_times_1e3(tmp_path, capsys, "nonuniq.json", "Z0",
+                                 [0, 1, 2, 3, 6, 7, 8, 9])
+    assert rec["all_conserve"] is True and rec["distinct"] is True
 
 
 @pytest.mark.parametrize("command,cfg,field", [

@@ -111,30 +111,41 @@ def test_tangency_no_overlap_at_contact():
         assert float(np.min(vals)) > -1e-7
 
 
-def test_identity_residuals_small_in_corrected_form():
+def _worst_identity_residuals(body):
     rng = np.random.default_rng(8)
     worst = {"n_direction": 0.0, "m_nu_gamma": 0.0, "p_scalar": 0.0, "q_scalar": 0.0,
              "fd_derivative_gap": 0.0}
     for _ in range(20):
         beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-        res = identity_residuals(ELL, beta)
+        res = identity_residuals(body, beta)
         for k in worst:
             worst[k] = max(worst[k], res[k])
+    return worst
+
+
+def test_identity_residuals_small_in_corrected_form():
+    worst = _worst_identity_residuals(ELL)
     assert worst["n_direction"] < 1e-5
     assert worst["m_nu_gamma"] < 1e-5
     assert worst["p_scalar"] < 1e-5
     assert worst["q_scalar"] < 1e-5
     assert worst["fd_derivative_gap"] < 1e-6
+    # lengths are taken over the pose's separation, so the (2s, s) ellipse
+    # reads the same figures at any unit of length
+    for s in (1e-3, 1e3):
+        for k, v in _worst_identity_residuals(make_ellipse(2.0 * s, s)).items():
+            assert worst[k] / 4.0 <= v <= 4.0 * worst[k], (s, k, v)
 
 
 def test_printed_variants_fail_generically():
     # the sign/argument variants seen in some transcriptions are not identities;
-    # on a generic pose they leave O(1) residuals
+    # on a generic pose they leave O(1) residuals, at any unit of length
     beta = Beta(0.5, 1.2, 0.8)
-    res = identity_residuals(ELL, beta)["as_printed"]
-    assert res["n_direction_theta_swap"] > 1e-3
-    assert res["p_scalar_plus_sign"] > 1e-3
-    assert res["gamma_scalar_sign_flip"] > 1e-3
+    for s in (1e-3, 1.0, 1e3):
+        res = identity_residuals(make_ellipse(2.0 * s, s), beta)["as_printed"]
+        assert res["n_direction_theta_swap"] > 1e-3, s
+        assert res["p_scalar_plus_sign"] > 1e-3, s
+        assert res["gamma_scalar_sign_flip"] > 1e-3, s
 
 
 def test_d_derivatives_match_distance_slope():

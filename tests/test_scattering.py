@@ -205,9 +205,10 @@ def test_family_from_config():
         family_from_config({"family": "op"})
 
 
-def _one_frame_samples(rng, n=200):
-    fr = _random_frame(rng)
-    return fr, rng.standard_normal((n, 6))
+def _one_frame_samples(rng, n=200, s=1.0):
+    # at scale s, a frame of the (2s, s) ellipse and linear velocities times s
+    fr = _random_frame(rng, make_ellipse(2.0 * s, s))
+    return fr, rng.standard_normal((n, 6)) * np.array([s, s, s, s, 1.0, 1.0])
 
 
 def test_verify_scattering_report():
@@ -289,24 +290,30 @@ def _injected(monkeypatch, sign):
     monkeypatch.setattr(scattering, "_cores", cores)
 
 
-def test_verify_scattering_catches_identity_injection(monkeypatch):
+_SCALES = pytest.mark.parametrize("s", [1e-4, 1e-3, 1.0, 1e3, 1e6], ids=lambda s: f"s={s:g}")
+
+
+@_SCALES
+def test_verify_scattering_catches_identity_injection(monkeypatch, s):
     # negative control: the identity map conserves everything but cannot
-    # flip the normal projection, and the audit must say so
+    # flip the normal projection, and the audit must say so at any unit
     rng = np.random.default_rng(47)
-    fr, V = _one_frame_samples(rng)
+    fr, V = _one_frame_samples(rng, s=s)
     _injected(monkeypatch, 1.0)
     _, (rep,) = audit_scattering(FAMILIES[:1], fr, V)
     assert not rep["half_space_flip_ok"]
     assert rep["kinetic_energy"] == 0.0 and rep["det_sign"] == 1
 
 
-def test_audit_catches_energy_injection(monkeypatch):
-    # negative control: a map that doubles V breaks energy conservation
+@_SCALES
+def test_audit_catches_energy_injection(monkeypatch, s):
+    # negative control: a map that doubles V breaks energy conservation, and
+    # the audit reads it at any unit: |2W|^2 - |W|^2 is three times |W|^2
     rng = np.random.default_rng(56)
-    fr, V = _one_frame_samples(rng)
+    fr, V = _one_frame_samples(rng, s=s)
     _injected(monkeypatch, 2.0)
     _, (rep,) = audit_scattering(FAMILIES[:1], fr, V)
-    assert rep["kinetic_energy"] > 1e-10
+    assert rep["kinetic_energy"] == pytest.approx(3.0, rel=1e-12)
     assert rep["abs_det_residual"] > 1e-10
 
 
