@@ -1,9 +1,11 @@
 """The verification suite behind the `verify` subcommand.
 
 Each check exercises one advertised guarantee end to end at a fixed sample
-size, tolerance and seed, and reports a single pass/fail result with a
-numeric detail string.  The test suite runs the same checks; keeping them
-here makes the CLI summary and the tests agree by construction.
+size, tolerance and seed.  It takes no argument and returns its terms, as
+(verdict, text): the verdict on each figure it measured, and a text that
+prints the figure next to the bound it is held to.  A check passes when every
+term does.  CHECKS lists the eight checks, one per acceptance criterion; both
+`verify` and the acceptance tests run that tuple, so they agree by construction.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from hardpair.scattering import (
     scatter_stack,
 )
 from hardpair.dynamics import (
+    DISTINCT_BOUND,
+    LEDGER_BOUND,
     divergence_report,
     make_state,
     next_collision_time,
@@ -68,6 +72,23 @@ class CheckResult(NamedTuple):
     passed: bool
     detail: str
 
+    def line(self) -> str:
+        """The check's line of `verify` output."""
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
+
+
+def _bound(bound: float) -> str:
+    """A bound as the lines print it: 1e-6, not 1e-06."""
+    return f"{bound:.0e}".replace("e-0", "e-")
+
+
+def _held(label: str, figure: float, bound: float, note: str = "", *,
+          above: bool = False) -> tuple[bool, str]:
+    """A term of a check: the verdict on the figure, held below the bound (above
+    it when `above`; a NaN fails), and its text, which prints the bound."""
+    passed = figure > bound if above else figure < bound
+    return passed, f"{label} {figure:.2e} ({'>' if above else '<'}{_bound(bound)}{note})"
+
 
 def six_families() -> list[ScatteringFamily]:
     return [
@@ -79,8 +100,9 @@ def six_families() -> list[ScatteringFamily]:
     ]
 
 
-def check_frames(n: int = 1000) -> CheckResult:
+def check_frames() -> list[tuple[bool, str]]:
     """Orthonormality of 1000 random frames and the dual Ebeta routes."""
+    n, bound = 1000, 1e-10
     rng = np.random.default_rng(101)
     shapes = [make_disk(1.0), make_ellipse(2.0, 1.0)]
     worst_orth = worst_dual = 0.0
@@ -91,16 +113,12 @@ def check_frames(n: int = 1000) -> CheckResult:
         worst_orth = max(worst_orth, float(fr.orthonormality_residual()))
         dual = e_beta_gram_schmidt(fr.psi, fr.d, fr.m, fr.J)
         worst_dual = max(worst_dual, float(np.max(np.abs(fr.Ebeta - dual))))
-    passed = worst_orth < 1e-10 and worst_dual < 1e-10
-    return CheckResult(
-        "frames",
-        passed,
-        f"orthonormality {worst_orth:.2e} (<1e-10), dual-route {worst_dual:.2e} (<1e-10)",
-    )
+    return [_held("orthonormality", worst_orth, bound), _held("dual-route", worst_dual, bound)]
 
 
-def check_geometry_oracle(n: int = 200) -> CheckResult:
+def check_geometry_oracle() -> list[tuple[bool, str]]:
     """Tangency solver versus the independent bisection oracle."""
+    n, n_disk = 200, 50
     rng = np.random.default_rng(102)
     ell = make_ellipse(2.0, 1.0)
     shape = ellipse_shape(2.0, 1.0)
@@ -112,24 +130,21 @@ def check_geometry_oracle(n: int = 200) -> CheckResult:
         d_slow = closest_approach_oracle(*shape, th, ps)
         worst = max(worst, abs(d_fast - d_slow))
     worst_disk = 0.0
-    for _ in range(50):
+    for _ in range(n_disk):
         th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
         worst_disk = max(worst_disk, abs(closest_approach(disk, th, ps).d - 2.0))
-    passed = worst < 1e-6 and worst_disk < 1e-10
-    return CheckResult(
-        "geometry-oracle",
-        passed,
-        f"ellipse |solver-oracle| {worst:.2e} (<1e-6), disk |d-2r| {worst_disk:.2e} (<1e-10)",
-    )
+    return [_held("ellipse |solver-oracle|", worst, 1e-6),
+            _held("disk |d-2r|", worst_disk, 1e-10)]
 
 
-def check_identities(n: int = 100) -> CheckResult:
+def check_identities() -> list[tuple[bool, str]]:
     """Direction identities for the contact normal and the gap gradient.
 
     The identities are evaluated with finite differences of D with step
     FD_STEP, since the shipped derivatives satisfy them by construction; the
     shipped derivatives are compared against the same differences.
     """
+    n = 100
     rng = np.random.default_rng(103)
     ell = make_ellipse(2.0, 1.0)
     disk = make_disk(1.0)
@@ -141,19 +156,16 @@ def check_identities(n: int = 100) -> CheckResult:
         worst_fd = max(worst_fd, res["fd_derivative_gap"])
         res = identity_residuals(disk, beta)
         worst_d = max(worst_d, res["n_direction"], res["m_nu_gamma"])
-    passed = worst_e < 1e-5 and worst_d < 1e-10 and worst_fd < 1e-6
-    return CheckResult(
-        "identities",
-        passed,
-        (
-            f"ellipse collinearity {worst_e:.2e} (<1e-5), disk {worst_d:.2e} (<1e-10), "
-            f"derivatives against finite differences {worst_fd:.2e} (<1e-6 at h={FD_STEP:g})"
-        ),
-    )
+    return [
+        _held("ellipse collinearity", worst_e, 1e-5),
+        _held("disk", worst_d, 1e-10),
+        _held("derivatives against finite differences", worst_fd, 1e-6, f" at h={FD_STEP:g}"),
+    ]
 
 
-def check_scattering(n: int = 10000) -> CheckResult:
+def check_scattering() -> list[tuple[bool, str]]:
     """Involution, determinant, conservation, half-space flip, dual routes."""
+    n, bound = 10000, 1e-10
     ell = make_ellipse(2.0, 1.0)
     m, J = ell.m, ell.J
     fams = [
@@ -165,39 +177,27 @@ def check_scattering(n: int = 10000) -> CheckResult:
     # V stays unflipped, so the flip check sees both half-spaces
     frames, V, normal, pn, qn = next(sample_contacts(ell, n, 104, n))
     Vp, reports = audit_scattering(fams, frames, V)
-    worst = {
-        "involution": max(r["involution"] for r in reports),
-        "det": max(
-            r["abs_det_residual"] if r["det_sign"] == want else math.inf
-            for r, want in zip(reports, want_sign)),
-        "lm": max(max(r["linear_momentum_x"], r["linear_momentum_y"]) for r in reports),
-        "am": max(r["angular_momentum"] for r in reports),
-        "ke": max(r["kinetic_energy"] for r in reports),
-        # the dual routes take the contact data, not the frame
-        "impulse": float(np.max(np.abs(Vp[0] - impulse_scatter(normal, pn, qn, m, J, V)))),
-        "epsi_explicit": float(np.max(np.abs(
-            Vp[1] - explicit_epsi_velocities(frames.psi, frames.d, m, J, V)))),
-    }
     flip_ok = all(r["half_space_flip_ok"] for r in reports)
-    passed = (
-        worst["involution"] < 1e-10 and worst["det"] < 1e-10
-        and worst["lm"] < 1e-10 and worst["am"] < 1e-10 and worst["ke"] < 1e-10
-        and flip_ok and worst["impulse"] < 1e-10 and worst["epsi_explicit"] < 1e-10
-    )
-    return CheckResult(
-        "scattering",
-        passed,
-        (
-            f"involution {worst['involution']:.2e}, |det|-1 {worst['det']:.2e}, "
-            f"LM {worst['lm']:.2e}, AM {worst['am']:.2e}, KE {worst['ke']:.2e} "
-            f"(<1e-10 each), flip {'ok' if flip_ok else 'VIOLATED'}, "
-            f"impulse {worst['impulse']:.2e}, epsi closed form {worst['epsi_explicit']:.2e}"
-        ),
-    )
+    return [
+        _held("involution", max(r["involution"] for r in reports), bound),
+        _held("|det|-1", max(r["abs_det_residual"] if r["det_sign"] == want else math.inf
+                             for r, want in zip(reports, want_sign)), bound),
+        _held("LM", max(max(r["linear_momentum_x"], r["linear_momentum_y"]) for r in reports),
+              bound),
+        _held("AM", max(r["angular_momentum"] for r in reports), bound),
+        _held("KE", max(r["kinetic_energy"] for r in reports), bound),
+        (flip_ok, f"flip {'ok' if flip_ok else 'VIOLATED'}"),
+        # the dual routes take the contact data, not the frame
+        _held("impulse", float(np.max(np.abs(Vp[0] - impulse_scatter(normal, pn, qn, m, J, V)))),
+              bound),
+        _held("epsi closed form", float(np.max(np.abs(
+            Vp[1] - explicit_epsi_velocities(frames.psi, frames.d, m, J, V)))), bound),
+    ]
 
 
-def check_disk_reduction(n: int = 1000) -> CheckResult:
+def check_disk_reduction() -> list[tuple[bool, str]]:
     """Reflection on disks is the specular exchange; spins never change."""
+    n, bound = 1000, 1e-12
     disk = make_disk(1.0)
     diag = mass_weights(disk.m, disk.J)
     frames, V, *_ = next(sample_contacts(disk, n, 105, n))
@@ -205,14 +205,8 @@ def check_disk_reduction(n: int = 1000) -> CheckResult:
     nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
     k = np.sum((V[:, 0:2] - V[:, 2:4]) * nvec, axis=1)[:, None]
     expect = np.concatenate([V[:, 0:2] - k * nvec, V[:, 2:4] + k * nvec, V[:, 4:6]], axis=1)
-    worst = float(np.max(np.abs(Vp - expect)))
-    worst_spin = float(np.max(np.abs(Vp[:, 4:6] - V[:, 4:6])))
-    passed = worst < 1e-12 and worst_spin < 1e-12
-    return CheckResult(
-        "disk-reduction",
-        passed,
-        f"specular exchange {worst:.2e} (<1e-12), spin change {worst_spin:.2e}",
-    )
+    return [_held("specular exchange", float(np.max(np.abs(Vp - expect))), bound),
+            _held("spin change", float(np.max(np.abs(Vp[:, 4:6] - V[:, 4:6]))), bound)]
 
 
 def colliding_ellipse_data(n: int, seed: int):
@@ -243,8 +237,9 @@ def colliding_ellipse_data(n: int, seed: int):
     return make_ellipse(a, b), out
 
 
-def check_dynamics(n_data: int = 50) -> CheckResult:
+def check_dynamics() -> list[tuple[bool, str]]:
     """Analytic collision time, conservation ledger, gap floor, reversibility."""
+    n_data, n_reversals, tol = 50, 8, 1e-9
     disk = make_disk(1.0)
     Z = make_state([0, 0, 4, 0, 0, 0], [1, 0, 0, 0, 0, 0])
     t_star = next_collision_time(disk, Z, 10.0)
@@ -262,42 +257,36 @@ def check_dynamics(n_data: int = 50) -> CheckResult:
         missed += tr.n_events() == 0
         worst_ledger = max(worst_ledger, relative_ledger_jump(ell, tr.events))
         worst_gap = max(worst_gap, -tr.min_gap / ell.diameter)
-        if tr.n_events() <= 5 and len(reversals) < 8:
+        if tr.n_events() <= 5 and len(reversals) < n_reversals:
             reversals.append(time_reverse_check(ell, Z0, fam, T))
-    worst_rev = max(reversals) if reversals else math.inf
-    passed = (
-        t_err < 1e-9 and worst_ledger < 1e-9 and worst_gap < 1e-9
-        and worst_rev < 1e-6 and not missed
-    )
-    return CheckResult(
-        "dynamics",
-        passed,
-        (
-            f"head-on |t*-2| {t_err:.2e} (<1e-9), ledger {worst_ledger:.2e} (<1e-9, {len(data)} data), "
-            f"gap deficit {worst_gap:.2e} (<1e-9*diam), reversal {worst_rev:.2e} (<1e-6)"
-            + (f", {missed} data without a collision" if missed else "")
-        ),
-    )
+    terms = [
+        _held("head-on |t*-2|", t_err, tol),
+        _held("ledger", worst_ledger, LEDGER_BOUND, f", {n_data} data"),
+        _held("gap deficit/diam", worst_gap, tol),
+        _held("reversal", max(reversals, default=math.inf), 1e-6),
+    ]
+    if missed:
+        terms.append((False, f"{missed} data without a collision"))
+    return terms
 
 
-def check_nonuniqueness() -> CheckResult:
+def check_non_uniqueness() -> list[tuple[bool, str]]:
     """Six families on the frozen datum: all conserve, all differ."""
     rep = divergence_report(make_ellipse(2.0, 1.0), make_state(NONUNIQ_X0, NONUNIQ_V0),
                             six_families(), NONUNIQ_T)
-    passed = not rep["degenerate"] and rep["all_conserve"] and rep["distinct"]
-    detail = (
-        f"degenerate datum"
-        if rep["degenerate"]
-        else (
-            f"min pairwise |W'_i-W'_j|/|W0| {rep['min_pairwise_velocity_divergence']:.3e} (>1e-6), "
-            f"all conserve: {rep['all_conserve']}"
-        )
-    )
-    return CheckResult("non-uniqueness", passed, detail)
+    if rep["degenerate"]:
+        return [(False, "degenerate datum")]
+    least = rep["min_pairwise_velocity_divergence"]
+    ledger = max(p["max_ledger_jump_rel"] for p in rep["per_family"])
+    return [
+        (rep["distinct"], f"min pairwise |W'_i-W'_j|/|W0| {least:.3e} (>{_bound(DISTINCT_BOUND)})"),
+        (rep["all_conserve"], f"ledger {ledger:.2e} (<{_bound(LEDGER_BOUND)})"),
+    ]
 
 
-def check_kinetic(n: int = 10000) -> CheckResult:
+def check_kinetic() -> list[tuple[bool, str]]:
     """Known invariants vanish under every family; bare spin only on disks."""
+    n = 10000
     ell = make_ellipse(2.0, 1.0)
     disk = make_disk(1.0)
     fams = [
@@ -308,39 +297,46 @@ def check_kinetic(n: int = 10000) -> CheckResult:
     ]
     table = invariant_residual_table(ell, fams, standard_candidates(ell), n, 107)
     known = ("1", "v_x", "v_y", "m|v|^2+Jw^2", "sin(theta)")
-    worst_known = max(max(table[name].values()) for name in known)
-    w_ellipse = min(table["w"].values())
     w_disk = invariant_residual_table(
         disk, [ScatteringFamily.reflection()], [angular_speed_candidate()], n, 107,
     )["w"]["reflection"]
-    passed = worst_known < 1e-9 and w_disk < 1e-10 and w_ellipse > 1e-3
-    return CheckResult(
-        "kinetic",
-        passed,
-        (
-            f"known invariants {worst_known:.2e} (<1e-9), "
-            f"spin on disk {w_disk:.2e} (<1e-10), on ellipse {w_ellipse:.2e} (>1e-3)"
-        ),
-    )
+    return [
+        _held("known invariants", max(max(table[name].values()) for name in known), 1e-9),
+        _held("spin on disk", w_disk, 1e-10),
+        _held("on ellipse", min(table["w"].values()), 1e-3, above=True),
+    ]
 
 
-def run_all(quick: bool = False) -> list[tuple[CheckResult, float]]:
-    """Run every check, each paired with its wall time in seconds; quick mode
-    scales sample counts down for a smoke pass."""
-    k = 10 if quick else 1
-    checks = (
-        lambda: check_frames(n=1000 // k),
-        lambda: check_geometry_oracle(n=200 // k),
-        lambda: check_identities(n=100 // k),
-        lambda: check_scattering(n=10000 // k),
-        lambda: check_disk_reduction(n=1000 // k),
-        lambda: check_dynamics(n_data=50 // k),
-        check_nonuniqueness,
-        lambda: check_kinetic(n=10000 // k),
-    )
+# One check per acceptance criterion, in the order `verify` prints them.
+CHECKS = (
+    check_frames,
+    check_geometry_oracle,
+    check_identities,
+    check_scattering,
+    check_disk_reduction,
+    check_dynamics,
+    check_non_uniqueness,
+    check_kinetic,
+)
+
+
+def name_of(check) -> str:
+    """The name a check's line prints: check_disk_reduction prints disk-reduction."""
+    return check.__name__.removeprefix("check_").replace("_", "-")
+
+
+def run(check) -> CheckResult:
+    """Run one check: it passes when every one of its terms does."""
+    terms = check()
+    return CheckResult(name_of(check), all(ok for ok, _ in terms),
+                       ", ".join(text for _, text in terms))
+
+
+def run_all() -> list[tuple[CheckResult, float]]:
+    """Run every check in CHECKS, each paired with its wall time in seconds."""
     out = []
-    for check in checks:
+    for check in CHECKS:
         t0 = time.perf_counter()
-        result = check()
+        result = run(check)
         out.append((result, time.perf_counter() - t0))
     return out

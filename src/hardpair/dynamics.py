@@ -61,6 +61,9 @@ _MAX_EVENTS = 10**6
 # The largest sample_dt grid a run builds, as T / sample_dt: each grid
 # point costs a state and a contact solve.
 _MAX_SAMPLES = 10**6
+# The bounds of divergence_report's all_conserve and distinct verdicts.
+LEDGER_BOUND = 1e-9
+DISTINCT_BOUND = 1e-6
 
 
 class SimulationError(RuntimeError):
@@ -465,12 +468,14 @@ def divergence_report(
 
     Reports, per family, the post-first-event velocity, final state and
     max_ledger_jump_rel, the relative_ledger_jump all_conserve holds below
-    1e-9; per pair, |W'_i - W'_j| / |W0| of the post-first-event W' = M V'
-    (velocity_divergence) and the sup-norm difference of the final states.
-    The families are distinct when every pairwise |W'_i - W'_j| / |W0|
-    exceeds 1e-6 (with one family there is no pair, the minimum is inf).  A
-    datum with no collision within T yields {"degenerate": True}.
+    LEDGER_BOUND; per pair, |W'_i - W'_j| / |W0| of the post-first-event
+    W' = M V' (velocity_divergence) and the sup-norm difference of the final
+    states.  The families are distinct when every pairwise |W'_i - W'_j| /
+    |W0| exceeds DISTINCT_BOUND, so it takes at least two families.  A datum
+    with no collision within T yields {"degenerate": True}.
     """
+    if len(families) < 2:
+        raise ValueError("families must list at least two families to compare")
     trajectories = [simulate(body, Z0, fam, T) for fam in families]
     if any(tr.n_events() == 0 for tr in trajectories):
         return {
@@ -497,14 +502,14 @@ def divergence_report(
     vel_diff = np.linalg.norm(W1[:, None] - W1[None, :], axis=-1)
     XV = np.array([np.concatenate([tr.final.X, tr.final.V]) for tr in trajectories])
     fin_diff = np.max(np.abs(XV[:, None] - XV[None, :]), axis=-1)
-    least = float(vel_diff[np.triu_indices(len(trajectories), 1)].min(initial=math.inf))
+    least = float(vel_diff[np.triu_indices(len(trajectories), 1)].min())
     return {
         "degenerate": False,
         "families": [tr.family_label for tr in trajectories],
         "per_family": per_family,
         "velocity_divergence": vel_diff,
         "final_state_divergence": fin_diff,
-        "all_conserve": bool(all(p["max_ledger_jump_rel"] < 1e-9 for p in per_family)),
+        "all_conserve": bool(all(p["max_ledger_jump_rel"] < LEDGER_BOUND for p in per_family)),
         "min_pairwise_velocity_divergence": least,
-        "distinct": least > 1e-6,
+        "distinct": least > DISTINCT_BOUND,
     }

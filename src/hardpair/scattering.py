@@ -128,7 +128,7 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     the relative configuration; a pair seeded in the lab would not be, since
     coordinate seeds break the rotation symmetry.
     """
-    if frames.orthonormality_residual().max() > 1e-8:
+    if not frames.orthonormality_residual().max() <= 1e-8:  # a NaN fails too
         raise ValueError(_NOT_ORTHONORMAL)
     cores = []
     for fam in families:
@@ -147,12 +147,12 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
 def _core(family: ScatteringFamily, frame: Frames) -> tuple[float, list]:
     """The family's core at one frame, on floats: (sign, rows) as in _cores.
 
-    The frame's six rows are checked for orthonormality first.
+    The frame's six rows are checked for orthonormality first; a NaN fails.
     """
     B = [v.tolist() for v in (frame.E1, frame.E2, frame.Ebeta, frame.nu, frame.F1, frame.F2)]
     for i, u in enumerate(B):
         for j in range(i, 6):
-            if abs(_dot(u, B[j]) - (i == j)) > 1e-8:
+            if not abs(_dot(u, B[j]) - (i == j)) <= 1e-8:
                 raise ValueError(_NOT_ORTHONORMAL)
     if family.variant == "reflection":
         return 1.0, [B[3]]

@@ -1,14 +1,15 @@
 """Acceptance gate: every advertised guarantee at its stated tolerance.
 
-Each test runs one check from the shared verification suite (the same code
-behind the `verify` subcommand) at full sample size and asserts its pass
-flag, so `pytest -v` prints one line per criterion.  The printed detail
-carries the measured numbers for the record.
+test_criterion takes one check of `_checks.CHECKS` (the suite behind the
+`verify` subcommand) per criterion, named as its `verify` line, and asserts
+its pass flag, so `pytest -v` prints one line per criterion.  The printed
+line carries each measured figure next to the bound it is held to.
 """
 
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,33 +32,36 @@ from hardpair.scattering import ScatteringFamily, audit_scattering, scatter_velo
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _run(result):
-    print(f"\n[{result.name}] {result.detail}")
+# a printed term: the figure, then the bound it is held to, as "2.2e-15 (<1e-10"
+_PRINTED_TERM = re.compile(r"(\S+) \(([<>])(\d+e-?\d+)")
+
+
+def _printed_verdicts(detail: str) -> list[bool]:
+    """Each printed figure judged against its printed bound."""
+    return [float(fig) < float(bound) if op == "<" else float(fig) > float(bound)
+            for fig, op, bound in _PRINTED_TERM.findall(detail)]
+
+
+@pytest.mark.parametrize("check", _checks.CHECKS, ids=_checks.name_of)
+def test_criterion(check, suite):
+    result = suite[_checks.name_of(check)]
+    print(f"\n{result.line()}")
     assert result.passed, result.detail
+    assert _printed_verdicts(result.detail) and all(_printed_verdicts(result.detail))
 
 
-def test_criterion_1_frame_orthonormality():
-    _run(_checks.check_frames(n=1000))
-
-
-def test_criterion_2_distance_against_oracle():
-    _run(_checks.check_geometry_oracle(n=200))
-
-
-def test_criterion_3_contact_identities():
-    _run(_checks.check_identities(n=100))
-
-
-def test_criterion_4_scattering_audit():
-    _run(_checks.check_scattering(n=10000))
-
-
-def test_criterion_5_disk_specular_exchange():
-    _run(_checks.check_disk_reduction(n=1000))
-
-
-def test_criterion_6_event_loop_fidelity():
-    _run(_checks.check_dynamics(n_data=50))
+def test_a_figure_past_its_printed_bound_fails_its_line(monkeypatch, capsys):
+    # scattering held its impulse route to 1e-10 but printed no bound: an
+    # impulse route off by 1e-9 must print past its bound, on a FAIL line
+    impulse_scatter = _checks.impulse_scatter
+    monkeypatch.setattr(_checks, "impulse_scatter", lambda *args: impulse_scatter(*args) + 1e-9)
+    monkeypatch.setattr(_checks, "CHECKS", (_checks.check_scattering,))
+    assert cli.run(["verify"]) == 2
+    line, summary = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL scattering: ") and "impulse 1.00e-09 (<1e-10)" in line
+    # only that figure is past its bound: involution ... KE, impulse, epsi
+    assert _printed_verdicts(line) == [True] * 5 + [False, True]
+    assert summary == "verification: 0/1 checks passed"
 
 
 def test_criterion_6_fails_on_a_missed_collision(monkeypatch):
@@ -72,7 +76,7 @@ def test_criterion_6_fails_on_a_missed_collision(monkeypatch):
         return tr._replace(events=[]) if len(runs) == 3 else tr
 
     monkeypatch.setattr(_checks, "simulate", missing_one)
-    result = _checks.check_dynamics(n_data=10)
+    result = _checks.run(_checks.check_dynamics)
     assert not result.passed and "1 data without a collision" in result.detail
 
 
@@ -93,7 +97,6 @@ def test_criterion_7_distinct_trajectories(tmp_path, capsys):
     assert rec["distinct"]
     assert len(rec["families"]) == 6
     assert out.exists() and len(out.read_text().splitlines()) == 7
-    _run(_checks.check_nonuniqueness())
 
 
 def test_nonuniq_config_is_the_frozen_datum():
@@ -106,10 +109,6 @@ def test_nonuniq_config_is_the_frozen_datum():
         {"family": "op", "line_field": {"kind": "constant", "phi": phi}}
         for phi in _checks.NONUNIQ_PHIS
     ]
-
-
-def test_criterion_8_invariant_battery():
-    _run(_checks.check_kinetic(n=10000))
 
 
 _AUDIT_FIGURES = ("involution", "linear_momentum_x", "linear_momentum_y",

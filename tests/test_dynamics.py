@@ -214,8 +214,17 @@ def test_divergence_report_on_shared_datum():
 
 def test_divergence_report_degenerate_when_no_collision():
     Z0 = make_state([0, 0, 9, 9, 0, 0], [0, 0, 0.01, 0.01, 0, 0])
-    rep = divergence_report(ELL, Z0, [REFL], 1.0)
+    rep = divergence_report(ELL, Z0, [REFL, ScatteringFamily.epsi()], 1.0)
     assert rep["degenerate"]
+
+
+@pytest.mark.parametrize("n_families", [0, 1])
+def test_divergence_report_needs_two_families(n_families):
+    # one family has no pair to compare: it read distinct with a minimum of
+    # inf, and no family died in a broadcast
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9], [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    with pytest.raises(ValueError, match="families"):
+        divergence_report(ELL, Z0, [REFL] * n_families, 6.0)
 
 
 def test_state_validation():

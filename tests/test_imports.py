@@ -1,6 +1,7 @@
 """Source hygiene: every name a hardpair module imports is read in it, every
-binding the benchmark's tracer wraps exists, and every dataclass checks its
-fields.
+binding the benchmark's tracer wraps exists, every dataclass checks its
+fields, and every check of the verification suite is in CHECKS, without
+parameters.
 
 A record whose fields go unchecked is a NamedTuple, which is cheaper to
 build and to define; a dataclass is kept only where __post_init__ checks.
@@ -12,9 +13,12 @@ module lists in __all__ are its exports and count as read.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from hardpair import _checks
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "hardpair").glob("*.py"))
@@ -96,3 +100,12 @@ def test_guard_sees_an_unchecked_dataclass():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_dataclass_checks_its_fields(path):
     assert unchecked_dataclasses(path.read_text(), path.stem) == []
+
+
+def test_every_check_is_in_the_suite_and_takes_nothing():
+    # a criterion defined outside CHECKS would run in neither verify nor the
+    # acceptance tests, and a size knob on a check would be a second suite
+    defined = [name for name, f in vars(_checks).items()
+               if name.startswith("check_") and inspect.isfunction(f)]
+    assert sorted(defined) == sorted(f.__name__ for f in _checks.CHECKS)
+    assert [f for f in _checks.CHECKS if inspect.signature(f).parameters] == []

@@ -171,6 +171,17 @@ def test_scattering_matrix_rejects_bad_frame():
     broken = fr._replace(nu=fr.nu * 1.5)
     with pytest.raises(ValueError):
         scattering_matrix(ScatteringFamily.reflection(), broken)
+    # a NaN residual passes a `> tol` guard; under op the map returned NaN,
+    # under reflection V went through the broken frame unchecked
+    fr = build_frame(ELL, Beta(0.3, 1.7, 0.9))
+    nan = fr._replace(F1=np.full(6, math.nan))
+    V = -fr.nu / DIAG
+    for fam in (ScatteringFamily.reflection(),
+                ScatteringFamily.orientation_preserving(LineField.constant(0.3))):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            scatter_velocity(fam, nan, V)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            audit_scattering([fam], nan, V[None, :])
 
 
 def test_op_family_depends_on_line_field():
@@ -372,6 +383,14 @@ def test_scatter_stack_rejects_bad_frame():
     broken = stack._replace(nu=nu)
     with pytest.raises(ValueError, match="not orthonormal"):
         scatter_stack(FAMILIES, broken, rng.standard_normal((5, 6)))
+    F1 = stack.F1.copy()
+    F1[3] = math.nan
+    nan = stack._replace(F1=F1)
+    V = rng.standard_normal((5, 6))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        scatter_stack(FAMILIES, nan, V)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        audit_scattering(FAMILIES, nan, V)
 
 
 FOURIER_OP = ScatteringFamily.orientation_preserving(
