@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hardpair.bodies import make_disk, make_ellipse, mass_weights
+from hardpair.bodies import make_ellipse, mass_weights
 from hardpair.geometry import (
     FD_STEP,
     Beta,
@@ -63,6 +63,8 @@ NONUNIQ_V0 = [0.0050130786, 0.124744358, 0.2336652212, 0.7169422611,
               -0.5278013393, -0.5216380153]
 NONUNIQ_T = 4.0
 NONUNIQ_PHIS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3)
+# The bodies the checks run on: the (2, 1) ellipse and the unit disk, the (1, 1) one.
+ELL, DISK = make_ellipse(2.0, 1.0), make_ellipse(1.0, 1.0)
 
 
 class CheckResult(NamedTuple):
@@ -104,7 +106,7 @@ def check_frames() -> list[tuple[bool, str]]:
     """Orthonormality of 1000 random frames and the dual Ebeta routes."""
     n, bound = 1000, 1e-10
     rng = np.random.default_rng(101)
-    shapes = [make_disk(1.0), make_ellipse(2.0, 1.0)]
+    shapes = [DISK, ELL]
     worst_orth = worst_dual = 0.0
     for k in range(n):
         shape = shapes[k % 2]
@@ -120,19 +122,17 @@ def check_geometry_oracle() -> list[tuple[bool, str]]:
     """Tangency solver versus the independent bisection oracle."""
     n, n_disk = 200, 50
     rng = np.random.default_rng(102)
-    ell = make_ellipse(2.0, 1.0)
     shape = ellipse_shape(2.0, 1.0)
-    disk = make_disk(1.0)
     worst = 0.0
     for _ in range(n):
         th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
-        d_fast = closest_approach(ell, th, ps).d
+        d_fast = closest_approach(ELL, th, ps).d
         d_slow = closest_approach_oracle(*shape, th, ps)
         worst = max(worst, abs(d_fast - d_slow))
     worst_disk = 0.0
     for _ in range(n_disk):
         th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
-        worst_disk = max(worst_disk, abs(closest_approach(disk, th, ps).d - 2.0))
+        worst_disk = max(worst_disk, abs(closest_approach(DISK, th, ps).d - 2.0))
     return [_held("ellipse |solver-oracle|", worst, 1e-6),
             _held("disk |d-2r|", worst_disk, 1e-10)]
 
@@ -146,15 +146,13 @@ def check_identities() -> list[tuple[bool, str]]:
     """
     n = 100
     rng = np.random.default_rng(103)
-    ell = make_ellipse(2.0, 1.0)
-    disk = make_disk(1.0)
     worst_e = worst_d = worst_fd = 0.0
     for _ in range(n):
         beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-        res = identity_residuals(ell, beta)
+        res = identity_residuals(ELL, beta)
         worst_e = max(worst_e, res["n_direction"], res["m_nu_gamma"])
         worst_fd = max(worst_fd, res["fd_derivative_gap"])
-        res = identity_residuals(disk, beta)
+        res = identity_residuals(DISK, beta)
         worst_d = max(worst_d, res["n_direction"], res["m_nu_gamma"])
     return [
         _held("ellipse collinearity", worst_e, 1e-5),
@@ -166,8 +164,7 @@ def check_identities() -> list[tuple[bool, str]]:
 def check_scattering() -> list[tuple[bool, str]]:
     """Involution, determinant, conservation, half-space flip, dual routes."""
     n, bound = 10000, 1e-10
-    ell = make_ellipse(2.0, 1.0)
-    m, J = ell.m, ell.J
+    m, J = ELL.m, ELL.J
     fams = [
         ScatteringFamily.reflection(),
         ScatteringFamily.epsi(),
@@ -175,7 +172,7 @@ def check_scattering() -> list[tuple[bool, str]]:
     ]
     want_sign = (-1, -1, 1)
     # V stays unflipped, so the flip check sees both half-spaces
-    frames, V, normal, pn, qn = next(sample_contacts(ell, n, 104, n))
+    frames, V, normal, pn, qn = next(sample_contacts(ELL, n, 104, n))
     Vp, reports = audit_scattering(fams, frames, V)
     flip_ok = all(r["half_space_flip_ok"] for r in reports)
     return [
@@ -198,9 +195,8 @@ def check_scattering() -> list[tuple[bool, str]]:
 def check_disk_reduction() -> list[tuple[bool, str]]:
     """Reflection on disks is the specular exchange; spins never change."""
     n, bound = 1000, 1e-12
-    disk = make_disk(1.0)
-    diag = mass_weights(disk.m, disk.J)
-    frames, V, *_ = next(sample_contacts(disk, n, 105, n))
+    diag = mass_weights(DISK.m, DISK.J)
+    frames, V, *_ = next(sample_contacts(DISK, n, 105, n))
     Vp = scatter_stack([ScatteringFamily.reflection()], frames, V * diag)[0] / diag
     nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
     k = np.sum((V[:, 0:2] - V[:, 2:4]) * nvec, axis=1)[:, None]
@@ -240,9 +236,8 @@ def colliding_ellipse_data(n: int, seed: int):
 def check_dynamics() -> list[tuple[bool, str]]:
     """Analytic collision time, conservation ledger, gap floor, reversibility."""
     n_data, n_reversals, tol = 50, 8, 1e-9
-    disk = make_disk(1.0)
     Z = make_state([0, 0, 4, 0, 0, 0], [1, 0, 0, 0, 0, 0])
-    t_star = next_collision_time(disk, Z, 10.0)
+    t_star = next_collision_time(DISK, Z, 10.0)
     t_err = abs(t_star - 2.0) if t_star is not None else math.inf
 
     ell, data = colliding_ellipse_data(n_data, 106)
@@ -272,8 +267,7 @@ def check_dynamics() -> list[tuple[bool, str]]:
 
 def check_non_uniqueness() -> list[tuple[bool, str]]:
     """Six families on the frozen datum: all conserve, all differ."""
-    rep = divergence_report(make_ellipse(2.0, 1.0), make_state(NONUNIQ_X0, NONUNIQ_V0),
-                            six_families(), NONUNIQ_T)
+    rep = divergence_report(ELL, make_state(NONUNIQ_X0, NONUNIQ_V0), six_families(), NONUNIQ_T)
     if rep["degenerate"]:
         return [(False, "degenerate datum")]
     least = rep["min_pairwise_velocity_divergence"]
@@ -287,18 +281,16 @@ def check_non_uniqueness() -> list[tuple[bool, str]]:
 def check_kinetic() -> list[tuple[bool, str]]:
     """Known invariants vanish under every family; bare spin only on disks."""
     n = 10000
-    ell = make_ellipse(2.0, 1.0)
-    disk = make_disk(1.0)
     fams = [
         ScatteringFamily.reflection(),
         ScatteringFamily.epsi(),
         ScatteringFamily.orientation_preserving(LineField.constant(0.0)),
         ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4)),
     ]
-    table = invariant_residual_table(ell, fams, standard_candidates(ell), n, 107)
+    table = invariant_residual_table(ELL, fams, standard_candidates(ELL), n, 107)
     known = ("1", "v_x", "v_y", "m|v|^2+Jw^2", "sin(theta)")
     w_disk = invariant_residual_table(
-        disk, [ScatteringFamily.reflection()], [angular_speed_candidate()], n, 107,
+        DISK, [ScatteringFamily.reflection()], [angular_speed_candidate()], n, 107,
     )["w"]["reflection"]
     return [
         _held("known invariants", max(max(table[name].values()) for name in known), 1e-9),

@@ -1,8 +1,9 @@
 """Contact kernel: the one normal-angle solve for a pair of congruent convex bodies.
 
 One root-find in the contact-normal angle, in scalar Python math.  Callers
-reach it through this module's bindings (`_kernel.ellipse_contact`,
-`_kernel.support_contact`), which tests and tracing replace in place.
+reach it through this module's bindings, which tests and tracing replace in
+place: `_kernel.ellipse_contact` for every ellipse, disks included, and
+`_kernel.support_contact` for a body given by its support series.
 
 Canonical configuration: body 1 sits at the origin with orientation 0, and
 body 2, congruent, is turned by theta and translated by d e(psi).  A body
@@ -35,14 +36,17 @@ _TWO_PI = 2.0 * math.pi
 
 
 def ellipse_support(a, b):
-    """Support function of the ellipse (a, b): h = sqrt(a^2 cos^2 + b^2 sin^2)."""
-    a2, b2 = a * a, b * b
-    a2b2 = a2 * b2
+    """Support function of the ellipse (a, b), a >= b: h = sqrt(b^2 + (a - b)(a + b) cos^2).
+
+    With rho = h (ab / h^2)^2, the (r, r) ellipse has h = rho = r and h' = 0 to the bit.
+    """
+    b2, ab, k = b * b, a * b, (a - b) * (a + b)
 
     def support(alpha):
         c, s = math.cos(alpha), math.sin(alpha)
-        h = math.sqrt(a2 * c * c + b2 * s * s)
-        return h, (b2 - a2) * s * c / h, a2b2 / (h * h * h)
+        h = math.sqrt(b2 + k * c * c)
+        t = ab / (h * h)
+        return h, -k * s * c / h, h * t * t
 
     return support
 

@@ -4,16 +4,17 @@ A body is described in its own frame with the centroid at the origin. It
 is its support function h, which is all the contact solve and the event
 search read, together with its unit-density mass properties (mass m = area,
 polar second moment J = integral of |y|^2 over the region) and the bound K
-on |h''|. Disks and ellipses get closed forms. Any other analytic convex
-body is given by a counterclockwise boundary map; make_implicit takes its
-mass data and the Fourier series of h from quadrature sums on the boundary
-and checks strict convexity by the sign of the curvature there.
+on |h''|. Ellipses get closed forms, and a disk is the (r, r) ellipse. Any
+other analytic convex body is given by a counterclockwise boundary map;
+make_implicit takes its mass data and the Fourier series of h from
+quadrature sums on the boundary and checks strict convexity by the sign of
+the curvature there.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,27 +35,25 @@ class Body(NamedTuple):
     """Immutable convex reference particle.
 
     Fields:
-        kind: "disk", "ellipse", or "implicit".
         m: mass (area at unit density), > 0.
         J: polar second moment about the centroid, > 0.
-        a, b: semi-axes for disk/ellipse kinds (a >= b; a = b = r for disks).
-            For implicit bodies a is an upper bound on the circumradius, so
-            the diameter 2a bounds D, and b the sampled inradius estimate.
+        a, b: the semi-axes of an ellipse, a >= b (a = b = r for a disk). A
+            body given by its support series has b None and a an upper bound
+            on the circumradius, so the diameter 2a bounds D.
         K: bound on |h''| = |rho - h| for the support function h (rho the
             radius of curvature at the support point), over all directions:
-            exact for disks and ellipses, sum k^2 (|h_k| + rounding) over
-            the Fourier coefficients h_k of h for implicit bodies. The
-            event search bounds how fast a separating slab can close under
-            rotation with it.
+            exact for ellipses, sum k^2 (|h_k| + rounding) over the Fourier
+            coefficients h_k of h for implicit bodies. The event search
+            bounds how fast a separating slab can close under rotation
+            with it.
         support: alpha -> (h, h', rho) at the body-frame direction e(alpha),
             the input of the contact solve.
     """
 
-    kind: str
     m: float
     J: float
     a: float
-    b: float
+    b: Optional[float]
     K: float
     support: Callable[[float], tuple[float, float, float]]
 
@@ -76,45 +75,16 @@ def mass_weights(m: float, J: float) -> np.ndarray:
     return np.array([rm, rm, rm, rm, rj, rj])
 
 
-def make_disk(r: float) -> Body:
-    """Disk of radius r: m = pi r^2, J = pi r^4 / 2.
-
-    A radius whose J overflows or underflows to 0 raises
-    BodyValidationError naming r.
-
-    Args:
-        r: radius, > 0.
-    """
-    if not (r > 0) or not math.isfinite(r):
-        raise BodyValidationError(f"disk radius must be positive, got {r}")
-    r = float(r)
-    try:
-        J = math.pi * r**4 / 2.0
-    except OverflowError:
-        J = math.inf
-    if not math.isfinite(J):
-        raise BodyValidationError(f"disk radius r={r} is too large: J overflows")
-    if J == 0.0:
-        raise BodyValidationError(f"disk radius r={r} is too small: J underflows to 0")
-    return Body(
-        kind="disk",
-        m=math.pi * r * r,
-        J=J,
-        a=r,
-        b=r,
-        K=0.0,
-        support=lambda alpha: (r, 0.0, r),
-    )
-
-
 def make_ellipse(a: float, b: float) -> Body:
     """Ellipse with semi-axes a >= b > 0: m = pi a b, J = pi a b (a^2+b^2)/4.
 
-    The boundary is parameterized s -> (a cos s, b sin s).  rho - h is
-    monotone in the support direction, from b^2/a - a on the major axis to
-    a^2/b - b on the minor axis, so K = a^2/b - b exactly.  Axes whose J or
-    K overflow, or whose a^2 b^2 (the support function's rho = a^2 b^2 /
-    h^3) underflows to 0, raise BodyValidationError naming the axis.
+    The disk of radius r is the (r, r) ellipse.  The boundary is
+    parameterized s -> (a cos s, b sin s).  rho - h is monotone in the
+    support direction, from b^2/a - a on the major axis to a^2/b - b on the
+    minor axis, so K = (a - b)(a + b)/b exactly, which is never negative and
+    0.0 for a disk.  Axes whose J or K overflow, or whose a^2 b^2 (the
+    support function's rho = a^2 b^2 / h^3) underflows to 0, raise
+    BodyValidationError naming the axis.
     """
     if not (b > 0) or not math.isfinite(a) or not math.isfinite(b):
         raise BodyValidationError(f"ellipse axes must be positive, got a={a}, b={b}")
@@ -122,13 +92,12 @@ def make_ellipse(a: float, b: float) -> Body:
         raise BodyValidationError(f"ellipse axes must satisfy a >= b, got a={a}, b={b}")
     a, b = float(a), float(b)
     J = math.pi * a * b * (a * a + b * b) / 4.0
-    K = a * a / b - b
+    K = (a - b) * (a + b) / b
     if not (math.isfinite(J) and math.isfinite(K)):
         raise BodyValidationError(f"ellipse axis a={a} is too large: J or K overflows")
     if a * a * b * b == 0.0:
         raise BodyValidationError(f"ellipse axis b={b} is too small: a*a*b*b underflows to 0")
     return Body(
-        kind="ellipse",
         m=math.pi * a * b,
         J=J,
         a=a,
@@ -247,11 +216,10 @@ def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
         )
     support, K, a = _fourier_support((x * dy - y * dx) / speed, np.arctan2(-dx, dy), dalpha)
     return Body(
-        kind="implicit",
         m=area,
         J=J,
         a=a,
-        b=float(np.min(np.hypot(x, y))),
+        b=None,
         K=K,
         support=support,
     )

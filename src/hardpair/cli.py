@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from hardpair import _checks
-from hardpair.bodies import Body, make_disk, make_ellipse
+from hardpair.bodies import Body, BodyValidationError, make_ellipse
 from hardpair.geometry import Beta, ConvergenceError, d_beta, identity_residuals
 from hardpair.frames import DegenerateFrameError, LineField, build_frame
 from hardpair.scattering import (
@@ -190,14 +190,16 @@ class _Fields:
                                         for field in unread))
 
 
-_BODIES = {"disk": (make_disk, ("r",)), "ellipse": (make_ellipse, ("a", "b"))}
-
-
 def body_from_config(cfg, path: str = "body") -> Body:
-    """{"kind": "disk", "r": r} or {"kind": "ellipse", "a": a, "b": b}."""
+    """{"kind": "ellipse", "a": a, "b": b} or {"kind": "disk", "r": r}, the (r, r) ellipse."""
     with _Fields(cfg, path) as f:
-        make, axes = _BODIES[f.take("kind", _choice(*_BODIES))]
-        return make(*[f.take(axis, _number) for axis in axes])
+        if f.take("kind", _choice("disk", "ellipse")) == "ellipse":
+            return make_ellipse(f.take("a", _number), f.take("b", _number))
+        r = f.take("r", _number)
+        try:
+            return make_ellipse(r, r)
+        except BodyValidationError as exc:  # named by r, not by the axes it sets
+            raise BodyValidationError(f"disk radius r={r} is refused: {exc}") from None
 
 
 def line_field_from_config(cfg, path: str = "line_field") -> LineField:

@@ -22,17 +22,19 @@ arithmetic. With lab-frame vectors and angles the identities read
 with cos(phi) = e(psi) . n = (1 + ((dD/dpsi)/d)^2)^(-1/2) and u-perp the
 counterclockwise rotation (-u2, u1).
 
-Every body, disks included, is solved the same way, on its support function:
-D is the least support-line distance of the pair, one root-find in the
-contact-normal angle alpha (_kernel), and the contact point, the normal and
-both partials follow from alpha in closed form, the partials by the envelope
-theorem.  Those partials satisfy the identities above by
-construction, so the identities are checked on an independent route:
-identity_residuals evaluates them with Richardson finite differences of D
-(d_derivatives), and its fd_derivative_gap compares the shipped partials
-against the same differences.  closest_approach_oracle checks D itself; it
-takes the shape as its own level function and boundary map, not a Body, so
-it never reads the support function the solve runs on.
+Every body is solved the same way, on its support function: D is the least
+support-line distance of the pair, one root-find in the contact-normal angle
+alpha (_kernel), entered through _kernel.ellipse_contact for an ellipse, the
+disk being the (r, r) one, and through _kernel.support_contact for a body
+given by its support series.  The contact point, the normal and both
+partials follow from alpha in closed form, the partials by the envelope
+theorem.  Those partials satisfy the identities above by construction, so
+the identities are checked on an independent route: identity_residuals
+evaluates them with Richardson finite differences of D (d_derivatives), and
+its fd_derivative_gap compares the shipped partials against the same
+differences.  closest_approach_oracle checks D itself; it takes the shape
+as its own level function and boundary map, not a Body, so it never reads
+the support function the solve runs on.
 """
 
 from __future__ import annotations
@@ -145,10 +147,8 @@ def _ellipse_oracle_fallback(body: Body, theta_rel: float, psi_rel: float) -> No
     or at its iteration cap, which no kernel sweep has reached; re-seeding
     mends neither.  The benchmark's tracer counts failures by this name.
     """
-    raise ConvergenceError(
-        f"contact solve failed at theta={theta_rel}, psi={psi_rel} "
-        f"for the {body.kind} body (a={body.a}, b={body.b})"
-    )
+    shape = f"({body.a}, {body.b}) ellipse" if body.b is not None else "support-series body"
+    raise ConvergenceError(f"contact solve failed at theta={theta_rel}, psi={psi_rel}, {shape}")
 
 
 def closest_approach(
@@ -180,7 +180,7 @@ def closest_approach(
     """
     warm = _seed is not None
     seed = _seed.s1 if warm else 0.0
-    if body.kind == "ellipse":
+    if body.b is not None:
         d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
             body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
         )

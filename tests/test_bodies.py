@@ -7,7 +7,6 @@ import pytest
 
 from hardpair.bodies import (
     BodyValidationError,
-    make_disk,
     make_ellipse,
     make_implicit,
     mass_weights,
@@ -26,7 +25,7 @@ def _circle(turns=1.0, sign=1.0, center=(0.0, 0.0)):
 
 def test_disk_mass_data():
     r = 1.3
-    disk = make_disk(r)
+    disk = make_ellipse(r, r)
     assert disk.m == pytest.approx(math.pi * r**2, rel=1e-14)
     assert disk.J == pytest.approx(math.pi * r**4 / 2.0, rel=1e-14)
     assert disk.a == disk.b == r
@@ -58,7 +57,7 @@ def test_support_curvature_bound():
     # of an ellipse, 0 for a disk, whose rho equals h everywhere
     assert make_ellipse(2.0, 1.0).K == 3.0
     assert make_ellipse(1.0, 0.05).K == pytest.approx(19.95, rel=1e-14)
-    assert make_disk(1.3).K == 0.0
+    assert make_ellipse(1.3, 1.3).K == 0.0
     a, b = 5.0, 1.0
     alpha = np.linspace(0.0, 2.0 * math.pi, 10001)
     h = np.sqrt((a * np.cos(alpha)) ** 2 + (b * np.sin(alpha)) ** 2)
@@ -66,10 +65,21 @@ def test_support_curvature_bound():
     assert np.max(np.abs(rho - h)) == pytest.approx(make_ellipse(a, b).K, rel=1e-12)
 
 
+def test_support_curvature_bound_is_never_negative():
+    # K = (a - b)(a + b)/b: a - b cannot round below 0 for a >= b, so K is
+    # exactly 0 on every circle, where a^2/b - b rounded below 0 on some
+    rng = np.random.default_rng(29)
+    radii = np.exp(rng.uniform(math.log(0.01), math.log(100.0), 10000)).tolist()
+    assert [r for r in radii + [1.6478106158273977] if make_ellipse(r, r).K != 0.0] == []
+    for r, u in zip(radii, rng.uniform(0.0, 1.0, len(radii)).tolist()):
+        for a in (math.nextafter(r, math.inf), r * (1.0 + 1e-15 * u), r * (1.0 + u)):
+            assert make_ellipse(a, r).K >= 0.0
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_disk_rejects_nonpositive_radius(bad):
     with pytest.raises(BodyValidationError):
-        make_disk(bad)
+        make_ellipse(bad, bad)
 
 
 def test_ellipse_rejects_swapped_axes():

@@ -12,6 +12,7 @@ import pytest
 # kernel-counting test patches its _kernel, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
 from hardpair import cli, geometry
+from hardpair.bodies import make_ellipse
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 X0 = [0.0, 0.0, 4.2, 0.3, 0.4, 1.9]
@@ -625,10 +626,12 @@ def test_out_of_range_ellipse_axis_exits_two(tmp_path, capsys, axes, field):
     assert f"axis {field}" in err
 
 
-@pytest.mark.parametrize("r,word", [(1e100, "large"), (1e-100, "small")])
+@pytest.mark.parametrize("r,word", [(1e100, "large"), (1e-100, "small"), (0.0, "positive"),
+                                    (-1.0, "positive")])
 def test_out_of_range_disk_radius_exits_two(tmp_path, capsys, r, word):
-    # a J that overflows or underflows to 0 is rejected with r named, before
-    # the scatter frame divides by it
+    # a J that overflows or underflows to 0, or a radius not above 0, is
+    # rejected with r named, not the axes of the (r, r) ellipse it sets,
+    # before the scatter frame divides by it
     cfg = _write(tmp_path, "scatter.json", _cfg("scatter", body={"kind": "disk", "r": r}, V=V0))
     assert cli.run(["scatter", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -646,6 +649,48 @@ def test_disk_body(tmp_path, capsys):
     assert cli.run(["geometry", "--body", no_r,
                     "--theta", "0.5", "--thetabar", "1.2", "--psi", "0.8"]) == 2
     assert "body.r " in capsys.readouterr().err
+
+
+def test_every_closed_form_solve_crosses_the_kernel_binding(tmp_path, monkeypatch):
+    # a disk is the (r, r) ellipse, so its solves go through the binding the
+    # benchmark's tracer counts, whether built directly or read from a config
+    calls = []
+    solve = geometry._kernel.ellipse_contact
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
+    for body in (make_ellipse(1.0, 1.0), cli.body_from_config({"kind": "disk", "r": 0.75})):
+        assert geometry.closest_approach(body, 0.5, 0.8).d == 2.0 * body.a
+    assert calls == [(1.0, 1.0), (0.75, 0.75)]
+
+
+def test_disk_and_unit_ellipse_write_the_same_records(tmp_path):
+    out = {}
+    for name, body in (("disk", {"kind": "disk", "r": 1.0}),
+                       ("ellipse", {"kind": "ellipse", "a": 1.0, "b": 1.0})):
+        path = _write(tmp_path, f"{name}.json", _cfg(
+            "simulate", body=body, Z0=[0, 0, 3, 0.2, 0, 0, 0.3, 0, -0.4, 0, 0.5, -0.2],
+            options={"sample_dt": 0.5}))
+        assert cli.run(["simulate", "--config", path, "--out", str(tmp_path / name),
+                        "--quiet"]) == 0
+        out[name] = [{k: v for k, v in json.loads(line).items() if k != "config_hash"}
+                     for line in (tmp_path / name).read_text().splitlines()]
+    assert sum(r["event"] for r in out["disk"]) >= 1
+    assert out["disk"] == out["ellipse"]
+
+
+def test_simulate_on_a_circle_whose_K_once_rounded_negative(tmp_path, capsys):
+    # at a = b = r, K = a^2/b - b rounded to -2.2e-16, and the event search's
+    # square root of it exited 2 with a math domain error
+    r = 1.6478106158273977
+    cfg = _write(tmp_path, "sim.json", _cfg(
+        "simulate", body={"kind": "ellipse", "a": r, "b": r},
+        Z0=[0, 0, 5, 0, 0, 0, 0, 0, -0.5, 0, 0.3, 0.2], T=10.0))
+    assert cli.run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out)["n_events"] == 1
 
 
 def test_overlapping_start_exits_three(tmp_path, capsys):

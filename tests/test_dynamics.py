@@ -12,7 +12,7 @@ import pytest
 # _MAX_SAMPLES and _resample, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
 from hardpair import _checks, dynamics, geometry
-from hardpair.bodies import make_disk, make_ellipse, make_implicit
+from hardpair.bodies import make_ellipse, make_implicit
 from hardpair.frames import LineField, nu_hat
 from hardpair.geometry import Beta, closest_approach, e_of, ellipse_shape, wrap_angle
 from hardpair.scattering import ScatteringFamily
@@ -30,7 +30,7 @@ from hardpair.dynamics import (
 )
 from frame_helpers import normal_projection
 
-DISK = make_disk(1.0)
+DISK = make_ellipse(1.0, 1.0)
 ELL = make_ellipse(2.0, 1.0)
 REFL = ScatteringFamily.reflection()
 SIX_FAMILIES = [ScatteringFamily.reflection(), ScatteringFamily.epsi()] + [

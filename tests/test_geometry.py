@@ -9,7 +9,7 @@ import pytest
 # later fresh import of hardpair (the benchmark's tests make one) leaves it
 # alone, so a patch on it reaches the code under test
 from hardpair import geometry
-from hardpair.bodies import make_disk, make_ellipse, make_implicit
+from hardpair.bodies import make_ellipse, make_implicit
 from hardpair.geometry import (
     Beta,
     closest_approach,
@@ -48,7 +48,7 @@ def test_axis_aligned_closed_forms():
 
 
 def test_disk_distance_is_two_radii_exactly():
-    disk = make_disk(0.8)
+    disk = make_ellipse(0.8, 0.8)
     rng = np.random.default_rng(3)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (50, 2)):
         c = closest_approach(disk, theta, psi)
@@ -311,7 +311,7 @@ def test_cold_solve_matches_dense_support_minimum(ratio, monkeypatch):
 
 
 def test_disk_derivatives_are_exact_zeros():
-    disk = make_disk(0.8)
+    disk = make_ellipse(0.8, 0.8)
     rng = np.random.default_rng(13)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (10, 2)):
         c = closest_approach(disk, theta, psi, derivatives=True)
@@ -319,10 +319,11 @@ def test_disk_derivatives_are_exact_zeros():
 
 
 def test_disk_contact_cold_and_warm():
-    # a disk's support function is the constant r, so G = 2r sin(alpha - psi):
+    # the (r, r) ellipse's support function is the constant r to the bit, so
+    # G = 2r sin(alpha - psi):
     # a cold solve stops at alpha = psi on its first step, and a solve warm
     # from a nearby pose reaches it to rounding
-    disk = make_disk(0.8)
+    disk = make_ellipse(0.8, 0.8)
     rng = np.random.default_rng(19)
     for theta, psi, dth, dps in rng.uniform(-0.3, 0.3, (50, 4)) * [20, 20, 1, 1]:
         cold = closest_approach(disk, theta, psi, derivatives=True)
@@ -407,7 +408,7 @@ def test_oracle_ends_below_the_float_spacing_of_d():
 
 @pytest.mark.parametrize("body,n_poses,derivatives", [
     *((make_ellipse(ratio, 1.0), 300, True) for ratio in (1.25, 2.0, 5.0, 20.0)),
-    (make_disk(0.8), 300, True),
+    (make_ellipse(0.8, 0.8), 300, True),
     (_implicit_ellipse(), 300, True),
 ], ids=["ratio1.25", "ratio2", "ratio5", "ratio20", "disk", "implicit"])
 def test_lab_record_is_the_canonical_record_turned(body, n_poses, derivatives):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardpair.bodies import make_disk, make_ellipse, mass_weights
+from hardpair.bodies import make_ellipse, mass_weights
 from hardpair.frames import LineField, build_frame
 from hardpair.geometry import Beta
 from hardpair.scattering import ScatteringFamily, scattering_matrix
@@ -22,7 +22,7 @@ from hardpair.kinetic import (
 )
 
 ELL = make_ellipse(2.0, 1.0)
-DISK = make_disk(1.0)
+DISK = make_ellipse(1.0, 1.0)
 FAMILIES = [
     ScatteringFamily.reflection(),
     ScatteringFamily.epsi(),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hardpair.bodies import make_disk, make_ellipse, mass_weights
+from hardpair.bodies import make_ellipse, mass_weights
 from hardpair.cli import family_from_config
 from hardpair.geometry import Beta, d_beta, e_of
 from hardpair.frames import LineField, build_frame, build_frames
@@ -24,7 +24,7 @@ from hardpair.scattering import (
 from frame_helpers import block_rotation, line_field_vector, normal_projection, one_row
 
 ELL = make_ellipse(2.0, 1.0)
-DISK = make_disk(1.0)
+DISK = make_ellipse(1.0, 1.0)
 DIAG = mass_weights(ELL.m, ELL.J)
 
 FAMILIES = [
