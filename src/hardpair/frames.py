@@ -11,12 +11,10 @@ conservation triple.  The leftover two-plane carries an orthonormal pair
 (F1, F2), and a line field picks one undirected direction from that plane
 per relative configuration.
 
-The pair (F1, F2) is built in the canonical gauge: Ebeta and nu are turned
-back by -theta to the pose with theta = 0, the complement is taken there,
-and the pair is turned to the lab by the block rotation.  Coordinate seeds
-break the rotation symmetry, so a pair seeded in the lab would not be a
-function of the relative configuration; the transported pair is, and a line
-field's angle picks the same physical direction at every global rotation.
+The pair (F1, F2) is seeded with the first body's axes.  Seeds fixed in
+the lab would break the rotation symmetry; seeds that turn with the body
+make the pair a function of the relative configuration, so a line field's
+angle picks the same physical direction at every global rotation.
 One frame (build_frame) runs on Python floats; a stack of frames
 (build_frames) runs the same construction as array code.  Both return
 Frames, one frame being the unbatched case.  sample_contacts
@@ -44,16 +42,17 @@ E2_HAT.setflags(write=False)
 _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 
-# Complement seeds, tried in order; a projected seed survives if its norm
-# stays above this floor.  The first two are the canonical choices; the
-# others are deterministic reserves for symmetric configurations where
-# canonical seeds fall inside the spanned subspace (head-on disk contact
-# kills both translational seeds at once).  Rows, in order: e_x, e_omega,
-# e_y, e_omegabar.  e_xbar_x and e_xbar_y are left out: E1 and E2 lie in
-# the base, so P e_xbar_x = -P e_x and P e_xbar_y = -P e_y; each clears the
-# floor only where its partner does, and once the partner is taken its
-# remainder is zero.  With E1 and E2 the four seeds span R^6, so their
-# projections span the complement plane.
+# Complement seeds in the first body's axes, tried in order; each is turned
+# with the first body and projected onto the lab complement, and a projected
+# seed survives if its norm stays above this floor.  The first two are the
+# usual choices; the others are deterministic reserves for symmetric
+# configurations where the first two fall inside the spanned subspace
+# (head-on disk contact kills both translational seeds at once).  Rows, in
+# order: e_x, e_omega, e_y, e_omegabar.  e_xbar_x and e_xbar_y are left out:
+# E1 and E2 lie in the base, so P e_xbar_x = -P e_x and P e_xbar_y = -P e_y;
+# each clears the floor only where its partner does, and once the partner is
+# taken its remainder is zero.  With E1 and E2 the four seeds span R^6, so
+# their projections span the complement plane.
 _COMPLEMENT_SEEDS = np.eye(6)[[0, 4, 1, 5]]
 _COMPLEMENT_SEEDS.setflags(write=False)
 _SEED_NORM_FLOOR = 1e-6
@@ -100,19 +99,6 @@ class Frames(NamedTuple):
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """Relative angles (thetabar - theta, psi - theta) mod 2pi, as Beta.reduced."""
         return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
-
-
-def rotate_blocks(X: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Row i of X (shape (N, 6)) turned by the angle phi[i].
-
-    A rotation of the plane turns both translational pairs, as complex
-    numbers x + iy, and leaves the spins alone; it commutes with the mass
-    weighting.
-    """
-    out = X.copy()
-    z = out[:, 0:4].view(np.complex128)
-    z *= np.exp(1j * phi)[:, None]
-    return out
 
 
 def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
@@ -181,27 +167,35 @@ def e_beta_gram_schmidt(psi: float, d: float, m: float, J: float) -> np.ndarray:
 
 
 def complement_basis(
-    E1: np.ndarray, E2: np.ndarray, Ebeta: np.ndarray, nu: np.ndarray
+    E1: np.ndarray, E2: np.ndarray, Ebeta: np.ndarray, nu: np.ndarray, theta
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal basis (F1, F2) of span{E1,E2,Ebeta,nu}^perp.
 
-    Takes one frame's vectors (shape (6,)) or N frames' (shape (N, 6); a
-    shared vector may stay (6,)); F1 and F2 have the broadcast shape.  The
-    seeds e_x, e_omega (then e_y, e_omegabar as reserves) are projected in
-    order onto the complement by
-    P = I - B^T B, B the four given rows; per frame, the first two whose
-    projections survive with norm > 1e-6 are kept and orthonormalized.  A
-    fixed seed order makes the output a pure function of the inputs.  The
-    spanned two-plane (the projector F1 F1^T + F2 F2^T) does not depend on
-    the seed order.  One frame runs on Python floats, a stack as array code;
-    the two agree to rounding.
+    Takes one frame's vectors (shape (6,)) and the first body's angle theta,
+    or N frames' (shape (N, 6); a shared vector may stay (6,)) and angles
+    (shape (N,)); F1 and F2 have the broadcast shape of the vectors.  The
+    seeds are the first body's axes: e_x, e_omega (then e_y, e_omegabar as
+    reserves), turned by theta, are projected in order onto the complement
+    by P = I - B^T B, B the four given rows; per frame, the first two whose
+    projections survive with norm > 1e-6 are kept and orthonormalized.  So
+    the output is a pure function of the inputs, and turning the vectors
+    and theta together turns the pair with them.  The spanned two-plane
+    (the projector F1 F1^T + F2 F2^T) does not depend on the seeds.  One
+    frame runs on Python floats, a stack as array code; the two agree to
+    rounding.
     """
     if np.ndim(E1) == np.ndim(E2) == np.ndim(Ebeta) == np.ndim(nu) == 1:
-        return _complement_one(E1, E2, Ebeta, nu)
+        return _complement_one(theta, E1, E2, Ebeta, nu)
     base = _rows(E1, E2, Ebeta, nu)
     P = _EYE6 - base.transpose(0, 2, 1) @ base
-    # row k of U[i] is P[i] applied to seed k (P is symmetric)
-    U = np.asarray(_COMPLEMENT_SEEDS, dtype=float) @ P
+    # A seed s turned by theta is cos(theta) A + sin(theta) B + C, with A its
+    # translational part, B that part turned a quarter and C its spin part.
+    S = np.asarray(_COMPLEMENT_SEEDS, dtype=float)
+    A = S * (1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+    B = S[:, [1, 0, 3, 2, 4, 5]] * (-1.0, 1.0, -1.0, 1.0, 0.0, 0.0)
+    c, s = np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
+    # row k of U[i] is P[i] applied to turned seed k (P is symmetric)
+    U = (c * A + s * B + (S - A)) @ P
     rows = np.arange(len(P))
     F1, k1 = _surviving_seed(U, P, rows, -1)
     U -= (U @ F1[:, :, None]) * F1[:, None, :]
@@ -243,9 +237,10 @@ def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
 
 
-def _complement_one(*vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _complement_one(theta: float, *vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """complement_basis at one frame, on floats: the same seeds, floor and passes."""
     b0, b1, b2, b3 = (np.asarray(v, dtype=float).tolist() for v in vecs)
+    ct, st = math.cos(theta), math.sin(theta)
     found = []
 
     def project(u):
@@ -258,8 +253,9 @@ def _complement_one(*vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             u = [x - c * y for x, y in zip(u, f)]
         return u
 
-    for seed in np.asarray(_COMPLEMENT_SEEDS, dtype=float).tolist():
-        u = project(seed)
+    for x, y, xb, yb, w, wb in np.asarray(_COMPLEMENT_SEEDS, dtype=float).tolist():
+        u = project([ct * x - st * y, st * x + ct * y, ct * xb - st * yb, st * xb + ct * yb,
+                     w, wb])
         if not math.sqrt(_dot(u, u)) > _SEED_NORM_FLOOR:
             continue
         # second projection pass, as in _surviving_seed
@@ -304,22 +300,30 @@ class LineField:
     coeffs: tuple[tuple[float, float, float, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "fourier"):
+        if self.kind == "constant":
+            if self.coeffs != ():
+                raise ValueError("a constant line field takes no coeffs")
+            object.__setattr__(self, "phi", _finite(self.phi, "phi"))
+        elif self.kind == "fourier":
+            if self.phi != 0.0:
+                raise ValueError("a fourier line field takes no phi")
+            if not isinstance(self.coeffs, (list, tuple)) or any(
+                    not isinstance(row, (list, tuple)) or len(row) != 4 for row in self.coeffs):
+                raise ValueError("fourier coeffs must be rows (k1, k2, cos_coeff, sin_coeff)")
+            object.__setattr__(self, "coeffs", tuple(
+                (_wave_number(k1, f"coeffs[{i}][0]"), _wave_number(k2, f"coeffs[{i}][1]"),
+                 _finite(c, "coeffs"), _finite(s, "coeffs"))
+                for i, (k1, k2, c, s) in enumerate(self.coeffs)))
+        else:
             raise ValueError(f"unknown line field kind {self.kind!r}")
 
     @staticmethod
     def constant(phi: float) -> "LineField":
-        return LineField("constant", phi=_finite(phi, "phi"))
+        return LineField("constant", phi=phi)
 
     @staticmethod
     def fourier(coeffs) -> "LineField":
-        if not isinstance(coeffs, (list, tuple)) or any(
-                not isinstance(row, (list, tuple)) or len(row) != 4 for row in coeffs):
-            raise ValueError("fourier coeffs must be rows (k1, k2, cos_coeff, sin_coeff)")
-        return LineField("fourier", coeffs=tuple(
-            (_wave_number(k1, f"coeffs[{i}][0]"), _wave_number(k2, f"coeffs[{i}][1]"),
-             _finite(c, "coeffs"), _finite(s, "coeffs"))
-            for i, (k1, k2, c, s) in enumerate(coeffs)))
+        return LineField("fourier", coeffs=coeffs)
 
     def angle(self, theta_rel, psi_rel):
         """The angle at one relative configuration (floats), or at arrays of them."""
@@ -347,14 +351,13 @@ def build_frames(
 ) -> Frames:
     """Frames at N poses from their angles, separations d and normals nu.
 
-    Ebeta comes in closed form and the complement pair, in the canonical
-    gauge, from one stacked complement_basis call.
+    Ebeta comes in closed form and the complement pair, seeded with each
+    pose's first-body axes, from one stacked complement_basis call.
     """
     eb = e_beta(psi, d, m, J)
-    F1, F2 = complement_basis(E1_HAT, E2_HAT, rotate_blocks(eb, -theta), rotate_blocks(nu, -theta))
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu, theta)
     return Frames(
-        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu,
-        F1=rotate_blocks(F1, theta), F2=rotate_blocks(F2, theta),
+        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=F1, F2=F2,
         theta=theta, thetabar=thetabar, psi=psi, d=d, m=m, J=J,
     )
 
@@ -388,28 +391,21 @@ def sample_contacts(body: Body, n_samples: int, seed: int, block: int):
         )
 
 
-def _turn(v: np.ndarray, c: float, s: float) -> np.ndarray:
-    """One 6-vector turned by the block rotation of the angle with cosine c, sine s."""
-    x, y, xb, yb, w, wb = v.tolist()
-    return np.array((c * x - s * y, s * x + c * y, c * xb - s * yb, s * xb + c * yb, w, wb))
-
-
 def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frames:
     """The frame at one contact configuration: Frames with vectors of shape (6,).
 
     Solves the tangency problem for the contact data at beta (unless
     contact, the lab-frame contact data at beta, is given), then builds nu,
-    Ebeta and the complement pair in the canonical gauge, as build_frames
-    does on N poses, on floats.  Mass data comes from the body.
+    Ebeta and the complement pair seeded with the first body's axes, as
+    build_frames does on N poses, on floats.  Mass data comes from the body.
     """
     if contact is None:
         contact = d_beta(body, beta)
     m, J = body.m, body.J
     nu = nu_hat(contact, m, J)
     eb = e_beta(beta.psi, contact.d, m, J)
-    c, s = math.cos(beta.theta), math.sin(beta.theta)
-    F1, F2 = complement_basis(E1_HAT, E2_HAT, _turn(eb, c, -s), _turn(nu, c, -s))
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu, beta.theta)
     return Frames(
-        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=_turn(F1, c, s), F2=_turn(F2, c, s),
+        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=F1, F2=F2,
         theta=beta.theta, thetabar=beta.thetabar, psi=beta.psi, d=contact.d, m=m, J=J,
     )

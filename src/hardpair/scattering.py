@@ -78,8 +78,10 @@ class ScatteringFamily:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown scattering variant {self.variant!r}")
-        if self.variant == "op" and self.line_field is None:
-            raise ValueError("orientation-preserving family requires a line field")
+        if self.variant == "op" and not isinstance(self.line_field, LineField):
+            raise ValueError(f"the op family requires a LineField, got {self.line_field!r}")
+        if self.variant != "op" and self.line_field is not None:
+            raise ValueError(f"the {self.variant} family takes no line field")
 
     @staticmethod
     def reflection() -> "ScatteringFamily":
@@ -121,12 +123,11 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
 
     The 'op' line field is a function of the reduced relative configuration
     (thetabar - theta, psi - theta) alone, and its angle phi picks
-    cos(phi) F1 + sin(phi) F2.  The frames carry (F1, F2) in the canonical
-    gauge: built in the rotated-back configuration (theta = 0) and
-    transported to the lab by the block rotation.  That transport is what
+    cos(phi) F1 + sin(phi) F2.  The frames seed (F1, F2) with the first
+    body's axes, so the pair turns with the configuration.  That is what
     makes the assembled map rotation covariant, i.e. a genuine function of
-    the relative configuration; a pair seeded in the lab would not be, since
-    coordinate seeds break the rotation symmetry.
+    the relative configuration; a pair seeded with axes fixed in the lab
+    would not be, since such seeds break the rotation symmetry.
     """
     if not frames.orthonormality_residual().max() <= 1e-8:  # a NaN fails too
         raise ValueError(_NOT_ORTHONORMAL)

@@ -3,9 +3,9 @@
 block_rotation writes the plane rotation out as a 6x6 matrix,
 line_field_vector reads a line field's direction off one frame, and
 normal_projection gives V.(M nu) as its own array product; the program
-itself turns vectors with frames.rotate_blocks, builds the line-field
-direction inside the op family's core and takes V.(M nu) inside
-scattering.scatter_velocity.
+itself turns only the complement seeds, inside frames.complement_basis,
+builds the line-field direction inside the op family's core and takes
+V.(M nu) inside scattering.scatter_velocity.
 """
 
 import math
@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from hardpair.bodies import mass_weights
-from hardpair.frames import rotate_blocks
 
 # The fields of Frames that hold one entry per pose.
 PER_POSE = ("Ebeta", "nu", "F1", "F2", "theta", "thetabar", "psi", "d")
@@ -25,8 +24,11 @@ def block_rotation(phi: float) -> np.ndarray:
     This is how a rotation of the plane acts on 6-vectors (v, vbar, w, wbar).
     It commutes with the mass weighting.
     """
-    # rotate_blocks turns the rows of I into the columns of the rotation
-    return rotate_blocks(np.eye(6), np.full(6, phi)).T
+    c, s = math.cos(phi), math.sin(phi)
+    turn = np.array([[c, -s], [s, c]])
+    R = np.eye(6)
+    R[0:2, 0:2] = R[2:4, 2:4] = turn
+    return R
 
 
 def line_field_vector(frame, lf, theta_rel: float, psi_rel: float) -> np.ndarray:

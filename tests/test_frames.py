@@ -25,7 +25,6 @@ from hardpair.frames import (
     e_beta,
     e_beta_gram_schmidt,
     nu_hat,
-    rotate_blocks,
 )
 from frame_helpers import block_rotation, line_field_vector
 
@@ -109,7 +108,7 @@ def test_conserved_directions_orthogonal_to_nu():
 def test_complement_basis_is_orthonormal_completion():
     rng = np.random.default_rng(25)
     fr = build_frame(ELL, Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)))
-    F1, F2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu)
+    F1, F2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu, fr.theta)
     B = np.stack([fr.E1, fr.E2, fr.Ebeta, fr.nu, F1, F2])
     assert np.max(np.abs(B @ B.T - np.eye(6))) < 1e-12
 
@@ -118,7 +117,7 @@ def test_complement_basis_spans_fixed_plane():
     # different survivor seeds can only rotate the pair inside one 2-plane;
     # the projector onto their span is seed-order independent
     fr = build_frame(DISK, Beta(0.0, 0.0, 0.0))
-    F1, F2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu)
+    F1, F2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu, fr.theta)
     P = np.outer(F1, F1) + np.outer(F2, F2)
     base = np.stack([fr.E1, fr.E2, fr.Ebeta, fr.nu])
     expect = np.eye(6) - base.T @ base
@@ -127,15 +126,17 @@ def test_complement_basis_spans_fixed_plane():
 
 def test_complement_basis_exhausts_seeds(monkeypatch):
     # the reserve seeds make this unreachable from orthonormal input; force
-    # the guard by shrinking the seed list to vectors inside the base span
+    # the guard by shrinking the seed list to e_x and e_y, which turned by
+    # any theta stay inside the base span
     eye = np.eye(6)
     monkeypatch.setattr(frames_mod, "_COMPLEMENT_SEEDS",
                         (tuple(eye[0]), tuple(eye[1])))
-    with pytest.raises(DegenerateFrameError):
-        complement_basis(eye[0], eye[1], eye[2], eye[3])
-    # the same guard on the stacked path
-    with pytest.raises(DegenerateFrameError):
-        complement_basis(eye[0], eye[1], eye[2][None], eye[3][None])
+    for theta in (0.0, 0.7):
+        with pytest.raises(DegenerateFrameError):
+            complement_basis(eye[0], eye[1], eye[2], eye[3], theta)
+        # the same guard on the stacked path
+        with pytest.raises(DegenerateFrameError):
+            complement_basis(eye[0], eye[1], eye[2][None], eye[3][None], np.array([theta]))
 
 
 def test_block_rotation_orthogonal_and_angle_additive():
@@ -209,13 +210,14 @@ def test_module_basis_vectors_are_frozen():
     assert np.allclose(E2_HAT * math.sqrt(2.0), [0, 1, 0, 1, 0, 0])
 
 
-def _reference_complement(E1, E2, Ebeta, nu):
-    # the per-vector construction: sequential Gram-Schmidt of each seed in
-    # order, kept when it survives the 1e-6 floor, then a second pass
+def _reference_complement(E1, E2, Ebeta, nu, theta):
+    # the per-vector construction: sequential Gram-Schmidt of each seed,
+    # turned by theta with the 6x6 rotation, in order, kept when it
+    # survives the 1e-6 floor, then a second pass
     base = (E1, E2, Ebeta, nu)
     found = []
     for seed in np.eye(6)[[0, 2, 4, 1, 3, 5]]:
-        u = seed
+        u = block_rotation(theta) @ seed
         for b in list(base) + found:
             u = u - (u @ b) * b
         nrm = np.linalg.norm(u)
@@ -240,12 +242,13 @@ def test_stacked_complement_matches_per_pose():
     frames.append(build_frame(DISK, Beta(0.0, 0.0, 0.0)))
     Eb = np.array([fr.Ebeta for fr in frames])
     nu = np.array([fr.nu for fr in frames])
-    F1, F2 = complement_basis(E1_HAT, E2_HAT, Eb, nu)
+    theta = np.array([fr.theta for fr in frames])
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, Eb, nu, theta)
     assert F1.shape == F2.shape == (401, 6)
     for i, fr in enumerate(frames):
-        g1, g2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu)
+        g1, g2 = complement_basis(fr.E1, fr.E2, fr.Ebeta, fr.nu, fr.theta)
         assert g1.shape == g2.shape == (6,)
-        r1, r2 = _reference_complement(fr.E1, fr.E2, fr.Ebeta, fr.nu)
+        r1, r2 = _reference_complement(fr.E1, fr.E2, fr.Ebeta, fr.nu, fr.theta)
         for got, want in ((F1[i], g1), (F2[i], g2), (F1[i], r1), (F2[i], r2)):
             assert np.max(np.abs(got - want)) <= 1e-14, i
     # the disk pose took a reserve seed: F1 starts from e_omega
@@ -254,36 +257,44 @@ def test_stacked_complement_matches_per_pose():
 
 def test_stacked_complement_exhausted_seeds_raise(monkeypatch):
     # e_x and e_omega cover the random poses but not the head-on disk
-    # pose; one degenerate row fails the whole stack
+    # pose, turned or not, where e_x turned with the first body dies; one
+    # degenerate row fails the whole stack
     rng = np.random.default_rng(27)
     frames = [build_frame(ELL, Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)))
               for _ in range(3)]
-    frames.append(build_frame(DISK, Beta(0.0, 0.0, 0.0)))
+    frames += [build_frame(DISK, Beta(phi, phi, phi)) for phi in (0.0, 1.1)]
     eye = np.eye(6)
     monkeypatch.setattr(frames_mod, "_COMPLEMENT_SEEDS", (tuple(eye[0]), tuple(eye[4])))
     Eb = np.array([fr.Ebeta for fr in frames])
     nu = np.array([fr.nu for fr in frames])
-    complement_basis(E1_HAT, E2_HAT, Eb[:3], nu[:3])
-    with pytest.raises(DegenerateFrameError):
-        complement_basis(E1_HAT, E2_HAT, Eb, nu)
+    theta = np.array([fr.theta for fr in frames])
+    complement_basis(E1_HAT, E2_HAT, Eb[:3], nu[:3], theta[:3])
     # the same seeds one frame at a time, on the float path
-    complement_basis(E1_HAT, E2_HAT, Eb[0], nu[0])
-    with pytest.raises(DegenerateFrameError):
-        complement_basis(E1_HAT, E2_HAT, Eb[3], nu[3])
+    complement_basis(E1_HAT, E2_HAT, Eb[0], nu[0], theta[0])
+    for i in (3, 4):
+        rows = [0, 1, 2, i]
+        with pytest.raises(DegenerateFrameError):
+            complement_basis(E1_HAT, E2_HAT, Eb[rows], nu[rows], theta[rows])
+        with pytest.raises(DegenerateFrameError):
+            complement_basis(E1_HAT, E2_HAT, Eb[i], nu[i], theta[i])
+
+
+def _frames_both_paths(body, betas):
+    # build_frame at each pose, and build_frames over all of them
+    contacts = [d_beta(body, b) for b in betas]
+    stack = build_frames(
+        np.array([b.theta for b in betas]), np.array([b.thetabar for b in betas]),
+        np.array([b.psi for b in betas]), np.array([c.d for c in contacts]),
+        np.array([nu_hat(c, body.m, body.J) for c in contacts]), body.m, body.J)
+    return [build_frame(body, b, c) for b, c in zip(betas, contacts)], stack
 
 
 def test_build_frames_matches_build_frame():
     rng = np.random.default_rng(28)
     betas = [Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(40)]
-    contacts = [d_beta(ELL, b) for b in betas]
-    nu = np.array([nu_hat(c, ELL.m, ELL.J) for c in contacts])
-    stack = build_frames(
-        np.array([b.theta for b in betas]), np.array([b.thetabar for b in betas]),
-        np.array([b.psi for b in betas]), np.array([c.d for c in contacts]),
-        nu, ELL.m, ELL.J)
+    frames, stack = _frames_both_paths(ELL, betas)
     assert np.max(stack.orthonormality_residual()) < 1e-12
-    for i, (b, c) in enumerate(zip(betas, contacts)):
-        fr = build_frame(ELL, b, c)
+    for i, (b, fr) in enumerate(zip(betas, frames)):
         # one frame is the unbatched Frames: (6,) vectors, floats, the same mass data
         assert fr.Ebeta.shape == (6,) and isinstance(fr.d, float) and fr.psi == b.psi
         assert (fr.m, fr.J) == (stack.m, stack.J) == (ELL.m, ELL.J)
@@ -294,25 +305,46 @@ def test_build_frames_matches_build_frame():
 
 
 def test_build_frame_pair_turns_with_the_pose():
-    # the complement pair is built in the canonical gauge, so turning the
-    # whole configuration turns the pair by the block rotation
+    # the complement seeds are the first body's axes, so turning the whole
+    # configuration turns the pair by the block rotation; on both paths, at
+    # generic ellipse poses and at the head-on disk pose Beta(phi, phi, phi),
+    # where the first seed dies and a reserve is used
     rng = np.random.default_rng(31)
-    for _ in range(100):
-        beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
-        shift = rng.uniform(0.0, 2.0 * math.pi)
-        fr0, fr1 = build_frame(ELL, beta), build_frame(ELL, beta.shifted(shift))
-        R = block_rotation(shift)
-        for name in ("F1", "F2"):
-            assert np.max(np.abs(getattr(fr1, name) - R @ getattr(fr0, name))) < 1e-12
+    cases = [
+        (ELL, [Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(100)],
+         rng.uniform(0.0, 2.0 * math.pi, 100)),
+        (DISK, [Beta(0.0, 0.0, 0.0)] * 5, [0.3, math.pi / 2, 2.0, math.pi, 5.1]),
+    ]
+    for body, betas, shifts in cases:
+        one0, stack0 = _frames_both_paths(body, betas)
+        one1, stack1 = _frames_both_paths(body, [b.shifted(s) for b, s in zip(betas, shifts)])
+        for i, shift in enumerate(shifts):
+            R = block_rotation(shift)
+            for name in ("F1", "F2"):
+                one = getattr(one1[i], name) - R @ getattr(one0[i], name)
+                stacked = getattr(stack1, name)[i] - R @ getattr(stack0, name)[i]
+                assert max(np.max(np.abs(one)), np.max(np.abs(stacked))) < 1e-12
+    # e_x turned with the first body died at the head-on disk pose, so F1
+    # comes from e_omega
+    assert min(abs(fr.F1[4]) for fr in one1) > 0.5 and np.min(np.abs(stack1.F1[:, 4])) > 0.5
 
 
-def test_rotate_blocks_matches_block_rotation():
-    rng = np.random.default_rng(29)
-    X = rng.standard_normal((5, 6))
-    phi = rng.uniform(0.0, 2.0 * math.pi, 5)
-    out = rotate_blocks(X, phi)
-    for i in range(5):
-        assert np.max(np.abs(out[i] - block_rotation(phi[i]) @ X[i])) < 1e-15
+def test_builders_go_through_the_complement_binding(monkeypatch):
+    # the benchmark counts complements at frames.complement_basis; a builder
+    # that bypassed that binding would drop the count to zero unnoticed
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return complement_basis(*args)
+
+    monkeypatch.setattr(frames_mod, "complement_basis", counting)
+    fr = build_frame(ELL, Beta(0.2, 1.1, 2.3))
+    assert len(calls) == 1
+    build_frames(
+        np.array([fr.theta] * 3), np.array([fr.thetabar] * 3), np.array([fr.psi] * 3),
+        np.array([fr.d] * 3), np.array([fr.nu] * 3), fr.m, fr.J)
+    assert len(calls) == 2
 
 
 def test_line_field_angle_on_arrays():

@@ -1,6 +1,7 @@
 """Scattering matrices: algebra, conservation, and the physical routes."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -214,6 +215,21 @@ def test_family_from_config():
         family_from_config({"family": "bounce"})
     with pytest.raises(ValueError):
         family_from_config({"family": "op"})
+
+
+@pytest.mark.parametrize("make,message", [
+    # a NaN angle made scatter_velocity return an all-NaN V' with no error
+    (lambda: LineField("constant", phi=math.nan), "line field phi"),
+    # a half-integer wave number: the angle is no function on the torus
+    (lambda: LineField("fourier", coeffs=((0.5, 0, 1.0, 0.0),)), "coeffs[0][0]"),
+    (lambda: LineField("constant", phi=1.0, coeffs=((1, 0, 5.0, 0.0),)), "takes no coeffs"),
+    (lambda: ScatteringFamily("reflection", LineField.constant(1.0)), "takes no line field"),
+    (lambda: ScatteringFamily("op", line_field=0.5), "requires a LineField"),
+], ids=["nan-phi", "half-wave-number", "constant-with-coeffs", "reflection-with-field",
+        "op-with-number"])
+def test_records_check_their_fields_on_direct_construction(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def _one_frame_samples(rng, n=200, s=1.0):
