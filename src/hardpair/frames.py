@@ -18,8 +18,10 @@ angle picks the same physical direction at every global rotation.
 One frame (build_frame) runs on Python floats; a stack of frames
 (build_frames) runs the same construction as array code.  Both return
 Frames, one frame being the unbatched case.  sample_contacts
-draws random contact poses and builds their frames; the invariant probe and
-the verification checks read their samples from it.
+draws random contact poses in blocks and builds their frames: per block,
+one d_beta call on arrays of angles gives the contact data as arrays, and
+one nu_hat call the normals.  The invariant probe and the verification
+checks read their samples from it.
 """
 
 from __future__ import annotations
@@ -109,14 +111,19 @@ def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
     fixed, V . (-n, n, -p_perp.n, q_perp.n) is the rate at which the slab
     between the bodies opens, so the rate of change of the gap under
     velocity V is proportional to V.(M nu) and V.(M nu) < 0 characterizes
-    approaching (pre-collisional) states.
+    approaching (pre-collisional) states.  One contact gives shape (6,), a
+    record of N contacts shape (N, 6).
     """
-    nx, ny = contact.n.tolist()
     pn, qn = contact.p_perp_n(), contact.q_perp_n()
     lam = 2.0 / m + (pn * pn + qn * qn) / J
-    tm = 1.0 / math.sqrt(m * lam)
-    tj = 1.0 / math.sqrt(J * lam)
-    return np.array((-nx * tm, -ny * tm, nx * tm, ny * tm, -pn * tj, qn * tj))
+    if isinstance(contact.d, float):
+        nx, ny = contact.n.tolist()
+        tm = 1.0 / math.sqrt(m * lam)
+        tj = 1.0 / math.sqrt(J * lam)
+        return np.array((-nx * tm, -ny * tm, nx * tm, ny * tm, -pn * tj, qn * tj))
+    n = contact.n * (1.0 / np.sqrt(m * lam))[:, None]
+    tj = 1.0 / np.sqrt(J * lam)
+    return np.concatenate((-n, n, (-pn * tj)[:, None], (qn * tj)[:, None]), axis=1)
 
 
 def angular_momentum_vector(psi, d, m: float, J: float) -> np.ndarray:
@@ -368,26 +375,25 @@ def sample_contacts(body: Body, n_samples: int, seed: int, block: int):
     Two streams are spawned from seed.  The first draws the angles beta
     uniform on [0, 2pi)^3 as a (k, 3) array per block, the second a
     standard-normal (k, 6) array W; both consume their stream row by row,
-    so the samples do not depend on block.  Each pose takes one contact
-    solve (d_beta).  Yields per block (frames, W, n, pn, qn): the frames at
-    the poses, W, and the contact data the frames come from, the normal n
-    (shape (k, 2)), p_perp.n and q_perp.n (shape (k,)).
+    so the samples do not depend on block.  Each block takes one d_beta
+    call on its k poses (one kernel solve per pose inside it) and one
+    nu_hat call on the record it returns.  Yields per block (frames, W, n,
+    pn, qn): the frames at the poses, W, and the contact data the frames
+    come from, the normal n (shape (k, 2)), p_perp.n and q_perp.n (shape
+    (k,)).
     """
     beta_rng, w_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     m, J = body.m, body.J
     for start in range(0, n_samples, block):
         k = min(block, n_samples - start)
-        angles = beta_rng.uniform(0.0, TWO_PI, (k, 3))
-        contacts = [d_beta(body, Beta(*row)) for row in angles.tolist()]
-        d = np.array([c.d for c in contacts])
-        nu = np.array([nu_hat(c, m, J) for c in contacts])
-        theta, thetabar, psi = angles.T
+        theta, thetabar, psi = beta_rng.uniform(0.0, TWO_PI, (k, 3)).T
+        c = d_beta(body, Beta(theta, thetabar, psi))
         yield (
-            build_frames(theta, thetabar, psi, d, nu, m, J),
+            build_frames(theta, thetabar, psi, c.d, nu_hat(c, m, J), m, J),
             w_rng.standard_normal((k, 6)),
-            np.array([c.n for c in contacts]),
-            np.array([c.p_perp_n() for c in contacts]),
-            np.array([c.q_perp_n() for c in contacts]),
+            c.n,
+            c.p_perp_n(),
+            c.q_perp_n(),
         )
 
 

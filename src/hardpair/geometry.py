@@ -13,7 +13,9 @@ the first body), and the partial derivatives of D, which tie the contact
 scalars to the gap-function gradient. The record is built once per solve,
 already in the lab frame: closest_approach solves in the canonical pose and
 writes p, q and n turned by the first body's orientation, in scalar
-arithmetic. With lab-frame vectors and angles the identities read
+arithmetic.  d_beta at a Beta of (N,) angle arrays makes the same cold
+solve at each pose and writes one record of arrays with the same
+arithmetic as array code. With lab-frame vectors and angles the identities read
 
     n  is parallel to  e(psi) - ((dD/dpsi)/d) e(psi)-perp
     p-perp . n = -(dD/dtheta + dD/dpsi) cos(phi)
@@ -39,6 +41,7 @@ the support function the solve runs on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -85,8 +88,9 @@ class Beta:
     """Collision configuration angles (theta, thetabar, psi), each in [0, 2pi).
 
     theta and thetabar are the body orientations; psi is the direction angle
-    of the center line from body 1 to body 2.  A non-finite angle raises
-    ValueError naming it.
+    of the center line from body 1 to body 2.  Each field is a float, or
+    all three are arrays of one shape (N,) holding N poses.  A non-finite
+    angle, or arrays of other shapes, raise ValueError naming the field.
     """
 
     theta: float
@@ -95,14 +99,30 @@ class Beta:
 
     def __post_init__(self):
         angles = (("theta", self.theta), ("thetabar", self.thetabar), ("psi", self.psi))
+        if (isinstance(self.theta, np.ndarray) or isinstance(self.thetabar, np.ndarray)
+                or isinstance(self.psi, np.ndarray)):
+            shape = np.shape(self.theta)
+            for name, value in angles:
+                value = np.asarray(value, dtype=float)
+                if value.ndim != 1 or value.shape != shape:
+                    raise ValueError(f"angle {name} has shape {value.shape}; the angles "
+                                     f"must be floats or arrays of one shape (N,)")
+                bad = np.flatnonzero(~np.isfinite(value))
+                if bad.size:
+                    raise ValueError(f"angle {name} must be finite, "
+                                     f"got {float(value[bad[0]])!r} at index {bad[0]}")
+                object.__setattr__(self, name, value % TWO_PI)
+            return
         for name, value in angles:
             if not math.isfinite(value):
                 raise ValueError(f"angle {name} must be finite, got {value!r}")
             object.__setattr__(self, name, wrap_angle(value))
 
     def reduced(self) -> tuple[float, float]:
-        """Relative angles (thetabar - theta, psi - theta) mod 2pi."""
-        return (wrap_angle(self.thetabar - self.theta), wrap_angle(self.psi - self.theta))
+        """Relative angles (thetabar - theta, psi - theta) mod 2pi: floats, or (N,) arrays."""
+        if isinstance(self.theta, float):
+            return (wrap_angle(self.thetabar - self.theta), wrap_angle(self.psi - self.theta))
+        return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
 
     def shifted(self, phi: float) -> "Beta":
         """Globally rotated configuration beta + (phi, phi, phi)."""
@@ -110,7 +130,7 @@ class Beta:
 
 
 class ContactData(NamedTuple):
-    """Geometric payload of a tangent configuration.
+    """Geometric payload of a tangent configuration, or of N of them.
 
     d is the center separation, p/q the contact point from each body's
     center, n the unit contact normal outward from body 1 (p, q and n in the
@@ -119,7 +139,9 @@ class ContactData(NamedTuple):
     body's frame, so n = e(theta + s1) and -n = e(thetabar + s2) in the lab.
     dD_dtheta and dD_dpsi are the partial derivatives of D at the reduced
     angles, from the envelope theorem on the normal-angle solve; they are
-    None unless the contact was requested with derivatives.
+    None unless the contact was requested with derivatives.  One contact has
+    float scalars and vectors of shape (2,); N contacts (d_beta at a Beta of
+    arrays) have scalars of shape (N,) and vectors of shape (N, 2).
     """
 
     d: float
@@ -132,12 +154,23 @@ class ContactData(NamedTuple):
     dD_dpsi: Optional[float] = None
 
     def p_perp_n(self) -> float:
-        (px, py), (nx, ny) = self.p.tolist(), self.n.tolist()
-        return px * ny - py * nx
+        """p_perp . n: a float for one contact, shape (N,) for N."""
+        if isinstance(self.d, float):
+            (px, py), (nx, ny) = self.p.tolist(), self.n.tolist()
+            return px * ny - py * nx
+        return _cross(self.p, self.n)
 
     def q_perp_n(self) -> float:
-        (qx, qy), (nx, ny) = self.q.tolist(), self.n.tolist()
-        return qx * ny - qy * nx
+        """q_perp . n: a float for one contact, shape (N,) for N."""
+        if isinstance(self.d, float):
+            (qx, qy), (nx, ny) = self.q.tolist(), self.n.tolist()
+            return qx * ny - qy * nx
+        return _cross(self.q, self.n)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_perp . v = u1 v2 - u2 v1 over the last axis."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _ellipse_oracle_fallback(body: Body, theta_rel: float, psi_rel: float) -> None:
@@ -289,10 +322,51 @@ def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
 
     The solve runs at the reduced angles (thetabar - theta, psi - theta);
     p, q and n come back turned by the first body's orientation. d and the
-    D-derivatives are rotation invariants.
+    D-derivatives are rotation invariants.  A Beta of (N,) arrays gives
+    one record of N contacts (see ContactData): one cold kernel solve per
+    pose, the rest array code.
     """
     th_rel, ps_rel = beta.reduced()
-    return closest_approach(body, th_rel, ps_rel, theta=beta.theta, derivatives=derivatives)
+    if isinstance(th_rel, float):
+        return closest_approach(body, th_rel, ps_rel, theta=beta.theta, derivatives=derivatives)
+    return _contacts(body, th_rel, ps_rel, beta.theta, derivatives)
+
+
+def _contacts(body: Body, th_rel: np.ndarray, ps_rel: np.ndarray, theta: np.ndarray,
+              derivatives: bool) -> ContactData:
+    """closest_approach at N poses, cold, as one record of arrays.
+
+    Each pose takes one kernel solve through the same binding and one
+    support evaluation at its normal angle; p, q, n, s1 and s2 then follow
+    as array expressions in the order of closest_approach's arithmetic.
+    """
+    if body.b is not None:
+        solve = functools.partial(_kernel.ellipse_contact, body.a, body.b)
+    else:
+        solve = functools.partial(_kernel.support_contact, body.support)
+    support = body.support
+    rows = []
+    for th, ps in zip(th_rel.tolist(), ps_rel.tolist()):
+        d, alpha, d_th, d_ps, ok = solve(th, ps)
+        if not ok:
+            _ellipse_oracle_fallback(body, th, ps)
+        h, dh, _ = support(alpha)
+        rows.append((d, alpha, d_th, d_ps, h, dh))
+    d, alpha, d_th, d_ps, h, dh = np.array(rows).reshape(-1, 6).T
+    nx, ny = np.cos(alpha), np.sin(alpha)
+    px, py = h * nx - dh * ny, h * ny + dh * nx
+    qx, qy = px - d * np.cos(ps_rel), py - d * np.sin(ps_rel)
+    c, s = np.cos(theta), np.sin(theta)
+    return ContactData(
+        d=d,
+        p=np.stack((c * px - s * py, s * px + c * py), axis=-1),
+        q=np.stack((c * qx - s * qy, s * qx + c * qy), axis=-1),
+        n=np.stack((c * nx - s * ny, s * nx + c * ny), axis=-1),
+        s1=alpha % TWO_PI,
+        s2=(alpha + math.pi - th_rel) % TWO_PI,
+        dD_dtheta=d_th if derivatives else None,
+        dD_dpsi=d_ps if derivatives else None,
+    )
 
 
 def d_derivatives(

@@ -20,12 +20,14 @@ rounding error.
 Sampler.  Every probe reads one sample stream, frames.sample_contacts in
 blocks of at most _BLOCK samples.  It draws the angles beta (uniform on
 [0, 2pi)^3) and W (standard normal in mass-weighted coordinates) as arrays
-from two streams spawned from the seed, and makes one contact solve per
-pose.  The probe sends W to -W wherever W.nu > 0; the normal law is
-symmetric, so W has the law conditioned on W.nu < 0 (W.nu = 0 has
-probability zero), and V = M^-1 W.  Everything after the contact solves runs
-on arrays over the block: the frames (frames.build_frames), every family's
-map (scattering.scatter_stack) and every candidate.  The streams are read
+from two streams spawned from the seed, and makes one contact call per
+block (geometry.d_beta on the block's angle arrays, one kernel solve per
+pose inside it).  The probe sends W to -W wherever W.nu > 0; the normal law
+is symmetric, so W has the law conditioned on W.nu < 0 (W.nu = 0 has
+probability zero), and V = M^-1 W.  Everything else runs on arrays over the
+block: the contact record, the frames (frames.build_frames), every family's
+map (scattering.scatter_stack) and every candidate, which is evaluated once
+on V and all the families' V' stacked.  The streams are read
 row by row, so a seed gives the same samples whatever the families,
 candidates or block size.
 
@@ -148,14 +150,13 @@ def _worst_defects(
     diag = mass_weights(body.m, body.J)
     worst = np.zeros((len(cands), len(families)))
     for frames, W in _sample_blocks(body, n_samples, seed):
-        V = W / diag
-        Vp = scatter_stack(families, frames, W) / diag
-        th = np.broadcast_to(frames.theta, Vp.shape[:-1])
-        thb = np.broadcast_to(frames.thetabar, Vp.shape[:-1])
+        # block 0 holds V, block 1 + f family f's V'
+        V = np.concatenate((W[None], scatter_stack(families, frames, W))) / diag
+        th = np.broadcast_to(frames.theta, V.shape[:-1])
+        thb = np.broadcast_to(frames.thetabar, V.shape[:-1])
         for c, cand in enumerate(cands):
-            before = cand.pair_sum(V, frames.theta, frames.thetabar)
-            after = cand.pair_sum(Vp, th, thb)
-            worst[c] = np.maximum(worst[c], np.max(np.abs(after - before), axis=1))
+            s = cand.pair_sum(V, th, thb)
+            worst[c] = np.maximum(worst[c], np.max(np.abs(s[1:] - s[0]), axis=1))
     return worst
 
 

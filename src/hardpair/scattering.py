@@ -46,6 +46,7 @@ from hardpair.frames import (  # noqa: F401
     Frames,
     LineField,
     _dot,
+    _rows,
     complement_basis,
 )
 
@@ -131,15 +132,16 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     """
     if not frames.orthonormality_residual().max() <= 1e-8:  # a NaN fails too
         raise ValueError(_NOT_ORTHONORMAL)
+    # arrays even for one frame, so that a line field's angle takes the array path
+    rel = tuple(map(np.asarray, frames.reduced()))
     cores = []
     for fam in families:
         if fam.variant == "reflection":
             cores.append((1.0, frames.nu[..., None, :]))
         elif fam.variant == "epsi":
-            cores.append((-1.0, frames.basis()[..., 0:3, :]))
+            cores.append((-1.0, _rows(frames.E1, frames.E2, frames.Ebeta)))
         else:
-            # arrays even for one frame, so that its angle takes the array path
-            phi = fam.line_field.angle(*map(np.asarray, frames.reduced()))[..., None]
+            phi = fam.line_field.angle(*rel)[..., None]
             fhat = np.cos(phi) * frames.F1 + np.sin(phi) * frames.F2
             cores.append((1.0, np.stack([frames.nu, fhat], axis=-2)))
     return cores
@@ -325,7 +327,7 @@ def audit_scattering(
     W = V * diag
     w2 = np.sum(W * W, axis=-1)
     speed = np.sqrt(w2)
-    conserved = frames.basis()[..., 0:3, :]  # rows E1, E2, Ebeta
+    conserved = _rows(frames.E1, frames.E2, frames.Ebeta)
     pre = np.sum(W * frames.nu, axis=-1)
     grazing = is_grazing(pre, speed)
     flip = ~grazing

@@ -10,6 +10,7 @@ import pytest
 # seeds from; a later fresh import of hardpair (the benchmark's tests make
 # one) leaves it alone
 import hardpair.frames as frames_mod
+import hardpair.geometry as geometry_mod
 from hardpair.bodies import make_ellipse, mass_weights
 from hardpair.cli import line_field_from_config
 from hardpair.geometry import Beta, d_beta, e_of, perp
@@ -358,3 +359,26 @@ def test_line_field_angle_on_arrays():
     const = LineField.constant(0.6 + math.pi).angle(th, ps)
     assert const.shape == (7,)
     assert np.max(np.abs(const - 0.6)) < 1e-12
+
+
+def test_sample_stream_makes_one_contact_call_per_block(monkeypatch):
+    # the benchmark's tracer counts contacts at the frames.d_beta binding and
+    # kernel solves at _kernel.ellipse_contact; a stream that bypassed either
+    # binding would silently zero a per-layer count
+    contacts, solves = [], []
+    d_beta_, solve = frames_mod.d_beta, geometry_mod._kernel.ellipse_contact
+
+    def counted_d_beta(*args, **kwargs):
+        contacts.append(len(args[1].theta))
+        return d_beta_(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        solves.append((args[4] if len(args) > 4 else kwargs.get("seed", 0.0),
+                       args[7] if len(args) > 7 else kwargs.get("use_seed", False)))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(frames_mod, "d_beta", counted_d_beta)
+    monkeypatch.setattr(geometry_mod._kernel, "ellipse_contact", counted_solve)
+    blocks = list(frames_mod.sample_contacts(ELL, 600, 31, 256))
+    assert [len(W) for _, W, *_ in blocks] == contacts == [256, 256, 88]
+    assert solves == [(0.0, False)] * 600

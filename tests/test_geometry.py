@@ -10,8 +10,10 @@ import pytest
 # alone, so a patch on it reaches the code under test
 from hardpair import geometry
 from hardpair.bodies import make_ellipse, make_implicit
+from hardpair.frames import nu_hat
 from hardpair.geometry import (
     Beta,
+    ConvergenceError,
     closest_approach,
     closest_approach_oracle,
     d_beta,
@@ -425,6 +427,65 @@ def test_lab_record_is_the_canonical_record_turned(body, n_poses, derivatives):
             assert np.max(np.abs(got - R @ want)) <= 1e-14
         assert (lab.d, lab.s1, lab.s2, lab.dD_dtheta, lab.dD_dpsi) == (
             canon.d, canon.s1, canon.s2, canon.dD_dtheta, canon.dD_dpsi)
+
+
+@pytest.mark.parametrize("body", [
+    ELL, make_ellipse(20.0, 1.0), make_ellipse(0.8, 0.8), make_implicit(_polar_shape()[1]),
+], ids=["ratio2", "ratio20", "disk", "implicit"])
+def test_block_record_matches_the_one_pose_record(body):
+    # d_beta at a Beta of arrays builds its record as array code; every
+    # field, and every scalar read from it, must be the one-pose record's,
+    # row by row (lengths over the diameter, angles mod 2pi)
+    rng = np.random.default_rng(29)
+    angles = rng.uniform(0.0, 2.0 * math.pi, (200, 3))
+    block = d_beta(body, Beta(*angles.T), derivatives=True)
+    one = [d_beta(body, Beta(*row), derivatives=True) for row in angles]
+    diam = body.diameter
+
+    def gap(got, want, scale=1.0):
+        want = np.array(want)
+        assert np.shape(got) == want.shape
+        return np.max(np.abs(got - want)) / scale
+
+    for field in ("d", "p", "q", "dD_dtheta", "dD_dpsi"):
+        assert gap(getattr(block, field), [getattr(c, field) for c in one], diam) <= 1e-14
+    assert gap(block.n, [c.n for c in one]) <= 1e-14
+    for field in ("s1", "s2"):
+        turn = getattr(block, field) - np.array([getattr(c, field) for c in one])
+        assert np.max(np.abs(np.remainder(turn + math.pi, 2.0 * math.pi) - math.pi)) <= 1e-14
+    assert gap(block.p_perp_n(), [c.p_perp_n() for c in one], diam) <= 1e-14
+    assert gap(block.q_perp_n(), [c.q_perp_n() for c in one], diam) <= 1e-14
+    assert gap(nu_hat(block, body.m, body.J), [nu_hat(c, body.m, body.J) for c in one]) <= 1e-14
+
+
+def test_a_failed_solve_in_a_block_names_its_pose(monkeypatch):
+    # a kernel solve that reports ok = False inside a block raises the
+    # one-pose path's ConvergenceError, naming that pose's relative angles
+    rng = np.random.default_rng(30)
+    angles = rng.uniform(0.0, 2.0 * math.pi, (5, 3))
+    th_rel, ps_rel = Beta(*angles.T).reduced()
+    bad = (float(th_rel[3]), float(ps_rel[3]))
+    solve = geometry._kernel.ellipse_contact
+
+    def failing(a, b, theta, psi, *args, **kwargs):
+        out = solve(a, b, theta, psi, *args, **kwargs)
+        return out[:4] + (False,) if (theta, psi) == bad else out
+
+    monkeypatch.setattr(geometry._kernel, "ellipse_contact", failing)
+    with pytest.raises(ConvergenceError) as in_block:
+        d_beta(ELL, Beta(*angles.T))
+    with pytest.raises(ConvergenceError) as alone:
+        d_beta(ELL, Beta(*angles[3]))
+    assert str(in_block.value) == str(alone.value)
+    assert f"theta={bad[0]}, psi={bad[1]}" in str(in_block.value)
+
+
+def test_beta_arrays_name_the_bad_field():
+    good = np.array([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match=r"angle thetabar must be finite, got nan at index 1"):
+        Beta(good, np.array([0.0, math.nan, 1.0]), good)
+    with pytest.raises(ValueError, match=r"angle psi has shape \(4,\)"):
+        Beta(good, good, np.zeros(4))
 
 
 def test_beta_reduced_and_shifted():
