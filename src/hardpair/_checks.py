@@ -21,9 +21,7 @@ from hardpair.geometry import (
     FD_STEP,
     Beta,
     closest_approach,
-    closest_approach_oracle,
     e_of,
-    ellipse_shape,
     identity_residuals,
 )
 from hardpair.frames import (
@@ -80,8 +78,8 @@ class CheckResult(NamedTuple):
 
 
 def _bound(bound: float) -> str:
-    """A bound as the lines print it: 1e-6, not 1e-06."""
-    return f"{bound:.0e}".replace("e-0", "e-")
+    """A bound as the lines print it: 1e-6, not 1e-06, and 0, not 0e+00."""
+    return f"{bound:.0e}".replace("e-0", "e-") if bound else "0"
 
 
 def _held(label: str, figure: float, bound: float, note: str = "", *,
@@ -118,23 +116,75 @@ def check_frames() -> list[tuple[bool, str]]:
     return [_held("orthonormality", worst_orth, bound), _held("dual-route", worst_dual, bound)]
 
 
+# The golden ratio's conjugate, the step of the golden-section search on lambda.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def perram_wertheim_distance(a: float, b: float, theta_rel: float, psi_rel: float) -> float:
+    """D(theta_rel, psi_rel) of the congruent (a, b) ellipse pair, from the
+    contact function of Perram and Wertheim (J. Comput. Phys. 58, 409, 1985).
+
+    With A^-1 = diag(a^2, b^2) and B^-1 the same matrix turned by theta_rel,
+    F(lam) = lam (1 - lam) r^T C^-1 r, C = (1 - lam) A^-1 + lam B^-1, is
+    concave on [0, 1], and the pair at center offset r touches when its
+    maximum is 1.  F is quadratic in r, so D = 1 / sqrt(max F at r = e(psi_rel)).
+    C^-1 is the 2x2 adjugate over the determinant: the adjugate is linear in
+    C, and det C = a^2 b^2 + lam (1 - lam) (a^2 - b^2)^2 sin^2 theta_rel, so
+    both are sums of positive terms.  The route reads the ellipse's matrix,
+    never its support function, so it stays independent of the contact
+    solve.  Golden section narrows the bracket on lam to 1e-9.
+    """
+    a2, b2 = a * a, b * b
+    # e^T adj(A^-1) e and e^T adj(B^-1) e, e = e(psi_rel)
+    g1 = b2 * math.cos(psi_rel) ** 2 + a2 * math.sin(psi_rel) ** 2
+    g2 = b2 * math.cos(psi_rel - theta_rel) ** 2 + a2 * math.sin(psi_rel - theta_rel) ** 2
+    k = ((a2 - b2) * math.sin(theta_rel)) ** 2
+
+    def F(lam: float) -> float:
+        mu = 1.0 - lam
+        return lam * mu * (mu * g1 + lam * g2) / (a2 * b2 + lam * mu * k)
+
+    lo, hi = 0.0, 1.0
+    x1, x2 = hi - _GOLDEN, lo + _GOLDEN
+    f1, f2 = F(x1), F(x2)
+    while hi - lo > 1e-9:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = F(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = F(x1)
+    return 1.0 / math.sqrt(max(f1, f2))
+
+
+def pw_solver_gap(body, poses) -> float:
+    """The largest |solver D - Perram-Wertheim D| over the diameter, at the
+    (theta_rel, psi_rel) rows of poses, for an ellipse body."""
+    gaps = (closest_approach(body, th, ps).d - perram_wertheim_distance(body.a, body.b, th, ps)
+            for th, ps in poses.tolist())
+    return max(map(abs, gaps)) / body.diameter
+
+
+def pw_margin(body, X) -> float:
+    """(center distance - Perram-Wertheim D) over the diameter at the
+    configuration X of an ellipse pair: 0 at contact, > 0 when apart."""
+    x, y, xb, yb, theta, thetabar = X.tolist()
+    d_pw = perram_wertheim_distance(body.a, body.b, thetabar - theta,
+                                    math.atan2(yb - y, xb - x) - theta)
+    return (math.hypot(xb - x, yb - y) - d_pw) / body.diameter
+
+
 def check_geometry_oracle() -> list[tuple[bool, str]]:
-    """Tangency solver versus the independent bisection oracle."""
-    n, n_disk = 200, 50
+    """Tangency solver versus Perram and Wertheim's contact function."""
     rng = np.random.default_rng(102)
-    shape = ellipse_shape(2.0, 1.0)
-    worst = 0.0
-    for _ in range(n):
-        th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
-        d_fast = closest_approach(ELL, th, ps).d
-        d_slow = closest_approach_oracle(*shape, th, ps)
-        worst = max(worst, abs(d_fast - d_slow))
-    worst_disk = 0.0
-    for _ in range(n_disk):
-        th, ps = rng.uniform(0.0, 2.0 * math.pi, 2)
-        worst_disk = max(worst_disk, abs(closest_approach(DISK, th, ps).d - 2.0))
-    return [_held("ellipse |solver-oracle|", worst, 1e-6),
-            _held("disk |d-2r|", worst_disk, 1e-10)]
+    poses = rng.uniform(0.0, 2.0 * math.pi, (200, 2))
+    terms = [_held(f"{ratio:g}:1 |solver-PW|/diam", pw_solver_gap(make_ellipse(ratio, 1.0), poses),
+                   1e-12) for ratio in (2.0, 5.0, 20.0, 50.0)]
+    worst_disk = max(abs(closest_approach(DISK, th, ps).d - 2.0)
+                     for th, ps in rng.uniform(0.0, 2.0 * math.pi, (50, 2)).tolist())
+    return terms + [_held("disk |d-2r|/diam", worst_disk / DISK.diameter, 1e-10)]
 
 
 def check_identities() -> list[tuple[bool, str]]:
@@ -234,7 +284,8 @@ def colliding_ellipse_data(n: int, seed: int):
 
 
 def check_dynamics() -> list[tuple[bool, str]]:
-    """Analytic collision time, conservation ledger, gap floor, reversibility."""
+    """Analytic collision time, conservation ledger, gap floor, reversibility,
+    and every event and replayed state against Perram and Wertheim's D."""
     n_data, n_reversals, tol = 50, 8, 1e-9
     Z = make_state([0, 0, 4, 0, 0, 0], [1, 0, 0, 0, 0, 0])
     t_star = next_collision_time(DISK, Z, 10.0)
@@ -244,14 +295,17 @@ def check_dynamics() -> list[tuple[bool, str]]:
     fams = six_families()
     worst_ledger = 0.0
     worst_gap = 0.0
+    touch, margins = [], []
     reversals = []
     missed = 0
     for idx, (Z0, T) in enumerate(data):
         fam = fams[idx % len(fams)]
-        tr = simulate(ell, Z0, fam, T)
+        tr = simulate(ell, Z0, fam, T, T / 40)
         missed += tr.n_events() == 0
         worst_ledger = max(worst_ledger, relative_ledger_jump(ell, tr.events))
         worst_gap = max(worst_gap, -tr.min_gap / ell.diameter)
+        touch += [abs(pw_margin(ell, ev.X)) for ev in tr.events]
+        margins += [pw_margin(ell, s.X) for s in tr.samples]
         if tr.n_events() <= 5 and len(reversals) < n_reversals:
             reversals.append(time_reverse_check(ell, Z0, fam, T))
     terms = [
@@ -259,6 +313,8 @@ def check_dynamics() -> list[tuple[bool, str]]:
         _held("ledger", worst_ledger, LEDGER_BOUND, f", {n_data} data"),
         _held("gap deficit/diam", worst_gap, tol),
         _held("reversal", max(reversals, default=math.inf), 1e-6),
+        _held("PW touch/diam", max(touch, default=math.inf), 1e-12, f", {len(touch)} events"),
+        _held("PW margin/diam", min(margins), 0.0, f", {len(margins)} states", above=True),
     ]
     if missed:
         terms.append((False, f"{missed} data without a collision"))

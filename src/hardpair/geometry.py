@@ -34,9 +34,9 @@ theorem.  Those partials satisfy the identities above by construction, so
 the identities are checked on an independent route: identity_residuals
 evaluates them with Richardson finite differences of D (d_derivatives), and
 its fd_derivative_gap compares the shipped partials against the same
-differences.  closest_approach_oracle checks D itself; it takes the shape
-as its own level function and boundary map, not a Body, so it never reads
-the support function the solve runs on.
+differences.  D itself is checked against an ellipse route that never
+reads the support function: Perram and Wertheim's contact function, in the
+verification suite (_checks).
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ from hardpair.bodies import Body
 TWO_PI = 2.0 * math.pi
 # Step of the finite differences of D that cross-check its partials.
 FD_STEP = 1e-5
-# The oracle's final bracket width, and its boundary samples per overlap test.
-_ORACLE_TOL = 1e-9
-_ORACLE_SAMPLES = 2048
 
 
 class ConvergenceError(RuntimeError):
@@ -66,11 +63,6 @@ class ConvergenceError(RuntimeError):
 def wrap_angle(x: float) -> float:
     """Reduce an angle to [0, 2pi)."""
     return float(x % TWO_PI)
-
-
-def rotation(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
 
 
 def e_of(psi: float) -> np.ndarray:
@@ -240,81 +232,6 @@ def closest_approach(
         dD_dtheta=d_th if derivatives else None,
         dD_dpsi=d_ps if derivatives else None,
     )
-
-
-def ellipse_shape(a: float, b: float):
-    """The (a, b) ellipse for closest_approach_oracle: its level function
-    and its boundary map t -> (a cos t, b sin t)."""
-
-    def level(x, y):
-        return (x / a) ** 2 + (y / b) ** 2 - 1.0
-
-    return level, lambda t: np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
-
-
-def _overlap(level, boundary, theta: float, psi: float, d: float, t: np.ndarray,
-             bnd: np.ndarray) -> bool:
-    """Sampled overlap predicate at separation d.
-
-    t is a uniform grid of parameters and bnd the boundary points there.
-    Each direction takes a localization pass over bnd and a refinement pass
-    of as many points concentrated around the deepest candidate, keeping the
-    detection bias far below the bisection tolerances in use.
-    """
-    half = len(t)
-    Rm = rotation(theta)
-    off = d * e_of(psi)
-    dt = TWO_PI / half
-    # the second body's boundary in the first body's frame, then the first's
-    # in the second's
-    for place in (lambda pts: pts @ Rm.T + off, lambda pts: (pts - off) @ Rm):
-        pts = place(bnd)
-        j = int(np.argmin(np.asarray(level(pts[:, 0], pts[:, 1]))))
-        fine = place(boundary(t[j] + np.linspace(-2 * dt, 2 * dt, half)))
-        if bool(np.any(np.asarray(level(fine[:, 0], fine[:, 1])) < 0.0)):
-            return True
-    return False
-
-
-def closest_approach_oracle(level, boundary, theta_rel: float, psi_rel: float) -> float:
-    """Independent route to D: bisection on the sampled overlap predicate.
-
-    The shape comes as its own level function (negative inside, broadcasting
-    over arrays) and boundary map (parameters, shape (n,), to points, shape
-    (n, 2)), not as a Body, so nothing here reads the support function the
-    contact solve runs on; ellipse_shape gives both for an ellipse.
-    Monotone in d by convexity (the overlap set in d is an interval starting
-    at 0), so plain bisection from the sampled in- and circumradius brackets
-    the tangency separation.  The bracket narrows to _ORACLE_TOL, or until
-    its ends are adjacent floats; each overlap test spends _ORACLE_SAMPLES
-    boundary samples.
-    """
-    t = np.linspace(0.0, TWO_PI, _ORACLE_SAMPLES // 2, endpoint=False)
-    bnd = boundary(t)
-    radii = np.hypot(bnd[:, 0], bnd[:, 1])
-    inner, diameter = float(np.min(radii)), 2.0 * float(np.max(radii))
-
-    def overlap(d):
-        return _overlap(level, boundary, theta_rel, psi_rel, d, t, bnd)
-
-    lo = 1e-3 * inner
-    hi = diameter + inner
-    if not overlap(lo):
-        raise ConvergenceError("overlap predicate false at near-zero separation")
-    # D is at most the diameter, so the bodies are apart at hi = diameter + inner
-    if overlap(hi):
-        raise ConvergenceError(
-            f"overlap predicate true beyond the diameter for theta={theta_rel}, psi={psi_rel}"
-        )
-    while hi - lo > _ORACLE_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if overlap(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:

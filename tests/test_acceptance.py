@@ -33,7 +33,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # a printed term: the figure, then the bound it is held to, as "2.2e-15 (<1e-10"
-_PRINTED_TERM = re.compile(r"(\S+) \(([<>])(\d+e-?\d+)")
+# or "6.3e-04 (>0"
+_PRINTED_TERM = re.compile(r"(\S+) \(([<>])(\d+(?:e-?\d+)?)")
 
 
 def _printed_verdicts(detail: str) -> list[bool]:
@@ -80,6 +81,30 @@ def test_criterion_6_fails_on_a_missed_collision(monkeypatch):
     assert not result.passed and "1 data without a collision" in result.detail
 
 
+def test_criterion_6_touch_term_fails_on_an_event_off_contact(monkeypatch):
+    # one event's second center moved out along the center line by 1e-9 of
+    # the diameter: the Perram-Wertheim touch term, and only it, fails
+    simulate = _checks.simulate
+    runs = []
+
+    def moved_one(*args):
+        tr = simulate(*args)
+        runs.append(tr)
+        if len(runs) != 3:
+            return tr
+        ev = tr.events[0]
+        X = ev.X.copy()
+        r = X[2:4] - X[0:2]
+        X[2:4] += 1e-9 * _checks.ELL.diameter * r / np.linalg.norm(r)
+        return tr._replace(events=[ev._replace(X=X), *tr.events[1:]])
+
+    monkeypatch.setattr(_checks, "simulate", moved_one)
+    result = _checks.run(_checks.check_dynamics)
+    assert not result.passed and "PW touch/diam 1.00e-09 (<1e-12" in result.detail
+    # head-on, ledger, gap deficit, reversal, touch, margin
+    assert _printed_verdicts(result.detail) == [True] * 4 + [False, True]
+
+
 def test_criterion_7_distinct_trajectories(tmp_path, capsys):
     # the frozen datum must branch into six mutually distinct conserving
     # trajectories, reported through the nonuniq pipeline
@@ -120,9 +145,10 @@ def _verdicts_at_scale(s):
     """Each verdict, as (pass, figure), with lengths and velocities times s
     on the (2s, s) ellipse and spins and angles unchanged.
 
-    The data are verify's own: criterion 4's first 2,000 samples, the
-    frozen non-uniqueness datum, and the first 8 of criterion 6's data,
-    the ones its reversal check runs.
+    The data are verify's own: criterion 2's poses, criterion 4's first
+    2,000 samples, the frozen non-uniqueness datum, and criterion 6's 50
+    data for the touch term; the ledger and the reversal take the first 8,
+    the ones criterion 6's reversal check runs.
     """
     k = np.array([s, s, s, s, 1.0, 1.0])
     ell = make_ellipse(2.0 * s, s)
@@ -133,6 +159,10 @@ def _verdicts_at_scale(s):
     _, proj, _, grazing = scatter_velocity(
         ScatteringFamily.reflection(), frame, W / mass_weights(ell.m, ell.J))
     out["grazing"] = (grazing, abs(proj) / float(np.linalg.norm(W)))
+
+    poses = np.random.default_rng(102).uniform(0.0, 2.0 * math.pi, (200, 2))
+    pw = _checks.pw_solver_gap(ell, poses)
+    out["|solver-PW|/diam"] = (pw < 1e-12, pw)
 
     fams = [ScatteringFamily.reflection(), ScatteringFamily.epsi(),
             ScatteringFamily.orientation_preserving(LineField.constant(math.pi / 4))]
@@ -150,15 +180,19 @@ def _verdicts_at_scale(s):
         rep["all_conserve"], max(p["max_ledger_jump_rel"] for p in rep["per_family"]))
     out["nonuniq distinct"] = (rep["distinct"], rep["min_pairwise_velocity_divergence"])
 
-    _, data = _checks.colliding_ellipse_data(8, 106)
+    _, data = _checks.colliding_ellipse_data(50, 106)
     fams = _checks.six_families()
-    ledger = reversal = 0.0
+    ledger = reversal = touch = 0.0
     for idx, (Z0, T) in enumerate(data):
         Z = make_state(Z0.X * k, Z0.V * k)
         fam = fams[idx % len(fams)]
-        ledger = max(ledger, relative_ledger_jump(ell, simulate(ell, Z, fam, T).events))
-        reversal = max(reversal, time_reverse_check(ell, Z, fam, T))
+        events = simulate(ell, Z, fam, T).events
+        touch = max([touch, *(abs(_checks.pw_margin(ell, ev.X)) for ev in events)])
+        if idx < 8:
+            ledger = max(ledger, relative_ledger_jump(ell, events))
+            reversal = max(reversal, time_reverse_check(ell, Z, fam, T))
     out["ledger"] = (ledger < 1e-9, ledger)
+    out["PW touch/diam"] = (touch < 1e-12, touch)
     out["reversal"] = (reversal < 1e-6, reversal)
     return out
 

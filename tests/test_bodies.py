@@ -11,7 +11,7 @@ from hardpair.bodies import (
     make_implicit,
     mass_weights,
 )
-from hardpair.geometry import ellipse_shape
+from body_helpers import ellipse_boundary
 
 
 def _circle(turns=1.0, sign=1.0, center=(0.0, 0.0)):
@@ -42,7 +42,7 @@ def test_ellipse_mass_data():
 
 def test_implicit_reproduces_ellipse_mass_data():
     a, b = 2.0, 1.0
-    body = make_implicit(ellipse_shape(a, b)[1])
+    body = make_implicit(ellipse_boundary(a, b))
     # spectral quadrature on an analytic boundary: machine-precision moments
     assert body.m == pytest.approx(math.pi * a * b, rel=1e-12)
     assert body.J == pytest.approx(math.pi * a * b * (a**2 + b**2) / 4.0, rel=1e-12)
@@ -96,10 +96,10 @@ def test_implicit_centroid_bound_scales_with_the_body():
     # the bound is 1e-8 equal-area radii: an absolute 1e-8 let a tiny body
     # be taken about a point 2.5 semi-axes off its centroid, and refused a
     # centered large one over the rounding of its centroid sums
-    tiny = ellipse_shape(2e-9, 1e-9)[1]
+    tiny = ellipse_boundary(2e-9, 1e-9)
     with pytest.raises(BodyValidationError, match="centroid"):
         make_implicit(lambda s: tiny(s) + np.array([5e-9, 0.0]))
-    large = make_implicit(ellipse_shape(2e9, 1e9)[1])
+    large = make_implicit(ellipse_boundary(2e9, 1e9))
     assert large.m == pytest.approx(math.pi * 2e18, rel=1e-12)
     assert large.a == pytest.approx(2e9, rel=1e-6)
 
@@ -134,9 +134,9 @@ def test_implicit_rejects_a_boundary_that_winds_twice():
 def test_implicit_rejects_a_body_its_series_cannot_resolve():
     # past ratio 7.5 the support function's series never goes quiet on the
     # grid and K comes out ~1e6 times too large; at ratio 7 it is exact
-    assert make_implicit(ellipse_shape(7.0, 1.0)[1]).K == pytest.approx(48.0, rel=1e-8)
+    assert make_implicit(ellipse_boundary(7.0, 1.0)).K == pytest.approx(48.0, rel=1e-8)
     with pytest.raises(BodyValidationError, match="too elongated"):
-        make_implicit(ellipse_shape(8.0, 1.0)[1])
+        make_implicit(ellipse_boundary(8.0, 1.0))
 
 
 def test_mass_inertia_matrix_roundtrip():

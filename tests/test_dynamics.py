@@ -14,7 +14,7 @@ import pytest
 from hardpair import _checks, dynamics, geometry
 from hardpair.bodies import make_ellipse, make_implicit
 from hardpair.frames import LineField, nu_hat
-from hardpair.geometry import Beta, closest_approach, e_of, ellipse_shape, wrap_angle
+from hardpair.geometry import Beta, closest_approach, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
     _resolve_at_contact,
@@ -28,6 +28,7 @@ from hardpair.dynamics import (
     simulate,
     time_reverse_check,
 )
+from body_helpers import ellipse_boundary
 from frame_helpers import normal_projection
 
 DISK = make_ellipse(1.0, 1.0)
@@ -456,7 +457,7 @@ def test_simulate_refuses_a_velocity_whose_energy_overflows(body, i, v):
 def test_simulate_on_implicit_body_matches_ellipse():
     # the shipped simulate datum, on an implicit (2,1) ellipse: the event
     # loop's implicit-body route must reproduce the closed-form ellipse
-    implicit = make_implicit(ellipse_shape(2.0, 1.0)[1])
+    implicit = make_implicit(ellipse_boundary(2.0, 1.0))
     Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
                     [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
     got = simulate(implicit, Z0, REFL, 3.0)

@@ -9,27 +9,25 @@ import pytest
 # later fresh import of hardpair (the benchmark's tests make one) leaves it
 # alone, so a patch on it reaches the code under test
 from hardpair import geometry
+from hardpair._checks import perram_wertheim_distance
 from hardpair.bodies import make_ellipse, make_implicit
 from hardpair.frames import nu_hat
 from hardpair.geometry import (
     Beta,
     ConvergenceError,
     closest_approach,
-    closest_approach_oracle,
     d_beta,
     d_derivatives,
     e_of,
-    ellipse_shape,
     identity_residuals,
     perp,
-    rotation,
     wrap_angle,
 )
+from body_helpers import ellipse_boundary, rotation
 
 ELL = make_ellipse(2.0, 1.0)
-ELL_SHAPE = ellipse_shape(2.0, 1.0)
 
-# independently frozen bisection-oracle values for the (2, 1) ellipse pair
+# values frozen from an independent sampled-bisection route, for the (2, 1) ellipse pair
 ORACLE_PINS = [
     (math.pi / 3, math.pi / 4, 3.438167413599226),
     (1.0, 2.0, 2.601522237626018),
@@ -49,6 +47,12 @@ def test_axis_aligned_closed_forms():
     assert closest_approach(ELL, math.pi / 2, 0.0).d == pytest.approx(3.0, abs=1e-10)
 
 
+def test_perram_wertheim_axis_aligned_closed_forms():
+    # the same three poses through the contact function of the ellipse matrices
+    for theta, psi, d in ((0.0, 0.0, 4.0), (0.0, math.pi / 2, 2.0), (math.pi / 2, 0.0, 3.0)):
+        assert abs(perram_wertheim_distance(2.0, 1.0, theta, psi) - d) <= 1e-15 * d
+
+
 def test_disk_distance_is_two_radii_exactly():
     disk = make_ellipse(0.8, 0.8)
     rng = np.random.default_rng(3)
@@ -59,11 +63,13 @@ def test_disk_distance_is_two_radii_exactly():
 
 
 def test_solver_matches_oracle_on_random_poses():
+    # the Perram-Wertheim distance reads the ellipse matrices, not the
+    # support function the solve runs on
     rng = np.random.default_rng(11)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (40, 2)):
         d_fast = closest_approach(ELL, theta, psi).d
-        d_slow = closest_approach_oracle(*ELL_SHAPE, theta, psi)
-        assert abs(d_fast - d_slow) < 1e-6
+        d_slow = perram_wertheim_distance(2.0, 1.0, theta, psi)
+        assert abs(d_fast - d_slow) < 1e-12 * ELL.diameter
 
 
 def test_symmetry_under_half_turn():
@@ -109,7 +115,7 @@ def test_tangency_no_overlap_at_contact():
         R2 = rotation(theta)
         center = c.d * e_of(psi)
         pts = (R2 @ bd.T).T + center
-        vals = ELL_SHAPE[0](pts[:, 0], pts[:, 1])
+        vals = (pts[:, 0] / 2.0) ** 2 + pts[:, 1] ** 2 - 1.0
         assert float(np.min(vals)) > -1e-7
 
 
@@ -341,7 +347,7 @@ def test_disk_contact_cold_and_warm():
 
 
 def _implicit_ellipse(a=2.0, b=1.0):
-    return make_implicit(ellipse_shape(a, b)[1])
+    return make_implicit(ellipse_boundary(a, b))
 
 
 @pytest.mark.parametrize("body", [ELL, _implicit_ellipse()], ids=["ellipse", "implicit"])
@@ -372,40 +378,47 @@ def test_implicit_ellipse_matches_ellipse_kernel():
             assert np.max(np.abs(x - y)) < 1e-9
 
 
-def _polar_shape():
+def _polar_boundary(s):
     # r(phi) = 1 + 0.1 cos 2 phi: strictly convex, centrally symmetric, and
-    # not an ellipse; its level function and boundary map
-    def radius(phi):
-        return 1.0 + 0.1 * np.cos(2.0 * phi)
-
-    def level(x, y):
-        return np.hypot(x, y) - radius(np.arctan2(y, x))
-
-    def boundary(s):
-        return radius(s)[:, None] * np.stack([np.cos(s), np.sin(s)], axis=1)
-
-    return level, boundary
+    # not an ellipse
+    return (1.0 + 0.1 * np.cos(2.0 * s))[:, None] * np.stack([np.cos(s), np.sin(s)], axis=1)
 
 
-def test_non_elliptic_implicit_body_matches_oracle_and_finite_differences():
-    shape = _polar_shape()
-    body = make_implicit(shape[1])
+def _polar_level(u):
+    """The polar body's level function |u| - r(phi) at the point u, and its
+    gradient e(phi) + (0.2 sin 2 phi / |u|) e(phi)-perp."""
+    rho, phi = math.hypot(*u), math.atan2(u[1], u[0])
+    grad = e_of(phi) + (0.2 * math.sin(2.0 * phi) / rho) * perp(e_of(phi))
+    return rho - (1.0 + 0.1 * math.cos(2.0 * phi)), grad
+
+
+def test_non_elliptic_implicit_body_is_tangent_and_matches_finite_differences():
+    # a tangency certificate that never reads the support function: the
+    # contact point lies on both boundaries, and the level gradients there,
+    # body 2's turned by theta, point along n and -n
+    body = make_implicit(_polar_boundary)
     rng = np.random.default_rng(18)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (20, 2)):
         c = closest_approach(body, theta, psi, derivatives=True)
-        assert abs(c.d - closest_approach_oracle(*shape, theta, psi)) < 1e-6
+        on_1, grad_1 = _polar_level(c.p)
+        on_2, grad_2 = _polar_level(rotation(-theta) @ c.q)
+        assert abs(on_1) <= 1e-13 and abs(on_2) <= 1e-13
+        assert np.max(np.abs(grad_1 / np.linalg.norm(grad_1) - c.n)) <= 1e-11
+        assert np.max(np.abs(rotation(theta) @ grad_2 / np.linalg.norm(grad_2) + c.n)) <= 1e-11
         fd_theta, fd_psi = d_derivatives(body, theta, psi)
         scale = max(c.d, abs(fd_theta), abs(fd_psi))
         assert abs(c.dD_dtheta - fd_theta) <= 1e-7 * scale
         assert abs(c.dD_dpsi - fd_psi) <= 1e-7 * scale
 
 
-def test_oracle_ends_below_the_float_spacing_of_d():
-    # d is about 3e7, where floats are 3.7e-9 apart: a bracket narrower than
-    # tol = 1e-9 cannot be reached, and the bisection stops at adjacent floats
+def test_perram_wertheim_distance_at_large_scale():
+    # at the (2e7, 1e7) pair, where d is about 3e7, the contact function
+    # and the solve still agree to rounding over the diameter
     body = make_ellipse(2e7, 1e7)
-    d = closest_approach(body, 0.3, 0.9).d
-    assert abs(closest_approach_oracle(*ellipse_shape(2e7, 1e7), 0.3, 0.9) - d) <= 1e-9 * d
+    rng = np.random.default_rng(31)
+    for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (50, 2)):
+        d = closest_approach(body, theta, psi).d
+        assert abs(perram_wertheim_distance(2e7, 1e7, theta, psi) - d) <= 1e-12 * body.diameter
 
 
 @pytest.mark.parametrize("body,n_poses,derivatives", [
@@ -430,7 +443,7 @@ def test_lab_record_is_the_canonical_record_turned(body, n_poses, derivatives):
 
 
 @pytest.mark.parametrize("body", [
-    ELL, make_ellipse(20.0, 1.0), make_ellipse(0.8, 0.8), make_implicit(_polar_shape()[1]),
+    ELL, make_ellipse(20.0, 1.0), make_ellipse(0.8, 0.8), make_implicit(_polar_boundary),
 ], ids=["ratio2", "ratio20", "disk", "implicit"])
 def test_block_record_matches_the_one_pose_record(body):
     # d_beta at a Beta of arrays builds its record as array code; every
