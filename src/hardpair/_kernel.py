@@ -32,7 +32,7 @@ BACKEND = "python"
 _ALPHA_MAX = 100
 _ALPHA_TOL = 1e-10
 _HALF_PI = 0.5 * math.pi
-_TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi
 
 
 def ellipse_support(a, b):
@@ -71,7 +71,7 @@ def support_contact(support, theta, psi, seed=0.0, *, use_seed=False):
     last = before_last = math.pi
     al = psi
     if use_seed:
-        al = psi + (seed - psi + math.pi) % _TWO_PI - math.pi
+        al = psi + (seed - psi + math.pi) % TWO_PI - math.pi
         if not lo < al < hi:
             al = psi
     turn = math.pi - theta

@@ -18,9 +18,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from hardpair._kernel import ellipse_support
+from hardpair._kernel import TWO_PI, ellipse_support
 
-TWO_PI = 2.0 * math.pi
 # Quadrature points of make_implicit's mass and support-function sums.
 _N_QUAD = 4096
 # How far make_implicit's total turning of the normal may miss 2pi.

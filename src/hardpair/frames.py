@@ -15,9 +15,10 @@ The pair (F1, F2) is seeded with the first body's axes.  Seeds fixed in
 the lab would break the rotation symmetry; seeds that turn with the body
 make the pair a function of the relative configuration, so a line field's
 angle picks the same physical direction at every global rotation.
-One frame (build_frame) runs on Python floats; a stack of frames
-(build_frames) runs the same construction as array code.  Both return
-Frames, one frame being the unbatched case.  sample_contacts
+build_frames assembles Frames at N poses from arrays, or at one pose from
+floats, where e_beta and complement_basis take their float paths; one
+frame is the unbatched case, and build_frame is build_frames at one pose
+after its contact solve.  sample_contacts
 draws random contact poses in blocks and builds their frames: per block,
 one d_beta call on arrays of angles gives the contact data as arrays, and
 one nu_hat call the normals.  The invariant probe and the verification
@@ -34,8 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from hardpair._kernel import TWO_PI
 from hardpair.bodies import Body, mass_weights
-from hardpair.geometry import TWO_PI, Beta, ContactData, d_beta
+from hardpair.geometry import Beta, ContactData, d_beta
 
 E1_HAT = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
 E2_HAT = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
@@ -359,7 +361,9 @@ def build_frames(
     """Frames at N poses from their angles, separations d and normals nu.
 
     Ebeta comes in closed form and the complement pair, seeded with each
-    pose's first-body axes, from one stacked complement_basis call.
+    pose's first-body axes, from one stacked complement_basis call.  Float
+    angles and d with nu of shape (6,) give the one frame of build_frame,
+    built on Python floats.
     """
     eb = e_beta(psi, d, m, J)
     F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu, theta)
@@ -401,17 +405,11 @@ def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> F
     """The frame at one contact configuration: Frames with vectors of shape (6,).
 
     Solves the tangency problem for the contact data at beta (unless
-    contact, the lab-frame contact data at beta, is given), then builds nu,
-    Ebeta and the complement pair seeded with the first body's axes, as
-    build_frames does on N poses, on floats.  Mass data comes from the body.
+    contact, the lab-frame contact data at beta, is given), then returns
+    build_frames at this one pose: its floats take the float paths of
+    e_beta and complement_basis.  Mass data comes from the body.
     """
     if contact is None:
         contact = d_beta(body, beta)
     m, J = body.m, body.J
-    nu = nu_hat(contact, m, J)
-    eb = e_beta(beta.psi, contact.d, m, J)
-    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu, beta.theta)
-    return Frames(
-        E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=F1, F2=F2,
-        theta=beta.theta, thetabar=beta.thetabar, psi=beta.psi, d=contact.d, m=m, J=J,
-    )
+    return build_frames(beta.theta, beta.thetabar, beta.psi, contact.d, nu_hat(contact, m, J), m, J)

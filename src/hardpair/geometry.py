@@ -11,11 +11,12 @@ first body's center), the conjugate collision vector q = p - d e(psi) (same
 point from the second body's center), the unit contact normal n (outward from
 the first body), and the partial derivatives of D, which tie the contact
 scalars to the gap-function gradient. The record is built once per solve,
-already in the lab frame: closest_approach solves in the canonical pose and
-writes p, q and n turned by the first body's orientation, in scalar
-arithmetic.  d_beta at a Beta of (N,) angle arrays makes the same cold
-solve at each pose and writes one record of arrays with the same
-arithmetic as array code. With lab-frame vectors and angles the identities read
+already in the lab frame, by one writer: _contact_row solves in the
+canonical pose and returns the record as a row of floats, with p, q and n
+turned by the first body's orientation.  closest_approach wraps one row;
+d_beta at a Beta of (N,) angle arrays stacks the rows of its N cold
+solves into one record of arrays. With lab-frame vectors and angles the
+identities read
 
     n  is parallel to  e(psi) - ((dD/dpsi)/d) e(psi)-perp
     p-perp . n = -(dD/dtheta + dD/dpsi) cos(phi)
@@ -41,7 +42,6 @@ verification suite (_checks).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -49,9 +49,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from hardpair import _kernel
+from hardpair._kernel import TWO_PI
 from hardpair.bodies import Body
 
-TWO_PI = 2.0 * math.pi
 # Step of the finite differences of D that cross-check its partials.
 FD_STEP = 1e-5
 
@@ -112,8 +112,6 @@ class Beta:
 
     def reduced(self) -> tuple[float, float]:
         """Relative angles (thetabar - theta, psi - theta) mod 2pi: floats, or (N,) arrays."""
-        if isinstance(self.theta, float):
-            return (wrap_angle(self.thetabar - self.theta), wrap_angle(self.psi - self.theta))
         return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
 
     def shifted(self, phi: float) -> "Beta":
@@ -176,6 +174,37 @@ def _ellipse_oracle_fallback(body: Body, theta_rel: float, psi_rel: float) -> No
     raise ConvergenceError(f"contact solve failed at theta={theta_rel}, psi={psi_rel}, {shape}")
 
 
+def _contact_row(body: Body, theta_rel: float, psi_rel: float, theta: float,
+                 seed: float = 0.0, warm: bool = False) -> tuple:
+    """One pose's contact record as floats, turned into the lab frame by theta.
+
+    The row is (d, dD/dtheta, dD/dpsi, px, py, qx, qy, nx, ny, s1, s2): one
+    kernel solve, warm from the normal angle seed when warm is set, then the
+    support point of the contact normal e(alpha) and the lab-frame
+    arithmetic.  closest_approach wraps one row; d_beta on N poses stacks N.
+    """
+    if body.b is not None:
+        d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
+            body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
+        )
+    else:
+        d, alpha, d_th, d_ps, ok = _kernel.support_contact(
+            body.support, theta_rel, psi_rel, seed, use_seed=warm
+        )
+    if not ok:
+        _ellipse_oracle_fallback(body, theta_rel, psi_rel)
+    # the support point of e(alpha): p = h e(alpha) + h' e(alpha)-perp
+    nx, ny = math.cos(alpha), math.sin(alpha)
+    h, dh, _ = body.support(alpha)
+    px, py = h * nx - dh * ny, h * ny + dh * nx
+
+    qx, qy = px - d * math.cos(psi_rel), py - d * math.sin(psi_rel)
+    c, s = math.cos(theta), math.sin(theta)
+    return (d, d_th, d_ps, c * px - s * py, s * px + c * py, c * qx - s * qy, s * qx + c * qy,
+            c * nx - s * ny, s * nx + c * ny, wrap_angle(alpha),
+            wrap_angle(alpha + math.pi - theta_rel))
+
+
 def closest_approach(
     body: Body,
     theta_rel: float,
@@ -204,31 +233,16 @@ def closest_approach(
         ConvergenceError: the contact solve did not converge.
     """
     warm = _seed is not None
-    seed = _seed.s1 if warm else 0.0
-    if body.b is not None:
-        d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
-            body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
-        )
-    else:
-        d, alpha, d_th, d_ps, ok = _kernel.support_contact(
-            body.support, theta_rel, psi_rel, seed, use_seed=warm
-        )
-    if not ok:
-        _ellipse_oracle_fallback(body, theta_rel, psi_rel)
-    # the support point of e(alpha): p = h e(alpha) + h' e(alpha)-perp
-    nx, ny = math.cos(alpha), math.sin(alpha)
-    h, dh, _ = body.support(alpha)
-    px, py = h * nx - dh * ny, h * ny + dh * nx
-
-    qx, qy = px - d * math.cos(psi_rel), py - d * math.sin(psi_rel)
-    c, s = math.cos(theta), math.sin(theta)
+    d, d_th, d_ps, px, py, qx, qy, nx, ny, s1, s2 = _contact_row(
+        body, theta_rel, psi_rel, theta, _seed.s1 if warm else 0.0, warm
+    )
     return ContactData(
         d=d,
-        p=np.array((c * px - s * py, s * px + c * py)),
-        q=np.array((c * qx - s * qy, s * qx + c * qy)),
-        n=np.array((c * nx - s * ny, s * nx + c * ny)),
-        s1=wrap_angle(alpha),
-        s2=wrap_angle(alpha + math.pi - theta_rel),
+        p=np.array((px, py)),
+        q=np.array((qx, qy)),
+        n=np.array((nx, ny)),
+        s1=s1,
+        s2=s2,
         dD_dtheta=d_th if derivatives else None,
         dD_dpsi=d_ps if derivatives else None,
     )
@@ -240,49 +254,27 @@ def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
     The solve runs at the reduced angles (thetabar - theta, psi - theta);
     p, q and n come back turned by the first body's orientation. d and the
     D-derivatives are rotation invariants.  A Beta of (N,) arrays gives
-    one record of N contacts (see ContactData): one cold kernel solve per
-    pose, the rest array code.
+    one record of N contacts (see ContactData): the one-pose rows of
+    closest_approach, each from a cold kernel solve, stacked into one
+    array and sliced into its fields, so row i is bit for bit the record
+    of pose i alone.
     """
     th_rel, ps_rel = beta.reduced()
     if isinstance(th_rel, float):
         return closest_approach(body, th_rel, ps_rel, theta=beta.theta, derivatives=derivatives)
-    return _contacts(body, th_rel, ps_rel, beta.theta, derivatives)
-
-
-def _contacts(body: Body, th_rel: np.ndarray, ps_rel: np.ndarray, theta: np.ndarray,
-              derivatives: bool) -> ContactData:
-    """closest_approach at N poses, cold, as one record of arrays.
-
-    Each pose takes one kernel solve through the same binding and one
-    support evaluation at its normal angle; p, q, n, s1 and s2 then follow
-    as array expressions in the order of closest_approach's arithmetic.
-    """
-    if body.b is not None:
-        solve = functools.partial(_kernel.ellipse_contact, body.a, body.b)
-    else:
-        solve = functools.partial(_kernel.support_contact, body.support)
-    support = body.support
-    rows = []
-    for th, ps in zip(th_rel.tolist(), ps_rel.tolist()):
-        d, alpha, d_th, d_ps, ok = solve(th, ps)
-        if not ok:
-            _ellipse_oracle_fallback(body, th, ps)
-        h, dh, _ = support(alpha)
-        rows.append((d, alpha, d_th, d_ps, h, dh))
-    d, alpha, d_th, d_ps, h, dh = np.array(rows).reshape(-1, 6).T
-    nx, ny = np.cos(alpha), np.sin(alpha)
-    px, py = h * nx - dh * ny, h * ny + dh * nx
-    qx, qy = px - d * np.cos(ps_rel), py - d * np.sin(ps_rel)
-    c, s = np.cos(theta), np.sin(theta)
+    rows = np.array([
+        _contact_row(body, th, ps, theta)
+        for th, ps, theta in zip(th_rel.tolist(), ps_rel.tolist(), beta.theta.tolist())
+    ]).reshape(-1, 11)
     return ContactData(
-        d=d,
-        p=np.stack((c * px - s * py, s * px + c * py), axis=-1),
-        q=np.stack((c * qx - s * qy, s * qx + c * qy), axis=-1),
-        n=np.stack((c * nx - s * ny, s * nx + c * ny), axis=-1),
-        s1=alpha % TWO_PI,
-        s2=(alpha + math.pi - th_rel) % TWO_PI,
-        dD_dtheta=d_th if derivatives else None,
-        dD_dpsi=d_ps if derivatives else None,
+        d=rows[:, 0],
+        p=rows[:, 3:5],
+        q=rows[:, 5:7],
+        n=rows[:, 7:9],
+        s1=rows[:, 9],
+        s2=rows[:, 10],
+        dD_dtheta=rows[:, 1] if derivatives else None,
+        dD_dpsi=rows[:, 2] if derivatives else None,
     )
 
 

@@ -14,6 +14,7 @@ from hardpair.bodies import make_ellipse, make_implicit
 from hardpair.frames import nu_hat
 from hardpair.geometry import (
     Beta,
+    ContactData,
     ConvergenceError,
     closest_approach,
     d_beta,
@@ -446,29 +447,21 @@ def test_lab_record_is_the_canonical_record_turned(body, n_poses, derivatives):
     ELL, make_ellipse(20.0, 1.0), make_ellipse(0.8, 0.8), make_implicit(_polar_boundary),
 ], ids=["ratio2", "ratio20", "disk", "implicit"])
 def test_block_record_matches_the_one_pose_record(body):
-    # d_beta at a Beta of arrays builds its record as array code; every
-    # field, and every scalar read from it, must be the one-pose record's,
-    # row by row (lengths over the diameter, angles mod 2pi)
+    # d_beta at a Beta of arrays stacks the one-pose rows; every field, and
+    # every scalar read from the record, is the one-pose record's bit for bit
     rng = np.random.default_rng(29)
     angles = rng.uniform(0.0, 2.0 * math.pi, (200, 3))
     block = d_beta(body, Beta(*angles.T), derivatives=True)
     one = [d_beta(body, Beta(*row), derivatives=True) for row in angles]
-    diam = body.diameter
-
-    def gap(got, want, scale=1.0):
-        want = np.array(want)
-        assert np.shape(got) == want.shape
-        return np.max(np.abs(got - want)) / scale
-
-    for field in ("d", "p", "q", "dD_dtheta", "dD_dpsi"):
-        assert gap(getattr(block, field), [getattr(c, field) for c in one], diam) <= 1e-14
-    assert gap(block.n, [c.n for c in one]) <= 1e-14
-    for field in ("s1", "s2"):
-        turn = getattr(block, field) - np.array([getattr(c, field) for c in one])
-        assert np.max(np.abs(np.remainder(turn + math.pi, 2.0 * math.pi) - math.pi)) <= 1e-14
-    assert gap(block.p_perp_n(), [c.p_perp_n() for c in one], diam) <= 1e-14
-    assert gap(block.q_perp_n(), [c.q_perp_n() for c in one], diam) <= 1e-14
-    assert gap(nu_hat(block, body.m, body.J), [nu_hat(c, body.m, body.J) for c in one]) <= 1e-14
+    reads = {
+        "p_perp_n": lambda c: c.p_perp_n(),
+        "q_perp_n": lambda c: c.q_perp_n(),
+        "nu_hat": lambda c: nu_hat(c, body.m, body.J),
+    }
+    reads.update({field: (lambda c, f=field: getattr(c, f)) for field in ContactData._fields})
+    for name, read in reads.items():
+        got, want = read(block), np.array([read(c) for c in one])
+        assert got.shape == want.shape and np.array_equal(got, want), name
 
 
 def test_a_failed_solve_in_a_block_names_its_pose(monkeypatch):

@@ -1,7 +1,7 @@
 """Source hygiene: every name a hardpair module imports is read in it, every
 binding the benchmark's tracer wraps exists, every dataclass checks its
-fields, and every check of the verification suite is in CHECKS, without
-parameters.
+fields, every check of the verification suite is in CHECKS, without
+parameters, and geometry reads the contact kernel in one function.
 
 A record whose fields go unchecked is a NamedTuple, which is cheaper to
 build and to define; a dataclass is kept only where __post_init__ checks.
@@ -72,6 +72,36 @@ def test_every_traced_binding_resolves(module, attr):
     # the tracer replaces hardpair.<module>.<attr> by name when a run asks for
     # --trace 1; a name removed or renamed in src/ would fail only there
     assert callable(getattr(importlib.import_module(f"hardpair.{module}"), attr, None))
+
+
+KERNEL_ENTRIES = ("ellipse_contact", "support_contact")
+
+
+def kernel_readers(source: str) -> dict[str, set[str]]:
+    """Per kernel entry, the top-level definitions of source that read _kernel.<entry>."""
+    readers = {entry: set() for entry in KERNEL_ENTRIES}
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in readers
+                    and isinstance(node.value, ast.Name) and node.value.id == "_kernel"):
+                readers[node.attr].add(getattr(top, "name", "<module>"))
+    return readers
+
+
+def test_guard_sees_every_kernel_reader():
+    src = ("from hardpair import _kernel\nsolve = _kernel.ellipse_contact\n"
+           "def f():\n    return _kernel.ellipse_contact, _kernel.support_contact\n"
+           "def g():\n    def inner():\n        return _kernel.support_contact\n")
+    assert kernel_readers(src) == {
+        "ellipse_contact": {"<module>", "f"}, "support_contact": {"f", "g"}}
+
+
+def test_one_function_writes_the_contact_record():
+    # geometry reads the kernel's entries in one function, the one contact
+    # record writer; a second reader would be a second writer to keep in step
+    readers = kernel_readers((ROOT / "src" / "hardpair" / "geometry.py").read_text())
+    assert len(readers["ellipse_contact"]) == 1
+    assert readers["support_contact"] == readers["ellipse_contact"]
 
 
 def unchecked_dataclasses(source: str, module: str) -> list[str]:
