@@ -13,7 +13,9 @@ Resolution replaces the velocity with its image under a chosen scattering
 family, once per root; a grazing root found again right after its event
 is merged into that event.  Because several families share the same
 conservation laws, one initial condition continues into many distinct
-trajectories, and divergence_report measures exactly that.
+trajectories, and divergence_report measures exactly that.  The flight up
+to the first contact does not depend on the family, so simulate remembers
+the last datum's first flight and the families run on one datum share it.
 
 A conservation ledger (linear momentum, angular momentum about the origin,
 kinetic energy) is kept across every event.  Angular momentum is audited
@@ -323,6 +325,37 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
     return State(X=X, V=V_post, t=Z.t), event
 
 
+# The last datum's first flight, as ((body, Z0, X bytes, V bytes, horizon),
+# _first_flight's result); None before any flight and after a failed one.
+_last_flight = None
+
+
+def _first_flight(body: Body, Z0: State, remaining: float):
+    """The gap and contact solve at Z0 and the first _next_collision over the
+    horizon remaining (None when remaining <= 0), remembered for the last datum.
+
+    The flight to the first contact does not depend on the family, so the
+    families run on one datum share it: a call on the same body and Z0
+    objects, with the same X and V bytes and the same horizon, returns the
+    remembered result.  The entry holds body and Z0, so their ids cannot be
+    reused.  A failed solve or an inadmissible start raises and leaves no
+    entry.
+    """
+    global _last_flight
+    key = (body, Z0, Z0.X.tobytes(), Z0.V.tobytes(), remaining)
+    if _last_flight is not None:
+        last, result = _last_flight
+        if last[0] is body and last[1] is Z0 and last[2:] == key[2:]:
+            return result
+    _last_flight = None
+    g0, contact = _gap_at(body, Z0.X)
+    if g0 < -_ADMISSIBLE_RTOL * body.diameter:
+        raise SimulationError(f"initial gap {g0:.3g} is negative beyond tolerance")
+    first = _next_collision(body, Z0, remaining, contact) if remaining > 0.0 else None
+    _last_flight = key, (g0, contact, first)
+    return g0, contact, first
+
+
 def simulate(
     body: Body,
     Z0: State,
@@ -340,7 +373,9 @@ def simulate(
     contacts occur.  Every root is resolved; a root within the time
     tolerance of the last event whose resolve comes out grazing is the same
     grazing contact found again, so its event is dropped, counted in
-    merged_grazing, and the flight steps past it.
+    merged_grazing, and the flight steps past it.  The first flight comes
+    from _first_flight: a run on the last datum's body and Z0 objects,
+    unchanged, over the same horizon, reuses it.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"horizon T must be finite and nonnegative, got {T}")
@@ -360,13 +395,11 @@ def simulate(
         raise ValueError(
             f"state V is too large: its kinetic energy or K (omega^2 + omegabar^2) "
             f"overflows, V = {Z0.V.tolist()}")
-    g0, contact = _gap_at(body, Z0.X)
-    if g0 < -_ADMISSIBLE_RTOL * body.diameter:
-        raise SimulationError(f"initial gap {g0:.3g} is negative beyond tolerance")
+    t_end = Z0.t + T
+    g0, contact, first = _first_flight(body, Z0, t_end - Z0.t)
     start = contact
 
     Z = Z0
-    t_end = Z0.t + T
     events: list[CollisionEvent] = []
     min_gap = g0
     accumulation = False
@@ -378,7 +411,10 @@ def simulate(
         if remaining <= 0.0:
             break
         t_tol = _MERGE_RTOL * remaining
-        dt, seen, contact = _next_collision(body, Z, remaining, contact)
+        if Z is Z0:
+            dt, seen, contact = first
+        else:
+            dt, seen, contact = _next_collision(body, Z, remaining, contact)
         min_gap = min(min_gap, seen)
         if dt is None:
             Z = free_flight(Z, remaining)
@@ -472,7 +508,8 @@ def divergence_report(
     W' = M V' (velocity_divergence) and the sup-norm difference of the final
     states.  The families are distinct when every pairwise |W'_i - W'_j| /
     |W0| exceeds DISTINCT_BOUND, so it takes at least two families.  A datum
-    with no collision within T yields {"degenerate": True}.
+    with no collision within T yields {"degenerate": True}.  The families
+    fly the one Z0, so they share its flight to the first contact.
     """
     if len(families) < 2:
         raise ValueError("families must list at least two families to compare")

@@ -255,11 +255,8 @@ def test_event_records_carry_contact_geometry():
     assert max(abs(v) for v in ev.jumps.values()) < 1e-12
 
 
-def test_dense_resampling_warm_starts(monkeypatch):
-    # the resampled gaps warm-start each solve from the previous one; the
-    # minimum gap equals the one from cold solves at the same states
-    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
-                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+def _count_cold(monkeypatch) -> list:
+    """Record the cold ellipse solves made through geometry's kernel."""
     cold = []
     solve = geometry._kernel.ellipse_contact
 
@@ -269,10 +266,19 @@ def test_dense_resampling_warm_starts(monkeypatch):
         return solve(*args, use_seed=use_seed)
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted)
+    return cold
+
+
+def test_dense_resampling_warm_starts(monkeypatch):
+    # the resampled gaps warm-start each solve from the previous one; the
+    # minimum gap equals the one from cold solves at the same states
+    Z0 = make_state([0.0, 0.0, 4.2, 0.3, 0.4, 1.9],
+                    [0.5, 0.0, -0.45, 0.05, 0.3, -0.2])
+    cold = _count_cold(monkeypatch)
     tr = simulate(ELL, Z0, REFL, 6.0, sample_dt=0.05)
     assert tr.n_events() == 2
     assert 1 <= len(cold) <= 2
-    monkeypatch.setattr(geometry._kernel, "ellipse_contact", solve)
+    monkeypatch.undo()
     plain = simulate(ELL, Z0, REFL, 6.0)
     want = min([plain.min_gap] + [gap(ELL, s.X) for s in tr.samples[:-1]])
     assert abs(tr.min_gap - want) <= 1e-12
@@ -354,6 +360,86 @@ def test_regrazed_root_is_merged(monkeypatch):
     assert tr.merged_grazing == 1
     assert len(calls) == 3
     assert tr.final.t == pytest.approx(2.0) and not tr.accumulation_suspected
+
+
+def _frozen_datum():
+    return make_state(_checks.NONUNIQ_X0, _checks.NONUNIQ_V0)
+
+
+def test_families_on_one_datum_share_the_first_flight(monkeypatch):
+    # the flight to the first contact does not depend on the family: the six
+    # families on the frozen datum make one cold solve between them, at the start
+    cold = _count_cold(monkeypatch)
+    rep = divergence_report(_checks.ELL, _frozen_datum(), _checks.six_families(),
+                            _checks.NONUNIQ_T)
+    assert not rep["degenerate"]
+    assert len(cold) == 1
+
+
+def _exact(tr):
+    """Every number of a trajectory, in a form that compares exactly."""
+    events = [(ev.t, ev.X.tobytes(), ev.V_pre.tobytes(), ev.V_post.tobytes(), ev.jumps)
+              for ev in tr.events]
+    states = [(s.X.tobytes(), s.V.tobytes(), s.t) for s in (tr.final, *tr.samples)]
+    return events, states, tr.min_gap
+
+
+def test_shared_first_flight_is_bit_identical(monkeypatch):
+    # each family run on the one datum equals its run on a fresh copy of it
+    Z0, T = _frozen_datum(), _checks.NONUNIQ_T
+    fourier = LineField.fourier([[1, 0, 0.3, 0.1], [0, 1, 0.0, 0.2]])
+    families = SIX_FAMILIES + [ScatteringFamily.orientation_preserving(fourier)]
+    cold = _count_cold(monkeypatch)
+    shared = [simulate(ELL, Z0, fam, T, sample_dt=T / 40) for fam in families]
+    assert len(cold) == 1
+    for fam, tr in zip(families, shared):
+        fresh = simulate(ELL, make_state(Z0.X.copy(), Z0.V.copy()), fam, T, sample_dt=T / 40)
+        assert tr.n_events() > 0
+        assert _exact(tr) == _exact(fresh)
+
+
+@pytest.mark.parametrize("change", ["body", "state", "X in place", "T"])
+def test_first_flight_is_flown_again_on_another_datum(monkeypatch, change):
+    # only the same body and State objects, with the same X and V and the
+    # same horizon, share the first flight
+    body, Z0, T = make_ellipse(2.0, 1.0), _frozen_datum(), 4.0
+    cold = _count_cold(monkeypatch)
+    simulate(body, Z0, REFL, T)
+    simulate(body, Z0, REFL, T)
+    assert len(cold) == 1
+    if change == "body":
+        body = make_ellipse(2.0, 1.0)
+    elif change == "state":
+        Z0 = make_state(Z0.X, Z0.V)
+    elif change == "X in place":
+        Z0.X[4] += 0.01
+    else:
+        T = 3.0
+    simulate(body, Z0, REFL, T)
+    assert len(cold) == 2
+
+
+def test_failed_first_flight_leaves_no_entry(monkeypatch):
+    # a failed solve or an inadmissible start raises on every call, and the
+    # datum flies cold once the solve works
+    Z0 = _frozen_datum()
+    solve = geometry._kernel.ellipse_contact
+
+    def failing(*args, use_seed=False):
+        return (*solve(*args, use_seed=use_seed)[:4], False)
+
+    monkeypatch.setattr(geometry._kernel, "ellipse_contact", failing)
+    for _ in range(2):
+        with pytest.raises(geometry.ConvergenceError):
+            simulate(ELL, Z0, REFL, 4.0)
+    monkeypatch.undo()
+    overlapping = make_state([0, 0, 1.0, 0, 0, 0], [0, 0, 0, 0, 0, 0])
+    for _ in range(2):
+        with pytest.raises(SimulationError, match="initial gap"):
+            simulate(ELL, overlapping, REFL, 1.0)
+    cold = _count_cold(monkeypatch)
+    assert simulate(ELL, Z0, REFL, 4.0).n_events() > 0
+    assert len(cold) == 1
 
 
 def test_late_graze_is_a_collision():
