@@ -14,8 +14,10 @@ family, once per root; a grazing root found again right after its event
 is merged into that event.  Because several families share the same
 conservation laws, one initial condition continues into many distinct
 trajectories, and divergence_report measures exactly that.  The flight up
-to the first contact does not depend on the family, so simulate remembers
-the last datum's first flight and the families run on one datum share it.
+to the first contact and the pose there (the anchored configuration, the
+frame, checked once, and the ledger before the map) do not depend on the
+family, so simulate remembers them for the last datum and the families run
+on one datum branch only at the map.
 
 A conservation ledger (linear momentum, angular momentum about the origin,
 kinetic energy) is kept across every event.  Angular momentum is audited
@@ -45,7 +47,8 @@ from hardpair.frames import build_frame
 # scattering_matrix is not called here; it stays bound for the same reason
 from hardpair.scattering import (  # noqa: F401
     ScatteringFamily,
-    scatter_velocity,
+    _scatter_rows,
+    frame_rows,
     scattering_matrix,
 )
 
@@ -298,14 +301,16 @@ def next_collision_time(body: Body, Z: State, t_max: float):
     return t
 
 
-def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
-                        contact: ContactData):
-    """Scatter the velocity at a contact state; returns (new state, event).
+def _contact_pose(body: Body, Z: State, contact: ContactData):
+    """The pose every family scatters on at a contact state Z: the anchored
+    configuration X, contact, the anchor shift, the frame, its rows and the
+    ledger of Z.V at X.
 
     contact is the contact solve at Z.X.  The second center moves along the
     center line to the solved separation d, which keeps the contact solve and
     puts the pose at the contact the frame's Ebeta is built for, so the
-    ledger holds at any unit of length.  The map flags grazing events.
+    ledger holds at any unit of length.  The frame is built, and its rows
+    checked for orthonormality, once.
     """
     x, y, xb, yb, theta, thetabar = Z.X.tolist()
     dist = math.hypot(xb - x, yb - y)
@@ -313,14 +318,21 @@ def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily,
     if abs(g) > 1e-8 * body.diameter:
         raise SimulationError(f"resolve called away from contact: gap {g:.3g}")
     xb, yb = x + (xb - x) * (contact.d / dist), y + (yb - y) * (contact.d / dist)
-    X, V = np.array([x, y, xb, yb, theta, thetabar]), Z.V
-    beta = Beta(theta, thetabar, math.atan2(yb - y, xb - x))
-    V_post, _, _, grazing = scatter_velocity(family, build_frame(body, beta, contact), V)
-    before = conserved_quantities(body, X, V)
+    X = np.array([x, y, xb, yb, theta, thetabar])
+    frame = build_frame(body, Beta(theta, thetabar, math.atan2(yb - y, xb - x)), contact)
+    return X, contact, abs(g), frame, frame_rows(frame), conserved_quantities(body, X, Z.V)
+
+
+def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, pose):
+    """Scatter the velocity at a contact state on its _contact_pose; returns
+    (new state, event).  The map flags grazing events."""
+    X, contact, shift, frame, rows, before = pose
+    V = Z.V
+    V_post, _, _, grazing = _scatter_rows(family, frame, rows, V)
     after = conserved_quantities(body, X, V_post)
     event = CollisionEvent(
         t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=V, V_post=V_post,
-        grazing=grazing, anchor_shift=abs(g), jumps={k: after[k] - before[k] for k in before},
+        grazing=grazing, anchor_shift=shift, jumps={k: after[k] - before[k] for k in before},
     )
     return State(X=X, V=V_post, t=Z.t), event
 
@@ -332,14 +344,16 @@ _last_flight = None
 
 def _first_flight(body: Body, Z0: State, remaining: float):
     """The gap and contact solve at Z0 and the first _next_collision over the
-    horizon remaining (None when remaining <= 0), remembered for the last datum.
+    horizon remaining with the _contact_pose at its root appended (None
+    without a root; the whole None when remaining <= 0), remembered for the
+    last datum.
 
-    The flight to the first contact does not depend on the family, so the
-    families run on one datum share it: a call on the same body and Z0
-    objects, with the same X and V bytes and the same horizon, returns the
-    remembered result.  The entry holds body and Z0, so their ids cannot be
-    reused.  A failed solve or an inadmissible start raises and leaves no
-    entry.
+    The flight to the first contact and the pose there do not depend on the
+    family, so the families run on one datum share them: a call on the same
+    body and Z0 objects, with the same X and V bytes and the same horizon,
+    returns the remembered result.  The entry holds body and Z0, so their
+    ids cannot be reused.  A failed solve, an inadmissible start or a frame
+    that fails its check raises and leaves no entry.
     """
     global _last_flight
     key = (body, Z0, Z0.X.tobytes(), Z0.V.tobytes(), remaining)
@@ -351,7 +365,11 @@ def _first_flight(body: Body, Z0: State, remaining: float):
     g0, contact = _gap_at(body, Z0.X)
     if g0 < -_ADMISSIBLE_RTOL * body.diameter:
         raise SimulationError(f"initial gap {g0:.3g} is negative beyond tolerance")
-    first = _next_collision(body, Z0, remaining, contact) if remaining > 0.0 else None
+    first = None
+    if remaining > 0.0:
+        dt, seen, root = _next_collision(body, Z0, remaining, contact)
+        pose = None if dt is None else _contact_pose(body, free_flight(Z0, dt), root)
+        first = dt, seen, root, pose
     _last_flight = key, (g0, contact, first)
     return g0, contact, first
 
@@ -373,9 +391,10 @@ def simulate(
     contacts occur.  Every root is resolved; a root within the time
     tolerance of the last event whose resolve comes out grazing is the same
     grazing contact found again, so its event is dropped, counted in
-    merged_grazing, and the flight steps past it.  The first flight comes
-    from _first_flight: a run on the last datum's body and Z0 objects,
-    unchanged, over the same horizon, reuses it.
+    merged_grazing, and the flight steps past it.  The first flight and
+    the pose at its contact come from _first_flight: a run on the last
+    datum's body and Z0 objects, unchanged, over the same horizon, reuses
+    both.  Every later event builds its pose with _contact_pose.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"horizon T must be finite and nonnegative, got {T}")
@@ -412,15 +431,18 @@ def simulate(
             break
         t_tol = _MERGE_RTOL * remaining
         if Z is Z0:
-            dt, seen, contact = first
+            dt, seen, contact, pose = first
         else:
             dt, seen, contact = _next_collision(body, Z, remaining, contact)
+            pose = None
         min_gap = min(min_gap, seen)
         if dt is None:
             Z = free_flight(Z, remaining)
             break
         Z = free_flight(Z, dt)
-        Z_post, event = _resolve_at_contact(body, Z, family, contact)
+        if pose is None:
+            pose = _contact_pose(body, Z, contact)
+        Z_post, event = _resolve_at_contact(body, Z, family, pose)
         if event.grazing and last_event_t is not None and Z.t - last_event_t < t_tol:
             # the last event's grazing root found again: count it into that
             # event and step past it
@@ -509,7 +531,8 @@ def divergence_report(
     states.  The families are distinct when every pairwise |W'_i - W'_j| /
     |W0| exceeds DISTINCT_BOUND, so it takes at least two families.  A datum
     with no collision within T yields {"degenerate": True}.  The families
-    fly the one Z0, so they share its flight to the first contact.
+    fly the one Z0, so they share its flight to the first contact and the
+    frame built and checked there.
     """
     if len(families) < 2:
         raise ValueError("families must list at least two families to compare")

@@ -24,10 +24,11 @@ along the contact normal reproduces the reflection family, and closed-form
 velocity expressions reproduce the epsi family.
 
 Each map is A = sign (I - 2 U^T U) for a few orthonormal rows U.  At one
-frame the rows are built on Python floats, and scatter_velocity applies the
-map as that low-rank update without forming a matrix; scatter_stack does
-the same over a stack of frames as array code, and audit_scattering checks
-every family's map over such a stack.
+frame the rows are built on Python floats and checked for orthonormality by
+frame_rows, once per frame however many families map there, and
+scatter_velocity applies the map as that low-rank update without forming a
+matrix; scatter_stack does the same over a stack of frames as array code,
+and audit_scattering checks every family's map over such a stack.
 """
 
 from __future__ import annotations
@@ -147,16 +148,22 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     return cores
 
 
-def _core(family: ScatteringFamily, frame: Frames) -> tuple[float, list]:
-    """The family's core at one frame, on floats: (sign, rows) as in _cores.
-
-    The frame's six rows are checked for orthonormality first; a NaN fails.
-    """
+def frame_rows(frame: Frames) -> list:
+    """The frame's six rows E1, E2, Ebeta, nu, F1, F2 on floats, checked for
+    orthonormality; a NaN fails.  A map at the frame takes its rows from here."""
     B = [v.tolist() for v in (frame.E1, frame.E2, frame.Ebeta, frame.nu, frame.F1, frame.F2)]
     for i, u in enumerate(B):
         for j in range(i, 6):
             if not abs(_dot(u, B[j]) - (i == j)) <= 1e-8:
                 raise ValueError(_NOT_ORTHONORMAL)
+    return B
+
+
+def _core(family: ScatteringFamily, frame: Frames, B: list) -> tuple[float, list]:
+    """The family's core at one frame, on floats: (sign, rows) as in _cores.
+
+    B holds the frame's rows as frame_rows returns them.
+    """
     if family.variant == "reflection":
         return 1.0, [B[3]]
     if family.variant == "epsi":
@@ -175,7 +182,7 @@ def scattering_matrix(family: ScatteringFamily, frame: Frames) -> ScatterMatrix:
     A = sign (I - 2 U^T U) from the rows _core builds; see _cores for the
     gauge of the 'op' line field.
     """
-    sign, rows = _core(family, frame)
+    sign, rows = _core(family, frame, frame_rows(frame))
     U = np.array(rows)
     A = sign * (np.eye(6) - 2.0 * (U.T @ U))
     diag = mass_weights(frame.m, frame.J)
@@ -211,16 +218,22 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
 
     Applies the low-rank update W' = sign (W - 2 sum_u (u.W) u) to W = M V,
     on floats, without forming a matrix.  Returns (V', V.(M nu), V'.(M nu),
-    grazing), grazing being is_grazing(V.(M nu), |M V|).  A non-finite V
-    raises ValueError, and a separating V (V.(M nu) above GRAZING_RTOL |M V|)
-    raises NotPreCollisionalError.  A grazing V is mapped without a warning.
+    grazing), grazing being is_grazing(V.(M nu), |M V|).  A frame that is not
+    orthonormal or a non-finite V raises ValueError, and a separating V
+    (V.(M nu) above GRAZING_RTOL |M V|) raises NotPreCollisionalError.  A
+    grazing V is mapped without a warning.
     """
+    return _scatter_rows(family, frame, frame_rows(frame), V)
+
+
+def _scatter_rows(family: ScatteringFamily, frame: Frames, B: list, V: np.ndarray):
+    """scatter_velocity at a frame whose rows B frame_rows has already checked."""
     V = np.asarray(V, dtype=float)
-    sign, rows = _core(family, frame)
+    sign, rows = _core(family, frame, B)
     rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
     v = V.tolist()
     W = [rm * v[0], rm * v[1], rm * v[2], rm * v[3], rj * v[4], rj * v[5]]
-    nu = frame.nu.tolist()
+    nu = B[3]
     proj = _dot(W, nu)
     if not np.isfinite(V).all():
         raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")

@@ -6,17 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-# dynamics and geometry as bound here at import, the modules simulate lives
-# in and calls into; the kernel-counting tests patch geometry's _kernel and
-# the merge and cap tests dynamics' _next_collision, _MAX_EVENTS,
+# dynamics, geometry and scattering as bound here at import, the modules
+# simulate lives in and calls into; the kernel-counting tests patch
+# geometry's _kernel, the frame tests dynamics' build_frame and frame_rows,
+# and the merge and cap tests dynamics' _next_collision, _MAX_EVENTS,
 # _MAX_SAMPLES and _resample, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
-from hardpair import _checks, dynamics, geometry
+from hardpair import _checks, dynamics, geometry, scattering
 from hardpair.bodies import make_ellipse, make_implicit
 from hardpair.frames import LineField, nu_hat
 from hardpair.geometry import Beta, closest_approach, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
+    _contact_pose,
     _resolve_at_contact,
     SimulationError,
     conserved_quantities,
@@ -76,7 +78,7 @@ def test_no_collision_returns_none():
 def test_resolve_requires_contact():
     Z = _head_on()
     with pytest.raises(SimulationError):
-        _resolve_at_contact(DISK, Z, REFL, dynamics._gap_at(DISK, Z.X)[1])
+        _contact_pose(DISK, Z, dynamics._gap_at(DISK, Z.X)[1])
 
 
 @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e6])
@@ -311,7 +313,7 @@ def test_resolve_collision_matches_scatter_stack():
     want = scatter_stack(fams, frames, W) / diag
     for f, fam in enumerate(fams):
         for i, Z in enumerate(states):
-            got = _resolve_at_contact(ELL, Z, fam, contacts[i])[0].V
+            got = _resolve_at_contact(ELL, Z, fam, _contact_pose(ELL, Z, contacts[i]))[0].V
             assert np.max(np.abs(got - want[f, i])) <= 1e-13, (fam.label(), i)
 
 
@@ -376,9 +378,36 @@ def test_families_on_one_datum_share_the_first_flight(monkeypatch):
     assert len(cold) == 1
 
 
+def test_families_on_one_datum_share_the_first_contact(monkeypatch):
+    # the pose at the first contact does not depend on the family either:
+    # the six families build and check one frame there between them, and
+    # each later event builds and checks its own
+    built, checked = [], []
+    build, rows = dynamics.build_frame, scattering.frame_rows
+
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counted_rows(frame):
+        checked.append(frame)
+        return rows(frame)
+
+    monkeypatch.setattr(dynamics, "build_frame", counted_build)
+    for module in (dynamics, scattering):
+        monkeypatch.setattr(module, "frame_rows", counted_rows)
+    rep = divergence_report(_checks.ELL, _frozen_datum(), _checks.six_families(),
+                            _checks.NONUNIQ_T)
+    later = sum(p["n_events"] - 1 for p in rep["per_family"])
+    assert later == 2
+    assert len(built) == 1 + later
+    assert len(checked) == len(built)
+
+
 def _exact(tr):
     """Every number of a trajectory, in a form that compares exactly."""
-    events = [(ev.t, ev.X.tobytes(), ev.V_pre.tobytes(), ev.V_post.tobytes(), ev.jumps)
+    events = [(ev.t, ev.X.tobytes(), ev.d, ev.s1, ev.s2, ev.V_pre.tobytes(),
+               ev.V_post.tobytes(), ev.grazing, ev.anchor_shift, ev.jumps)
               for ev in tr.events]
     states = [(s.X.tobytes(), s.V.tobytes(), s.t) for s in (tr.final, *tr.samples)]
     return events, states, tr.min_gap
@@ -437,21 +466,53 @@ def test_failed_first_flight_leaves_no_entry(monkeypatch):
     for _ in range(2):
         with pytest.raises(SimulationError, match="initial gap"):
             simulate(ELL, overlapping, REFL, 1.0)
+    # so does a frame at the first contact that fails its check
+    build = dynamics.build_frame
+
+    def skewed(*args):
+        frame = build(*args)
+        return frame._replace(F1=1.5 * frame.F1)
+
+    monkeypatch.setattr(dynamics, "build_frame", skewed)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            simulate(ELL, Z0, REFL, 4.0)
+        assert dynamics._last_flight is None
+    monkeypatch.undo()
     cold = _count_cold(monkeypatch)
     assert simulate(ELL, Z0, REFL, 4.0).n_events() > 0
     assert len(cold) == 1
 
 
-def test_late_graze_is_a_collision():
-    # a re-contact that overlaps for about 0.016 in time after the first event
-    Z0 = make_state(
+def _late_graze_datum():
+    return make_state(
         [0, 0, 3.9249001933222014, -3.0588080019098625, 5.37203234937409, 1.29129088131563],
         [0.04156706359133046, -0.15095692273606434, -0.9422753565275535,
          1.2571261540372383, -0.3934606903240496, -0.459068014675579],
     )
-    tr = simulate(ELL, Z0, SIX_FAMILIES[3], 4.0)
+
+
+def test_late_graze_is_a_collision():
+    # a re-contact that overlaps for about 0.016 in time after the first event
+    tr = simulate(ELL, _late_graze_datum(), SIX_FAMILIES[3], 4.0)
     assert tr.n_events() == 2
     assert tr.events[1].t == pytest.approx(3.105, abs=2e-3)
+
+
+def test_every_event_checks_its_frame(monkeypatch):
+    # the frame of a later event is checked too, not only the shared first one
+    built = []
+    build = dynamics.build_frame
+
+    def skewed_second(*args):
+        built.append(args)
+        frame = build(*args)
+        return frame._replace(F1=1.5 * frame.F1) if len(built) == 2 else frame
+
+    monkeypatch.setattr(dynamics, "build_frame", skewed_second)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        simulate(ELL, _late_graze_datum(), SIX_FAMILIES[3], 4.0)
+    assert len(built) == 2
 
 
 def _high_spin_data(n, seed):
