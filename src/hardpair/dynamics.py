@@ -15,9 +15,9 @@ is merged into that event.  Because several families share the same
 conservation laws, one initial condition continues into many distinct
 trajectories, and divergence_report measures exactly that.  The flight up
 to the first contact and the pose there (the anchored configuration, the
-frame, checked once, and the ledger before the map) do not depend on the
-family, so simulate remembers them for the last datum and the families run
-on one datum branch only at the map.
+frame and the velocity's verdict, each checked once, and the ledger before
+the map) do not depend on the family, so simulate remembers them for the
+last datum and the families run on one datum branch only at the map.
 
 A conservation ledger (linear momentum, angular momentum about the origin,
 kinetic energy) is kept across every event.  Angular momentum is audited
@@ -303,14 +303,14 @@ def next_collision_time(body: Body, Z: State, t_max: float):
 
 def _contact_pose(body: Body, Z: State, contact: ContactData):
     """The pose every family scatters on at a contact state Z: the anchored
-    configuration X, contact, the anchor shift, the frame, its rows and the
-    ledger of Z.V at X.
+    configuration X, contact, the anchor shift, the frame, frame_rows of
+    the frame and Z.V, and the ledger of Z.V at X.
 
     contact is the contact solve at Z.X.  The second center moves along the
     center line to the solved separation d, which keeps the contact solve and
     puts the pose at the contact the frame's Ebeta is built for, so the
     ledger holds at any unit of length.  The frame is built, and its rows
-    checked for orthonormality, once.
+    and Z.V checked there, once.
     """
     x, y, xb, yb, theta, thetabar = Z.X.tolist()
     dist = math.hypot(xb - x, yb - y)
@@ -320,15 +320,15 @@ def _contact_pose(body: Body, Z: State, contact: ContactData):
     xb, yb = x + (xb - x) * (contact.d / dist), y + (yb - y) * (contact.d / dist)
     X = np.array([x, y, xb, yb, theta, thetabar])
     frame = build_frame(body, Beta(theta, thetabar, math.atan2(yb - y, xb - x)), contact)
-    return X, contact, abs(g), frame, frame_rows(frame), conserved_quantities(body, X, Z.V)
+    return X, contact, abs(g), frame, frame_rows(frame, Z.V), conserved_quantities(body, X, Z.V)
 
 
 def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, pose):
     """Scatter the velocity at a contact state on its _contact_pose; returns
-    (new state, event).  The map flags grazing events."""
+    (new state, event).  The pose flags grazing events."""
     X, contact, shift, frame, rows, before = pose
     V = Z.V
-    V_post, _, _, grazing = _scatter_rows(family, frame, rows, V)
+    V_post, _, _, grazing = _scatter_rows(family, frame, rows)
     after = conserved_quantities(body, X, V_post)
     event = CollisionEvent(
         t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=V, V_post=V_post,
@@ -352,8 +352,8 @@ def _first_flight(body: Body, Z0: State, remaining: float):
     family, so the families run on one datum share them: a call on the same
     body and Z0 objects, with the same X and V bytes and the same horizon,
     returns the remembered result.  The entry holds body and Z0, so their
-    ids cannot be reused.  A failed solve, an inadmissible start or a frame
-    that fails its check raises and leaves no entry.
+    ids cannot be reused.  A failed solve, an inadmissible start or a pose
+    that fails its checks raises and leaves no entry.
     """
     global _last_flight
     key = (body, Z0, Z0.X.tobytes(), Z0.V.tobytes(), remaining)

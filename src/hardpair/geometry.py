@@ -91,6 +91,7 @@ class Beta:
 
     def __post_init__(self):
         angles = (("theta", self.theta), ("thetabar", self.thetabar), ("psi", self.psi))
+        # not twins: arrays must share one shape (N,) and name a bad index; floats do not
         if (isinstance(self.theta, np.ndarray) or isinstance(self.thetabar, np.ndarray)
                 or isinstance(self.psi, np.ndarray)):
             shape = np.shape(self.theta)
@@ -145,16 +146,10 @@ class ContactData(NamedTuple):
 
     def p_perp_n(self) -> float:
         """p_perp . n: a float for one contact, shape (N,) for N."""
-        if isinstance(self.d, float):
-            (px, py), (nx, ny) = self.p.tolist(), self.n.tolist()
-            return px * ny - py * nx
         return _cross(self.p, self.n)
 
     def q_perp_n(self) -> float:
         """q_perp . n: a float for one contact, shape (N,) for N."""
-        if isinstance(self.d, float):
-            (qx, qy), (nx, ny) = self.q.tolist(), self.n.tolist()
-            return qx * ny - qy * nx
         return _cross(self.q, self.n)
 
 
@@ -260,6 +255,7 @@ def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
     of pose i alone.
     """
     th_rel, ps_rel = beta.reduced()
+    # not twins: one pose is closest_approach's record; N poses slice one stacked array
     if isinstance(th_rel, float):
         return closest_approach(body, th_rel, ps_rel, theta=beta.theta, derivatives=derivatives)
     rows = np.array([

@@ -24,11 +24,13 @@ along the contact normal reproduces the reflection family, and closed-form
 velocity expressions reproduce the epsi family.
 
 Each map is A = sign (I - 2 U^T U) for a few orthonormal rows U.  At one
-frame the rows are built on Python floats and checked for orthonormality by
-frame_rows, once per frame however many families map there, and
-scatter_velocity applies the map as that low-rank update without forming a
-matrix; scatter_stack does the same over a stack of frames as array code,
-and audit_scattering checks every family's map over such a stack.
+frame, frame_rows builds the rows on Python floats, checks them for
+orthonormality and forms W = M V, W.nu and the velocity's verdict (refused
+if separating, flagged if grazing), once however many families map there;
+scatter_velocity then applies each family's map as that low-rank update
+without forming a matrix.  scatter_stack does the same over a stack of
+frames as array code, and audit_scattering checks every family's map over
+such a stack.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from hardpair.frames import (  # noqa: F401
 
 # Relative tolerance on W.nu, W = M V, below which a collision counts as grazing.
 GRAZING_RTOL = 1e-9
+# Largest |B B^T - I| over a frame's rows B at which a map accepts the frame.
+_ORTHONORMAL_TOL = 1e-8
 
 _VARIANTS = ("reflection", "epsi", "op")
 _NOT_ORTHONORMAL = "frame is not orthonormal; refusing to build a scattering matrix"
@@ -131,10 +135,9 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     the relative configuration; a pair seeded with axes fixed in the lab
     would not be, since such seeds break the rotation symmetry.
     """
-    if not frames.orthonormality_residual().max() <= 1e-8:  # a NaN fails too
+    if not frames.orthonormality_residual().max() <= _ORTHONORMAL_TOL:  # a NaN fails too
         raise ValueError(_NOT_ORTHONORMAL)
-    # arrays even for one frame, so that a line field's angle takes the array path
-    rel = tuple(map(np.asarray, frames.reduced()))
+    rel = frames.reduced()
     cores = []
     for fam in families:
         if fam.variant == "reflection":
@@ -142,23 +145,41 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
         elif fam.variant == "epsi":
             cores.append((-1.0, _rows(frames.E1, frames.E2, frames.Ebeta)))
         else:
-            phi = fam.line_field.angle(*rel)[..., None]
+            phi = np.asarray(fam.line_field.angle(*rel))[..., None]
             fhat = np.cos(phi) * frames.F1 + np.sin(phi) * frames.F2
             cores.append((1.0, np.stack([frames.nu, fhat], axis=-2)))
     return cores
 
 
-def frame_rows(frame: Frames) -> list:
-    """The frame's six rows E1, E2, Ebeta, nu, F1, F2 on floats, checked for
-    orthonormality; a NaN fails.  A map at the frame takes its rows from here."""
+def frame_rows(frame: Frames, V: np.ndarray) -> tuple:
+    """The half of a map at one frame that no family changes, on floats:
+    (B, W, proj, grazing), B the rows E1, E2, Ebeta, nu, F1, F2, W = M V,
+    proj = W.nu and grazing = is_grazing(proj, |W|).  Raises as
+    scatter_velocity does; a NaN row fails the orthonormality check."""
     B = [v.tolist() for v in (frame.E1, frame.E2, frame.Ebeta, frame.nu, frame.F1, frame.F2)]
     for i, u in enumerate(B):
         for j in range(i, 6):
-            if not abs(_dot(u, B[j]) - (i == j)) <= 1e-8:
+            if not abs(_dot(u, B[j]) - (i == j)) <= _ORTHONORMAL_TOL:
                 raise ValueError(_NOT_ORTHONORMAL)
-    return B
+    V = np.asarray(V, dtype=float)
+    if not np.isfinite(V).all():
+        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
+    rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
+    v = V.tolist()
+    W = [rm * v[0], rm * v[1], rm * v[2], rm * v[3], rj * v[4], rj * v[5]]
+    proj = _dot(W, B[3])
+    # hypot, unlike the norm, does not overflow for |W| near the float range
+    speed = math.hypot(*W)
+    grazing = is_grazing(proj, speed)
+    if proj > 0.0 and not grazing:
+        raise NotPreCollisionalError(
+            "velocity is separating at the contact: "
+            f"V.(M nu) = {proj:.6g} > {GRAZING_RTOL * speed:.6g}"
+        )
+    return B, W, proj, grazing
 
 
+# kept beside _cores/_reflect: it runs six times per datum, and on floats it is the cheaper
 def _core(family: ScatteringFamily, frame: Frames, B: list) -> tuple[float, list]:
     """The family's core at one frame, on floats: (sign, rows) as in _cores.
 
@@ -179,11 +200,10 @@ def scattering_matrix(family: ScatteringFamily, frame: Frames) -> ScatterMatrix:
     No path of the program forms the matrix; it is the reference the
     low-rank updates are tested against.
 
-    A = sign (I - 2 U^T U) from the rows _core builds; see _cores for the
-    gauge of the 'op' line field.
+    A = sign (I - 2 U^T U) from the rows _cores builds on arrays; see _cores
+    for the gauge of the 'op' line field.
     """
-    sign, rows = _core(family, frame, frame_rows(frame))
-    U = np.array(rows)
+    [(sign, U)] = _cores([family], frame)
     A = sign * (np.eye(6) - 2.0 * (U.T @ U))
     diag = mass_weights(frame.m, frame.J)
     s = A * (diag[np.newaxis, :] / diag[:, np.newaxis])
@@ -223,35 +243,21 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
     (V.(M nu) above GRAZING_RTOL |M V|) raises NotPreCollisionalError.  A
     grazing V is mapped without a warning.
     """
-    return _scatter_rows(family, frame, frame_rows(frame), V)
+    return _scatter_rows(family, frame, frame_rows(frame, V))
 
 
-def _scatter_rows(family: ScatteringFamily, frame: Frames, B: list, V: np.ndarray):
-    """scatter_velocity at a frame whose rows B frame_rows has already checked."""
-    V = np.asarray(V, dtype=float)
-    sign, rows = _core(family, frame, B)
-    rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
-    v = V.tolist()
-    W = [rm * v[0], rm * v[1], rm * v[2], rm * v[3], rj * v[4], rj * v[5]]
-    nu = B[3]
-    proj = _dot(W, nu)
-    if not np.isfinite(V).all():
-        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
-    # hypot, unlike the norm, does not overflow for |W| near the float range
-    speed = math.hypot(*W)
-    grazing = is_grazing(proj, speed)
-    if proj > 0.0 and not grazing:
-        raise NotPreCollisionalError(
-            "velocity is separating at the contact: "
-            f"V.(M nu) = {proj:.6g} > {GRAZING_RTOL * speed:.6g}"
-        )
+def _scatter_rows(family: ScatteringFamily, frame: Frames, rows: tuple):
+    """scatter_velocity from rows = frame_rows(frame, V): the family's rows alone."""
+    B, W, proj, grazing = rows
+    sign, U = _core(family, frame, B)
     Wp = W
-    for u in rows:
+    for u in U:
         c = 2.0 * _dot(u, W)
         Wp = [x - c * y for x, y in zip(Wp, u)]
     Wp = [sign * x for x in Wp]
+    rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
     Vp = np.array([Wp[0] / rm, Wp[1] / rm, Wp[2] / rm, Wp[3] / rm, Wp[4] / rj, Wp[5] / rj])
-    return Vp, proj, _dot(Wp, nu), grazing
+    return Vp, proj, _dot(Wp, B[3]), grazing
 
 
 def impulse_scatter(n, pn, qn, m: float, J: float, V: np.ndarray) -> np.ndarray:

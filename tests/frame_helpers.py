@@ -5,7 +5,7 @@ line_field_vector reads a line field's direction off one frame, and
 normal_projection gives V.(M nu) as its own array product; the program
 itself turns only the complement seeds, inside frames.complement_basis,
 builds the line-field direction inside the op family's core and takes
-V.(M nu) inside scattering.scatter_velocity.
+V.(M nu) inside scattering.frame_rows.
 """
 
 import math

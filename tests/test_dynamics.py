@@ -380,28 +380,52 @@ def test_families_on_one_datum_share_the_first_flight(monkeypatch):
 
 def test_families_on_one_datum_share_the_first_contact(monkeypatch):
     # the pose at the first contact does not depend on the family either:
-    # the six families build and check one frame there between them, and
-    # each later event builds and checks its own
-    built, checked = [], []
-    build, rows = dynamics.build_frame, scattering.frame_rows
+    # the six families build one frame there between them and check it and
+    # the velocity once, and each later event builds and checks its own
+    built, checked, verdicts = [], [], []
+    build, rows, grazing = dynamics.build_frame, scattering.frame_rows, scattering.is_grazing
 
     def counted_build(*args):
         built.append(args)
         return build(*args)
 
-    def counted_rows(frame):
+    def counted_rows(frame, V):
         checked.append(frame)
-        return rows(frame)
+        return rows(frame, V)
+
+    def counted_grazing(proj, speed):
+        verdicts.append(proj)
+        return grazing(proj, speed)
 
     monkeypatch.setattr(dynamics, "build_frame", counted_build)
     for module in (dynamics, scattering):
         monkeypatch.setattr(module, "frame_rows", counted_rows)
+    monkeypatch.setattr(scattering, "is_grazing", counted_grazing)
     rep = divergence_report(_checks.ELL, _frozen_datum(), _checks.six_families(),
                             _checks.NONUNIQ_T)
     later = sum(p["n_events"] - 1 for p in rep["per_family"])
     assert later == 2
     assert len(built) == 1 + later
     assert len(checked) == len(built)
+    assert len(verdicts) == len(built) == 3
+
+
+def test_separating_first_contact_leaves_no_entry(monkeypatch):
+    # the velocity is checked with the pose, before the first flight is
+    # remembered: a frame whose normal points the wrong way makes the first
+    # contact separating, which raises on every call and stores nothing
+    build = dynamics.build_frame
+
+    def flipped(*args):
+        frame = build(*args)
+        return frame._replace(nu=-frame.nu)
+
+    monkeypatch.setattr(dynamics, "build_frame", flipped)
+    Z0 = _frozen_datum()
+    for _ in range(2):
+        with pytest.raises(scattering.NotPreCollisionalError):
+            simulate(ELL, Z0, REFL, 4.0)
+        assert dynamics._last_flight is None
 
 
 def _exact(tr):

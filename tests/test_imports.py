@@ -1,7 +1,8 @@
 """Source hygiene: every name a hardpair module imports is read in it, every
 binding the benchmark's tracer wraps exists, every dataclass checks its
 fields, every check of the verification suite is in CHECKS, without
-parameters, and geometry reads the contact kernel in one function.
+parameters, geometry reads the contact kernel in one function, and only
+three functions branch on one pose of floats against N poses of arrays.
 
 A record whose fields go unchecked is a NamedTuple, which is cheaper to
 build and to define; a dataclass is kept only where __post_init__ checks.
@@ -139,3 +140,52 @@ def test_every_check_is_in_the_suite_and_takes_nothing():
                if name.startswith("check_") and inspect.isfunction(f)]
     assert sorted(defined) == sorted(f.__name__ for f in _checks.CHECKS)
     assert [f for f in _checks.CHECKS if inspect.signature(f).parameters] == []
+
+
+def _tests_float_against_array(node) -> bool:
+    """node is isinstance(_, float), isinstance(_, np.ndarray) or np.ndim(_)."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Attribute):
+        return f.attr == "ndim" and getattr(f.value, "id", None) == "np"
+    if getattr(f, "id", None) != "isinstance" or len(node.args) != 2:
+        return False
+    kind = node.args[1]
+    return getattr(kind, "id", None) == "float" or getattr(kind, "attr", None) == "ndarray"
+
+
+def float_forks(source: str, module: str) -> set[str]:
+    """The qualified names of the functions of source that test a value for
+    float against array."""
+    found = set()
+
+    def visit(node, name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{name}.{node.name}"
+        elif _tests_float_against_array(node):
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_guard_sees_a_float_fork():
+    src = ("import numpy as np\nclass A:\n    def f(self, x):\n"
+           "        return 1.0 if isinstance(x, float) else x\n"
+           "def g(x):\n    return np.ndim(x)\n"
+           "def h(x):\n    def inner():\n        return isinstance(x, np.ndarray)\n"
+           "def k(x):\n    return isinstance(x, int), np.shape(x)\n")
+    assert float_forks(src, "m") == {"m.A.f", "m.g", "m.h.inner"}
+
+
+def test_one_pose_forks_only_where_they_pay():
+    # one array expression serves one pose and N; a float branch stays only
+    # where the two forms are not twins (Beta, d_beta) or where the float path
+    # is measured cheaper on the traffic it serves (complement_basis).  cli's
+    # type tests read config values and encode JSON; they fork no arithmetic.
+    found = set().union(*(float_forks(p.read_text(), p.stem)
+                          for p in MODULES if p.stem != "cli"))
+    assert found == {"geometry.Beta.__post_init__", "geometry.d_beta", "frames.complement_basis"}

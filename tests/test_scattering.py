@@ -41,7 +41,7 @@ def _random_frame(rng, body=ELL):
 
 def _incoming(rng, fr):
     V = rng.standard_normal(6)
-    if float((DIAG * V) @ fr.nu) > 0.0:
+    if float((mass_weights(fr.m, fr.J) * V) @ fr.nu) > 0.0:
         V = -V
     return V
 
@@ -428,17 +428,21 @@ def test_op_map_flips_the_line_field_vector():
 
 
 def test_scatter_velocity_matches_matrix():
+    # the float map against the matrix from the array cores, on ellipse and
+    # unit-disk frames; at the head-on disk pose the complement pair takes
+    # a reserve seed
     rng = np.random.default_rng(51)
+    head_on = build_frame(DISK, Beta(0.0, 0.0, 0.0))
     for fam in FAMILIES + [FOURIER_OP]:
-        for _ in range(20):
-            fr = _random_frame(rng)
+        frames = [_random_frame(rng, body) for body in (ELL, DISK) for _ in range(20)]
+        for fr in frames + [head_on]:
             V = _incoming(rng, fr)
             sm = scattering_matrix(fam, fr)
             Vp, pre, post, grazing = scatter_velocity(fam, fr, V)
             assert Vp.shape == (6,)
             assert np.max(np.abs(Vp - sm.s @ V)) < 1e-13
-            assert pre == pytest.approx(normal_projection(V, fr.nu, ELL.m, ELL.J), abs=1e-14)
-            assert post == pytest.approx(normal_projection(Vp, fr.nu, ELL.m, ELL.J), abs=1e-14)
+            assert pre == pytest.approx(normal_projection(V, fr.nu, fr.m, fr.J), abs=1e-14)
+            assert post == pytest.approx(normal_projection(Vp, fr.nu, fr.m, fr.J), abs=1e-14)
             assert pre < 0.0 < post and not grazing
 
 
