@@ -13,11 +13,13 @@ Resolution replaces the velocity with its image under a chosen scattering
 family, once per root; a grazing root found again right after its event
 is merged into that event.  Because several families share the same
 conservation laws, one initial condition continues into many distinct
-trajectories, and divergence_report measures exactly that.  The flight up
-to the first contact and the pose there (the anchored configuration, the
-frame and the velocity's verdict, each checked once, and the ledger before
-the map) do not depend on the family, so simulate remembers them for the
-last datum and the families run on one datum branch only at the map.
+trajectories, and divergence_report measures exactly that.  Every flight
+is one step, _flight, which ends at the pose its contact is resolved on
+(the anchored configuration, the frame and the velocity's verdict, each
+checked once, and the ledger before the map).  The datum's check, its
+first flight and the pose there do not depend on the family, so simulate
+remembers them for the last datum and the families run on one datum
+branch only at the map.
 
 A conservation ledger (linear momentum, angular momentum about the origin,
 kinetic energy) is kept across every event.  Angular momentum is audited
@@ -302,9 +304,9 @@ def next_collision_time(body: Body, Z: State, t_max: float):
 
 
 def _contact_pose(body: Body, Z: State, contact: ContactData):
-    """The pose every family scatters on at a contact state Z: the anchored
-    configuration X, contact, the anchor shift, the frame, frame_rows of
-    the frame and Z.V, and the ledger of Z.V at X.
+    """The pose every family scatters on at a contact state Z: Z, the
+    anchored configuration X, contact, the anchor shift, the frame,
+    frame_rows of the frame and Z.V, and the ledger of Z.V at X.
 
     contact is the contact solve at Z.X.  The second center moves along the
     center line to the solved separation d, which keeps the contact solve and
@@ -320,18 +322,29 @@ def _contact_pose(body: Body, Z: State, contact: ContactData):
     xb, yb = x + (xb - x) * (contact.d / dist), y + (yb - y) * (contact.d / dist)
     X = np.array([x, y, xb, yb, theta, thetabar])
     frame = build_frame(body, Beta(theta, thetabar, math.atan2(yb - y, xb - x)), contact)
-    return X, contact, abs(g), frame, frame_rows(frame, Z.V), conserved_quantities(body, X, Z.V)
+    return (Z, X, contact, abs(g), frame, frame_rows(frame, Z.V),
+            conserved_quantities(body, X, Z.V))
 
 
-def _resolve_at_contact(body: Body, Z: State, family: ScatteringFamily, pose):
-    """Scatter the velocity at a contact state on its _contact_pose; returns
-    (new state, event).  The pose flags grazing events."""
-    X, contact, shift, frame, rows, before = pose
-    V = Z.V
+def _flight(body: Body, Z: State, remaining: float, contact: ContactData | None):
+    """One free flight from Z over the horizon remaining: (seen, root,
+    pose), seen the minimum gap over the poses visited, root the contact
+    solve at the first contact and pose the _contact_pose there; root and
+    pose are None without a contact.  contact is the solve at Z.X, if held."""
+    dt, seen, root = _next_collision(body, Z, remaining, contact)
+    if dt is None:
+        return seen, None, None
+    return seen, root, _contact_pose(body, free_flight(Z, dt), root)
+
+
+def _resolve_at_contact(body: Body, family: ScatteringFamily, pose):
+    """Scatter the velocity of the contact state on its _contact_pose;
+    returns (new state, event).  The pose flags grazing events."""
+    Z, X, contact, shift, frame, rows, before = pose
     V_post, _, _, grazing = _scatter_rows(family, frame, rows)
     after = conserved_quantities(body, X, V_post)
     event = CollisionEvent(
-        t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=V, V_post=V_post,
+        t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=Z.V, V_post=V_post,
         grazing=grazing, anchor_shift=shift, jumps={k: after[k] - before[k] for k in before},
     )
     return State(X=X, V=V_post, t=Z.t), event
@@ -343,17 +356,17 @@ _last_flight = None
 
 
 def _first_flight(body: Body, Z0: State, remaining: float):
-    """The gap and contact solve at Z0 and the first _next_collision over the
-    horizon remaining with the _contact_pose at its root appended (None
-    without a root; the whole None when remaining <= 0), remembered for the
-    last datum.
+    """The contact solve at Z0 and the _flight from Z0 over the horizon
+    remaining, remembered for the last datum.
 
     The flight to the first contact and the pose there do not depend on the
     family, so the families run on one datum share them: a call on the same
     body and Z0 objects, with the same X and V bytes and the same horizon,
     returns the remembered result.  The entry holds body and Z0, so their
-    ids cannot be reused.  A failed solve, an inadmissible start or a pose
-    that fails its checks raises and leaves no entry.
+    ids cannot be reused.  Only a new datum is checked: a non-finite X or V,
+    or a V whose kinetic energy or K (omega^2 + omegabar^2) overflows,
+    raises ValueError.  A bad datum, a failed solve, an inadmissible start
+    or a pose that fails its checks raises and leaves no entry.
     """
     global _last_flight
     key = (body, Z0, Z0.X.tobytes(), Z0.V.tobytes(), remaining)
@@ -362,16 +375,16 @@ def _first_flight(body: Body, Z0: State, remaining: float):
         if last[0] is body and last[1] is Z0 and last[2:] == key[2:]:
             return result
     _last_flight = None
-    g0, contact = _gap_at(body, Z0.X)
-    if g0 < -_ADMISSIBLE_RTOL * body.diameter:
-        raise SimulationError(f"initial gap {g0:.3g} is negative beyond tolerance")
-    first = None
-    if remaining > 0.0:
-        dt, seen, root = _next_collision(body, Z0, remaining, contact)
-        pose = None if dt is None else _contact_pose(body, free_flight(Z0, dt), root)
-        first = dt, seen, root, pose
-    _last_flight = key, (g0, contact, first)
-    return g0, contact, first
+    _require_finite(Z0.X, Z0.V)
+    om, omb = Z0.V.tolist()[4:6]
+    if not (math.isfinite(conserved_quantities(body, Z0.X, Z0.V)["ke"])
+            and math.isfinite(body.K * (om * om + omb * omb))):
+        raise ValueError(
+            f"state V is too large: its kinetic energy or K (omega^2 + omegabar^2) "
+            f"overflows, V = {Z0.V.tolist()}")
+    _, contact = _gap_at(body, Z0.X)
+    _last_flight = key, (contact, _flight(body, Z0, remaining, contact))
+    return _last_flight[1]
 
 
 def simulate(
@@ -391,10 +404,10 @@ def simulate(
     contacts occur.  Every root is resolved; a root within the time
     tolerance of the last event whose resolve comes out grazing is the same
     grazing contact found again, so its event is dropped, counted in
-    merged_grazing, and the flight steps past it.  The first flight and
-    the pose at its contact come from _first_flight: a run on the last
-    datum's body and Z0 objects, unchanged, over the same horizon, reuses
-    both.  Every later event builds its pose with _contact_pose.
+    merged_grazing, and the flight steps past it.  Each flight is a _flight
+    to its contact pose.  The first comes from _first_flight, which checks
+    the datum: a run on the last datum's body and Z0 objects, unchanged,
+    over the same horizon, reuses the check, the flight and the pose.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"horizon T must be finite and nonnegative, got {T}")
@@ -407,47 +420,29 @@ def simulate(
             raise ValueError(
                 f"option sample_dt {sample_dt!r} asks for T / sample_dt = {T / sample_dt:.3g} "
                 f"grid states; at most {_MAX_SAMPLES} are allowed")
-    _require_finite(Z0.X, Z0.V)
-    om, omb = Z0.V.tolist()[4:6]
-    if not (math.isfinite(conserved_quantities(body, Z0.X, Z0.V)["ke"])
-            and math.isfinite(body.K * (om * om + omb * omb))):
-        raise ValueError(
-            f"state V is too large: its kinetic energy or K (omega^2 + omegabar^2) "
-            f"overflows, V = {Z0.V.tolist()}")
     t_end = Z0.t + T
-    g0, contact, first = _first_flight(body, Z0, t_end - Z0.t)
-    start = contact
+    start, first = _first_flight(body, Z0, t_end - Z0.t)
 
     Z = Z0
     events: list[CollisionEvent] = []
-    min_gap = g0
+    min_gap = first[0]
     accumulation = False
     merged = 0
     last_event_t = None
 
-    while True:
-        remaining = t_end - Z.t
-        if remaining <= 0.0:
-            break
-        t_tol = _MERGE_RTOL * remaining
-        if Z is Z0:
-            dt, seen, contact, pose = first
-        else:
-            dt, seen, contact = _next_collision(body, Z, remaining, contact)
-            pose = None
+    while (remaining := t_end - Z.t) > 0.0:
+        seen, contact, pose = first if Z is Z0 else _flight(body, Z, remaining, contact)
         min_gap = min(min_gap, seen)
-        if dt is None:
+        if pose is None:
             Z = free_flight(Z, remaining)
             break
-        Z = free_flight(Z, dt)
-        if pose is None:
-            pose = _contact_pose(body, Z, contact)
-        Z_post, event = _resolve_at_contact(body, Z, family, pose)
-        if event.grazing and last_event_t is not None and Z.t - last_event_t < t_tol:
+        Z_post, event = _resolve_at_contact(body, family, pose)
+        t_tol = _MERGE_RTOL * remaining
+        if event.grazing and last_event_t is not None and event.t - last_event_t < t_tol:
             # the last event's grazing root found again: count it into that
-            # event and step past it
+            # event and step past it from the contact state, pose[0]
             merged += 1
-            Z = free_flight(Z, min(t_tol, t_end - Z.t))
+            Z = free_flight(pose[0], min(t_tol, t_end - event.t))
             contact = None
             continue
         # the post-event state keeps the pose, so contact stays valid for the

@@ -24,13 +24,14 @@ along the contact normal reproduces the reflection family, and closed-form
 velocity expressions reproduce the epsi family.
 
 Each map is A = sign (I - 2 U^T U) for a few orthonormal rows U.  At one
-frame, frame_rows builds the rows on Python floats, checks them for
-orthonormality and forms W = M V, W.nu and the velocity's verdict (refused
+frame, frame_rows checks the rows for orthonormality, takes them as
+Python floats and forms W = M V, W.nu and the velocity's verdict (refused
 if separating, flagged if grazing), once however many families map there;
 scatter_velocity then applies each family's map as that low-rank update
 without forming a matrix.  scatter_stack does the same over a stack of
 frames as array code, and audit_scattering checks every family's map over
-such a stack.
+such a stack.  One frame and a stack pass one orthonormality test,
+_require_orthonormal.
 """
 
 from __future__ import annotations
@@ -119,6 +120,13 @@ class ScatterMatrix(NamedTuple):
     family: ScatteringFamily
 
 
+def _require_orthonormal(frames: Frames) -> None:
+    """Raise ValueError unless the rows of every frame (one frame or a stack)
+    are orthonormal to _ORTHONORMAL_TOL; a NaN row fails too."""
+    if not frames.orthonormality_residual().max() <= _ORTHONORMAL_TOL:
+        raise ValueError(_NOT_ORTHONORMAL)
+
+
 def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     """Each family's orthogonal core A at every frame, as (sign, U).
 
@@ -135,8 +143,7 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     the relative configuration; a pair seeded with axes fixed in the lab
     would not be, since such seeds break the rotation symmetry.
     """
-    if not frames.orthonormality_residual().max() <= _ORTHONORMAL_TOL:  # a NaN fails too
-        raise ValueError(_NOT_ORTHONORMAL)
+    _require_orthonormal(frames)
     rel = frames.reduced()
     cores = []
     for fam in families:
@@ -155,12 +162,9 @@ def frame_rows(frame: Frames, V: np.ndarray) -> tuple:
     """The half of a map at one frame that no family changes, on floats:
     (B, W, proj, grazing), B the rows E1, E2, Ebeta, nu, F1, F2, W = M V,
     proj = W.nu and grazing = is_grazing(proj, |W|).  Raises as
-    scatter_velocity does; a NaN row fails the orthonormality check."""
-    B = [v.tolist() for v in (frame.E1, frame.E2, frame.Ebeta, frame.nu, frame.F1, frame.F2)]
-    for i, u in enumerate(B):
-        for j in range(i, 6):
-            if not abs(_dot(u, B[j]) - (i == j)) <= _ORTHONORMAL_TOL:
-                raise ValueError(_NOT_ORTHONORMAL)
+    scatter_velocity does; the rows are checked as _cores checks a stack."""
+    _require_orthonormal(frame)
+    B = frame.basis().tolist()
     V = np.asarray(V, dtype=float)
     if not np.isfinite(V).all():
         raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")

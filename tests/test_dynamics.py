@@ -9,6 +9,7 @@ import pytest
 # dynamics, geometry and scattering as bound here at import, the modules
 # simulate lives in and calls into; the kernel-counting tests patch
 # geometry's _kernel, the frame tests dynamics' build_frame and frame_rows,
+# the datum-check count dynamics' _require_finite,
 # and the merge and cap tests dynamics' _next_collision, _MAX_EVENTS,
 # _MAX_SAMPLES and _resample, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
@@ -313,7 +314,7 @@ def test_resolve_collision_matches_scatter_stack():
     want = scatter_stack(fams, frames, W) / diag
     for f, fam in enumerate(fams):
         for i, Z in enumerate(states):
-            got = _resolve_at_contact(ELL, Z, fam, _contact_pose(ELL, Z, contacts[i]))[0].V
+            got = _resolve_at_contact(ELL, fam, _contact_pose(ELL, Z, contacts[i]))[0].V
             assert np.max(np.abs(got - want[f, i])) <= 1e-13, (fam.label(), i)
 
 
@@ -488,7 +489,7 @@ def test_failed_first_flight_leaves_no_entry(monkeypatch):
     monkeypatch.undo()
     overlapping = make_state([0, 0, 1.0, 0, 0, 0], [0, 0, 0, 0, 0, 0])
     for _ in range(2):
-        with pytest.raises(SimulationError, match="initial gap"):
+        with pytest.raises(SimulationError, match="starting gap"):
             simulate(ELL, overlapping, REFL, 1.0)
     # so does a frame at the first contact that fails its check
     build = dynamics.build_frame
@@ -506,6 +507,42 @@ def test_failed_first_flight_leaves_no_entry(monkeypatch):
     cold = _count_cold(monkeypatch)
     assert simulate(ELL, Z0, REFL, 4.0).n_events() > 0
     assert len(cold) == 1
+
+
+def test_families_on_one_datum_check_it_once(monkeypatch):
+    # the datum does not depend on the family either: the six families on
+    # the frozen datum check it once between them
+    checked = []
+    require = dynamics._require_finite
+
+    def counted(X, V):
+        checked.append((X, V))
+        return require(X, V)
+
+    Z0 = _frozen_datum()
+    monkeypatch.setattr(dynamics, "_require_finite", counted)
+    rep = divergence_report(_checks.ELL, Z0, _checks.six_families(), _checks.NONUNIQ_T)
+    assert not rep["degenerate"]
+    assert len(checked) == 1
+
+
+def test_bad_datum_leaves_no_entry():
+    # a datum is checked before its first flight is remembered, so a bad one
+    # raises on every call and drops the last datum's entry: a non-finite
+    # State built directly, spins whose K omega^2 overflows, and the last
+    # datum's own X turned non-finite in place
+    Z0 = _frozen_datum()
+    nan = dynamics.State(X=Z0.X.copy(), V=np.array([math.nan, 0, 0, 0, 0, 0]))
+    spun = make_state(Z0.X, [0, 0, 0, 0, 1e155, 1e155])
+    for bad in (nan, spun, Z0):
+        simulate(ELL, Z0, REFL, 4.0)
+        assert dynamics._last_flight is not None
+        if bad is Z0:
+            Z0.X[0] = math.nan
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite|too large"):
+                simulate(ELL, bad, REFL, 4.0)
+            assert dynamics._last_flight is None
 
 
 def _late_graze_datum():

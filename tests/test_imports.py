@@ -1,8 +1,9 @@
 """Source hygiene: every name a hardpair module imports is read in it, every
 binding the benchmark's tracer wraps exists, every dataclass checks its
 fields, every check of the verification suite is in CHECKS, without
-parameters, geometry reads the contact kernel in one function, and only
-three functions branch on one pose of floats against N poses of arrays.
+parameters, geometry reads the contact kernel in one function, only
+three functions branch on one pose of floats against N poses of arrays,
+and one function writes module-level state.
 
 A record whose fields go unchecked is a NamedTuple, which is cheaper to
 build and to define; a dataclass is kept only where __post_init__ checks.
@@ -155,21 +156,26 @@ def _tests_float_against_array(node) -> bool:
     return getattr(kind, "id", None) == "float" or getattr(kind, "attr", None) == "ndarray"
 
 
-def float_forks(source: str, module: str) -> set[str]:
-    """The qualified names of the functions of source that test a value for
-    float against array."""
+def functions_where(source: str, module: str, test) -> set[str]:
+    """The qualified names of the functions of source that hold a node
+    passing test."""
     found = set()
 
     def visit(node, name):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             name = f"{name}.{node.name}"
-        elif _tests_float_against_array(node):
+        elif test(node):
             found.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, name)
 
     visit(ast.parse(source), module)
     return found
+
+
+def float_forks(source: str, module: str) -> set[str]:
+    """The functions of source that test a value for float against array."""
+    return functions_where(source, module, _tests_float_against_array)
 
 
 def test_guard_sees_a_float_fork():
@@ -189,3 +195,23 @@ def test_one_pose_forks_only_where_they_pay():
     found = set().union(*(float_forks(p.read_text(), p.stem)
                           for p in MODULES if p.stem != "cli"))
     assert found == {"geometry.Beta.__post_init__", "geometry.d_beta", "frames.complement_basis"}
+
+
+def global_writers(source: str, module: str) -> set[str]:
+    """The functions of source with a global statement."""
+    return functions_where(source, module, lambda node: isinstance(node, ast.Global))
+
+
+def test_guard_sees_a_global_writer():
+    src = ("cache = None\nclass A:\n    def f(self):\n        global cache\n"
+           "def g():\n    def inner():\n        global cache, other\n"
+           "def h():\n    return cache\n")
+    assert global_writers(src, "m") == {"m.A.f", "m.g.inner"}
+
+
+def test_one_module_level_cache():
+    # the last datum's first flight is the one module-level entry a run
+    # writes; branching at the first contact in one call would delete it,
+    # so no second cache may appear beside it
+    found = set().union(*(global_writers(p.read_text(), p.stem) for p in MODULES))
+    assert found == {"dynamics._first_flight"}

@@ -409,6 +409,27 @@ def test_scatter_stack_rejects_bad_frame():
         audit_scattering(FAMILIES, nan, V)
 
 
+@pytest.mark.parametrize("eps,refused", [(2e-8, True), (5e-9, False)])
+def test_one_frame_and_a_stack_share_the_orthonormality_bound(eps, refused):
+    # F1 tilted by eps toward F2 makes F1.F2 = sin(eps): the float map, the
+    # stacked map on the one-frame stack and the audit all refuse the frame
+    # above the bound and all accept it below
+    rng = np.random.default_rng(53)
+    fr = _random_frame(rng)
+    V = _incoming(rng, fr)
+    tilted = fr._replace(F1=math.cos(eps) * fr.F1 + math.sin(eps) * fr.F2)
+    stack = one_row(tilted)
+    calls = [lambda: scatter_velocity(FAMILIES[2], tilted, V),
+             lambda: scatter_stack(FAMILIES, stack, (DIAG * V)[None, :]),
+             lambda: audit_scattering(FAMILIES, stack, V[None, :])]
+    for call in calls:
+        if refused:
+            with pytest.raises(ValueError, match="not orthonormal"):
+                call()
+        else:
+            call()
+
+
 FOURIER_OP = ScatteringFamily.orientation_preserving(
     LineField.fourier([[1, 0, 0.4, 0.1], [0, 1, -0.2, 0.3]]))
 
