@@ -14,12 +14,17 @@ family, once per root; a grazing root found again right after its event
 is merged into that event.  Because several families share the same
 conservation laws, one initial condition continues into many distinct
 trajectories, and divergence_report measures exactly that.  Every flight
-is one step, _flight, which ends at the pose its contact is resolved on
-(the anchored configuration, the frame and the velocity's verdict, each
-checked once, and the ledger before the map).  The datum's check, its
-first flight and the pose there do not depend on the family, so simulate
-remembers them for the last datum and the families run on one datum
-branch only at the map.
+is one step, _flight, which ends at the pose its contact is resolved on.
+The pose is made once per contact and holds what every family reads: the
+anchored configuration and its centers as floats, the frame and the
+velocity's verdict, each checked once, W = M V and its reflection in the
+normal with sqrt(m) and sqrt(J), the ledger before the map, and the slab
+(its width and rate row) the next flight starts from.  The datum's check,
+its first flight and the pose there do not depend on the family, so
+simulate remembers them for the last datum and the families run on one
+datum branch only at the map: a branch whose first certified step passes
+the horizon costs its map, its ledger after the map and one slab rate,
+with no contact solve.
 
 A conservation ledger (linear momentum, angular momentum about the origin,
 kinetic energy) is kept across every event.  Angular momentum is audited
@@ -45,11 +50,11 @@ from hardpair.geometry import (  # noqa: F401
     d_beta,
     wrap_angle,
 )
-from hardpair.frames import build_frame
+from hardpair.frames import Frames, build_frame
 # scattering_matrix is not called here; it stays bound for the same reason
 from hardpair.scattering import (  # noqa: F401
     ScatteringFamily,
-    _scatter_rows,
+    _map_rows,
     frame_rows,
     scattering_matrix,
 )
@@ -87,8 +92,9 @@ class State(NamedTuple):
 
 def _require_finite(X: np.ndarray, V: np.ndarray) -> None:
     for name, arr in (("X", X), ("V", V)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"state {name} holds a non-finite value: {arr.tolist()}")
+        values = arr.tolist()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"state {name} holds a non-finite value: {values}")
 
 
 def make_state(X, V) -> State:
@@ -166,9 +172,15 @@ def relative_ledger_jump(body: Body, events: list[CollisionEvent]) -> float:
 def conserved_quantities(body: Body, X: np.ndarray, V: np.ndarray) -> dict:
     """Linear momentum, angular momentum about the origin and kinetic energy
     of the configuration X and velocity V (arrays of shape (6,))."""
+    return _ledger(body, X.tolist()[0:4], V.tolist())
+
+
+def _ledger(body: Body, centers, v) -> dict:
+    """conserved_quantities on floats: centers (x, y, xbar, ybar) and v,
+    the six velocity floats."""
     m, J = body.m, body.J
-    x, y, xb, yb = X.tolist()[0:4]
-    vx, vy, vbx, vby, om, omb = V.tolist()
+    x, y, xb, yb = centers
+    vx, vy, vbx, vby, om, omb = v
     return {
         "lm_x": m * (vx + vbx),
         "lm_y": m * (vy + vby),
@@ -222,21 +234,28 @@ def gap(body: Body, X) -> float:
     return g
 
 
-def _slab(V: np.ndarray, g: float, contact: ContactData):
-    """Width of a slab separating the bodies, and its rate under V.
+def _slab(g: float, contact: ContactData) -> tuple:
+    """The slab separating the bodies at a pose X, from the gap g and the
+    lab-frame solve contact that _gap_at returns there: (g, contact, w, row).
 
-    g and contact are the gap and the lab-frame solve at a pose X.  The
-    solve puts body 2 tangent to body 1 at separation d; at X it sits g
+    The solve puts body 2 tangent to body 1 at separation d; at X it sits g
     further out along e, so the line through the contact point with normal
     n separates the bodies by w = g (e . n), e = (p - q) / d.  Holding n
-    fixed, w changes at V . (-n, n, -p_perp.n, q_perp.n).
+    fixed, w changes at V . (-n, n, -p_perp.n, q_perp.n), which _rate reads
+    off row = (n_x, n_y, p_perp.n, q_perp.n).  w and row belong to the solve
+    and the rate to the velocity, so one slab serves every velocity flown
+    from X.
     """
     (px, py), (qx, qy), (nx, ny) = contact.p.tolist(), contact.q.tolist(), contact.n.tolist()
-    vx, vy, vbx, vby, om, omb = V.tolist()
     e_n = ((px - qx) * nx + (py - qy) * ny) / contact.d
-    rate = ((vbx - vx) * nx + (vby - vy) * ny
-            - om * (px * ny - py * nx) + omb * (qx * ny - qy * nx))
-    return g * e_n, rate
+    return g, contact, g * e_n, (nx, ny, px * ny - py * nx, qx * ny - qy * nx)
+
+
+def _rate(v: list, row: tuple) -> float:
+    """The rate of a slab under the velocity floats v, from its _slab row."""
+    vx, vy, vbx, vby, om, omb = v
+    nx, ny, pn, qn = row
+    return (vbx - vx) * nx + (vby - vy) * ny - om * pn + omb * qn
 
 
 def _certified_step(w: float, rate: float, M: float) -> float:
@@ -251,13 +270,12 @@ def _certified_step(w: float, rate: float, M: float) -> float:
     return (rate + math.sqrt(rate * rate + 2.0 * M * w)) / M
 
 
-def _next_collision(body: Body, Z: State, t_max: float,
-                    contact: ContactData | None = None):
+def _next_collision(body: Body, Z: State, t_max: float, start: tuple | None = None):
     """Root time of the gap along free flight, the minimum gap over the
     poses visited, and the contact solve at the root (None without a root).
 
-    contact is the contact solve at Z.X, when the caller holds it.
-    With n held fixed, the slab width along the flight is
+    start is the _slab at Z.X, when the caller holds it; without it Z.X is
+    solved cold.  With n held fixed, the slab width along the flight is
     w(t) = (xbar - x) . n - h(n; theta) - h(-n; thetabar), h the support
     function of the turned body, so |w''| <= K (omega^2 + omegabar^2) = M
     and w(tau) >= w + rate tau - M tau^2 / 2.  Each step goes to the first
@@ -267,21 +285,21 @@ def _next_collision(body: Body, Z: State, t_max: float,
     the pair can no longer touch: once the centers are farther apart than
     the diameter, which bounds D, and not closing, their distance only grows.
     """
-    g, contact = _gap_at(body, Z.X, solved=contact)
+    g, contact, w, row = _slab(*_gap_at(body, Z.X)) if start is None else start
     if g < -_ADMISSIBLE_RTOL * body.diameter:
         raise SimulationError(f"starting gap {g:.3g} is negative beyond tolerance")
     if t_max <= 0.0:
         return None, g, None
-    V = Z.V
-    M = body.K * float(V[4] * V[4] + V[5] * V[5])
+    v = Z.V.tolist()
+    vx, vy, vbx, vby, om, omb = v
+    M = body.K * (om * om + omb * omb)
     diameter = body.diameter
     thin = _CONTACT_WIDTH * diameter
     x, y, xb, yb = Z.X.tolist()[0:4]
-    vx, vy, vbx, vby = V.tolist()[0:4]
     rx, ry, ux, uy = xb - x, yb - y, vbx - vx, vby - vy
     t, min_seen = 0.0, g
     while True:
-        w, rate = _slab(V, g, contact)
+        rate = _rate(v, row)
         tau = _certified_step(max(w, 0.0), rate, M)
         # a step too short to move t means t is the root to time resolution
         if (w <= thin and rate < 0.0) or t + tau == t:
@@ -293,7 +311,7 @@ def _next_collision(body: Body, Z: State, t_max: float,
         px, py = rx + t * ux, ry + t * uy
         if px * ux + py * uy >= 0.0 and px * px + py * py > diameter * diameter:
             return None, min_seen, None
-        g, contact = _gap_at(body, Z.X + t * V, seed=contact)
+        g, contact, w, row = _slab(*_gap_at(body, Z.X + t * Z.V, seed=contact))
         min_seen = min(min_seen, g)
 
 
@@ -303,16 +321,32 @@ def next_collision_time(body: Body, Z: State, t_max: float):
     return t
 
 
-def _contact_pose(body: Body, Z: State, contact: ContactData):
-    """The pose every family scatters on at a contact state Z: Z, the
-    anchored configuration X, contact, the anchor shift, the frame,
-    frame_rows of the frame and Z.V, and the ledger of Z.V at X.
+class _Pose(NamedTuple):
+    """The pose every family scatters a contact on; see _contact_pose."""
 
-    contact is the contact solve at Z.X.  The second center moves along the
-    center line to the solved separation d, which keeps the contact solve and
-    puts the pose at the contact the frame's Ebeta is built for, so the
-    ledger holds at any unit of length.  The frame is built, and its rows
-    and Z.V checked there, once.
+    Z: State
+    X: np.ndarray
+    centers: tuple
+    shift: float
+    frame: Frames
+    rows: tuple
+    before: dict
+    slab: tuple
+
+
+def _contact_pose(body: Body, Z: State, contact: ContactData) -> _Pose:
+    """The pose every family scatters on at a contact state Z, contact being
+    the contact solve at Z.X.
+
+    The second center moves along the center line to the solved separation
+    d, which keeps the contact solve and puts the pose at the contact the
+    frame's Ebeta is built for, so the ledger holds at any unit of length.
+    The pose holds Z, the anchored configuration X, its centers as floats,
+    the anchor shift, the frame, frame_rows of the frame and Z.V (the rows
+    and Z.V checked; W = M V, W reflected in nu, sqrt(m) and sqrt(J)), the
+    ledger of Z.V at X, and the _slab at X that each family's next flight
+    starts from.  Each is made once, so a family's branch costs its map,
+    its ledger and one rate.
     """
     x, y, xb, yb, theta, thetabar = Z.X.tolist()
     dist = math.hypot(xb - x, yb - y)
@@ -322,30 +356,35 @@ def _contact_pose(body: Body, Z: State, contact: ContactData):
     xb, yb = x + (xb - x) * (contact.d / dist), y + (yb - y) * (contact.d / dist)
     X = np.array([x, y, xb, yb, theta, thetabar])
     frame = build_frame(body, Beta(theta, thetabar, math.atan2(yb - y, xb - x)), contact)
-    return (Z, X, contact, abs(g), frame, frame_rows(frame, Z.V),
-            conserved_quantities(body, X, Z.V))
+    centers = (x, y, xb, yb)
+    return _Pose(Z=Z, X=X, centers=centers, shift=abs(g), frame=frame,
+                 rows=frame_rows(frame, Z.V), before=_ledger(body, centers, Z.V.tolist()),
+                 slab=_slab(*_gap_at(body, X, solved=contact)))
 
 
-def _flight(body: Body, Z: State, remaining: float, contact: ContactData | None):
-    """One free flight from Z over the horizon remaining: (seen, root,
-    pose), seen the minimum gap over the poses visited, root the contact
-    solve at the first contact and pose the _contact_pose there; root and
-    pose are None without a contact.  contact is the solve at Z.X, if held."""
-    dt, seen, root = _next_collision(body, Z, remaining, contact)
+def _flight(body: Body, Z: State, remaining: float, start: tuple | None):
+    """One free flight from Z over the horizon remaining: (seen, pose), seen
+    the minimum gap over the poses visited and pose the _contact_pose at the
+    first contact, None without one.  start is the _slab at Z.X, if held."""
+    dt, seen, root = _next_collision(body, Z, remaining, start)
     if dt is None:
-        return seen, None, None
-    return seen, root, _contact_pose(body, free_flight(Z, dt), root)
+        return seen, None
+    return seen, _contact_pose(body, free_flight(Z, dt), root)
 
 
-def _resolve_at_contact(body: Body, family: ScatteringFamily, pose):
+def _resolve_at_contact(body: Body, family: ScatteringFamily, pose: _Pose):
     """Scatter the velocity of the contact state on its _contact_pose;
-    returns (new state, event).  The pose flags grazing events."""
-    Z, X, contact, shift, frame, rows, before = pose
-    V_post, _, _, grazing = _scatter_rows(family, frame, rows)
-    after = conserved_quantities(body, X, V_post)
+    returns (new state, event).  The pose flags grazing events.  The map
+    and the ledger after it run on floats; V' becomes one array, the
+    event's V_post, which the new state shares."""
+    Z, X, centers, shift, frame, rows, before, slab = pose
+    _, v = _map_rows(family, frame, rows)
+    V_post = np.array(v)
+    after = _ledger(body, centers, v)
+    contact = slab[1]
     event = CollisionEvent(
         t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=Z.V, V_post=V_post,
-        grazing=grazing, anchor_shift=shift, jumps={k: after[k] - before[k] for k in before},
+        grazing=rows[3], anchor_shift=shift, jumps={k: after[k] - before[k] for k in before},
     )
     return State(X=X, V=V_post, t=Z.t), event
 
@@ -382,8 +421,8 @@ def _first_flight(body: Body, Z0: State, remaining: float):
         raise ValueError(
             f"state V is too large: its kinetic energy or K (omega^2 + omegabar^2) "
             f"overflows, V = {Z0.V.tolist()}")
-    _, contact = _gap_at(body, Z0.X)
-    _last_flight = key, (contact, _flight(body, Z0, remaining, contact))
+    start = _slab(*_gap_at(body, Z0.X))
+    _last_flight = key, (start[1], _flight(body, Z0, remaining, start))
     return _last_flight[1]
 
 
@@ -429,9 +468,10 @@ def simulate(
     accumulation = False
     merged = 0
     last_event_t = None
+    slab = None
 
     while (remaining := t_end - Z.t) > 0.0:
-        seen, contact, pose = first if Z is Z0 else _flight(body, Z, remaining, contact)
+        seen, pose = first if Z is Z0 else _flight(body, Z, remaining, slab)
         min_gap = min(min_gap, seen)
         if pose is None:
             Z = free_flight(Z, remaining)
@@ -440,14 +480,15 @@ def simulate(
         t_tol = _MERGE_RTOL * remaining
         if event.grazing and last_event_t is not None and event.t - last_event_t < t_tol:
             # the last event's grazing root found again: count it into that
-            # event and step past it from the contact state, pose[0]
+            # event and step past it from the contact state
             merged += 1
-            Z = free_flight(pose[0], min(t_tol, t_end - event.t))
-            contact = None
+            Z = free_flight(pose.Z, min(t_tol, t_end - event.t))
+            slab = None
             continue
-        # the post-event state keeps the pose, so contact stays valid for the
-        # next flight
+        # the post-event state sits at the pose's X, so the pose's slab starts
+        # the next flight
         Z = Z_post
+        slab = pose.slab
         events.append(event)
         last_event_t = Z.t
         if len(events) > _MAX_EVENTS:

@@ -97,12 +97,17 @@ class Frames(NamedTuple):
 
     def orthonormality_residual(self) -> np.ndarray:
         """Per pose, max |B B^T - I| over the basis rows B; shape (N,), or () for one frame."""
-        b = self.basis()
-        return np.abs(b @ b.swapaxes(-1, -2) - _EYE6).max(axis=(-2, -1))
+        return _basis_residual(self.basis())
 
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """Relative angles (thetabar - theta, psi - theta) mod 2pi, as Beta.reduced."""
         return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
+
+
+def _basis_residual(b: np.ndarray) -> np.ndarray:
+    """max |B B^T - I| over the rows B of each basis in b, shape (N, 6, 6) or
+    (6, 6): shape (N,), or () for one basis."""
+    return np.abs(b @ b.swapaxes(-1, -2) - _EYE6).max(axis=(-2, -1))
 
 
 def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:

@@ -25,13 +25,14 @@ velocity expressions reproduce the epsi family.
 
 Each map is A = sign (I - 2 U^T U) for a few orthonormal rows U.  At one
 frame, frame_rows checks the rows for orthonormality, takes them as
-Python floats and forms W = M V, W.nu and the velocity's verdict (refused
-if separating, flagged if grazing), once however many families map there;
-scatter_velocity then applies each family's map as that low-rank update
-without forming a matrix.  scatter_stack does the same over a stack of
+Python floats and forms W = M V, W.nu, the velocity's verdict (refused if
+separating, flagged if grazing) and W reflected in nu, once however many
+families map there; _map_rows then applies each family's map as that
+low-rank update on floats without forming a matrix, and scatter_velocity
+returns its V' as an array.  scatter_stack does the same over a stack of
 frames as array code, and audit_scattering checks every family's map over
 such a stack.  One frame and a stack pass one orthonormality test,
-_require_orthonormal.
+_require_orthonormal, which forms the basis the rows are read from once.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from hardpair.frames import (  # noqa: F401
     _EYE6,
     Frames,
     LineField,
+    _basis_residual,
     _dot,
     _rows,
     complement_basis,
@@ -120,11 +122,14 @@ class ScatterMatrix(NamedTuple):
     family: ScatteringFamily
 
 
-def _require_orthonormal(frames: Frames) -> None:
-    """Raise ValueError unless the rows of every frame (one frame or a stack)
-    are orthonormal to _ORTHONORMAL_TOL; a NaN row fails too."""
-    if not frames.orthonormality_residual().max() <= _ORTHONORMAL_TOL:
+def _require_orthonormal(frames: Frames) -> np.ndarray:
+    """The basis of every frame (one frame or a stack), Frames.basis, once
+    its rows pass as orthonormal to _ORTHONORMAL_TOL; else ValueError.  A
+    NaN row fails too."""
+    b = frames.basis()
+    if not _basis_residual(b).max() <= _ORTHONORMAL_TOL:
         raise ValueError(_NOT_ORTHONORMAL)
+    return b
 
 
 def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
@@ -160,16 +165,17 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
 
 def frame_rows(frame: Frames, V: np.ndarray) -> tuple:
     """The half of a map at one frame that no family changes, on floats:
-    (B, W, proj, grazing), B the rows E1, E2, Ebeta, nu, F1, F2, W = M V,
-    proj = W.nu and grazing = is_grazing(proj, |W|).  Raises as
-    scatter_velocity does; the rows are checked as _cores checks a stack."""
-    _require_orthonormal(frame)
-    B = frame.basis().tolist()
-    V = np.asarray(V, dtype=float)
-    if not np.isfinite(V).all():
-        raise ValueError(f"velocity V holds a non-finite value: {V.tolist()}")
+    (B, W, proj, grazing, Wr, rm, rj), B the rows E1, E2, Ebeta, nu, F1, F2,
+    W = M V with M = diag(rm, rm, rm, rm, rj, rj), rm = sqrt(m) and
+    rj = sqrt(J), proj = W.nu, grazing = is_grazing(proj, |W|) and
+    Wr = W - 2 proj nu, W reflected in nu, which the reflection and op maps
+    share.  Raises as scatter_velocity does; the rows are checked as _cores
+    checks a stack."""
+    B = _require_orthonormal(frame).tolist()
+    v = np.asarray(V, dtype=float).tolist()
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"velocity V holds a non-finite value: {v}")
     rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
-    v = V.tolist()
     W = [rm * v[0], rm * v[1], rm * v[2], rm * v[3], rj * v[4], rj * v[5]]
     proj = _dot(W, B[3])
     # hypot, unlike the norm, does not overflow for |W| near the float range
@@ -180,22 +186,8 @@ def frame_rows(frame: Frames, V: np.ndarray) -> tuple:
             "velocity is separating at the contact: "
             f"V.(M nu) = {proj:.6g} > {GRAZING_RTOL * speed:.6g}"
         )
-    return B, W, proj, grazing
-
-
-# kept beside _cores/_reflect: it runs six times per datum, and on floats it is the cheaper
-def _core(family: ScatteringFamily, frame: Frames, B: list) -> tuple[float, list]:
-    """The family's core at one frame, on floats: (sign, rows) as in _cores.
-
-    B holds the frame's rows as frame_rows returns them.
-    """
-    if family.variant == "reflection":
-        return 1.0, [B[3]]
-    if family.variant == "epsi":
-        return -1.0, B[0:3]
-    phi = family.line_field.angle(*frame.reduced())
-    c, s = math.cos(phi), math.sin(phi)
-    return 1.0, [B[3], [c * x + s * y for x, y in zip(B[4], B[5])]]
+    c = 2.0 * proj
+    return B, W, proj, grazing, [x - c * y for x, y in zip(W, B[3])], rm, rj
 
 
 def scattering_matrix(family: ScatteringFamily, frame: Frames) -> ScatterMatrix:
@@ -247,21 +239,36 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
     (V.(M nu) above GRAZING_RTOL |M V|) raises NotPreCollisionalError.  A
     grazing V is mapped without a warning.
     """
-    return _scatter_rows(family, frame, frame_rows(frame, V))
+    rows = frame_rows(frame, V)
+    Wp, Vp = _map_rows(family, frame, rows)
+    return np.array(Vp), rows[2], _dot(Wp, rows[0][3]), rows[3]
 
 
-def _scatter_rows(family: ScatteringFamily, frame: Frames, rows: tuple):
-    """scatter_velocity from rows = frame_rows(frame, V): the family's rows alone."""
-    B, W, proj, grazing = rows
-    sign, U = _core(family, frame, B)
-    Wp = W
-    for u in U:
+# kept beside _cores/_reflect: it runs six times per datum, and on floats it is the cheaper
+def _map_rows(family: ScatteringFamily, frame: Frames, rows: tuple) -> tuple[list, list]:
+    """The family's map at one frame from rows = frame_rows(frame, V), on
+    floats: (W', V'), W' = A W and V' = M^-1 W', A as _cores builds it.
+
+    Each row u of A's core takes 2 (u.W) u off W.  Reflection's one row,
+    nu, gives the reflected W that rows carry; op takes its line-field row
+    off that, and epsi takes its three conserved rows off W and negates.
+    """
+    B, W, _, _, Wr, rm, rj = rows
+    if family.variant == "reflection":
+        Wp = Wr
+    elif family.variant == "epsi":
+        Wp = W
+        for u in B[0:3]:
+            c = 2.0 * _dot(u, W)
+            Wp = [x - c * y for x, y in zip(Wp, u)]
+        Wp = [-x for x in Wp]
+    else:
+        phi = family.line_field.angle(*frame.reduced())
+        cos, sin = math.cos(phi), math.sin(phi)
+        u = [cos * x + sin * y for x, y in zip(B[4], B[5])]
         c = 2.0 * _dot(u, W)
-        Wp = [x - c * y for x, y in zip(Wp, u)]
-    Wp = [sign * x for x in Wp]
-    rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
-    Vp = np.array([Wp[0] / rm, Wp[1] / rm, Wp[2] / rm, Wp[3] / rm, Wp[4] / rj, Wp[5] / rj])
-    return Vp, proj, _dot(Wp, B[3]), grazing
+        Wp = [x - c * y for x, y in zip(Wr, u)]
+    return Wp, [Wp[0] / rm, Wp[1] / rm, Wp[2] / rm, Wp[3] / rm, Wp[4] / rj, Wp[5] / rj]
 
 
 def impulse_scatter(n, pn, qn, m: float, J: float, V: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ import pytest
 # dynamics, geometry and scattering as bound here at import, the modules
 # simulate lives in and calls into; the kernel-counting tests patch
 # geometry's _kernel, the frame tests dynamics' build_frame and frame_rows,
-# the datum-check count dynamics' _require_finite,
+# the datum-check count dynamics' _require_finite, the branch-work count
+# dynamics' _gap_at,
 # and the merge and cap tests dynamics' _next_collision, _MAX_EVENTS,
 # _MAX_SAMPLES and _resample, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
@@ -349,12 +350,12 @@ def test_regrazed_root_is_merged(monkeypatch):
     real = dynamics._next_collision
     calls = []
 
-    def root_now(body, Z, t_max, contact=None):
+    def root_now(body, Z, t_max, start=None):
         calls.append(Z.t)
         if len(calls) <= 2:
-            g, contact = dynamics._gap_at(body, Z.X, solved=contact)
+            g, contact = start[:2]
             return 0.0, g, contact
-        return real(body, Z, t_max, contact)
+        return real(body, Z, t_max, start)
 
     monkeypatch.setattr(dynamics, "_next_collision", root_now)
     Z0 = make_state([0, 0, 4, 0, 0, 0], [0.3, -0.2, 0.3, -0.2, 0, 0])
@@ -545,6 +546,110 @@ def test_bad_datum_leaves_no_entry():
             assert dynamics._last_flight is None
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_make_state_names_a_non_finite_entry(bad):
+    # a non-finite entry at any of the twelve positions is refused with the
+    # name of its array; the largest finite float and -0.0 are kept as given
+    X0, V0 = [0.0, 0.0, 4.2, 0.3, 0.4, 1.9], [0.5, 0.0, -0.45, 0.05, 0.3, -0.2]
+    for i in range(12):
+        name = "X" if i < 6 else "V"
+        X, V = list(X0), list(V0)
+        (X if i < 6 else V)[i % 6] = bad
+        with pytest.raises(ValueError, match=f"state {name} holds a non-finite value"):
+            make_state(X, V)
+        for good in (1e308, -0.0):
+            (X if i < 6 else V)[i % 6] = good
+            Z = make_state(X, V)
+            assert np.concatenate([Z.X, Z.V]).tobytes() == np.array(X + V).tobytes()
+
+
+def _reference_run(body, Z0, family, T):
+    """simulate's loop on the public route at each contact, for one family:
+    scatter_velocity of the contact state's V on the pose's frame, the
+    ledger from conserved_quantities, and each next flight from a fresh
+    _gap_at and _slab at the anchored X.  No root here is a merged graze."""
+    t_end = Z0.t + T
+    start = dynamics._slab(*dynamics._gap_at(body, Z0.X))
+    Z, events, min_gap = Z0, [], start[0]
+    while (remaining := t_end - Z.t) > 0.0:
+        dt, seen, root = dynamics._next_collision(body, Z, remaining, start)
+        min_gap = min(min_gap, seen)
+        if dt is None:
+            Z = free_flight(Z, remaining)
+            break
+        Zc = free_flight(Z, dt)
+        pose = _contact_pose(body, Zc, root)
+        V_post, _, _, grazing = scattering.scatter_velocity(family, pose.frame, Zc.V)
+        before = conserved_quantities(body, pose.X, Zc.V)
+        after = conserved_quantities(body, pose.X, V_post)
+        jumps = {k: after[k] - before[k] for k in before}
+        events.append((Zc.t, pose.X.tobytes(), V_post.tobytes(), jumps, grazing, pose.shift))
+        Z = dynamics.State(X=pose.X, V=V_post, t=Zc.t)
+        start = dynamics._slab(*dynamics._gap_at(body, pose.X, solved=root))
+    return events, (Z.X.tobytes(), Z.V.tobytes(), Z.t), min_gap
+
+
+def test_branches_match_the_one_frame_public_route():
+    # every family's run on a shared pose, bit for bit against the reference
+    # that builds each next flight's slab afresh and maps on floats through
+    # scatter_velocity
+    body, data = _checks.colliding_ellipse_data(200, 2024)
+    for Z0, T in data:
+        for fam in SIX_FAMILIES:
+            tr = simulate(body, Z0, fam, T)
+            assert tr.merged_grazing == 0 and tr.n_events() > 0
+            got = ([(ev.t, ev.X.tobytes(), ev.V_post.tobytes(), ev.jumps, ev.grazing,
+                     ev.anchor_shift) for ev in tr.events],
+                   (tr.final.X.tobytes(), tr.final.V.tobytes(), tr.final.t), tr.min_gap)
+            assert got == _reference_run(body, Z0, fam, T), fam.label()
+
+
+def _count_branch_work(monkeypatch) -> tuple[list, list]:
+    """Record every ellipse solve through geometry's kernel and every
+    _gap_at call of dynamics."""
+    solves, gaps = [], []
+    solve, gap_at = geometry._kernel.ellipse_contact, dynamics._gap_at
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    def counted_gap(*args, **kwargs):
+        gaps.append(args)
+        return gap_at(*args, **kwargs)
+
+    monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted_solve)
+    monkeypatch.setattr(dynamics, "_gap_at", counted_gap)
+    return solves, gaps
+
+
+def test_a_branch_past_the_horizon_solves_nothing(monkeypatch):
+    # after the shared first contact of the frozen datum, epsi's first
+    # certified step passes the horizon: its branch makes no contact solve
+    # and no gap call, while reflection and op(0) step on and still find
+    # the two later events; so does a head-on disk pair, which separates
+    # without spin and never closes again
+    Z0, T = _frozen_datum(), _checks.NONUNIQ_T
+    families = _checks.six_families()
+    simulate(_checks.ELL, Z0, families[0], T)
+    solves, gaps = _count_branch_work(monkeypatch)
+    work = {}
+    for fam in families:
+        solves.clear()
+        gaps.clear()
+        tr = simulate(_checks.ELL, Z0, fam, T)
+        work[fam.label()] = (tr.n_events(), len(solves), len(gaps))
+    assert work["epsi"] == (1, 0, 0)
+    assert [w[0] for w in work.values()].count(2) == 2
+    assert all(s > 0 and g > 0 for e, s, g in work.values() if e == 2)
+    head_on = _head_on()
+    simulate(DISK, head_on, REFL, 1e6)
+    solves.clear()
+    gaps.clear()
+    assert simulate(DISK, head_on, REFL, 1e6).n_events() == 1
+    assert solves == [] and gaps == []
+
+
 def _late_graze_datum():
     return make_state(
         [0, 0, 3.9249001933222014, -3.0588080019098625, 5.37203234937409, 1.29129088131563],
@@ -694,7 +799,7 @@ def test_slab_bound_holds_along_free_flight():
     # the width of the slab between the bodies, normal n held fixed, in
     # closed form from the ellipse support function; the event search's
     # quadratic must stay below it
-    from hardpair.dynamics import _gap_at, _slab
+    from hardpair.dynamics import _gap_at, _rate, _slab
 
     a, b = 5.0, 1.0
     body = make_ellipse(a, b)
@@ -713,8 +818,8 @@ def test_slab_bound_holds_along_free_flight():
         x2 = (c.d + rng.uniform(0.0, 1.0)) * e_of(psi)
         X = np.array([0.0, 0.0, x2[0], x2[1], th, thb])
         V = np.concatenate([rng.normal(0.0, 1.0, 4), rng.uniform(-3.0, 3.0, 2)])
-        g, contact = _gap_at(body, X)
-        w0, rate = _slab(V, g, contact)
+        _, contact, w0, row = _slab(*_gap_at(body, X))
+        rate = _rate(V.tolist(), row)
         n = contact.n
         assert w0 == pytest.approx(width(X, n), abs=1e-12)
         h = 1e-6

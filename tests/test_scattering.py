@@ -467,6 +467,43 @@ def test_scatter_velocity_matches_matrix():
             assert pre < 0.0 < post and not grazing
 
 
+def _row_by_row(family, frame, V):
+    """The float map as one loop over the core's rows: W = M V, each row u
+    of _cores' U taken off in turn as 2 (u.W) u, then the sign and M^-1."""
+    B = frame.basis().tolist()
+    rm, rj = math.sqrt(frame.m), math.sqrt(frame.J)
+    W = [r * x for r, x in zip((rm, rm, rm, rm, rj, rj), V.tolist())]
+    if family.variant == "reflection":
+        sign, U = 1.0, [B[3]]
+    elif family.variant == "epsi":
+        sign, U = -1.0, B[0:3]
+    else:
+        phi = family.line_field.angle(*frame.reduced())
+        c, s = math.cos(phi), math.sin(phi)
+        sign, U = 1.0, [B[3], [c * x + s * y for x, y in zip(B[4], B[5])]]
+    Wp = W
+    for u in U:
+        uw = u[0] * W[0]
+        for a, b in zip(u[1:], W[1:]):
+            uw = uw + a * b
+        Wp = [x - 2.0 * uw * y for x, y in zip(Wp, u)]
+    Wp = [sign * x for x in Wp]
+    return np.array([x / r for x, r in zip(Wp, (rm, rm, rm, rm, rj, rj))])
+
+
+def test_float_map_is_the_row_by_row_update_bit_for_bit():
+    # reflection is the reflected W frame_rows carries, and op takes its
+    # line-field row off that; both equal the row-by-row loop exactly
+    rng = np.random.default_rng(54)
+    for fam in FAMILIES + [FOURIER_OP]:
+        for body in (ELL, DISK):
+            for _ in range(100):
+                fr = _random_frame(rng, body)
+                V = _incoming(rng, fr)
+                got = scatter_velocity(fam, fr, V)[0]
+                assert got.tobytes() == _row_by_row(fam, fr, V).tobytes(), fam.label()
+
+
 def test_scatter_velocity_rejects_bad_input():
     rng = np.random.default_rng(52)
     fr = _random_frame(rng)
