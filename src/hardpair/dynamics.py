@@ -9,11 +9,14 @@ at a separated pose yields a slab between the bodies and a lower bound on
 its width along the flight, and the flight steps to where that bound could
 first reach zero, so every pose visited is separated and no contact can be
 stepped over.  Near a transversal contact the steps converge quadratically.
-Resolution replaces the velocity with its image under a chosen scattering
-family, once per root; a grazing root found again right after its event
-is merged into that event.  Because several families share the same
-conservation laws, one initial condition continues into many distinct
-trajectories, and divergence_report measures exactly that.  Every flight
+A step works on the six floats of the stepped pose and the kernel's
+contact row (geometry._contact_row); it makes no array and no ContactData,
+which the pose at a contact writes once.  Resolution replaces the velocity
+with its image under a chosen scattering family, once per root; a grazing
+root found again right after its event is merged into that event.
+Because several families share the same conservation laws, one initial
+condition continues into many distinct trajectories, and
+divergence_report measures exactly that.  Every flight
 is one step, _flight, which ends at the pose its contact is resolved on.
 The pose is made once per contact and holds what every family reads: the
 anchored configuration and its centers as floats, the frame and the
@@ -45,8 +48,9 @@ from hardpair.bodies import Body, mass_weights
 # the layer bindings of this module by name
 from hardpair.geometry import (  # noqa: F401
     Beta,
-    ContactData,
+    _contact_row,
     closest_approach,
+    contact_record,
     d_beta,
     wrap_angle,
 )
@@ -90,11 +94,14 @@ class State(NamedTuple):
     t: float = 0.0
 
 
-def _require_finite(X: np.ndarray, V: np.ndarray) -> None:
+def _require_finite(X: np.ndarray, V: np.ndarray | None = None) -> None:
+    """A non-finite entry of X or V raises ValueError naming the array and
+    the entry."""
     for name, arr in (("X", X), ("V", V)):
-        values = arr.tolist()
+        values = [] if arr is None else arr.tolist()
         if not all(map(math.isfinite, values)):
-            raise ValueError(f"state {name} holds a non-finite value: {values}")
+            i = next(i for i, value in enumerate(values) if not math.isfinite(value))
+            raise ValueError(f"state {name} holds a non-finite value at entry {i}: {values}")
 
 
 def make_state(X, V) -> State:
@@ -197,46 +204,47 @@ def free_flight(Z: State, dt: float) -> State:
     return State(X=Z.X + dt * Z.V, V=Z.V, t=Z.t + dt)
 
 
-def _gap_at(
-    body: Body,
-    X: np.ndarray,
-    seed: ContactData | None = None,
-    solved: ContactData | None = None,
-):
-    """Gap plus the lab-frame contact solve behind it.
+def _gap_row(body: Body, X, seed: tuple | None = None) -> tuple:
+    """Gap at the configuration X, six floats, and the lab-frame contact
+    row (geometry._contact_row) behind it: (g, contact).
 
-    seed, a solve at a nearby pose, warm-starts the solve.  solved is the
-    solve at X itself, when the caller already holds it; then no solve is
-    made.
+    seed, the row of a solve at a nearby pose, warm-starts the solve from
+    its normal angle s1; a warm solve makes no array and no ContactData.
+    A cold solve, at a datum or a state no solve has seen, goes through
+    closest_approach, the contact layer's entry, whose calls hpbench's
+    tracer counts as contacts; the record it writes is read back as the
+    same row.
     """
-    x, y, xb, yb, theta, thetabar = X.tolist()
+    x, y, xb, yb, theta, thetabar = X
     dist = math.hypot(xb - x, yb - y)
     if dist == 0.0:
         raise ValueError("coincident centers: gap undefined")
-    if solved is not None:
-        return dist - solved.d, solved
-    contact = closest_approach(
-        body,
-        wrap_angle(thetabar - theta),
-        wrap_angle(math.atan2(yb - y, xb - x) - theta),
-        theta=theta,
-        _seed=seed,
-    )
-    return dist - contact.d, contact
+    theta_rel = wrap_angle(thetabar - theta)
+    psi_rel = wrap_angle(math.atan2(yb - y, xb - x) - theta)
+    if seed is not None:
+        contact = _contact_row(body, theta_rel, psi_rel, theta, seed[9], True)
+        return dist - contact[0], contact
+    c = closest_approach(body, theta_rel, psi_rel, theta=theta, derivatives=True)
+    return dist - c.d, (c.d, c.dD_dtheta, c.dD_dpsi, *c.p.tolist(), *c.q.tolist(),
+                        *c.n.tolist(), c.s1, c.s2)
 
 
 def gap(body: Body, X) -> float:
     """Center distance minus the distance of closest approach at the current angles.
 
-    Positive when separated, zero at contact, negative on overlap.
+    Positive when separated, zero at contact, negative on overlap.  X must
+    be six finite numbers, else ValueError naming the entry, as make_state.
     """
-    g, _ = _gap_at(body, np.asarray(X, dtype=float))
-    return g
+    X = np.asarray(X, dtype=float)
+    if X.shape != (6,):
+        raise ValueError(f"gap requires six configuration numbers X, got shape {X.shape}")
+    _require_finite(X)
+    return _gap_row(body, X.tolist())[0]
 
 
-def _slab(g: float, contact: ContactData) -> tuple:
+def _slab(g: float, contact: tuple) -> tuple:
     """The slab separating the bodies at a pose X, from the gap g and the
-    lab-frame solve contact that _gap_at returns there: (g, contact, w, row).
+    contact row there (see _gap_row): (g, contact, w, row).
 
     The solve puts body 2 tangent to body 1 at separation d; at X it sits g
     further out along e, so the line through the contact point with normal
@@ -246,8 +254,8 @@ def _slab(g: float, contact: ContactData) -> tuple:
     and the rate to the velocity, so one slab serves every velocity flown
     from X.
     """
-    (px, py), (qx, qy), (nx, ny) = contact.p.tolist(), contact.q.tolist(), contact.n.tolist()
-    e_n = ((px - qx) * nx + (py - qy) * ny) / contact.d
+    d, _, _, px, py, qx, qy, nx, ny, _, _ = contact
+    e_n = ((px - qx) * nx + (py - qy) * ny) / d
     return g, contact, g * e_n, (nx, ny, px * ny - py * nx, qx * ny - qy * nx)
 
 
@@ -272,20 +280,22 @@ def _certified_step(w: float, rate: float, M: float) -> float:
 
 def _next_collision(body: Body, Z: State, t_max: float, start: tuple | None = None):
     """Root time of the gap along free flight, the minimum gap over the
-    poses visited, and the contact solve at the root (None without a root).
+    poses visited, and the contact row at the root (None without a root).
 
     start is the _slab at Z.X, when the caller holds it; without it Z.X is
     solved cold.  With n held fixed, the slab width along the flight is
     w(t) = (xbar - x) . n - h(n; theta) - h(-n; thetabar), h the support
     function of the turned body, so |w''| <= K (omega^2 + omegabar^2) = M
     and w(tau) >= w + rate tau - M tau^2 / 2.  Each step goes to the first
-    zero of that bound and solves there, warm from the previous solve; the
+    zero of that bound and solves there, warm from the previous solve, on
+    the pose's six floats: a step makes no array and no ContactData.  The
     flight ends at a pose whose slab is thinner than _CONTACT_WIDTH and
     closing, or without a root once the bound stays positive up to t_max or
     the pair can no longer touch: once the centers are farther apart than
     the diameter, which bounds D, and not closing, their distance only grows.
     """
-    g, contact, w, row = _slab(*_gap_at(body, Z.X)) if start is None else start
+    X = x, y, xb, yb, th, thb = Z.X.tolist()
+    g, contact, w, row = _slab(*_gap_row(body, X)) if start is None else start
     if g < -_ADMISSIBLE_RTOL * body.diameter:
         raise SimulationError(f"starting gap {g:.3g} is negative beyond tolerance")
     if t_max <= 0.0:
@@ -295,7 +305,6 @@ def _next_collision(body: Body, Z: State, t_max: float, start: tuple | None = No
     M = body.K * (om * om + omb * omb)
     diameter = body.diameter
     thin = _CONTACT_WIDTH * diameter
-    x, y, xb, yb = Z.X.tolist()[0:4]
     rx, ry, ux, uy = xb - x, yb - y, vbx - vx, vby - vy
     t, min_seen = 0.0, g
     while True:
@@ -311,12 +320,19 @@ def _next_collision(body: Body, Z: State, t_max: float, start: tuple | None = No
         px, py = rx + t * ux, ry + t * uy
         if px * ux + py * uy >= 0.0 and px * px + py * py > diameter * diameter:
             return None, min_seen, None
-        g, contact, w, row = _slab(*_gap_at(body, Z.X + t * Z.V, seed=contact))
+        g, contact, w, row = _slab(*_gap_row(body, (
+            x + t * vx, y + t * vy, xb + t * vbx, yb + t * vby, th + t * om, thb + t * omb),
+            contact))
         min_seen = min(min_seen, g)
 
 
 def next_collision_time(body: Body, Z: State, t_max: float):
-    """Time of the first contact within [0, t_max] along free flight, or None."""
+    """Time of the first contact within [0, t_max] along free flight, or None.
+
+    t_max may be inf; t_max <= 0 gives None and a NaN t_max raises ValueError.
+    """
+    if math.isnan(t_max):
+        raise ValueError(f"t_max must be a number, got {t_max!r}")
     t, _, _ = _next_collision(body, Z, t_max)
     return t
 
@@ -334,9 +350,9 @@ class _Pose(NamedTuple):
     slab: tuple
 
 
-def _contact_pose(body: Body, Z: State, contact: ContactData) -> _Pose:
+def _contact_pose(body: Body, Z: State, contact: tuple) -> _Pose:
     """The pose every family scatters on at a contact state Z, contact being
-    the contact solve at Z.X.
+    the contact row at Z.X (see _gap_row).
 
     The second center moves along the center line to the solved separation
     d, which keeps the contact solve and puts the pose at the contact the
@@ -346,20 +362,23 @@ def _contact_pose(body: Body, Z: State, contact: ContactData) -> _Pose:
     and Z.V checked; W = M V, W reflected in nu, sqrt(m) and sqrt(J)), the
     ledger of Z.V at X, and the _slab at X that each family's next flight
     starts from.  Each is made once, so a family's branch costs its map,
-    its ledger and one rate.
+    its ledger and one rate.  The contact's ContactData is written here,
+    once, for the frame; the flight that found it kept rows.
     """
     x, y, xb, yb, theta, thetabar = Z.X.tolist()
+    d = contact[0]
     dist = math.hypot(xb - x, yb - y)
-    g = dist - contact.d
+    g = dist - d
     if abs(g) > 1e-8 * body.diameter:
         raise SimulationError(f"resolve called away from contact: gap {g:.3g}")
-    xb, yb = x + (xb - x) * (contact.d / dist), y + (yb - y) * (contact.d / dist)
+    xb, yb = x + (xb - x) * (d / dist), y + (yb - y) * (d / dist)
     X = np.array([x, y, xb, yb, theta, thetabar])
-    frame = build_frame(body, Beta(theta, thetabar, math.atan2(yb - y, xb - x)), contact)
+    beta = Beta(theta, thetabar, math.atan2(yb - y, xb - x))
+    frame = build_frame(body, beta, contact_record(contact))
     centers = (x, y, xb, yb)
     return _Pose(Z=Z, X=X, centers=centers, shift=abs(g), frame=frame,
                  rows=frame_rows(frame, Z.V), before=_ledger(body, centers, Z.V.tolist()),
-                 slab=_slab(*_gap_at(body, X, solved=contact)))
+                 slab=_slab(math.hypot(xb - x, yb - y) - d, contact))
 
 
 def _flight(body: Body, Z: State, remaining: float, start: tuple | None):
@@ -381,9 +400,9 @@ def _resolve_at_contact(body: Body, family: ScatteringFamily, pose: _Pose):
     _, v = _map_rows(family, frame, rows)
     V_post = np.array(v)
     after = _ledger(body, centers, v)
-    contact = slab[1]
+    d, s1, s2 = slab[1][0], slab[1][9], slab[1][10]
     event = CollisionEvent(
-        t=Z.t, X=X, d=contact.d, s1=contact.s1, s2=contact.s2, V_pre=Z.V, V_post=V_post,
+        t=Z.t, X=X, d=d, s1=s1, s2=s2, V_pre=Z.V, V_post=V_post,
         grazing=rows[3], anchor_shift=shift, jumps={k: after[k] - before[k] for k in before},
     )
     return State(X=X, V=V_post, t=Z.t), event
@@ -395,7 +414,7 @@ _last_flight = None
 
 
 def _first_flight(body: Body, Z0: State, remaining: float):
-    """The contact solve at Z0 and the _flight from Z0 over the horizon
+    """The contact row at Z0 and the _flight from Z0 over the horizon
     remaining, remembered for the last datum.
 
     The flight to the first contact and the pose there do not depend on the
@@ -421,7 +440,7 @@ def _first_flight(body: Body, Z0: State, remaining: float):
         raise ValueError(
             f"state V is too large: its kinetic energy or K (omega^2 + omegabar^2) "
             f"overflows, V = {Z0.V.tolist()}")
-    start = _slab(*_gap_at(body, Z0.X))
+    start = _slab(*_gap_row(body, Z0.X.tolist()))
     _last_flight = key, (start[1], _flight(body, Z0, remaining, start))
     return _last_flight[1]
 
@@ -504,7 +523,7 @@ def simulate(
         # each solve warm-starts the next; the first from the start pose
         c = start
         for s in grid:
-            g, c = _gap_at(body, s.X, seed=c)
+            g, c = _gap_row(body, s.X.tolist(), c)
             min_gap = min(min_gap, g)
 
     return Trajectory(

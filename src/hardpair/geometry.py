@@ -13,9 +13,10 @@ the first body), and the partial derivatives of D, which tie the contact
 scalars to the gap-function gradient. The record is built once per solve,
 already in the lab frame, by one writer: _contact_row solves in the
 canonical pose and returns the record as a row of floats, with p, q and n
-turned by the first body's orientation.  closest_approach wraps one row;
-d_beta at a Beta of (N,) angle arrays stacks the rows of its N cold
-solves into one record of arrays. With lab-frame vectors and angles the
+turned by the first body's orientation.  contact_record writes one row as
+a ContactData, which closest_approach returns; d_beta at a Beta of (N,)
+angle arrays stacks the rows of its N cold solves into one record of
+arrays. With lab-frame vectors and angles the
 identities read
 
     n  is parallel to  e(psi) - ((dD/dpsi)/d) e(psi)-perp
@@ -176,7 +177,9 @@ def _contact_row(body: Body, theta_rel: float, psi_rel: float, theta: float,
     The row is (d, dD/dtheta, dD/dpsi, px, py, qx, qy, nx, ny, s1, s2): one
     kernel solve, warm from the normal angle seed when warm is set, then the
     support point of the contact normal e(alpha) and the lab-frame
-    arithmetic.  closest_approach wraps one row; d_beta on N poses stacks N.
+    arithmetic.  contact_record writes one row's ContactData, which
+    closest_approach returns; d_beta on N poses stacks N rows; the event
+    search steps on rows and writes a record only at a contact.
     """
     if body.b is not None:
         d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
@@ -228,9 +231,16 @@ def closest_approach(
         ConvergenceError: the contact solve did not converge.
     """
     warm = _seed is not None
-    d, d_th, d_ps, px, py, qx, qy, nx, ny, s1, s2 = _contact_row(
-        body, theta_rel, psi_rel, theta, _seed.s1 if warm else 0.0, warm
+    return contact_record(
+        _contact_row(body, theta_rel, psi_rel, theta, _seed.s1 if warm else 0.0, warm),
+        derivatives,
     )
+
+
+def contact_record(row: tuple, derivatives: bool = False) -> ContactData:
+    """The ContactData of one _contact_row: p, q and n as arrays of shape
+    (2,), and dD/dtheta, dD/dpsi only with derivatives."""
+    d, d_th, d_ps, px, py, qx, qy, nx, ny, s1, s2 = row
     return ContactData(
         d=d,
         p=np.array((px, py)),

@@ -10,14 +10,14 @@ import pytest
 # simulate lives in and calls into; the kernel-counting tests patch
 # geometry's _kernel, the frame tests dynamics' build_frame and frame_rows,
 # the datum-check count dynamics' _require_finite, the branch-work count
-# dynamics' _gap_at,
+# dynamics' _gap_row, the record count geometry's ContactData,
 # and the merge and cap tests dynamics' _next_collision, _MAX_EVENTS,
 # _MAX_SAMPLES and _resample, which a later fresh import of
 # hardpair (the benchmark's tests make one) leaves alone
 from hardpair import _checks, dynamics, geometry, scattering
 from hardpair.bodies import make_ellipse, make_implicit
-from hardpair.frames import LineField, nu_hat
-from hardpair.geometry import Beta, closest_approach, e_of, wrap_angle
+from hardpair.frames import LineField, build_frame, nu_hat
+from hardpair.geometry import Beta, closest_approach, contact_record, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
     _contact_pose,
@@ -65,6 +65,20 @@ def test_gap_disk_closed_form():
         gap(DISK, np.array([1.0, 2.0, 1.0, 2.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_gap_names_a_bad_configuration(bad):
+    # a non-finite entry is refused with its index before any solve, and an
+    # X of another length with its shape
+    for i in range(6):
+        X = [0.0, 0.0, 5.0, 0.0, 0.0, 0.0]
+        X[i] = bad
+        with pytest.raises(ValueError, match=f"state X holds a non-finite value at entry {i}"):
+            gap(DISK, X)
+    for X in ([0.0, 0.0, 5.0, 0.0], [[0.0] * 6]):
+        with pytest.raises(ValueError, match="six configuration numbers"):
+            gap(DISK, X)
+
+
 def test_head_on_collision_time_analytic():
     # disks of radius 1 starting 4 apart closing at unit speed touch at t = 2
     t = next_collision_time(DISK, _head_on(), 10.0)
@@ -77,10 +91,20 @@ def test_no_collision_returns_none():
     assert next_collision_time(DISK, Z, 10.0) is None
 
 
+def test_collision_time_names_a_nan_horizon():
+    # a NaN t_max is refused, not flown as if there were no horizon; a
+    # horizon <= 0 still finds nothing and inf is no horizon
+    with pytest.raises(ValueError, match="t_max must be a number, got nan"):
+        next_collision_time(DISK, _head_on(), math.nan)
+    assert next_collision_time(DISK, _head_on(), 0.0) is None
+    assert next_collision_time(DISK, _head_on(), -math.inf) is None
+    assert abs(next_collision_time(DISK, _head_on(), math.inf) - 2.0) < 1e-9
+
+
 def test_resolve_requires_contact():
     Z = _head_on()
     with pytest.raises(SimulationError):
-        _contact_pose(DISK, Z, dynamics._gap_at(DISK, Z.X)[1])
+        _contact_pose(DISK, Z, dynamics._gap_row(DISK, Z.X.tolist())[1])
 
 
 @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e6])
@@ -252,7 +276,7 @@ def test_event_records_carry_contact_geometry():
     assert ev.d == pytest.approx(2.0, abs=1e-9)
     assert ev.X.shape == (6,)
     # V.(M nu) on the contact's normal flips from approaching to separating
-    nu = nu_hat(dynamics._gap_at(DISK, ev.X)[1], DISK.m, DISK.J)
+    nu = nu_hat(contact_record(dynamics._gap_row(DISK, ev.X.tolist())[1]), DISK.m, DISK.J)
     assert (normal_projection(ev.V_pre, nu, DISK.m, DISK.J) < 0.0
             < normal_projection(ev.V_post, nu, DISK.m, DISK.J))
     assert not ev.grazing
@@ -303,13 +327,14 @@ def test_resolve_collision_matches_scatter_stack():
     angles, d, nu, states, contacts = np.empty((n, 3)), np.empty(n), np.empty((n, 6)), [], []
     for i in range(n):
         th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
-        c = closest_approach(ELL, wrap_angle(thb - th), wrap_angle(psi - th), theta=th)
+        row = geometry._contact_row(ELL, wrap_angle(thb - th), wrap_angle(psi - th), th)
+        c = contact_record(row)
         angles[i], d[i], nu[i] = (th, thb, psi), c.d, nu_hat(c, ELL.m, ELL.J)
         V = rng.standard_normal(6)
         if float((diag * V) @ nu[i]) > 0.0:
             V = -V
         states.append(make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb], V))
-        contacts.append(c)
+        contacts.append(row)
     frames = build_frames(*angles.T, d, nu, ELL.m, ELL.J)
     W = np.array([Z.V for Z in states]) * diag
     want = scatter_stack(fams, frames, W) / diag
@@ -549,13 +574,15 @@ def test_bad_datum_leaves_no_entry():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_make_state_names_a_non_finite_entry(bad):
     # a non-finite entry at any of the twelve positions is refused with the
-    # name of its array; the largest finite float and -0.0 are kept as given
+    # name of its array and its index; the largest finite float and -0.0
+    # are kept as given
     X0, V0 = [0.0, 0.0, 4.2, 0.3, 0.4, 1.9], [0.5, 0.0, -0.45, 0.05, 0.3, -0.2]
     for i in range(12):
         name = "X" if i < 6 else "V"
         X, V = list(X0), list(V0)
         (X if i < 6 else V)[i % 6] = bad
-        with pytest.raises(ValueError, match=f"state {name} holds a non-finite value"):
+        with pytest.raises(ValueError,
+                           match=f"state {name} holds a non-finite value at entry {i % 6}"):
             make_state(X, V)
         for good in (1e308, -0.0):
             (X if i < 6 else V)[i % 6] = good
@@ -563,52 +590,156 @@ def test_make_state_names_a_non_finite_entry(bad):
             assert np.concatenate([Z.X, Z.V]).tobytes() == np.array(X + V).tobytes()
 
 
+def _array_gap(body, X, seed=None):
+    """The gap at the configuration array X and its ContactData, solved
+    through closest_approach, warm from the record seed when given."""
+    x, y, xb, yb, theta, thetabar = X.tolist()
+    c = closest_approach(body, wrap_angle(thetabar - theta),
+                         wrap_angle(math.atan2(yb - y, xb - x) - theta), theta=theta, _seed=seed)
+    return math.hypot(xb - x, yb - y) - c.d, c
+
+
+def _array_slab(g, c):
+    """The slab width g (e . n), e = (p - q) / d, and the rate row
+    (n, p_perp.n, q_perp.n), read off the record's arrays."""
+    e = c.p - c.q
+    return g * ((e[0] * c.n[0] + e[1] * c.n[1]) / c.d), (*c.n, c.p_perp_n(), c.q_perp_n())
+
+
+def _array_flight(body, Z, t_max, start=None):
+    """The certified flight on the array route, as _next_collision was
+    before it stepped on rows: each step forms Z.X + t Z.V, solves it
+    through closest_approach warm from the last record and reads the slab
+    off the ContactData.  start is (g, record) at Z.X, else solved cold.
+    Returns (root time, minimum gap, root record), as _next_collision."""
+    g, c = _array_gap(body, Z.X) if start is None else start
+    if g < -dynamics._ADMISSIBLE_RTOL * body.diameter:
+        raise SimulationError(f"starting gap {g:.3g} is negative beyond tolerance")
+    if t_max <= 0.0:
+        return None, g, None
+    u, om, omb = Z.V[2:4] - Z.V[0:2], Z.V[4], Z.V[5]
+    r0, M = Z.X[2:4] - Z.X[0:2], body.K * float(om * om + omb * omb)
+    thin = dynamics._CONTACT_WIDTH * body.diameter
+    t, min_seen = 0.0, g
+    while True:
+        w, (nx, ny, pn, qn) = _array_slab(g, c)
+        rate = float(u[0] * nx + u[1] * ny - om * pn + omb * qn)
+        tau = dynamics._certified_step(max(w, 0.0), rate, M)
+        if (w <= thin and rate < 0.0) or t + tau == t:
+            return t, min_seen, c
+        t += tau
+        if t >= t_max:
+            return None, min_seen, None
+        r = r0 + t * u
+        if r[0] * u[0] + r[1] * u[1] >= 0.0 and r[0] * r[0] + r[1] * r[1] > body.diameter ** 2:
+            return None, min_seen, None
+        g, c = _array_gap(body, Z.X + t * Z.V, seed=c)
+        min_seen = min(min_seen, g)
+
+
 def _reference_run(body, Z0, family, T):
-    """simulate's loop on the public route at each contact, for one family:
-    scatter_velocity of the contact state's V on the pose's frame, the
-    ledger from conserved_quantities, and each next flight from a fresh
-    _gap_at and _slab at the anchored X.  No root here is a merged graze."""
+    """simulate's loop on the array route, for one family: each flight by
+    _array_flight, the pose anchored here from the root's ContactData,
+    scatter_velocity of the contact state's V on build_frame's frame, the
+    ledger from conserved_quantities, and each next flight from the root
+    record at the anchored X.  No root here is a merged graze."""
     t_end = Z0.t + T
-    start = dynamics._slab(*dynamics._gap_at(body, Z0.X))
+    start = _array_gap(body, Z0.X)
     Z, events, min_gap = Z0, [], start[0]
     while (remaining := t_end - Z.t) > 0.0:
-        dt, seen, root = dynamics._next_collision(body, Z, remaining, start)
+        dt, seen, root = _array_flight(body, Z, remaining, start)
         min_gap = min(min_gap, seen)
         if dt is None:
             Z = free_flight(Z, remaining)
             break
         Zc = free_flight(Z, dt)
-        pose = _contact_pose(body, Zc, root)
-        V_post, _, _, grazing = scattering.scatter_velocity(family, pose.frame, Zc.V)
-        before = conserved_quantities(body, pose.X, Zc.V)
-        after = conserved_quantities(body, pose.X, V_post)
+        x, y, xb, yb, theta, thetabar = Zc.X.tolist()
+        dist = math.hypot(xb - x, yb - y)
+        xb, yb = x + (xb - x) * (root.d / dist), y + (yb - y) * (root.d / dist)
+        X = np.array([x, y, xb, yb, theta, thetabar])
+        frame = build_frame(body, Beta(theta, thetabar, math.atan2(yb - y, xb - x)), root)
+        V_post, _, _, grazing = scattering.scatter_velocity(family, frame, Zc.V)
+        before = conserved_quantities(body, X, Zc.V)
+        after = conserved_quantities(body, X, V_post)
         jumps = {k: after[k] - before[k] for k in before}
-        events.append((Zc.t, pose.X.tobytes(), V_post.tobytes(), jumps, grazing, pose.shift))
-        Z = dynamics.State(X=pose.X, V=V_post, t=Zc.t)
-        start = dynamics._slab(*dynamics._gap_at(body, pose.X, solved=root))
+        events.append((Zc.t, X.tobytes(), root.d, root.s1, root.s2, V_post.tobytes(), jumps,
+                       grazing, abs(dist - root.d)))
+        Z = dynamics.State(X=X, V=V_post, t=Zc.t)
+        start = (math.hypot(xb - x, yb - y) - root.d, root)
     return events, (Z.X.tobytes(), Z.V.tobytes(), Z.t), min_gap
 
 
+def _record_bytes(c):
+    """Every field of a ContactData as bytes, None kept."""
+    return [None if f is None else np.asarray(f).tobytes() for f in c]
+
+
+def test_a_cold_solve_reads_its_record_back_as_the_kernel_row():
+    # the cold start of a flight solves through closest_approach; its row is
+    # the one _contact_row writes, so the flight is the same either way
+    implicit = make_implicit(ellipse_boundary(2.0, 1.0))
+    rng = np.random.default_rng(35)
+    for body in (DISK, ELL, implicit):
+        for _ in range(20):
+            X = [*rng.uniform(-1.0, 1.0, 2), *rng.uniform(3.0, 5.0, 2),
+                 *rng.uniform(0.0, 2.0 * math.pi, 2)]
+            g, row = dynamics._gap_row(body, X)
+            theta_rel = wrap_angle(X[5] - X[4])
+            psi_rel = wrap_angle(math.atan2(X[3] - X[1], X[2] - X[0]) - X[4])
+            assert row == geometry._contact_row(body, theta_rel, psi_rel, X[4])
+            assert g == math.hypot(X[2] - X[0], X[3] - X[1]) - row[0]
+
+
+def test_the_row_flight_matches_the_array_route():
+    # the shipped flight steps on six floats and contact rows; the array
+    # route steps on Z.X + t Z.V and ContactData; the root time, the least
+    # gap and the root's record agree bit for bit, cold from each datum and
+    # warm from the pose of its first contact after a reflection
+    implicit = make_implicit(ellipse_boundary(2.0, 1.0))
+    body, data = _checks.colliding_ellipse_data(200, 2024)
+    cases = [(body, Z0, T) for Z0, T in data] + [(DISK, _head_on(), 10.0)] + [
+        (implicit, Z0, T) for Z0, T in data[:8]]
+    roots = again = 0
+    for body, Z0, T in cases:
+        dt, seen, row = dynamics._next_collision(body, Z0, T)
+        want = _array_flight(body, Z0, T)
+        assert (dt, seen) == want[:2]
+        if dt is None:
+            continue
+        roots += 1
+        assert _record_bytes(contact_record(row)) == _record_bytes(want[2])
+        pose = _contact_pose(body, free_flight(Z0, dt), row)
+        Z, _ = _resolve_at_contact(body, REFL, pose)
+        got = dynamics._next_collision(body, Z, T, pose.slab)
+        want = _array_flight(body, Z, T, (pose.slab[0], want[2]))
+        assert got[:2] == want[:2]
+        assert (got[2] is None) == (want[2] is None)
+        if got[2] is not None:
+            again += 1
+            assert _record_bytes(contact_record(got[2])) == _record_bytes(want[2])
+    assert roots == len(cases) and again > 0
+
+
 def test_branches_match_the_one_frame_public_route():
-    # every family's run on a shared pose, bit for bit against the reference
-    # that builds each next flight's slab afresh and maps on floats through
-    # scatter_velocity
+    # every family's run on a shared pose, bit for bit against the array
+    # route, which flies on ContactData, builds each pose and each next
+    # flight's slab afresh and maps through scatter_velocity
     body, data = _checks.colliding_ellipse_data(200, 2024)
     for Z0, T in data:
         for fam in SIX_FAMILIES:
             tr = simulate(body, Z0, fam, T)
             assert tr.merged_grazing == 0 and tr.n_events() > 0
-            got = ([(ev.t, ev.X.tobytes(), ev.V_post.tobytes(), ev.jumps, ev.grazing,
-                     ev.anchor_shift) for ev in tr.events],
+            got = ([(ev.t, ev.X.tobytes(), ev.d, ev.s1, ev.s2, ev.V_post.tobytes(), ev.jumps,
+                     ev.grazing, ev.anchor_shift) for ev in tr.events],
                    (tr.final.X.tobytes(), tr.final.V.tobytes(), tr.final.t), tr.min_gap)
             assert got == _reference_run(body, Z0, fam, T), fam.label()
 
 
 def _count_branch_work(monkeypatch) -> tuple[list, list]:
     """Record every ellipse solve through geometry's kernel and every
-    _gap_at call of dynamics."""
+    _gap_row call of dynamics."""
     solves, gaps = [], []
-    solve, gap_at = geometry._kernel.ellipse_contact, dynamics._gap_at
+    solve, gap_at = geometry._kernel.ellipse_contact, dynamics._gap_row
 
     def counted_solve(*args, **kwargs):
         solves.append(args)
@@ -619,8 +750,21 @@ def _count_branch_work(monkeypatch) -> tuple[list, list]:
         return gap_at(*args, **kwargs)
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", counted_solve)
-    monkeypatch.setattr(dynamics, "_gap_at", counted_gap)
+    monkeypatch.setattr(dynamics, "_gap_row", counted_gap)
     return solves, gaps
+
+
+def _count_records(monkeypatch) -> list:
+    """Record every ContactData that geometry writes."""
+    records = []
+    record = geometry.ContactData
+
+    def counted(*args, **kwargs):
+        records.append(record(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(geometry, "ContactData", counted)
+    return records
 
 
 def test_a_branch_past_the_horizon_solves_nothing(monkeypatch):
@@ -648,6 +792,21 @@ def test_a_branch_past_the_horizon_solves_nothing(monkeypatch):
     gaps.clear()
     assert simulate(DISK, head_on, REFL, 1e6).n_events() == 1
     assert solves == [] and gaps == []
+
+
+def test_one_record_per_contact_pose(monkeypatch):
+    # the flights step on contact rows; a ContactData is written once per
+    # contact, at its pose, and once at the datum's cold solve: the six
+    # families on the frozen datum share the datum and the first contact,
+    # and reflection and op(0) find one more contact each, 4 records in all
+    # over flights of many certified steps
+    Z0, T = _frozen_datum(), _checks.NONUNIQ_T
+    records = _count_records(monkeypatch)
+    solves, gaps = _count_branch_work(monkeypatch)
+    contacts = sum(simulate(_checks.ELL, Z0, fam, T).n_events() - 1
+                   for fam in _checks.six_families()) + 1
+    assert contacts == 3 and len(records) == 1 + contacts
+    assert len(gaps) > 3 * contacts and len(solves) == len(gaps)
 
 
 def _late_graze_datum():
@@ -799,7 +958,7 @@ def test_slab_bound_holds_along_free_flight():
     # the width of the slab between the bodies, normal n held fixed, in
     # closed form from the ellipse support function; the event search's
     # quadratic must stay below it
-    from hardpair.dynamics import _gap_at, _rate, _slab
+    from hardpair.dynamics import _gap_row, _rate, _slab
 
     a, b = 5.0, 1.0
     body = make_ellipse(a, b)
@@ -818,9 +977,9 @@ def test_slab_bound_holds_along_free_flight():
         x2 = (c.d + rng.uniform(0.0, 1.0)) * e_of(psi)
         X = np.array([0.0, 0.0, x2[0], x2[1], th, thb])
         V = np.concatenate([rng.normal(0.0, 1.0, 4), rng.uniform(-3.0, 3.0, 2)])
-        _, contact, w0, row = _slab(*_gap_at(body, X))
+        _, contact, w0, row = _slab(*_gap_row(body, X.tolist()))
         rate = _rate(V.tolist(), row)
-        n = contact.n
+        n = np.array(contact[7:9])
         assert w0 == pytest.approx(width(X, n), abs=1e-12)
         h = 1e-6
         assert rate == pytest.approx((width(X + h * V, n) - width(X - h * V, n)) / (2 * h), abs=1e-6)

@@ -3,7 +3,8 @@ binding the benchmark's tracer wraps exists, every dataclass checks its
 fields, every check of the verification suite is in CHECKS, without
 parameters, geometry reads the contact kernel in one function, only
 three functions branch on one pose of floats against N poses of arrays,
-and one function writes module-level state.
+a certified step of the event search makes no array and no contact
+record, and one function writes module-level state.
 
 A record whose fields go unchecked is a NamedTuple, which is cheaper to
 build and to define; a dataclass is kept only where __post_init__ checks.
@@ -195,6 +196,50 @@ def test_one_pose_forks_only_where_they_pay():
     found = set().union(*(float_forks(p.read_text(), p.stem)
                           for p in MODULES if p.stem != "cli"))
     assert found == {"geometry.Beta.__post_init__", "geometry.d_beta", "frames.complement_basis"}
+
+
+# what a certified step must not call: the writers of a ContactData
+RECORD_WRITERS = ("closest_approach", "contact_record", "ContactData", "d_beta")
+
+
+def _makes_an_array_or_record(node) -> bool:
+    """node reads an attribute of np, or calls a ContactData writer by name
+    or through a module."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return getattr(f, "id", getattr(f, "attr", None)) in RECORD_WRITERS
+
+
+def array_or_record_makers(source: str, module: str) -> set[str]:
+    """The functions of source that touch np or write a contact record."""
+    return functions_where(source, module, _makes_an_array_or_record)
+
+
+def test_guard_sees_an_array_or_a_record():
+    src = ("import numpy as np\nfrom hardpair import geometry\n"
+           "def f(x):\n    return np.array(x)\n"
+           "def g(x):\n    dtype = np.float64\n"
+           "def h(b):\n    return geometry.closest_approach(b, 0.0, 0.0)\n"
+           "def k(r):\n    def inner():\n        return contact_record(r)\n"
+           "def m(r):\n    return ContactData(*r), d_beta(r)\n"
+           "def ok(x, nb):\n    return x.tolist(), nb.array, closest_approach\n")
+    assert array_or_record_makers(src, "m") == {"m.f", "m.g", "m.h", "m.k.inner", "m.m"}
+
+
+def test_a_certified_step_makes_no_array_and_no_record():
+    # a flight steps on the pose's floats and the kernel's contact row; the
+    # record is written at the contact pose, and by a flight's cold start in
+    # _gap_row.  An array or a record per step changes no output, only the
+    # time, so it is held out here; the warm solve in _gap_row is held by
+    # the record count in test_dynamics
+    step = {"dynamics._next_collision", "dynamics._slab", "dynamics._rate",
+            "dynamics._certified_step", "geometry._contact_row"}
+    found = set().union(*(array_or_record_makers(p.read_text(), p.stem) for p in MODULES))
+    assert found & step == set()
+    assert {"dynamics._contact_pose", "dynamics._gap_row", "geometry.closest_approach"} <= found
 
 
 def global_writers(source: str, module: str) -> set[str]:
