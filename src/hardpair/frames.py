@@ -384,8 +384,17 @@ def sample_contacts(body: Body, n_samples: int, seed: int, block: int):
     nu_hat call on the record it returns.  Yields per block (frames, W, n,
     pn, qn): the frames at the poses, W, and the contact data the frames
     come from, the normal n (shape (k, 2)), p_perp.n and q_perp.n (shape
-    (k,)).
+    (k,)).  ValueError names n_samples, seed or block unless it is an int
+    >= 1, >= 0 or >= 1 (a seed of None would draw OS entropy).
     """
+    for name, x, least in (("n_samples", n_samples, 1), ("seed", seed, 0), ("block", block, 1)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {x!r}")
+    return _contact_blocks(body, n_samples, seed, block)
+
+
+def _contact_blocks(body: Body, n_samples: int, seed: int, block: int):
+    """sample_contacts' generator, once its arguments are checked."""
     beta_rng, w_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     m, J = body.m, body.J
     for start in range(0, n_samples, block):

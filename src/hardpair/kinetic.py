@@ -26,15 +26,16 @@ pose inside it).  The probe sends W to -W wherever W.nu > 0; the normal law
 is symmetric, so W has the law conditioned on W.nu < 0 (W.nu = 0 has
 probability zero), and V = M^-1 W.  Everything else runs on arrays over the
 block: the contact record, the frames (frames.build_frames), every family's
-map (scattering.scatter_stack) and every candidate, which is evaluated once
-on V and all the families' V' stacked.  The streams are read
-row by row, so a seed gives the same samples whatever the families,
-candidates or block size.
+map (scattering.scatter_stack, one pass) and every candidate, called once
+on V and all the families' V' stacked, both bodies on a leading axis.  The
+streams are read row by row, so a seed gives the same samples whatever the
+families, candidates or block size.
 
 Candidate contract.  InvariantCandidate.fn takes v of shape (..., 2) and
-w, theta of shape (...) and returns an array of shape (...); the probe
-raises ValueError naming the candidate otherwise.  Plain NumPy expressions
-(v[..., 0] ** 3, np.cos) meet it.
+w, theta of shape (...) and returns shape (...), elementwise over any
+leading axes; the probe raises ValueError naming the candidate otherwise.
+It calls fn once per block, axis 0 holding the two bodies.  Plain NumPy
+expressions (v[..., 0] ** 3, np.cos) meet it.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ class InvariantCandidate(NamedTuple):
                 f"expected {np.shape(th)}"
             )
         return out
-
-    def pair_sum(self, V: np.ndarray, theta, thetabar) -> np.ndarray:
-        """phi summed over both bodies; V has shape (..., 6), the angles (...)."""
-        return (self.value(V[..., 0:2], V[..., 4], theta)
-                + self.value(V[..., 2:4], V[..., 5], thetabar))
 
 
 def constant_candidate() -> InvariantCandidate:
@@ -145,18 +141,19 @@ def _worst_defects(
     seed: int,
 ) -> np.ndarray:
     """Worst |Phi(V') - Phi(V)| per (candidate, family), shape (len(cands), len(families))."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     diag = mass_weights(body.m, body.J)
     worst = np.zeros((len(cands), len(families)))
     for frames, W in _sample_blocks(body, n_samples, seed):
         # block 0 holds V, block 1 + f family f's V'
         V = np.concatenate((W[None], scatter_stack(families, frames, W))) / diag
-        th = np.broadcast_to(frames.theta, V.shape[:-1])
-        thb = np.broadcast_to(frames.thetabar, V.shape[:-1])
-        for c, cand in enumerate(cands):
-            s = cand.pair_sum(V, th, thb)
-            worst[c] = np.maximum(worst[c], np.max(np.abs(s[1:] - s[0]), axis=1))
+        # axis 0: the two bodies, as views of V
+        v = V[..., 0:4].reshape(V.shape[:-1] + (2, 2)).transpose(2, 0, 1, 3)
+        w = V[..., 4:6].transpose(2, 0, 1)
+        th = np.empty(w.shape)
+        th[0], th[1] = frames.theta, frames.thetabar
+        s = np.array([cand.value(v, w, th) for cand in cands])
+        s = s[:, 0] + s[:, 1]
+        worst = np.maximum(worst, np.max(np.abs(s[:, 1:] - s[:, :1]), axis=-1))
     return worst
 
 
@@ -173,7 +170,8 @@ def invariant_residual_table(
     samples makes the table directly comparable across columns and an order
     of magnitude cheaper than independent runs.  Rows are keyed by name and
     columns by label, so candidates that share a name, or families that
-    share a label, raise ValueError naming both positions.
+    share a label, raise ValueError naming both positions; a bad n_samples
+    or seed raises as frames.sample_contacts does.
     """
     labels = [fam.label() for fam in families]
     for field, what, keys in (("candidates", "name", [c.name for c in cands]),

@@ -29,9 +29,10 @@ Python floats and forms W = M V, W.nu, the velocity's verdict (refused if
 separating, flagged if grazing) and W reflected in nu, once however many
 families map there; _map_rows then applies each family's map as that
 low-rank update on floats without forming a matrix, and scatter_velocity
-returns its V' as an array.  scatter_stack does the same over a stack of
-frames as array code, and audit_scattering checks every family's map over
-such a stack.  One frame and a stack pass one orthonormality test,
+returns its V' as an array.  scatter_stack is the same map on arrays, one
+pass for all families over a stack of frames; audit_scattering checks that
+map, applied twice for the involution, and forms A (_cores) only for det A
+and A A - I.  One frame and a stack pass one orthonormality test,
 _require_orthonormal, which forms the basis the rows are read from once.
 """
 
@@ -133,7 +134,8 @@ def _require_orthonormal(frames: Frames) -> np.ndarray:
 
 
 def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
-    """Each family's orthogonal core A at every frame, as (sign, U).
+    """Each family's orthogonal core A at every frame, as (sign, U), on frames
+    the caller has checked; scattering_matrix and the audit form A from it.
 
     A = sign (I - 2 U^T U), where U (shape (N, k, 6), or (k, 6) for one
     frame) holds orthonormal rows: nu for reflection (sign +1), nu and the
@@ -148,7 +150,6 @@ def _cores(families: list[ScatteringFamily], frames: Frames) -> list:
     the relative configuration; a pair seeded with axes fixed in the lab
     would not be, since such seeds break the rotation symmetry.
     """
-    _require_orthonormal(frames)
     rel = frames.reduced()
     cores = []
     for fam in families:
@@ -169,8 +170,8 @@ def frame_rows(frame: Frames, V: np.ndarray) -> tuple:
     W = M V with M = diag(rm, rm, rm, rm, rj, rj), rm = sqrt(m) and
     rj = sqrt(J), proj = W.nu, grazing = is_grazing(proj, |W|) and
     Wr = W - 2 proj nu, W reflected in nu, which the reflection and op maps
-    share.  Raises as scatter_velocity does; the rows are checked as _cores
-    checks a stack."""
+    share.  Raises as scatter_velocity does; the rows are checked as
+    scatter_stack checks a stack."""
     B = _require_orthonormal(frame).tolist()
     v = np.asarray(V, dtype=float).tolist()
     if not all(map(math.isfinite, v)):
@@ -199,6 +200,7 @@ def scattering_matrix(family: ScatteringFamily, frame: Frames) -> ScatterMatrix:
     A = sign (I - 2 U^T U) from the rows _cores builds on arrays; see _cores
     for the gauge of the 'op' line field.
     """
+    _require_orthonormal(frame)
     [(sign, U)] = _cores([family], frame)
     A = sign * (np.eye(6) - 2.0 * (U.T @ U))
     diag = mass_weights(frame.m, frame.J)
@@ -210,23 +212,33 @@ def scatter_stack(families: list[ScatteringFamily], frames: Frames, W: np.ndarra
     """Mass-weighted velocities W = M V (shape (N, 6)) mapped by every family.
 
     Returns shape (len(families), N, 6): block f, row i is A W[i] for family
-    f at frame i.  Each map is applied as its low-rank update of W, so no
-    matrix is formed; the frames are checked for orthonormality once.
+    f at frame i, or at the one frame (vectors of shape (6,)).  This is
+    _map_rows on arrays in one pass: the frames are checked and W.nu and Wr
+    (W reflected in nu, reflection's W') formed once; every op family's row
+    cos(phi) F1 + sin(phi) F2 goes into one (k, N, 6) stack taken off Wr,
+    and epsi takes its three conserved rows off W and negates.
     """
+    return _map_stack(families, frames, _require_orthonormal(frames), W)
+
+
+def _map_stack(families: list[ScatteringFamily], frames: Frames, B: np.ndarray, W: np.ndarray):
+    """scatter_stack on the frames' basis B, once _require_orthonormal has passed it."""
+    nu = B[..., 3, :]
+    Wr = W - (2.0 * np.sum(W * nu, axis=-1))[..., None] * nu
     out = np.empty((len(families),) + W.shape)
-    for f, (sign, U) in enumerate(_cores(families, frames)):
-        out[f] = _reflect(sign, U, W)
+    ops = [f for f, fam in enumerate(families) if fam.variant == "op"]
+    if ops:
+        rel = frames.reduced()
+        phi = np.array([families[f].line_field.angle(*rel) for f in ops]).reshape(len(ops), -1, 1)
+        U = np.cos(phi) * B[..., 4, :] + np.sin(phi) * B[..., 5, :]
+        out[ops] = Wr - (2.0 * np.sum(U * W, axis=-1))[..., None] * U
+    for f, fam in enumerate(families):
+        if fam.variant == "reflection":
+            out[f] = Wr
+        elif fam.variant == "epsi":
+            E = B[..., 0:3, :]
+            out[f] = 2.0 * np.sum((E @ W[..., :, None]) * E, axis=-2) - W
     return out
-
-
-def _reflect(sign: float, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Row i of W mapped by A = sign (I - 2 U[i]^T U[i]), as the low-rank update.
-
-    U has shape (N, k, 6) and W shape (N, 6); U may also hold one frame
-    (shape (k, 6)) for any number of rows of W.
-    """
-    c = U @ W[..., :, None]
-    return sign * (W - 2.0 * np.sum(c * U, axis=-2))
 
 
 def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
@@ -244,7 +256,7 @@ def scatter_velocity(family: ScatteringFamily, frame: Frames, V: np.ndarray):
     return np.array(Vp), rows[2], _dot(Wp, rows[0][3]), rows[3]
 
 
-# kept beside _cores/_reflect: it runs six times per datum, and on floats it is the cheaper
+# the float twin of scatter_stack: it runs six times per datum, and on floats it is the cheaper
 def _map_rows(family: ScatteringFamily, frame: Frames, rows: tuple) -> tuple[list, list]:
     """The family's map at one frame from rows = frame_rows(frame, V), on
     floats: (W', V'), W' = A W and V' = M^-1 W', A as _cores builds it.
@@ -349,7 +361,8 @@ def audit_scattering(
       grazing_count         samples with is_grazing(W.nu, |W|), left out of
                             the flip check
 
-    The maps are the low-rank updates of scatter_stack; A = sign (I - 2 U^T U)
+    W' and the map's second application are scatter_stack's map, the one
+    that ships, on frames checked once; A = sign (I - 2 U^T U) from _cores
     is formed only for the determinant and A A - I.
     """
     V = np.asarray(V, dtype=float)
@@ -361,18 +374,17 @@ def audit_scattering(
     pre = np.sum(W * frames.nu, axis=-1)
     grazing = is_grazing(pre, speed)
     flip = ~grazing
-    Vp = np.empty((len(families),) + V.shape)
+    B = _require_orthonormal(frames)
+    Wps = _map_stack(families, frames, B, W)
     reports = []
-    for f, (sign, U) in enumerate(_cores(families, frames)):
-        Wp = _reflect(sign, U, W)
-        Vp[f] = Wp / diag
+    for fam, Wp, (sign, U) in zip(families, Wps, _cores(families, frames)):
         drift = np.abs(conserved @ (Wp - W)[..., :, None])[..., 0] / speed[:, None]
         A = sign * (_EYE6 - 2.0 * (U.swapaxes(-1, -2) @ U))
         det = np.linalg.det(A).reshape(-1)
         worst = int(np.argmax(np.abs(np.abs(det) - 1.0)))
         signs = np.where(det > 0.0, 1, -1)
         post = np.sum(Wp * frames.nu, axis=-1)
-        back = np.linalg.norm(_reflect(sign, U, Wp) - W, axis=-1)
+        back = np.linalg.norm(_map_stack([fam], frames, B, Wp)[0] - W, axis=-1)
         reports.append({
             "matrix_involution": float(np.max(np.abs(A @ A - _EYE6))),
             "involution": float(np.max(back / speed)),
@@ -389,4 +401,4 @@ def audit_scattering(
             "grazing_count": int(np.count_nonzero(grazing)),
             "n_samples": len(V),
         })
-    return Vp, reports
+    return Wps / diag, reports

@@ -47,5 +47,16 @@ def normal_projection(V: np.ndarray, nu: np.ndarray, m: float, J: float) -> floa
 
 def one_row(frame):
     """One frame (vectors of shape (6,)) as the N = 1 stack."""
-    return frame._replace(**{name: np.asarray(getattr(frame, name))[None] for name in PER_POSE})
+    return copies(frame, 1)
+
+
+def copies(frame, n: int):
+    """One frame as the stack of n copies of it."""
+    return frame._replace(**{name: np.repeat(np.asarray(getattr(frame, name))[None], n, axis=0)
+                             for name in PER_POSE})
+
+
+def pose(frames, i: int):
+    """Pose i of a stack as one frame: vectors of shape (6,) and floats."""
+    return frames._replace(**{name: getattr(frames, name)[i] for name in PER_POSE})
 

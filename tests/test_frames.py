@@ -382,3 +382,21 @@ def test_sample_stream_makes_one_contact_call_per_block(monkeypatch):
     blocks = list(frames_mod.sample_contacts(ELL, 600, 31, 256))
     assert [len(W) for _, W, *_ in blocks] == contacts == [256, 256, 88]
     assert solves == [(0.0, False)] * 600
+
+
+@pytest.mark.parametrize("n_samples,seed,block,name", [
+    # None drew OS entropy, so a rerun differed
+    (10, None, 256, "seed"),
+    (10, -1, 256, "seed"),
+    (10, True, 256, "seed"),
+    # True ran one sample
+    (True, 0, 256, "n_samples"),
+    # 2.5 raised a TypeError from inside range
+    (2.5, 0, 256, "n_samples"),
+    (0, 0, 256, "n_samples"),
+    (10, 0, 0, "block"),
+], ids=["seed-None", "seed-negative", "seed-bool", "n-bool", "n-float", "n-zero", "block-zero"])
+def test_sample_contacts_names_a_bad_count(n_samples, seed, block, name):
+    # refused at the call, before a block is drawn
+    with pytest.raises(ValueError, match=rf"^{name} must be an int"):
+        frames_mod.sample_contacts(ELL, n_samples, seed, block)

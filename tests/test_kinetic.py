@@ -120,6 +120,20 @@ def test_invariant_residual_rejects_empty_sample():
                                  [constant_candidate()], 0, seed=0)
 
 
+@pytest.mark.parametrize("n_samples,seed,name", [
+    # True ran one sample, and 2.5 raised a TypeError from inside range
+    (True, 0, "n_samples"),
+    (2.5, 0, "n_samples"),
+    # None drew OS entropy, so a rerun differed
+    (10, None, "seed"),
+    (10, -3, "seed"),
+], ids=["n-bool", "n-float", "seed-None", "seed-negative"])
+def test_invariant_residual_names_a_bad_count(n_samples, seed, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int"):
+        invariant_residual_table(ELL, [ScatteringFamily.reflection()],
+                                 [constant_candidate()], n_samples, seed)
+
+
 @pytest.mark.parametrize("families,first,second", [
     ([LineField.fourier([[1, 0, 0.3, 0.1]]), LineField.fourier([[0, 1, 2.0, 0.5]])], 0, 1),
     # labels keep 6 significant digits of phi
@@ -152,6 +166,12 @@ def test_table_shares_samples_across_families():
         assert table[cand.name][fam.label()] == _cell(ELL, fam, cand, 200, seed=9)
 
 
+def _pair_sum(cand, V, beta):
+    # phi summed over both bodies of one sample, one value call per body
+    return (cand.value(V[0:2], V[4], beta.theta)
+            + cand.value(V[2:4], V[5], beta.thetabar))
+
+
 def _reference_table(body, families, cands, n_samples, seed):
     # the per-sample route: the two spawned streams read one sample at a
     # time, a flip per sample, one assembled matrix per family
@@ -168,8 +188,7 @@ def _reference_table(body, families, cands, n_samples, seed):
         for fam in families:
             Vp = scattering_matrix(fam, frame).s @ V
             for c in cands:
-                defect = abs(c.pair_sum(Vp, beta.theta, beta.thetabar)
-                             - c.pair_sum(V, beta.theta, beta.thetabar))
+                defect = abs(_pair_sum(c, Vp, beta) - _pair_sum(c, V, beta))
                 row = table[c.name]
                 row[fam.label()] = max(row[fam.label()], defect)
     return table
@@ -204,6 +223,25 @@ def test_table_does_not_depend_on_block_size(monkeypatch, block):
     want = invariant_residual_table(ELL, fams, cands, 300, seed=11)
     monkeypatch.setattr(kinetic, "_BLOCK", block)
     assert invariant_residual_table(ELL, fams, cands, 300, seed=11) == want
+
+
+def test_each_candidate_runs_once_per_block(monkeypatch):
+    # both bodies and every family's V' go through one fn call per block:
+    # 300 samples in blocks of 128 make three calls per candidate
+    calls = []
+
+    def counted(name, fn):
+        def run(v, w, th):
+            calls.append((name, w.shape))
+            return fn(v, w, th)
+        return InvariantCandidate(name, run)
+
+    cands = [counted(c.name, c.fn) for c in standard_candidates(ELL)]
+    monkeypatch.setattr(kinetic, "_BLOCK", 128)
+    table = invariant_residual_table(ELL, FAMILIES, cands, 300, seed=13)
+    assert calls == [(c.name, (2, 1 + len(FAMILIES), k))
+                     for k in (128, 128, 44) for c in cands]
+    assert table == invariant_residual_table(ELL, FAMILIES, standard_candidates(ELL), 300, 13)
 
 
 def test_probe_samples_approach():

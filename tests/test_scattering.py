@@ -10,7 +10,7 @@ import pytest
 from hardpair.bodies import make_ellipse, mass_weights
 from hardpair.cli import family_from_config
 from hardpair.geometry import Beta, d_beta, e_of
-from hardpair.frames import LineField, build_frame, build_frames
+from hardpair.frames import LineField, build_frame, build_frames, sample_contacts
 from hardpair import scattering
 from hardpair.scattering import (
     NotPreCollisionalError,
@@ -22,7 +22,14 @@ from hardpair.scattering import (
     scatter_velocity,
     scattering_matrix,
 )
-from frame_helpers import block_rotation, line_field_vector, normal_projection, one_row
+from frame_helpers import (
+    block_rotation,
+    copies,
+    line_field_vector,
+    normal_projection,
+    one_row,
+    pose,
+)
 
 ELL = make_ellipse(2.0, 1.0)
 DISK = make_ellipse(1.0, 1.0)
@@ -310,10 +317,16 @@ def test_audit_counts_grazing_samples():
 
 
 def _injected(monkeypatch, sign):
-    # every family's core replaced by sign * I (no rows to reflect)
+    # every family's map replaced by sign * I: in scatter_stack's map, which
+    # the audit maps W and W' with, and in the core (no rows to reflect) it
+    # forms A from for the determinant
+    def stack(families, frames, B, W):
+        return np.stack([sign * W for _ in families])
+
     def cores(families, frames):
         return [(sign, np.zeros(frames.nu.shape[:-1] + (0, 6))) for _ in families]
 
+    monkeypatch.setattr(scattering, "_map_stack", stack)
     monkeypatch.setattr(scattering, "_cores", cores)
 
 
@@ -342,6 +355,8 @@ def test_audit_catches_energy_injection(monkeypatch, s):
     _, (rep,) = audit_scattering(FAMILIES[:1], fr, V)
     assert rep["kinetic_energy"] == pytest.approx(3.0, rel=1e-12)
     assert rep["abs_det_residual"] > 1e-10
+    # the second application is that map's too: |4W - W| = 3 |W|
+    assert rep["involution"] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_dual_routes_on_arrays():
@@ -389,6 +404,41 @@ def test_scatter_stack_matches_matrices():
         for i, fr in enumerate(frames):
             want = scattering_matrix(fam, fr).A @ W[i]
             assert np.max(np.abs(out[f, i] - want)) < 1e-14
+
+
+SIX_FAMILIES = [ScatteringFamily.reflection(), ScatteringFamily.epsi()] + [
+    ScatteringFamily.orientation_preserving(LineField.constant(phi))
+    for phi in (0.0, math.pi / 6, math.pi / 4, math.pi / 3)]
+
+
+@pytest.mark.parametrize("body", [ELL, DISK], ids=["ellipse", "disk"])
+def test_float_map_and_stack_map_agree_at_every_pose(body):
+    # the map on floats (one frame) and on arrays (a stack), within
+    # 1e-15 |W| at each of 400 sampled poses
+    fams = SIX_FAMILIES + [FOURIER_OP]
+    frames, W, *_ = next(sample_contacts(body, 400, 59, 400))
+    W[np.sum(W * frames.nu, axis=1) > 0.0] *= -1.0
+    diag = mass_weights(body.m, body.J)
+    out = scatter_stack(fams, frames, W)
+    for i in range(len(W)):
+        fr, bound = pose(frames, i), 1e-15 * np.linalg.norm(W[i])
+        for f, fam in enumerate(fams):
+            Vp = scatter_velocity(fam, fr, W[i] / diag)[0]
+            assert np.max(np.abs(Vp * diag - out[f, i])) <= bound, (i, fam.label())
+
+
+@pytest.mark.parametrize("body", [ELL, DISK], ids=["ellipse", "disk"])
+def test_stack_map_at_one_frame_is_its_stack_of_copies(body):
+    # the audit maps N velocities at one frame (vectors of shape (6,)):
+    # that equals the map at N copies of the frame, bit for bit
+    rng = np.random.default_rng(60)
+    fams = SIX_FAMILIES + [FOURIER_OP]
+    for _ in range(20):
+        fr = _random_frame(rng, body)
+        W = rng.standard_normal((30, 6))
+        got = scatter_stack(fams, fr, W)
+        assert got.shape == (len(fams), 30, 6)
+        assert np.array_equal(got, scatter_stack(fams, copies(fr, 30), W))
 
 
 def test_scatter_stack_rejects_bad_frame():
