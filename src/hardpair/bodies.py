@@ -2,9 +2,10 @@
 
 A body is described in its own frame with the centroid at the origin. It
 is its support function h, which is all the contact solve and the event
-search read, together with its unit-density mass properties (mass m = area,
-polar second moment J = integral of |y|^2 over the region) and the bound K
-on |h''|. Ellipses get closed forms, and a disk is the (r, r) ellipse. Any
+search read, with the pair support of two copies that the solve steps on,
+together with its unit-density mass properties (mass m = area, polar
+second moment J = integral of |y|^2 over the region) and the bound K on
+|h''|. Ellipses get closed forms, and a disk is the (r, r) ellipse. Any
 other analytic convex body is given by a counterclockwise boundary map;
 make_implicit takes its mass data and the Fourier series of h from
 quadrature sums on the boundary and checks strict convexity by the sign of
@@ -13,12 +14,13 @@ the curvature there.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from hardpair._kernel import TWO_PI, ellipse_support
+from hardpair._kernel import TWO_PI, ellipse_pair, ellipse_support
 
 # Quadrature points of make_implicit's mass and support-function sums.
 _N_QUAD = 4096
@@ -45,8 +47,11 @@ class Body(NamedTuple):
             coefficients h_k of h for implicit bodies. The event search
             bounds how fast a separating slab can close under rotation
             with it.
-        support: alpha -> (h, h', rho) at the body-frame direction e(alpha),
-            the input of the contact solve.
+        support: alpha -> (h, h', rho) at the body-frame direction e(alpha).
+        pair: theta -> the pair support of two copies, the second turned by
+            theta, which the contact solve steps on: alpha -> (H, H', R, R',
+            h, h', rho) with H(alpha) = h(alpha) + h(alpha + pi - theta) and
+            R = H + H'' (see _kernel).
     """
 
     m: float
@@ -55,6 +60,7 @@ class Body(NamedTuple):
     b: Optional[float]
     K: float
     support: Callable[[float], tuple[float, float, float]]
+    pair: Callable[[float], Callable[[float], tuple]]
 
     @property
     def diameter(self) -> float:
@@ -103,6 +109,7 @@ def make_ellipse(a: float, b: float) -> Body:
         b=b,
         K=K,
         support=ellipse_support(a, b),
+        pair=functools.partial(ellipse_pair, a, b),
     )
 
 
@@ -114,12 +121,14 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
     is the trapezoid sum (1/2pi) sum_j h_j e^{-ik alpha_j} dalpha_j. The
     series stops once four modes in a row fall below tol = 1e-15 h_0, where
     the sums reach rounding. Returns the callable alpha -> (h, h', rho = h +
-    h''), K = sum over k of k^2 (|h_k| + tol), which bounds |h''|
-    everywhere: each kept coefficient is taken at the top of its rounding
-    error, which also covers the modes past the cut, and a bound on the
-    circumradius max h: the largest h on a uniform grid of len(h) angles
-    plus K dalpha^2 / 8, since h' = 0 at the maximum and the nearest grid
-    angle lies within dalpha / 2 of it. A series still not
+    h''), the pair support theta -> (alpha -> (H, H', R, R', h, h', rho)),
+    whose rows for H take c_k (1 + (-1)^k e^{-ik theta}) once per solve, so
+    a step is one complex dot, K = sum over k of k^2 (|h_k| + tol), which
+    bounds |h''| everywhere: each kept coefficient is taken at the top of
+    its rounding error, which also covers the modes past the cut, and a
+    bound on the circumradius max h: the largest h on a uniform grid of
+    len(h) angles plus K dalpha^2 / 8, since h' = 0 at the maximum and the
+    nearest grid angle lies within dalpha / 2 of it. A series still not
     quiet at len(h) // 4 modes is aliased, the samples too sparse for the
     body's turning normal, and raises BodyValidationError.
     """
@@ -142,16 +151,28 @@ def _fourier_support(h: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray):
     c[1:] *= 2.0
     k = np.arange(len(c))
     rows = np.stack([c, 1j * k * c, (1 - k * k) * c])
+    ik, sign = 1j * k, (-1.0) ** k
 
     def support(alpha: float) -> tuple[float, float, float]:
-        h, dh, rho = (rows @ np.exp(1j * alpha * k)).real.tolist()
+        h, dh, rho = (rows @ np.exp(ik * alpha)).real.tolist()
         return h, dh, rho
+
+    def pair(theta: float):
+        # h(alpha + pi - theta) = Re sum c_k (-1)^k e^{-ik theta} e^{ik alpha}
+        c_pair = c * (1.0 + sign * np.exp(-ik * theta))
+        r_pair = (1 - k * k) * c_pair
+        pair_rows = np.concatenate([np.stack([c_pair, ik * c_pair, r_pair, ik * r_pair]), rows])
+
+        def at(alpha: float) -> list[float]:
+            return (pair_rows @ np.exp(ik * alpha)).real.tolist()
+
+        return at
 
     K = float(np.sum(k * k * (np.abs(c) + 2.0 * tol)))
     # h at the angles 2pi j / n is the real part of n ifft(c, n)
     n = len(h)
     h_max = float(np.max((n * np.fft.ifft(c, n)).real))
-    return support, K, h_max + K * (TWO_PI / n) ** 2 / 8.0
+    return support, pair, K, h_max + K * (TWO_PI / n) ** 2 / 8.0
 
 
 def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
@@ -213,7 +234,7 @@ def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
             f"boundary must wind once around the body: its normal turns by {turning:.6f}, "
             f"not 2pi"
         )
-    support, K, a = _fourier_support((x * dy - y * dx) / speed, np.arctan2(-dx, dy), dalpha)
+    support, pair, K, a = _fourier_support((x * dy - y * dx) / speed, np.arctan2(-dx, dy), dalpha)
     return Body(
         m=area,
         J=J,
@@ -221,4 +242,5 @@ def make_implicit(boundary: Callable[[np.ndarray], np.ndarray]) -> Body:
         b=None,
         K=K,
         support=support,
+        pair=pair,
     )

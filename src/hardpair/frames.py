@@ -121,9 +121,13 @@ def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
     approaching (pre-collisional) states.  One contact gives shape (6,), a
     record of N contacts shape (N, 6).
     """
-    pn, qn = contact.p_perp_n(), contact.q_perp_n()
+    return _nu_hat(contact.n, contact.p_perp_n(), contact.q_perp_n(), m, J)
+
+
+def _nu_hat(n: np.ndarray, pn, qn, m: float, J: float) -> np.ndarray:
+    """nu_hat from the contact normal n and the scalars p_perp.n, q_perp.n."""
     lam = 2.0 / m + (pn * pn + qn * qn) / J
-    n = contact.n * (1.0 / np.sqrt(m * lam))[..., None]
+    n = n * (1.0 / np.sqrt(m * lam))[..., None]
     tj = 1.0 / np.sqrt(J * lam)
     nu = np.empty(n.shape[:-1] + (6,))
     nu[..., 0:2], nu[..., 2:4] = -n, n
@@ -380,8 +384,9 @@ def sample_contacts(body: Body, n_samples: int, seed: int, block: int):
     uniform on [0, 2pi)^3 as a (k, 3) array per block, the second a
     standard-normal (k, 6) array W; both consume their stream row by row,
     so the samples do not depend on block.  Each block takes one d_beta
-    call on its k poses (one kernel solve per pose inside it) and one
-    nu_hat call on the record it returns.  Yields per block (frames, W, n,
+    call on its k poses (one kernel solve per pose inside it), whose
+    p_perp.n and q_perp.n, formed once, give the normals nu_hat does and
+    are yielded as well.  Yields per block (frames, W, n,
     pn, qn): the frames at the poses, W, and the contact data the frames
     come from, the normal n (shape (k, 2)), p_perp.n and q_perp.n (shape
     (k,)).  ValueError names n_samples, seed or block unless it is an int
@@ -401,12 +406,13 @@ def _contact_blocks(body: Body, n_samples: int, seed: int, block: int):
         k = min(block, n_samples - start)
         theta, thetabar, psi = beta_rng.uniform(0.0, TWO_PI, (k, 3)).T
         c = d_beta(body, Beta(theta, thetabar, psi))
+        pn, qn = c.p_perp_n(), c.q_perp_n()
         yield (
-            build_frames(theta, thetabar, psi, c.d, nu_hat(c, m, J), m, J),
+            build_frames(theta, thetabar, psi, c.d, _nu_hat(c.n, pn, qn, m, J), m, J),
             w_rng.standard_normal((k, 6)),
             c.n,
-            c.p_perp_n(),
-            c.q_perp_n(),
+            pn,
+            qn,
         )
 
 

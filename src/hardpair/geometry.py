@@ -175,25 +175,25 @@ def _contact_row(body: Body, theta_rel: float, psi_rel: float, theta: float,
     """One pose's contact record as floats, turned into the lab frame by theta.
 
     The row is (d, dD/dtheta, dD/dpsi, px, py, qx, qy, nx, ny, s1, s2): one
-    kernel solve, warm from the normal angle seed when warm is set, then the
-    support point of the contact normal e(alpha) and the lab-frame
-    arithmetic.  contact_record writes one row's ContactData, which
+    kernel solve, warm from the normal angle seed when warm is set, which
+    also gives the support point of the contact normal e(alpha), then the
+    lab-frame arithmetic.  contact_record writes one row's ContactData, which
     closest_approach returns; d_beta on N poses stacks N rows; the event
     search steps on rows and writes a record only at a contact.
     """
     if body.b is not None:
-        d, alpha, d_th, d_ps, ok = _kernel.ellipse_contact(
+        d, alpha, d_th, d_ps, ok, h, dh = _kernel.ellipse_contact(
             body.a, body.b, theta_rel, psi_rel, seed, use_seed=warm
         )
     else:
-        d, alpha, d_th, d_ps, ok = _kernel.support_contact(
-            body.support, theta_rel, psi_rel, seed, use_seed=warm
+        d, alpha, d_th, d_ps, ok, h, dh = _kernel.support_contact(
+            body.pair(theta_rel), psi_rel, seed, use_seed=warm
         )
     if not ok:
         _ellipse_oracle_fallback(body, theta_rel, psi_rel)
-    # the support point of e(alpha): p = h e(alpha) + h' e(alpha)-perp
+    # the support point of e(alpha), from the h and h' the solve carried
+    # there: p = h e(alpha) + h' e(alpha)-perp
     nx, ny = math.cos(alpha), math.sin(alpha)
-    h, dh, _ = body.support(alpha)
     px, py = h * nx - dh * ny, h * ny + dh * nx
 
     qx, qy = px - d * math.cos(psi_rel), py - d * math.sin(psi_rel)
@@ -239,18 +239,11 @@ def closest_approach(
 
 def contact_record(row: tuple, derivatives: bool = False) -> ContactData:
     """The ContactData of one _contact_row: p, q and n as arrays of shape
-    (2,), and dD/dtheta, dD/dpsi only with derivatives."""
-    d, d_th, d_ps, px, py, qx, qy, nx, ny, s1, s2 = row
-    return ContactData(
-        d=d,
-        p=np.array((px, py)),
-        q=np.array((qx, qy)),
-        n=np.array((nx, ny)),
-        s1=s1,
-        s2=s2,
-        dD_dtheta=d_th if derivatives else None,
-        dD_dpsi=d_ps if derivatives else None,
-    )
+    (2,), slices of one array, and dD/dtheta, dD/dpsi only with derivatives."""
+    pqn = np.array(row[3:9])
+    d_th, d_ps = row[1:3] if derivatives else (None, None)
+    # positional: the keyword form costs about 0.4 us a record
+    return ContactData(row[0], pqn[0:2], pqn[2:4], pqn[4:6], row[9], row[10], d_th, d_ps)
 
 
 def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
@@ -260,14 +253,14 @@ def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
     p, q and n come back turned by the first body's orientation. d and the
     D-derivatives are rotation invariants.  A Beta of (N,) arrays gives
     one record of N contacts (see ContactData): the one-pose rows of
-    closest_approach, each from a cold kernel solve, stacked into one
-    array and sliced into its fields, so row i is bit for bit the record
-    of pose i alone.
+    _contact_row, each from a cold kernel solve, stacked into one array and
+    sliced into its fields, so row i is bit for bit the record of pose i
+    alone.
     """
     th_rel, ps_rel = beta.reduced()
-    # not twins: one pose is closest_approach's record; N poses slice one stacked array
+    # not twins: one pose writes its row's record; N poses slice one stacked array
     if isinstance(th_rel, float):
-        return closest_approach(body, th_rel, ps_rel, theta=beta.theta, derivatives=derivatives)
+        return contact_record(_contact_row(body, th_rel, ps_rel, beta.theta), derivatives)
     rows = np.array([
         _contact_row(body, th, ps, theta)
         for th, ps, theta in zip(th_rel.tolist(), ps_rel.tolist(), beta.theta.tolist())

@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -703,6 +706,17 @@ def test_overlapping_start_exits_three(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_package_runs_as_a_module():
+    # README's checkout route: PYTHONPATH=src python -m hardpair
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "hardpair", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout
 
 
 # each shipped config and the command that reads it; a new config needs an entry

@@ -506,7 +506,8 @@ def test_failed_first_flight_leaves_no_entry(monkeypatch):
     solve = geometry._kernel.ellipse_contact
 
     def failing(*args, use_seed=False):
-        return (*solve(*args, use_seed=use_seed)[:4], False)
+        out = solve(*args, use_seed=use_seed)
+        return out[:4] + (False,) + out[5:]
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", failing)
     for _ in range(2):

@@ -194,7 +194,7 @@ def test_warm_start_lands_on_the_external_tangency(ratio):
     a, b = ratio, 1.0
     rng = np.random.default_rng(15)
     for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (300, 2)):
-        d, alpha, _, _, ok = _kernel.ellipse_contact(a, b, theta, psi)
+        d, alpha, _, _, ok, _, _ = _kernel.ellipse_contact(a, b, theta, psi)
         assert ok
         for spread in (0.3, 0.05):
             th2, ps2 = (theta, psi) + rng.uniform(-spread, spread, 2)
@@ -232,7 +232,7 @@ def test_aligned_pair_matches_closed_form(ratio):
     a, b = ratio, 1.0
     for theta in (0.0, math.pi):
         for psi in np.linspace(0.0, 2.0 * math.pi, 73):
-            d, _, _, _, ok = _kernel.ellipse_contact(a, b, theta, psi)
+            d, _, _, _, ok, _, _ = _kernel.ellipse_contact(a, b, theta, psi)
             exact = 2.0 * a * b / math.hypot(b * math.cos(psi), a * math.sin(psi))
             assert ok and abs(d - exact) <= 1e-14 * exact
 
@@ -247,7 +247,7 @@ def test_cold_solve_converges_where_a_bracket_end_is_hit(theta, psi, d_expected)
     # and solvers ordered that way failed at these (5,1) poses
     from hardpair import _kernel
 
-    d, _, _, _, ok = _kernel.ellipse_contact(5.0, 1.0, theta, psi)
+    d, _, _, _, ok, _, _ = _kernel.ellipse_contact(5.0, 1.0, theta, psi)
     assert ok and abs(d - d_expected) <= 1e-14 * d
 
 
@@ -266,19 +266,27 @@ def test_warm_solve_from_a_far_seed_does_not_cycle():
     assert abs(warm[0] - cold[0]) <= 1e-15 * cold[0]
 
 
-@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0, 300.0, 1e4])
-def test_warm_solves_from_random_seeds_never_fail(ratio):
+def _ellipse(ratio, implicit):
+    """The (ratio, 1) ellipse, in closed form or, with implicit, as a support series."""
+    return _implicit_ellipse(ratio, 1.0) if implicit else make_ellipse(ratio, 1.0)
+
+
+@pytest.mark.parametrize("ratio,implicit", [
+    (1.25, False), (2.0, False), (5.0, False), (20.0, False), (300.0, False), (1e4, False),
+    (5.0, True),
+], ids=["1.25", "2.0", "5.0", "20.0", "300.0", "10000.0", "implicit5"])
+def test_warm_solves_from_random_seeds_never_fail(ratio, implicit):
     # seeds drawn anywhere on the half-circle facing e(psi), however far from
     # the root: 20,000 warm solves, none may fail (the (2, 1) pair failed 4
     # times here before the halving rule)
     from hardpair import _kernel
 
-    support = _kernel.ellipse_support(ratio, 1.0)
+    body = _ellipse(ratio, implicit)
     rng = np.random.default_rng(7)
     theta, psi, u = rng.uniform(0.0, 2.0 * math.pi, (3, 20000))
     seeds = psi + (u / (2.0 * math.pi) - 0.5) * math.pi
     failed = [(t, p, s) for t, p, s in zip(theta.tolist(), psi.tolist(), seeds.tolist())
-              if not _kernel.support_contact(support, t, p, s, use_seed=True)[4]]
+              if not _kernel.support_contact(body.pair(t), p, s, use_seed=True)[4]]
     assert failed == []
 
 
@@ -305,18 +313,51 @@ def _dense_support_distance(a, b, theta, psi, n=257, zooms=4):
     return values[rows, k]
 
 
-@pytest.mark.parametrize("ratio", [1.25, 2.0, 5.0, 20.0, 50.0])
-def test_cold_solve_matches_dense_support_minimum(ratio, monkeypatch):
+@pytest.mark.parametrize("ratio,implicit", [
+    (1.25, False), (2.0, False), (5.0, False), (20.0, False), (50.0, False), (5.0, True),
+], ids=["1.25", "2.0", "5.0", "20.0", "50.0", "implicit5"])
+def test_cold_solve_matches_dense_support_minimum(ratio, implicit, monkeypatch):
     def no_fallback(*args):
         raise AssertionError("the oracle fallback ran")
 
     monkeypatch.setattr(geometry, "_ellipse_oracle_fallback", no_fallback)
-    body = make_ellipse(ratio, 1.0)
+    body = _ellipse(ratio, implicit)
     rng = np.random.default_rng(16)
     theta, psi = rng.uniform(0.0, 2.0 * math.pi, (2, 2000))
     dense = _dense_support_distance(ratio, 1.0, theta, psi)
     d = np.array([closest_approach(body, t, p).d for t, p in zip(theta, psi)])
     assert np.max(np.abs(d - dense)) <= 1e-9
+
+
+# the contact workload's aspect ratios
+CONTACT_RATIOS = (1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)
+
+
+@pytest.mark.parametrize("ratios,bound", [(CONTACT_RATIOS, 4.8), ((2.0,), 3.9)],
+                         ids=["contact-ratios", "ratio2"])
+def test_cold_solves_take_few_pair_evaluations(ratios, bound):
+    # Halley's step on seeded cold solves: the mean number of pair-support
+    # evaluations per solve, which Newton's step put at 5.8 on the mix and
+    # 4.8 on (2, 1)
+    from hardpair import _kernel
+
+    calls = 0
+
+    def counted(support):
+        def step(alpha):
+            nonlocal calls
+            calls += 1
+            return support(alpha)
+
+        return step
+
+    rng = np.random.default_rng(20)
+    n = 1000
+    for ratio in ratios:
+        pair = make_ellipse(ratio, 1.0).pair
+        for theta, psi in rng.uniform(0.0, 2.0 * math.pi, (n, 2)).tolist():
+            assert _kernel.support_contact(counted(pair(theta)), psi)[4]
+    assert calls / (n * len(ratios)) <= bound
 
 
 def test_disk_derivatives_are_exact_zeros():
@@ -391,6 +432,37 @@ def _polar_level(u):
     rho, phi = math.hypot(*u), math.atan2(u[1], u[0])
     grad = e_of(phi) + (0.2 * math.sin(2.0 * phi) / rho) * perp(e_of(phi))
     return rho - (1.0 + 0.1 * math.cos(2.0 * phi)), grad
+
+
+PAIR_BODIES = pytest.mark.parametrize(
+    "body", [ELL, make_ellipse(20.0, 1.0), make_implicit(_polar_boundary)],
+    ids=["ratio2", "ratio20", "implicit"])
+
+
+@PAIR_BODIES
+def test_pair_support_is_the_sum_of_two_supports(body):
+    # H, H', R against h, h', rho at alpha and alpha + pi - theta, and the
+    # tail against body 1's own support; the pair turns body 2's direction
+    # by cos and sin of theta where the sum rounds alpha + pi - theta, which
+    # the (20, 1) ellipse's steep rho magnifies to 4e-14
+    rng = np.random.default_rng(21)
+    for theta, alpha in rng.uniform(0.0, 2.0 * math.pi, (200, 2)).tolist():
+        H, dH, R, _, h, dh, rho = body.pair(theta)(alpha)
+        one, two = body.support(alpha), body.support(alpha + math.pi - theta)
+        scale = max(one[0] + two[0], one[2] + two[2])
+        for got, want in zip((H, dH, R, h, dh, rho), (*np.add(one, two), *one)):
+            assert abs(got - want) <= 1e-13 * scale
+
+
+@PAIR_BODIES
+def test_pair_support_slope_of_r_matches_a_central_difference(body):
+    step = 1e-6
+    rng = np.random.default_rng(22)
+    for theta, alpha in rng.uniform(0.0, 2.0 * math.pi, (200, 2)).tolist():
+        pair = body.pair(theta)
+        _, _, R, dR, *_ = pair(alpha)
+        fd = (pair(alpha + step)[2] - pair(alpha - step)[2]) / (2.0 * step)
+        assert abs(dR - fd) <= 1e-7 * max(abs(dR), R)
 
 
 def test_non_elliptic_implicit_body_is_tangent_and_matches_finite_differences():
@@ -475,7 +547,7 @@ def test_a_failed_solve_in_a_block_names_its_pose(monkeypatch):
 
     def failing(a, b, theta, psi, *args, **kwargs):
         out = solve(a, b, theta, psi, *args, **kwargs)
-        return out[:4] + (False,) if (theta, psi) == bad else out
+        return out[:4] + (False,) + out[5:] if (theta, psi) == bad else out
 
     monkeypatch.setattr(geometry._kernel, "ellipse_contact", failing)
     with pytest.raises(ConvergenceError) as in_block:
