@@ -80,8 +80,6 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, Beta):
-        return [obj.theta, obj.thetabar, obj.psi]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from hardpair._kernel import TWO_PI
 from hardpair.bodies import Body, mass_weights
-from hardpair.geometry import Beta, ContactData, d_beta
+from hardpair.geometry import Beta, ContactData, d_beta, wrap_angle
 
 E1_HAT = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(2.0)
 E2_HAT = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
@@ -101,7 +101,7 @@ class Frames(NamedTuple):
 
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """Relative angles (thetabar - theta, psi - theta) mod 2pi, as Beta.reduced."""
-        return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
+        return wrap_angle(self.thetabar - self.theta), wrap_angle(self.psi - self.theta)
 
 
 def _basis_residual(b: np.ndarray) -> np.ndarray:

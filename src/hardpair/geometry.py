@@ -44,7 +44,6 @@ verification suite (_checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -61,9 +60,10 @@ class ConvergenceError(RuntimeError):
     """A numerical solve failed to converge."""
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce an angle to [0, 2pi)."""
-    return float(x % TWO_PI)
+def wrap_angle(x):
+    """An angle, or an array of angles, reduced to [0, 2pi): x % 2pi rounds a
+    tiny negative x up to 2pi itself, which the second % takes to 0.0."""
+    return x % TWO_PI % TWO_PI
 
 
 def e_of(psi: float) -> np.ndarray:
@@ -76,45 +76,53 @@ def perp(u: np.ndarray) -> np.ndarray:
     return np.array([-u[1], u[0]])
 
 
-@dataclass(frozen=True)
-class Beta:
+class Beta(NamedTuple("Beta", [("theta", float), ("thetabar", float), ("psi", float)])):
     """Collision configuration angles (theta, thetabar, psi), each in [0, 2pi).
 
     theta and thetabar are the body orientations; psi is the direction angle
-    of the center line from body 1 to body 2.  Each field is a float, or
-    all three are arrays of one shape (N,) holding N poses.  A non-finite
-    angle, or arrays of other shapes, raise ValueError naming the field.
+    of the center line from body 1 to body 2.  Each field is a Python float,
+    or all three are float64 arrays of one shape (N,) holding N poses; an
+    angle that is not a finite real number, or arrays of other shapes, raise
+    ValueError naming the field.  A tuple: it unpacks, beta == (theta,
+    thetabar, psi), and no source builds one by _make or _replace, which
+    skip the checks.
     """
 
-    theta: float
-    thetabar: float
-    psi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        angles = (("theta", self.theta), ("thetabar", self.thetabar), ("psi", self.psi))
+    def __new__(cls, theta, thetabar, psi):
         # not twins: arrays must share one shape (N,) and name a bad index; floats do not
-        if (isinstance(self.theta, np.ndarray) or isinstance(self.thetabar, np.ndarray)
-                or isinstance(self.psi, np.ndarray)):
-            shape = np.shape(self.theta)
-            for name, value in angles:
-                value = np.asarray(value, dtype=float)
-                if value.ndim != 1 or value.shape != shape:
+        if (isinstance(theta, np.ndarray) or isinstance(thetabar, np.ndarray)
+                or isinstance(psi, np.ndarray)):
+            angles = [np.asarray(x, dtype=float) for x in (theta, thetabar, psi)]
+            for name, value in zip(cls._fields, angles):
+                if value.ndim != 1 or value.shape != angles[0].shape:
                     raise ValueError(f"angle {name} has shape {value.shape}; the angles "
                                      f"must be floats or arrays of one shape (N,)")
                 bad = np.flatnonzero(~np.isfinite(value))
                 if bad.size:
                     raise ValueError(f"angle {name} must be finite, "
                                      f"got {float(value[bad[0]])!r} at index {bad[0]}")
-                object.__setattr__(self, name, value % TWO_PI)
-            return
-        for name, value in angles:
-            if not math.isfinite(value):
-                raise ValueError(f"angle {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, wrap_angle(value))
+            return tuple.__new__(cls, [wrap_angle(x) for x in angles])
+        try:
+            # math.isfinite refuses a string, which float() would read
+            finite = math.isfinite(theta) and math.isfinite(thetabar) and math.isfinite(psi)
+        except TypeError:
+            finite = False
+        if finite:
+            return tuple.__new__(cls, (wrap_angle(float(theta)), wrap_angle(float(thetabar)),
+                                       wrap_angle(float(psi))))
+        for name, value in zip(cls._fields, (theta, thetabar, psi)):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"angle {name} must be a real number, got {value!r}") from None
+            if not finite:
+                raise ValueError(f"angle {name} must be finite, got {float(value)!r}")
 
     def reduced(self) -> tuple[float, float]:
         """Relative angles (thetabar - theta, psi - theta) mod 2pi: floats, or (N,) arrays."""
-        return (self.thetabar - self.theta) % TWO_PI, (self.psi - self.theta) % TWO_PI
+        return wrap_angle(self.thetabar - self.theta), wrap_angle(self.psi - self.theta)
 
     def shifted(self, phi: float) -> "Beta":
         """Globally rotated configuration beta + (phi, phi, phi)."""
@@ -265,16 +273,9 @@ def d_beta(body: Body, beta: Beta, *, derivatives: bool = False) -> ContactData:
         _contact_row(body, th, ps, theta)
         for th, ps, theta in zip(th_rel.tolist(), ps_rel.tolist(), beta.theta.tolist())
     ]).reshape(-1, 11)
-    return ContactData(
-        d=rows[:, 0],
-        p=rows[:, 3:5],
-        q=rows[:, 5:7],
-        n=rows[:, 7:9],
-        s1=rows[:, 9],
-        s2=rows[:, 10],
-        dD_dtheta=rows[:, 1] if derivatives else None,
-        dD_dpsi=rows[:, 2] if derivatives else None,
-    )
+    d_th, d_ps = (rows[:, 1], rows[:, 2]) if derivatives else (None, None)
+    return ContactData(d=rows[:, 0], p=rows[:, 3:5], q=rows[:, 5:7], n=rows[:, 7:9],
+                       s1=rows[:, 9], s2=rows[:, 10], dD_dtheta=d_th, dD_dpsi=d_ps)
 
 
 def d_derivatives(

@@ -11,7 +11,7 @@ import pytest
 from hardpair import geometry
 from hardpair._checks import perram_wertheim_distance
 from hardpair.bodies import make_ellipse, make_implicit
-from hardpair.frames import nu_hat
+from hardpair.frames import build_frame, nu_hat
 from hardpair.geometry import (
     Beta,
     ContactData,
@@ -564,6 +564,61 @@ def test_beta_arrays_name_the_bad_field():
         Beta(good, np.array([0.0, math.nan, 1.0]), good)
     with pytest.raises(ValueError, match=r"angle psi has shape \(4,\)"):
         Beta(good, good, np.zeros(4))
+
+
+def test_every_wrap_lands_in_the_half_open_circle():
+    # x % 2pi rounds up to 2pi itself for a tiny negative x; each wrap takes
+    # that to 0.0 and leaves every other value as x % 2pi gives it
+    tiny = -1e-17
+    assert tiny % (2.0 * math.pi) == 2.0 * math.pi
+    assert wrap_angle(tiny) == 0.0
+    assert wrap_angle(np.array([tiny, 1.0])).tolist() == [0.0, 1.0]
+    assert Beta(tiny, tiny, tiny) == (0.0, 0.0, 0.0)
+    assert Beta(*np.full((3, 2), tiny)).psi.tolist() == [0.0, 0.0]
+    assert Beta(-tiny, 0.0, 0.0).reduced() == (0.0, 0.0)
+    th_rel, ps_rel = Beta(np.full(2, -tiny), np.zeros(2), np.zeros(2)).reduced()
+    assert th_rel.tolist() == ps_rel.tolist() == [0.0, 0.0]
+    assert build_frame(ELL, Beta(-tiny, 0.0, 0.0)).reduced() == (0.0, 0.0)
+    x = np.random.default_rng(32).uniform(-20.0, 20.0, 10_000)
+    x = np.concatenate([x, [0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi, math.pi, tiny]])
+    wrapped = wrap_angle(x)
+    assert ((0.0 <= wrapped) & (wrapped < 2.0 * math.pi)).all()
+    plain = x % (2.0 * math.pi)
+    kept = plain < 2.0 * math.pi
+    assert np.array_equal(wrapped[kept], plain[kept])
+    assert [wrap_angle(v) for v in x.tolist()] == wrapped.tolist()
+
+
+@pytest.mark.parametrize("bad", ["0.5", b"0.5", None, 1j, [0.5]],
+                         ids=["str", "bytes", "none", "complex", "list"])
+def test_beta_refuses_a_non_real_angle_by_name(bad):
+    # float() would read "0.5"; a pose takes real numbers only
+    with pytest.raises(ValueError, match=r"^angle theta must be a real number, got "):
+        Beta(bad, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^angle psi must be a real number, got "):
+        Beta(0.0, 1.0, bad)
+
+
+def test_beta_names_a_non_finite_angle():
+    with pytest.raises(ValueError, match=r"^angle thetabar must be finite, got inf$"):
+        Beta(0.0, math.inf, 0.0)
+    with pytest.raises(ValueError, match=r"^angle theta must be finite, got nan$"):
+        Beta(np.float64(math.nan), 0.0, math.nan)
+
+
+def test_beta_of_numpy_angles_is_beta_of_python_floats():
+    # the benchmark and the verification suite build Beta(*rng.uniform(...)):
+    # NumPy float64 angles give the Python floats' pose bit for bit, and a
+    # Beta of (N,) arrays is the stack of its one-pose Betas
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(-4.0 * math.pi, 6.0 * math.pi, (10_000, 3))
+    angles[:4] = [[-1e-17, 0.0, -0.0], [2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi],
+                  [math.pi, -math.pi, 1e-300], [-1e300, 1e300, 7.0]]
+    one = [Beta(*row) for row in angles]
+    assert {type(x) for beta in one for x in beta} == {float}
+    bits = np.array(one).view(np.uint64)
+    assert np.array_equal(bits, np.array([Beta(*row) for row in angles.tolist()]).view(np.uint64))
+    assert np.array_equal(bits, np.array(Beta(*angles.T)).T.view(np.uint64))
 
 
 def test_beta_reduced_and_shifted():

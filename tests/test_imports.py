@@ -8,6 +8,8 @@ record, and one function writes module-level state.
 
 A record whose fields go unchecked is a NamedTuple, which is cheaper to
 build and to define; a dataclass is kept only where __post_init__ checks.
+Beta, a NamedTuple that checks its fields in __new__, is built only through
+__new__: no source calls _make or _replace, which skip it.
 
 A module may keep an import it never reads only where the benchmark's
 tracer replaces that binding by name (hpbench/tracing.BINDINGS); names a
@@ -135,6 +137,13 @@ def test_every_dataclass_checks_its_fields(path):
     assert unchecked_dataclasses(path.read_text(), path.stem) == []
 
 
+def test_no_source_builds_a_named_tuple_past_its_new():
+    calls = sorted(f"{p.stem}.py:{node.lineno}" for p in MODULES
+                   for node in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace"))
+    assert calls == []
+
+
 def test_every_check_is_in_the_suite_and_takes_nothing():
     # a criterion defined outside CHECKS would run in neither verify nor the
     # acceptance tests, and a size knob on a check would be a second suite
@@ -195,7 +204,7 @@ def test_one_pose_forks_only_where_they_pay():
     # type tests read config values and encode JSON; they fork no arithmetic.
     found = set().union(*(float_forks(p.read_text(), p.stem)
                           for p in MODULES if p.stem != "cli"))
-    assert found == {"geometry.Beta.__post_init__", "geometry.d_beta", "frames.complement_basis"}
+    assert found == {"geometry.Beta.__new__", "geometry.d_beta", "frames.complement_basis"}
 
 
 # what a certified step must not call: the writers of a ContactData
