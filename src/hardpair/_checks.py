@@ -222,7 +222,7 @@ def check_scattering() -> list[tuple[bool, str]]:
     ]
     want_sign = (-1, -1, 1)
     # V stays unflipped, so the flip check sees both half-spaces
-    frames, V, normal, pn, qn = next(sample_contacts(ELL, n, 104, n))
+    frames, V, contact = next(sample_contacts(ELL, n, 104, n))
     Vp, reports = audit_scattering(fams, frames, V)
     flip_ok = all(r["half_space_flip_ok"] for r in reports)
     return [
@@ -235,7 +235,7 @@ def check_scattering() -> list[tuple[bool, str]]:
         _held("KE", max(r["kinetic_energy"] for r in reports), bound),
         (flip_ok, f"flip {'ok' if flip_ok else 'VIOLATED'}"),
         # the dual routes take the contact data, not the frame
-        _held("impulse", float(np.max(np.abs(Vp[0] - impulse_scatter(normal, pn, qn, m, J, V)))),
+        _held("impulse", float(np.max(np.abs(Vp[0] - impulse_scatter(contact, m, J, V)))),
               bound),
         _held("epsi closed form", float(np.max(np.abs(
             Vp[1] - explicit_epsi_velocities(frames.psi, frames.d, m, J, V)))), bound),
@@ -246,7 +246,7 @@ def check_disk_reduction() -> list[tuple[bool, str]]:
     """Reflection on disks is the specular exchange; spins never change."""
     n, bound = 1000, 1e-12
     diag = mass_weights(DISK.m, DISK.J)
-    frames, V, *_ = next(sample_contacts(DISK, n, 105, n))
+    frames, V, _ = next(sample_contacts(DISK, n, 105, n))
     Vp = scatter_stack([ScatteringFamily.reflection()], frames, V * diag)[0] / diag
     nvec = np.stack([np.cos(frames.psi), np.sin(frames.psi)], axis=1)
     k = np.sum((V[:, 0:2] - V[:, 2:4]) * nvec, axis=1)[:, None]

@@ -15,14 +15,15 @@ The pair (F1, F2) is seeded with the first body's axes.  Seeds fixed in
 the lab would break the rotation symmetry; seeds that turn with the body
 make the pair a function of the relative configuration, so a line field's
 angle picks the same physical direction at every global rotation.
-build_frames assembles Frames at N poses from arrays, or at one pose from
-floats, where complement_basis takes its float path; one
-frame is the unbatched case, and build_frame is build_frames at one pose
-after its contact solve.  sample_contacts
-draws random contact poses in blocks and builds their frames: per block,
-one d_beta call on arrays of angles gives the contact data as arrays, and
-one nu_hat call the normals.  The invariant probe and the verification
-checks read their samples from it.
+build_frames assembles the Frames at a Beta from its contact record: N
+poses from a Beta of arrays and its record of N contacts, or one pose from
+floats, where complement_basis takes its float path.  It reads d off the
+record and nu from nu_hat, the one writer of the normal.  One frame is the
+unbatched case, and build_frame is build_frames at one pose after its
+contact solve.  sample_contacts draws random contact poses in blocks and
+builds their frames: per block, one Beta of arrays and one d_beta call on
+it give the contact record, and the block's frames are built from it.  The
+invariant probe and the verification checks read their samples from it.
 """
 
 from __future__ import annotations
@@ -121,13 +122,9 @@ def nu_hat(contact: ContactData, m: float, J: float) -> np.ndarray:
     approaching (pre-collisional) states.  One contact gives shape (6,), a
     record of N contacts shape (N, 6).
     """
-    return _nu_hat(contact.n, contact.p_perp_n(), contact.q_perp_n(), m, J)
-
-
-def _nu_hat(n: np.ndarray, pn, qn, m: float, J: float) -> np.ndarray:
-    """nu_hat from the contact normal n and the scalars p_perp.n, q_perp.n."""
+    pn, qn = contact.p_perp_n(), contact.q_perp_n()
     lam = 2.0 / m + (pn * pn + qn * qn) / J
-    n = n * (1.0 / np.sqrt(m * lam))[..., None]
+    n = contact.n * (1.0 / np.sqrt(m * lam))[..., None]
     tj = 1.0 / np.sqrt(J * lam)
     nu = np.empty(n.shape[:-1] + (6,))
     nu[..., 0:2], nu[..., 2:4] = -n, n
@@ -353,27 +350,22 @@ class LineField:
         return a % math.pi
 
 
-def build_frames(
-    theta: np.ndarray,
-    thetabar: np.ndarray,
-    psi: np.ndarray,
-    d: np.ndarray,
-    nu: np.ndarray,
-    m: float,
-    J: float,
-) -> Frames:
-    """Frames at N poses from their angles, separations d and normals nu.
+def build_frames(beta: Beta, contact: ContactData, m: float, J: float) -> Frames:
+    """The frames at the poses beta, from contact, their contact record.
 
-    Ebeta comes in closed form and the complement pair, seeded with each
-    pose's first-body axes, from one stacked complement_basis call.  Float
-    angles and d with nu of shape (6,) give the one frame of build_frame,
-    built on Python floats.
+    d is contact.d and nu is nu_hat(contact, m, J); Ebeta comes in closed
+    form and the complement pair, seeded with each pose's first-body axes,
+    from one stacked complement_basis call.  A Beta of (N,) arrays with its
+    record of N contacts (d_beta at that Beta) gives N frames; a Beta of
+    floats with one contact gives the one frame of build_frame, built on
+    Python floats.
     """
-    eb = e_beta(psi, d, m, J)
-    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu, theta)
+    nu = nu_hat(contact, m, J)
+    eb = e_beta(beta.psi, contact.d, m, J)
+    F1, F2 = complement_basis(E1_HAT, E2_HAT, eb, nu, beta.theta)
     return Frames(
         E1=E1_HAT, E2=E2_HAT, Ebeta=eb, nu=nu, F1=F1, F2=F2,
-        theta=theta, thetabar=thetabar, psi=psi, d=d, m=m, J=J,
+        theta=beta.theta, thetabar=beta.thetabar, psi=beta.psi, d=contact.d, m=m, J=J,
     )
 
 
@@ -383,14 +375,13 @@ def sample_contacts(body: Body, n_samples: int, seed: int, block: int):
     Two streams are spawned from seed.  The first draws the angles beta
     uniform on [0, 2pi)^3 as a (k, 3) array per block, the second a
     standard-normal (k, 6) array W; both consume their stream row by row,
-    so the samples do not depend on block.  Each block takes one d_beta
-    call on its k poses (one kernel solve per pose inside it), whose
-    p_perp.n and q_perp.n, formed once, give the normals nu_hat does and
-    are yielded as well.  Yields per block (frames, W, n,
-    pn, qn): the frames at the poses, W, and the contact data the frames
-    come from, the normal n (shape (k, 2)), p_perp.n and q_perp.n (shape
-    (k,)).  ValueError names n_samples, seed or block unless it is an int
-    >= 1, >= 0 or >= 1 (a seed of None would draw OS entropy).
+    so the samples do not depend on block.  Each block makes one Beta of
+    its k poses and one d_beta call on it (one kernel solve per pose
+    inside it), and builds its frames from that record.  Yields per block
+    (frames, W, contact): the frames at the poses, W, and the record of k
+    contacts the frames come from.  ValueError names n_samples, seed or
+    block unless it is an int >= 1, >= 0 or >= 1 (a seed of None would
+    draw OS entropy).
     """
     for name, x, least in (("n_samples", n_samples, 1), ("seed", seed, 0), ("block", block, 1)):
         if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
@@ -401,19 +392,11 @@ def sample_contacts(body: Body, n_samples: int, seed: int, block: int):
 def _contact_blocks(body: Body, n_samples: int, seed: int, block: int):
     """sample_contacts' generator, once its arguments are checked."""
     beta_rng, w_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    m, J = body.m, body.J
     for start in range(0, n_samples, block):
         k = min(block, n_samples - start)
-        theta, thetabar, psi = beta_rng.uniform(0.0, TWO_PI, (k, 3)).T
-        c = d_beta(body, Beta(theta, thetabar, psi))
-        pn, qn = c.p_perp_n(), c.q_perp_n()
-        yield (
-            build_frames(theta, thetabar, psi, c.d, _nu_hat(c.n, pn, qn, m, J), m, J),
-            w_rng.standard_normal((k, 6)),
-            c.n,
-            pn,
-            qn,
-        )
+        beta = Beta(*beta_rng.uniform(0.0, TWO_PI, (k, 3)).T)
+        contact = d_beta(body, beta)
+        yield build_frames(beta, contact, body.m, body.J), w_rng.standard_normal((k, 6)), contact
 
 
 def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> Frames:
@@ -421,10 +404,9 @@ def build_frame(body: Body, beta: Beta, contact: ContactData | None = None) -> F
 
     Solves the tangency problem for the contact data at beta (unless
     contact, the lab-frame contact data at beta, is given), then returns
-    build_frames at this one pose: its floats take the float path of
-    complement_basis.  Mass data comes from the body.
+    build_frames(beta, contact, body.m, body.J): its floats take the float
+    path of complement_basis.
     """
     if contact is None:
         contact = d_beta(body, beta)
-    m, J = body.m, body.J
-    return build_frames(beta.theta, beta.thetabar, beta.psi, contact.d, nu_hat(contact, m, J), m, J)
+    return build_frames(beta, contact, body.m, body.J)

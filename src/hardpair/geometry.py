@@ -81,11 +81,12 @@ class Beta(NamedTuple("Beta", [("theta", float), ("thetabar", float), ("psi", fl
 
     theta and thetabar are the body orientations; psi is the direction angle
     of the center line from body 1 to body 2.  Each field is a Python float,
-    or all three are float64 arrays of one shape (N,) holding N poses; an
-    angle that is not a finite real number, or arrays of other shapes, raise
-    ValueError naming the field.  A tuple: it unpacks, beta == (theta,
-    thetabar, psi), and no source builds one by _make or _replace, which
-    skip the checks.
+    or all three are float64 arrays of one shape (N,) holding N poses, read
+    from NumPy arrays of a real dtype; an angle that is not a finite real
+    number (a list, a string, a complex or object array among them), or
+    arrays of other shapes, raise ValueError naming the field.  A tuple: it
+    unpacks, beta == (theta, thetabar, psi), and no source builds one by
+    _make or _replace, which skip the checks.
     """
 
     __slots__ = ()
@@ -94,16 +95,19 @@ class Beta(NamedTuple("Beta", [("theta", float), ("thetabar", float), ("psi", fl
         # not twins: arrays must share one shape (N,) and name a bad index; floats do not
         if (isinstance(theta, np.ndarray) or isinstance(thetabar, np.ndarray)
                 or isinstance(psi, np.ndarray)):
-            angles = [np.asarray(x, dtype=float) for x in (theta, thetabar, psi)]
+            angles = (theta, thetabar, psi)
             for name, value in zip(cls._fields, angles):
-                if value.ndim != 1 or value.shape != angles[0].shape:
+                # np.asarray(x, dtype=float) would read "0.5" and drop 1j
+                if not isinstance(value, np.ndarray) or value.dtype.kind not in "biuf":
+                    raise ValueError(f"angle {name} must be a real number, got {value!r}")
+                if value.ndim != 1 or value.shape != theta.shape:
                     raise ValueError(f"angle {name} has shape {value.shape}; the angles "
                                      f"must be floats or arrays of one shape (N,)")
                 bad = np.flatnonzero(~np.isfinite(value))
                 if bad.size:
                     raise ValueError(f"angle {name} must be finite, "
                                      f"got {float(value[bad[0]])!r} at index {bad[0]}")
-            return tuple.__new__(cls, [wrap_angle(x) for x in angles])
+            return tuple.__new__(cls, [wrap_angle(np.asarray(x, dtype=float)) for x in angles])
         try:
             # math.isfinite refuses a string, which float() would read
             finite = math.isfinite(theta) and math.isfinite(thetabar) and math.isfinite(psi)

@@ -21,15 +21,16 @@ Sampler.  Every probe reads one sample stream, frames.sample_contacts in
 blocks of at most _BLOCK samples.  It draws the angles beta (uniform on
 [0, 2pi)^3) and W (standard normal in mass-weighted coordinates) as arrays
 from two streams spawned from the seed, and makes one contact call per
-block (geometry.d_beta on the block's angle arrays, one kernel solve per
-pose inside it).  The probe sends W to -W wherever W.nu > 0; the normal law
-is symmetric, so W has the law conditioned on W.nu < 0 (W.nu = 0 has
-probability zero), and V = M^-1 W.  Everything else runs on arrays over the
-block: the contact record, the frames (frames.build_frames), every family's
-map (scattering.scatter_stack, one pass) and every candidate, called once
-on V and all the families' V' stacked, both bodies on a leading axis.  The
-streams are read row by row, so a seed gives the same samples whatever the
-families, candidates or block size.
+block (geometry.d_beta on one Beta of the block's angle arrays, one kernel
+solve per pose inside it).  The block's frames are built from that one
+contact record (frames.build_frames), which the stream yields beside them.
+The probe sends W to -W wherever W.nu > 0; the normal law is symmetric, so
+W has the law conditioned on W.nu < 0 (W.nu = 0 has probability zero), and
+V = M^-1 W.  Everything else runs on arrays over the block too: every
+family's map (scattering.scatter_stack, one pass) and every candidate,
+called once on V and all the families' V' stacked, both bodies on a
+leading axis.  The streams are read row by row, so a seed gives the same
+samples whatever the families, candidates or block size.
 
 Candidate contract.  InvariantCandidate.fn takes v of shape (..., 2) and
 w, theta of shape (...) and returns shape (...), elementwise over any
@@ -128,7 +129,7 @@ def _sample_blocks(body: Body, n_samples: int, seed: int):
     standard normal and turned to -W where they separate at the sampled
     contact; frames holds the k frames they were drawn at.
     """
-    for frames, W, *_ in sample_contacts(body, n_samples, seed, _BLOCK):
+    for frames, W, _ in sample_contacts(body, n_samples, seed, _BLOCK):
         W[(W * frames.nu).sum(axis=1) > 0.0] *= -1.0
         yield frames, W
 

@@ -56,6 +56,7 @@ from hardpair.frames import (  # noqa: F401
     _rows,
     complement_basis,
 )
+from hardpair.geometry import ContactData
 
 # Relative tolerance on W.nu, W = M V, below which a collision counts as grazing.
 GRAZING_RTOL = 1e-9
@@ -283,12 +284,12 @@ def _map_rows(family: ScatteringFamily, frame: Frames, rows: tuple) -> tuple[lis
     return Wp, [Wp[0] / rm, Wp[1] / rm, Wp[2] / rm, Wp[3] / rm, Wp[4] / rj, Wp[5] / rj]
 
 
-def impulse_scatter(n, pn, qn, m: float, J: float, V: np.ndarray) -> np.ndarray:
+def impulse_scatter(contact: ContactData, m: float, J: float, V: np.ndarray) -> np.ndarray:
     """Resolve the collision by a normal impulse at the contact point.
 
-    n is the lab-frame contact normal, pn = p_perp.n and qn = q_perp.n.  One
-    pose takes n of shape (2,), floats pn, qn and V of shape (6,); N poses
-    take shapes (N, 2), (N,), (N,) and (N, 6).
+    Reads the lab-frame contact normal n, pn = p_perp.n and qn = q_perp.n
+    off contact, the contact record, and never the frame.  One contact
+    takes V of shape (6,); a record of N contacts takes V of shape (N, 6).
 
     The impulse magnitude alpha = 2 (v + w p_perp - vbar - wbar q_perp).n / Lambda,
     Lambda = 2/m + (p_perp.n)^2/J + (q_perp.n)^2/J, is the nonzero root of the
@@ -296,6 +297,7 @@ def impulse_scatter(n, pn, qn, m: float, J: float, V: np.ndarray) -> np.ndarray:
     other root and is not a collision.  Agrees with the reflection family's
     matrix route to rounding error.
     """
+    n, pn, qn = contact.n, contact.p_perp_n(), contact.q_perp_n()
     V = np.asarray(V, dtype=float)
     v, vbar = V[..., 0:2], V[..., 2:4]
     om, omb = V[..., 4], V[..., 5]

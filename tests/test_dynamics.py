@@ -17,7 +17,7 @@ import pytest
 from hardpair import _checks, dynamics, geometry, scattering
 from hardpair.bodies import make_ellipse, make_implicit
 from hardpair.frames import LineField, build_frame, nu_hat
-from hardpair.geometry import Beta, closest_approach, contact_record, e_of, wrap_angle
+from hardpair.geometry import Beta, closest_approach, contact_record, d_beta, e_of, wrap_angle
 from hardpair.scattering import ScatteringFamily
 from hardpair.dynamics import (
     _contact_pose,
@@ -324,18 +324,17 @@ def test_resolve_collision_matches_scatter_stack():
     diag = mass_weights(ELL.m, ELL.J)
     rng = np.random.default_rng(62)
     n = 300
-    angles, d, nu, states, contacts = np.empty((n, 3)), np.empty(n), np.empty((n, 6)), [], []
+    angles, states, contacts = np.empty((n, 3)), [], []
     for i in range(n):
-        th, thb, psi = rng.uniform(0.0, 2.0 * math.pi, 3)
+        th, thb, psi = angles[i] = rng.uniform(0.0, 2.0 * math.pi, 3)
         row = geometry._contact_row(ELL, wrap_angle(thb - th), wrap_angle(psi - th), th)
         c = contact_record(row)
-        angles[i], d[i], nu[i] = (th, thb, psi), c.d, nu_hat(c, ELL.m, ELL.J)
         V = rng.standard_normal(6)
-        if float((diag * V) @ nu[i]) > 0.0:
+        if float((diag * V) @ nu_hat(c, ELL.m, ELL.J)) > 0.0:
             V = -V
         states.append(make_state([0.0, 0.0, c.d * math.cos(psi), c.d * math.sin(psi), th, thb], V))
         contacts.append(row)
-    frames = build_frames(*angles.T, d, nu, ELL.m, ELL.J)
+    frames = build_frames(Beta(*angles.T), d_beta(ELL, Beta(*angles.T)), ELL.m, ELL.J)
     W = np.array([Z.V for Z in states]) * diag
     want = scatter_stack(fams, frames, W) / diag
     for f, fam in enumerate(fams):

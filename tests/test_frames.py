@@ -282,12 +282,9 @@ def test_stacked_complement_exhausted_seeds_raise(monkeypatch):
 
 def _frames_both_paths(body, betas):
     # build_frame at each pose, and build_frames over all of them
-    contacts = [d_beta(body, b) for b in betas]
-    stack = build_frames(
-        np.array([b.theta for b in betas]), np.array([b.thetabar for b in betas]),
-        np.array([b.psi for b in betas]), np.array([c.d for c in contacts]),
-        np.array([nu_hat(c, body.m, body.J) for c in contacts]), body.m, body.J)
-    return [build_frame(body, b, c) for b, c in zip(betas, contacts)], stack
+    angles = np.array(betas)
+    stack = build_frames(Beta(*angles.T), d_beta(body, Beta(*angles.T)), body.m, body.J)
+    return [build_frame(body, b) for b in betas], stack
 
 
 def test_build_frames_matches_build_frame():
@@ -340,11 +337,10 @@ def test_builders_go_through_the_complement_binding(monkeypatch):
         return complement_basis(*args)
 
     monkeypatch.setattr(frames_mod, "complement_basis", counting)
-    fr = build_frame(ELL, Beta(0.2, 1.1, 2.3))
+    build_frame(ELL, Beta(0.2, 1.1, 2.3))
     assert len(calls) == 1
-    build_frames(
-        np.array([fr.theta] * 3), np.array([fr.thetabar] * 3), np.array([fr.psi] * 3),
-        np.array([fr.d] * 3), np.array([fr.nu] * 3), fr.m, fr.J)
+    angles = np.array([(0.2, 1.1, 2.3)] * 3)
+    build_frames(Beta(*angles.T), d_beta(ELL, Beta(*angles.T)), ELL.m, ELL.J)
     assert len(calls) == 2
 
 
@@ -382,6 +378,23 @@ def test_sample_stream_makes_one_contact_call_per_block(monkeypatch):
     blocks = list(frames_mod.sample_contacts(ELL, 600, 31, 256))
     assert [len(W) for _, W, *_ in blocks] == contacts == [256, 256, 88]
     assert solves == [(0.0, False)] * 600
+
+
+def test_every_frame_takes_its_normal_from_nu_hat(monkeypatch):
+    # nu_hat is the one writer of the normal: the stream calls it once per
+    # block, on the block's record, and build_frame once
+    calls = []
+    nu_hat_ = frames_mod.nu_hat
+
+    def counted(contact, m, J):
+        calls.append(np.shape(contact.d))
+        return nu_hat_(contact, m, J)
+
+    monkeypatch.setattr(frames_mod, "nu_hat", counted)
+    list(frames_mod.sample_contacts(ELL, 600, 31, 256))
+    assert calls == [(256,), (256,), (88,)]
+    build_frame(ELL, Beta(0.2, 1.1, 2.3))
+    assert calls[3:] == [()]
 
 
 @pytest.mark.parametrize("n_samples,seed,block,name", [

@@ -566,6 +566,20 @@ def test_beta_arrays_name_the_bad_field():
         Beta(good, good, np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [
+    ["0.5", "1.5"],
+    np.array([1j, 2.0]),
+    np.array([0.5, 1.5], dtype=object),
+], ids=["str-list", "complex", "object"])
+def test_beta_arrays_refuse_a_non_real_angle_by_name(bad):
+    # np.asarray(x, dtype=float) would read "0.5" and drop an imaginary part
+    good = np.zeros(2)
+    with pytest.raises(ValueError, match=r"^angle thetabar must be a real number, got "):
+        Beta(good, bad, good)
+    with pytest.raises(ValueError, match=r"^angle psi must be a real number, got "):
+        Beta(good, good, bad)
+
+
 def test_every_wrap_lands_in_the_half_open_circle():
     # x % 2pi rounds up to 2pi itself for a tiny negative x; each wrap takes
     # that to 0.0 and leaves every other value as x % 2pi gives it

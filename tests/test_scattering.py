@@ -136,11 +136,10 @@ def test_impulse_route_equals_reflection_matrix():
     for _ in range(50):
         beta = Beta(*rng.uniform(0.0, 2.0 * math.pi, 3))
         contact = d_beta(ELL, beta)
-        fr = build_frame(ELL, beta)
+        fr = build_frame(ELL, beta, contact)
         sm = scattering_matrix(ScatteringFamily.reflection(), fr)
         V = _incoming(rng, fr)
-        got = impulse_scatter(
-            contact.n, contact.p_perp_n(), contact.q_perp_n(), ELL.m, ELL.J, V)
+        got = impulse_scatter(contact, ELL.m, ELL.J, V)
         assert np.max(np.abs(sm.s @ V - got)) < 1e-12
 
 
@@ -366,28 +365,21 @@ def test_dual_routes_on_arrays():
     betas = [Beta(*rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(40)]
     contacts = [d_beta(ELL, b) for b in betas]
     V = rng.standard_normal((40, 6))
-    n = np.array([c.n for c in contacts])
-    pn = np.array([c.p_perp_n() for c in contacts])
-    qn = np.array([c.q_perp_n() for c in contacts])
-    psi = np.array([b.psi for b in betas])
-    d = np.array([c.d for c in contacts])
-    imp = impulse_scatter(n, pn, qn, ELL.m, ELL.J, V)
-    eps = explicit_epsi_velocities(psi, d, ELL.m, ELL.J, V)
+    angles = np.array(betas)
+    stack = d_beta(ELL, Beta(*angles.T))
+    imp = impulse_scatter(stack, ELL.m, ELL.J, V)
+    eps = explicit_epsi_velocities(angles[:, 2], stack.d, ELL.m, ELL.J, V)
     assert imp.shape == eps.shape == (40, 6)
     for i, c in enumerate(contacts):
-        one = impulse_scatter(c.n, c.p_perp_n(), c.q_perp_n(), ELL.m, ELL.J, V[i])
+        one = impulse_scatter(c, ELL.m, ELL.J, V[i])
         assert one.shape == (6,) and np.max(np.abs(one - imp[i])) < 1e-15
         one = explicit_epsi_velocities(betas[i].psi, c.d, ELL.m, ELL.J, V[i])
         assert one.shape == (6,) and np.max(np.abs(one - eps[i])) < 1e-15
 
 
 def _stack_of(frames):
-    return build_frames(
-        np.array([fr.theta for fr in frames]),
-        np.array([fr.thetabar for fr in frames]),
-        np.array([fr.psi for fr in frames]),
-        np.array([fr.d for fr in frames]),
-        np.array([fr.nu for fr in frames]), ELL.m, ELL.J)
+    angles = np.array([(fr.theta, fr.thetabar, fr.psi) for fr in frames])
+    return build_frames(Beta(*angles.T), d_beta(ELL, Beta(*angles.T)), ELL.m, ELL.J)
 
 
 def test_scatter_stack_matches_matrices():
